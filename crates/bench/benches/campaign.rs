@@ -1,6 +1,9 @@
 //! Campaign benchmark: per-module verification latency distribution —
 //! the reproduction analogue of the paper's "about 20 hours ... on a
-//! typical Linux workstation" (§6.1), scaled to the synthetic chip.
+//! typical Linux workstation" (§6.1), scaled to the synthetic chip —
+//! plus `campaign/table2_small`, the whole Small Table 2 campaign with
+//! the seeded bugs on one worker thread. That run is SAT-bound (BMC and
+//! k-induction conclude nearly every property), and CI gates it.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use veridic::prelude::*;
@@ -26,6 +29,20 @@ fn campaign(c: &mut Criterion) {
             })
         });
     }
+    let buggy = Chip::generate(&ChipConfig { scale: Scale::Small, with_bugs: true });
+    let cfg = CampaignConfig { workers: 1, ..Default::default() };
+    group.bench_function("table2_small", |b| {
+        b.iter(|| {
+            let report = run_campaign(&buggy, &cfg);
+            let census = (
+                report.records.len(),
+                report.failures().len(),
+                report.resource_outs().len(),
+            );
+            assert_eq!(census, (158, 13, 0));
+            std::hint::black_box(report)
+        })
+    });
     group.finish();
 }
 

@@ -32,9 +32,9 @@
 
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use veridic_chipgen::Chip;
 use veridic_core::flow::{module_properties, record_from_result, PreparedProperty, PropertyRecord};
@@ -149,19 +149,27 @@ pub fn enumerate_jobs(spec: &CampaignSpec) -> (Vec<PreparedProperty>, Vec<(Strin
     (props, errors)
 }
 
+/// How often the cancel bridge looks at the shutdown flag.
+const SHUTDOWN_POLL: Duration = Duration::from_millis(25);
+
 /// Bridges the process-wide shutdown flag into a job's cancel token:
-/// a small thread polling [`signal::shutdown_requested`] until the job
-/// finishes (`done`) or cancellation fires.
-fn spawn_cancel_bridge(token: CancelToken, done: Arc<AtomicBool>) -> std::thread::JoinHandle<()> {
-    std::thread::spawn(move || {
-        while !done.load(Ordering::Relaxed) {
-            if signal::shutdown_requested() {
-                token.cancel();
-                return;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(25));
+/// a small thread polling [`signal::shutdown_requested`] every `poll`
+/// until cancellation fires or the job ends. The job ends the bridge by
+/// dropping the returned sender, which wakes it at once, so joining it
+/// adds no wait to the job.
+fn spawn_cancel_bridge(token: CancelToken, poll: Duration) -> (mpsc::Sender<()>, JoinHandle<()>) {
+    let (job_running, job_ended) = mpsc::channel::<()>();
+    let bridge = std::thread::spawn(move || loop {
+        if signal::shutdown_requested() {
+            token.cancel();
+            return;
         }
-    })
+        match job_ended.recv_timeout(poll) {
+            Err(RecvTimeoutError::Timeout) => {}
+            Ok(()) | Err(RecvTimeoutError::Disconnected) => return,
+        }
+    });
+    (job_running, bridge)
 }
 
 /// How a job slice loop ended.
@@ -198,8 +206,7 @@ fn run_job(
     };
 
     let token = CancelToken::new();
-    let done = Arc::new(AtomicBool::new(false));
-    let bridge = spawn_cancel_bridge(token.clone(), Arc::clone(&done));
+    let (job_running, bridge) = spawn_cancel_bridge(token.clone(), SHUTDOWN_POLL);
     let persist = |state: PersistedState, out: &mut dyn Write| -> io::Result<()> {
         let file = CheckpointFile {
             aig_fingerprint: aig_fp,
@@ -260,7 +267,7 @@ fn run_job(
             }
         }
     };
-    done.store(true, Ordering::Relaxed);
+    drop(job_running);
     let _ = bridge.join();
 
     match result {
@@ -388,6 +395,22 @@ mod tests {
         buf.truncate(buf.len() - 2);
         let mut r = io::Cursor::new(buf);
         assert!(read_frame(&mut r).is_err(), "mid-frame EOF must error");
+    }
+
+    #[test]
+    fn cancel_bridge_ends_with_the_job_not_the_poll() {
+        // A poll period far beyond the test's patience: the bridge must
+        // wake because the job ended, not because the period elapsed.
+        let (job_running, bridge) =
+            spawn_cancel_bridge(CancelToken::new(), Duration::from_secs(60));
+        let t0 = Instant::now();
+        drop(job_running);
+        bridge.join().unwrap(); // lint: allow
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "join took {:?}",
+            t0.elapsed()
+        );
     }
 
     #[test]

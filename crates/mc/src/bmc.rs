@@ -71,7 +71,6 @@ pub fn bmc_check_budgeted(
     budget: &mut Budget,
 ) -> BmcOutcome {
     let mut solver = Solver::new();
-    let base_conflicts = 0;
     solver.set_conflict_budget(Some(conflict_budget));
     let mut frames = Vec::new();
     {
@@ -93,7 +92,7 @@ pub fn bmc_check_budgeted(
             continue;
         }
         if !budget.tick() {
-            stats.sat_conflicts += solver.num_conflicts() - base_conflicts;
+            stats.sat_conflicts += solver.num_conflicts();
             return BmcOutcome::Suspended { next_depth: k };
         }
         // bad_k: OR of all bads in frame k, via a selector literal.
@@ -125,7 +124,7 @@ pub fn bmc_check_budgeted(
                         .collect();
                     inputs.push(row);
                 }
-                stats.sat_conflicts += solver.num_conflicts() - base_conflicts;
+                stats.sat_conflicts += solver.num_conflicts();
                 return BmcOutcome::Falsified(Trace { inputs, bad_index });
             }
             SolveResult::Unsat => {
@@ -133,12 +132,12 @@ pub fn bmc_check_budgeted(
                 solver.add_clause(&[!sel]);
             }
             SolveResult::Unknown => {
-                stats.sat_conflicts += solver.num_conflicts() - base_conflicts;
+                stats.sat_conflicts += solver.num_conflicts();
                 return BmcOutcome::ResourceOut;
             }
         }
     }
-    stats.sat_conflicts += solver.num_conflicts() - base_conflicts;
+    stats.sat_conflicts += solver.num_conflicts();
     BmcOutcome::NoCounterexample
 }
 
@@ -350,31 +349,139 @@ mod tests {
         }
     }
 
+    /// `lits`, read as a little-endian number, equals `value`.
+    fn equals(g: &mut Aig, lits: &[veridic_aig::Lit], value: u64) -> veridic_aig::Lit {
+        let bits: Vec<_> = lits
+            .iter()
+            .enumerate()
+            .map(|(i, &q)| if value >> i & 1 == 1 { q } else { !q })
+            .collect();
+        g.and_many(bits)
+    }
+
+    /// Two `bits`-wide counters sharing one input: `a` counts up while
+    /// `en` is high, `b` while it is low. The bad fires when `a == x` and
+    /// `b == y` together, which needs at least `x + y` cycles.
+    fn split_counters(bits: usize, x: u64, y: u64) -> Aig {
+        let mut g = Aig::new();
+        let en = g.input("en");
+        let mut at = Vec::new();
+        for (name, inc, target) in [("a", en, x), ("b", !en, y)] {
+            let latches: Vec<_> = (0..bits)
+                .map(|i| g.latch(format!("{name}{i}"), false))
+                .collect();
+            let mut carry = inc;
+            for &(id, q) in &latches {
+                let next = g.xor(q, carry);
+                carry = g.and(q, carry);
+                g.set_next(id, next);
+            }
+            let qs: Vec<_> = latches.iter().map(|&(_, q)| q).collect();
+            at.push(equals(&mut g, &qs, target));
+        }
+        let bad = g.and(at[0], at[1]);
+        g.add_bad("both_at_target", bad);
+        g
+    }
+
+    /// A `bits`-wide counter that counts while input `en` is high and
+    /// wraps to 0 after `wrap`; the bad fires at all-ones, unreachable
+    /// when `wrap` is below it.
+    fn wrapping_counter(bits: usize, wrap: u64) -> Aig {
+        let mut g = Aig::new();
+        let en = g.input("en");
+        let latches: Vec<_> = (0..bits).map(|i| g.latch(format!("c{i}"), false)).collect();
+        let qs: Vec<_> = latches.iter().map(|&(_, q)| q).collect();
+        let at_wrap = equals(&mut g, &qs, wrap);
+        let mut carry = en;
+        for &(id, q) in &latches {
+            let inc = g.xor(q, carry);
+            carry = g.and(q, carry);
+            let next = g.and(inc, !at_wrap);
+            g.set_next(id, next);
+        }
+        let all_ones = equals(&mut g, &qs, (1 << bits) - 1);
+        g.add_bad("all_ones", all_ones);
+        g
+    }
+
+    #[test]
+    fn search_counts_on_counters() {
+        // Pins the SAT work of both engines on a design that needs real
+        // search (proving `x + y` unreachable within fewer cycles is a
+        // counting argument): any change to the solver's decision or
+        // propagation order shows up in `sat_conflicts`, which the
+        // campaign goldens compare.
+        let mut bmc_stats = CheckStats::default();
+        let bmc = bmc_check(&split_counters(5, 13, 12), 0, 24, 1_000_000, &mut bmc_stats);
+        let mut ind_stats = CheckStats::default();
+        let ind = induction_check(
+            &wrapping_counter(7, 100),
+            40,
+            true,
+            1_000_000,
+            &mut ind_stats,
+        );
+        assert_eq!(
+            (bmc, bmc_stats.sat_conflicts, ind, ind_stats.sat_conflicts),
+            (
+                BmcOutcome::NoCounterexample,
+                7576,
+                InductionOutcome::Proved(27),
+                3337
+            )
+        );
+        // The model behind a counterexample is search-dependent too.
+        let g = split_counters(5, 13, 12);
+        let mut cex_stats = CheckStats::default();
+        let BmcOutcome::Falsified(trace) = bmc_check(&g, 0, 30, 1_000_000, &mut cex_stats) else {
+            panic!("13 + 12 cycles reach the target");
+        };
+        assert!(trace.replays_on(&g));
+        let en: String = trace
+            .inputs
+            .iter()
+            .map(|row| if row[0] { '1' } else { '0' })
+            .collect();
+        assert_eq!(
+            (en.as_str(), cex_stats.sat_conflicts),
+            ("00001010110000011011111110", 7582)
+        );
+    }
+
     #[test]
     fn budget_exhaustion_is_reported() {
-        let g = toggle();
-        let mut stats = CheckStats::default();
-        // One conflict is not enough for... actually toggling is easy; use
-        // a pigeonhole-flavoured instance via many latches. Simplest: the
-        // budget applies to the solver as a whole — use 0 conflicts and a
-        // bad needing search.
-        let mut g2 = Aig::new();
-        let ins: Vec<_> = (0..12).map(|i| g2.input(format!("x{i}"))).collect();
-        // bad: exactly-one-ish structure that needs some search: parity
+        // A zero conflict budget still lets a query that needs no
+        // conflict through: the first decisions on a latched 12-input
+        // parity already satisfy it at depth 1.
+        let mut g = Aig::new();
+        let ins: Vec<_> = (0..12).map(|i| g.input(format!("x{i}"))).collect();
         let mut parity = veridic_aig::Lit::FALSE;
         for l in &ins {
-            parity = g2.xor(parity, *l);
+            parity = g.xor(parity, *l);
         }
-        let (id, q) = g2.latch("q", false);
-        g2.set_next(id, parity);
-        g2.add_bad("parity_high", q);
-        let _ = g;
-        let out = bmc_check(&g2, 0, 3, 0, &mut stats);
-        // With a zero budget the solver gives up immediately unless the
-        // instance is solved by pure propagation.
-        assert!(
-            matches!(out, BmcOutcome::ResourceOut | BmcOutcome::Falsified(_)),
-            "got {out:?}"
+        let (id, q) = g.latch("q", false);
+        g.set_next(id, parity);
+        g.add_bad("parity_high", q);
+        let mut stats = CheckStats::default();
+        let mut first = vec![false; 12];
+        first[11] = true;
+        let trace = Trace {
+            inputs: vec![first, vec![false; 12]],
+            bad_index: 0,
+        };
+        assert_eq!(
+            (bmc_check(&g, 0, 3, 0, &mut stats), stats.sat_conflicts),
+            (BmcOutcome::Falsified(trace), 0)
+        );
+        // A query that needs search stops at the budget.
+        let mut stats = CheckStats::default();
+        assert_eq!(
+            (
+                bmc_check(&split_counters(5, 13, 12), 0, 24, 1000, &mut stats),
+                stats.sat_conflicts
+            ),
+            (BmcOutcome::ResourceOut, 1000)
         );
     }
 }

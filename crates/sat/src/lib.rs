@@ -6,10 +6,13 @@
 //! verification tool ... equipped with various formal solver algorithms").
 //!
 //! Features: two-literal watching, first-UIP conflict analysis with clause
-//! learning, VSIDS decision heuristic with phase saving, Luby restarts,
-//! activity-based learnt-clause reduction, incremental solving under
+//! learning, VSIDS decision heuristic on a binary order heap with phase
+//! saving, Luby restarts, activity-based learnt-clause reduction over a
+//! flat clause arena that compacts itself, incremental solving under
 //! assumptions, and a deterministic conflict budget (the reproducible
-//! "time-out" used by the resource-bounded verification flow).
+//! "time-out" used by the resource-bounded verification flow). The
+//! search itself is pinned, not just its answers: the search-exact
+//! contract is in ARCHITECTURE.md, "SAT hot-path design".
 //!
 //! ```
 //! use veridic_sat::{Solver, Lit, SolveResult};

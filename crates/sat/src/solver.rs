@@ -1,4 +1,12 @@
 //! The CDCL search core.
+//!
+//! The search is pinned exactly, not just its verdicts: the decision
+//! sequence, propagation order, learnt clauses and the decision,
+//! propagation and conflict counts are part of the contract, because
+//! `sat_conflicts` and the engine logs built on them are byte-compared
+//! by the campaign goldens. The data structures below are chosen for
+//! speed under that constraint (see ARCHITECTURE.md, "SAT hot-path
+//! design").
 
 use crate::{Lit, Var};
 
@@ -13,6 +21,7 @@ pub enum SolveResult {
     Unknown,
 }
 
+/// The value of a literal, one byte per literal.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Assign {
     Undef,
@@ -20,29 +29,119 @@ enum Assign {
     False,
 }
 
-impl Assign {
-    fn from_bool(b: bool) -> Assign {
-        if b {
-            Assign::True
-        } else {
-            Assign::False
-        }
-    }
-}
+/// Offset of a clause's header word in the clause arena.
+type ClauseRef = u32;
 
-#[derive(Clone, Debug)]
-struct Clause {
-    lits: Vec<Lit>,
-    learnt: bool,
-    activity: f64,
-}
+/// The `reason` of a decision, an assumption or a level-0 unit.
+const NO_REASON: ClauseRef = u32::MAX;
 
-type ClauseRef = usize;
+/// Arena words before a clause's literals: the header (`len << 1 |
+/// deleted`), then the clause activity as the low and high halves of an
+/// `f64`.
+const HEADER: usize = 3;
 
 #[derive(Clone, Copy, Debug)]
 struct Watcher {
     cref: ClauseRef,
     blocker: Lit,
+}
+
+/// Marks a variable that is not in the [`OrderHeap`].
+const ABSENT: u32 = u32::MAX;
+
+/// The decision order: a binary heap of variables, highest activity first
+/// and ties to the lower index (the variable a scan over all variables
+/// picks). Assigned variables leave it lazily, when they reach the top;
+/// backtracking puts variables back.
+#[derive(Clone, Debug, Default)]
+struct OrderHeap {
+    heap: Vec<u32>,
+    /// Each variable's position in `heap`, or [`ABSENT`].
+    pos: Vec<u32>,
+}
+
+impl OrderHeap {
+    fn before(activity: &[f64], a: u32, b: u32) -> bool {
+        let (x, y) = (activity[a as usize], activity[b as usize]);
+        x > y || (x == y && a < b)
+    }
+
+    fn insert(&mut self, v: u32, activity: &[f64]) {
+        if self.pos[v as usize] == ABSENT {
+            self.heap.push(v);
+            self.sift_up(self.heap.len() - 1, activity);
+        }
+    }
+
+    /// Restores the heap after `v`'s activity grew.
+    fn bumped(&mut self, v: u32, activity: &[f64]) {
+        let p = self.pos[v as usize];
+        if p != ABSENT {
+            self.sift_up(p as usize, activity);
+        }
+    }
+
+    fn pop(&mut self, activity: &[f64]) -> Option<u32> {
+        let last = self.heap.pop()?;
+        let top = match self.heap.first_mut() {
+            Some(root) => std::mem::replace(root, last),
+            None => last,
+        };
+        self.pos[top as usize] = ABSENT;
+        if !self.heap.is_empty() {
+            self.sift_down(0, activity);
+        }
+        Some(top)
+    }
+
+    /// Re-heapifies after every activity changed at once.
+    fn rebuild(&mut self, activity: &[f64]) {
+        for i in (0..self.heap.len() / 2).rev() {
+            self.sift_down(i, activity);
+        }
+    }
+
+    fn sift_up(&mut self, mut i: usize, activity: &[f64]) {
+        let v = self.heap[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            let p = self.heap[parent];
+            if !Self::before(activity, v, p) {
+                break;
+            }
+            self.heap[i] = p;
+            self.pos[p as usize] = i as u32;
+            i = parent;
+        }
+        self.heap[i] = v;
+        self.pos[v as usize] = i as u32;
+    }
+
+    fn sift_down(&mut self, mut i: usize, activity: &[f64]) {
+        let v = self.heap[i];
+        let n = self.heap.len();
+        loop {
+            let left = 2 * i + 1;
+            if left >= n {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < n && Self::before(activity, self.heap[right], self.heap[left]) {
+                right
+            } else {
+                left
+            };
+            let c = self.heap[child];
+            if !Self::before(activity, c, v) {
+                break;
+            }
+            self.heap[i] = c;
+            self.pos[c as usize] = i as u32;
+            i = child;
+        }
+        self.heap[i] = v;
+        self.pos[v as usize] = i as u32;
+    }
 }
 
 /// A CDCL SAT solver with incremental assumptions and a conflict budget.
@@ -52,14 +151,19 @@ struct Watcher {
 /// [`Solver::add_clause`], and queries run through [`Solver::solve`].
 #[derive(Clone, Debug)]
 pub struct Solver {
-    clauses: Vec<Clause>,
-    free_list: Vec<ClauseRef>,
+    /// Every clause of two or more literals, back to back: [`HEADER`]
+    /// words, then the literals. Deleted clauses stay until compaction.
+    arena: Vec<u32>,
+    /// Arena words held by deleted clauses.
+    wasted: usize,
     watches: Vec<Vec<Watcher>>,
-    assigns: Vec<Assign>,
+    /// Indexed by `Lit::index`, so a literal's value is a single load.
+    values: Vec<Assign>,
     polarity: Vec<bool>,
     activity: Vec<f64>,
+    order: OrderHeap,
     level: Vec<u32>,
-    reason: Vec<Option<ClauseRef>>,
+    reason: Vec<ClauseRef>,
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
     qhead: usize,
@@ -71,6 +175,8 @@ pub struct Solver {
     learnt_refs: Vec<ClauseRef>,
     max_learnts: f64,
     seen: Vec<bool>,
+    /// Scratch: the clause being added, then the clause being learnt.
+    lits_buf: Vec<Lit>,
     /// Statistics: total decisions.
     pub decisions: u64,
     /// Statistics: total propagations.
@@ -87,12 +193,13 @@ impl Solver {
     /// Creates an empty solver.
     pub fn new() -> Self {
         Solver {
-            clauses: Vec::new(),
-            free_list: Vec::new(),
+            arena: Vec::new(),
+            wasted: 0,
             watches: Vec::new(),
-            assigns: Vec::new(),
+            values: Vec::new(),
             polarity: Vec::new(),
             activity: Vec::new(),
+            order: OrderHeap::default(),
             level: Vec::new(),
             reason: Vec::new(),
             trail: Vec::new(),
@@ -106,6 +213,7 @@ impl Solver {
             learnt_refs: Vec::new(),
             max_learnts: 1000.0,
             seen: Vec::new(),
+            lits_buf: Vec::new(),
             decisions: 0,
             propagations: 0,
         }
@@ -113,21 +221,24 @@ impl Solver {
 
     /// Allocates a fresh variable.
     pub fn new_var(&mut self) -> Var {
-        let v = Var(self.assigns.len() as u32);
-        self.assigns.push(Assign::Undef);
+        let v = Var(self.activity.len() as u32);
+        self.values.push(Assign::Undef);
+        self.values.push(Assign::Undef);
         self.polarity.push(false);
         self.activity.push(0.0);
         self.level.push(0);
-        self.reason.push(None);
+        self.reason.push(NO_REASON);
         self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
+        self.order.pos.push(ABSENT);
+        self.order.insert(v.0, &self.activity);
         v
     }
 
     /// Number of variables allocated.
     pub fn num_vars(&self) -> usize {
-        self.assigns.len()
+        self.activity.len()
     }
 
     /// Total conflicts encountered so far (across all solve calls).
@@ -155,80 +266,97 @@ impl Solver {
             return false;
         }
         // Normalise: sort, dedup, drop tautologies and false literals.
-        let mut ls: Vec<Lit> = lits.to_vec();
+        let mut ls = std::mem::take(&mut self.lits_buf);
+        ls.clear();
+        ls.extend_from_slice(lits);
         ls.sort_unstable();
         ls.dedup();
-        let mut out: Vec<Lit> = Vec::with_capacity(ls.len());
-        for (i, &l) in ls.iter().enumerate() {
+        let mut kept = 0;
+        let mut satisfied = false;
+        for i in 0..ls.len() {
+            let l = ls[i];
             if i + 1 < ls.len() && ls[i + 1] == !l {
-                return true; // tautology: contains l and !l
+                satisfied = true; // tautology: contains l and !l
+                break;
             }
-            match self.lit_value(l) {
-                Assign::True => return true, // satisfied at level 0
-                Assign::False => continue,   // drop false literal
-                Assign::Undef => out.push(l),
+            match self.values[l.index()] {
+                Assign::True => {
+                    satisfied = true; // satisfied at level 0
+                    break;
+                }
+                Assign::False => {} // drop false literal
+                Assign::Undef => {
+                    ls[kept] = l;
+                    kept += 1;
+                }
             }
         }
-        match out.len() {
+        ls.truncate(kept);
+        let ok = match ls.len() {
+            _ if satisfied => true,
             0 => {
                 self.ok = false;
                 false
             }
             1 => {
-                self.unchecked_enqueue(out[0], None);
+                self.unchecked_enqueue(ls[0], NO_REASON);
                 self.ok = self.propagate().is_none();
                 self.ok
             }
             _ => {
-                self.attach_clause(out, false);
+                self.attach_clause(&ls);
                 true
             }
-        }
+        };
+        self.lits_buf = ls;
+        ok
     }
 
-    fn attach_clause(&mut self, lits: Vec<Lit>, learnt: bool) -> ClauseRef {
+    fn attach_clause(&mut self, lits: &[Lit]) -> ClauseRef {
         debug_assert!(lits.len() >= 2);
-        let cref = if let Some(r) = self.free_list.pop() {
-            self.clauses[r] = Clause { lits, learnt, activity: 0.0 };
-            r
-        } else {
-            self.clauses.push(Clause { lits, learnt, activity: 0.0 });
-            self.clauses.len() - 1
-        };
-        let c = &self.clauses[cref];
-        let (w0, w1) = (c.lits[0], c.lits[1]);
-        self.watches[(!w0).index()].push(Watcher { cref, blocker: w1 });
-        self.watches[(!w1).index()].push(Watcher { cref, blocker: w0 });
-        if learnt {
-            self.learnt_refs.push(cref);
-        }
+        let cref = ClauseRef::try_from(self.arena.len()).expect("clause arena exceeds 2^32 words"); // lint: allow
+        let header = u32::try_from(lits.len() << 1).expect("clause exceeds 2^31 literals"); // lint: allow
+        self.arena.push(header);
+        self.arena.extend([0, 0]); // activity 0.0
+        self.arena.extend(lits.iter().map(|l| l.0));
+        self.watches[(!lits[0]).index()].push(Watcher {
+            cref,
+            blocker: lits[1],
+        });
+        self.watches[(!lits[1]).index()].push(Watcher {
+            cref,
+            blocker: lits[0],
+        });
         cref
     }
 
-    fn lit_value(&self, l: Lit) -> Assign {
-        match self.assigns[l.var().0 as usize] {
-            Assign::Undef => Assign::Undef,
-            Assign::True => {
-                if l.is_neg() {
-                    Assign::False
-                } else {
-                    Assign::True
-                }
-            }
-            Assign::False => {
-                if l.is_neg() {
-                    Assign::True
-                } else {
-                    Assign::False
-                }
-            }
-        }
+    fn clause_len(&self, cref: ClauseRef) -> usize {
+        (self.arena[cref as usize] >> 1) as usize
+    }
+
+    fn clause_lit(&self, cref: ClauseRef, k: usize) -> Lit {
+        Lit(self.arena[cref as usize + HEADER + k])
+    }
+
+    fn is_deleted(&self, cref: ClauseRef) -> bool {
+        self.arena[cref as usize] & 1 == 1
+    }
+
+    fn clause_activity(&self, cref: ClauseRef) -> f64 {
+        let i = cref as usize;
+        f64::from_bits(u64::from(self.arena[i + 1]) | u64::from(self.arena[i + 2]) << 32)
+    }
+
+    fn set_clause_activity(&mut self, cref: ClauseRef, a: f64) {
+        let (i, bits) = (cref as usize, a.to_bits());
+        self.arena[i + 1] = bits as u32;
+        self.arena[i + 2] = (bits >> 32) as u32;
     }
 
     /// The model value of `v` after a [`SolveResult::Sat`] answer; `None`
     /// if the variable was irrelevant (never assigned).
     pub fn value(&self, v: Var) -> Option<bool> {
-        match self.assigns[v.0 as usize] {
+        match self.values[Lit::pos(v).index()] {
             Assign::Undef => None,
             Assign::True => Some(true),
             Assign::False => Some(false),
@@ -239,10 +367,11 @@ impl Solver {
         self.trail_lim.len() as u32
     }
 
-    fn unchecked_enqueue(&mut self, l: Lit, from: Option<ClauseRef>) {
-        debug_assert_eq!(self.lit_value(l), Assign::Undef);
+    fn unchecked_enqueue(&mut self, l: Lit, from: ClauseRef) {
+        debug_assert_eq!(self.values[l.index()], Assign::Undef);
+        self.values[l.index()] = Assign::True;
+        self.values[(!l).index()] = Assign::False;
         let v = l.var().0 as usize;
-        self.assigns[v] = Assign::from_bool(!l.is_neg());
         self.level[v] = self.decision_level();
         self.reason[v] = from;
         self.trail.push(l);
@@ -254,38 +383,35 @@ impl Solver {
             let p = self.trail[self.qhead];
             self.qhead += 1;
             self.propagations += 1;
+            let false_lit = !p;
             let mut i = 0;
             let mut ws = std::mem::take(&mut self.watches[p.index()]);
             let mut conflict = None;
             'watchers: while i < ws.len() {
                 let w = ws[i];
                 // Quick check: blocker satisfied?
-                if self.lit_value(w.blocker) == Assign::True {
+                if self.values[w.blocker.index()] == Assign::True {
                     i += 1;
                     continue;
                 }
                 let cref = w.cref;
+                let lits = cref as usize + HEADER;
                 // Make sure the false literal is lits[1].
-                let false_lit = !p;
-                {
-                    let c = &mut self.clauses[cref];
-                    if c.lits[0] == false_lit {
-                        c.lits.swap(0, 1);
-                    }
-                    debug_assert_eq!(c.lits[1], false_lit);
+                if self.arena[lits] == false_lit.0 {
+                    self.arena.swap(lits, lits + 1);
                 }
-                let first = self.clauses[cref].lits[0];
-                if first != w.blocker && self.lit_value(first) == Assign::True {
+                debug_assert_eq!(self.arena[lits + 1], false_lit.0);
+                let first = Lit(self.arena[lits]);
+                if first != w.blocker && self.values[first.index()] == Assign::True {
                     ws[i] = Watcher { cref, blocker: first };
                     i += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
-                let len = self.clauses[cref].lits.len();
-                for k in 2..len {
-                    let lk = self.clauses[cref].lits[k];
-                    if self.lit_value(lk) != Assign::False {
-                        self.clauses[cref].lits.swap(1, k);
+                for k in lits + 2..lits + self.clause_len(cref) {
+                    let lk = Lit(self.arena[k]);
+                    if self.values[lk.index()] != Assign::False {
+                        self.arena.swap(lits + 1, k);
                         self.watches[(!lk).index()].push(Watcher { cref, blocker: first });
                         ws.swap_remove(i);
                         continue 'watchers;
@@ -294,13 +420,13 @@ impl Solver {
                 // No new watch: clause is unit or conflicting.
                 ws[i] = Watcher { cref, blocker: first };
                 i += 1;
-                if self.lit_value(first) == Assign::False {
+                if self.values[first.index()] == Assign::False {
                     // Conflict: keep remaining watchers, stop.
                     conflict = Some(cref);
                     self.qhead = self.trail.len();
                     break;
                 } else {
-                    self.unchecked_enqueue(first, Some(cref));
+                    self.unchecked_enqueue(first, cref);
                 }
             }
             // Entries removed by swap_remove are gone; everything left in
@@ -309,21 +435,25 @@ impl Solver {
             // a new watch targets a non-false literal, and `!p` is false.
             debug_assert!(self.watches[p.index()].is_empty());
             self.watches[p.index()] = ws;
-            if let Some(c) = conflict {
-                return Some(c);
+            if conflict.is_some() {
+                return conflict;
             }
         }
         None
     }
 
-    fn var_bump(&mut self, v: Var) {
-        self.activity[v.0 as usize] += self.var_inc;
-        if self.activity[v.0 as usize] > 1e100 {
+    fn var_bump(&mut self, v: usize) {
+        self.activity[v] += self.var_inc;
+        if self.activity[v] > 1e100 {
             for a in &mut self.activity {
                 *a *= 1e-100;
             }
             self.var_inc *= 1e-100;
+            // Underflow can turn distinct activities into ties, which the
+            // heap must then order by index like every other tie.
+            self.order.rebuild(&self.activity);
         }
+        self.order.bumped(v as u32, &self.activity);
     }
 
     fn var_decay(&mut self) {
@@ -331,32 +461,39 @@ impl Solver {
     }
 
     fn cla_bump(&mut self, cref: ClauseRef) {
-        self.clauses[cref].activity += self.cla_inc;
-        if self.clauses[cref].activity > 1e20 {
-            for &r in &self.learnt_refs {
-                self.clauses[r].activity *= 1e-20;
+        let a = self.clause_activity(cref) + self.cla_inc;
+        self.set_clause_activity(cref, a);
+        if a > 1e20 {
+            for i in 0..self.learnt_refs.len() {
+                let r = self.learnt_refs[i];
+                self.set_clause_activity(r, self.clause_activity(r) * 1e-20);
             }
             self.cla_inc *= 1e-20;
         }
     }
 
-    /// First-UIP conflict analysis. Returns (learnt clause, backtrack level).
-    fn analyze(&mut self, confl: ClauseRef) -> (Vec<Lit>, u32) {
-        let mut learnt: Vec<Lit> = vec![Lit::pos(Var(0))]; // placeholder for the asserting literal
+    /// First-UIP conflict analysis. Leaves the learnt clause in
+    /// `lits_buf` (asserting literal first) and returns the backtrack
+    /// level.
+    fn analyze(&mut self, confl: ClauseRef) -> u32 {
+        let mut learnt = std::mem::take(&mut self.lits_buf);
+        learnt.clear();
+        learnt.push(Lit::pos(Var(0))); // placeholder for the asserting literal
         let mut counter = 0usize;
-        let mut p: Option<Lit> = None;
         let mut index = self.trail.len();
-        let mut confl = Some(confl);
+        let mut confl = confl;
+        // The conflict clause contributes every literal; a reason clause
+        // all but its first, the literal it propagated.
+        let mut start = 0;
         loop {
-            let cref = confl.expect("analysis must have a reason"); // lint: allow
-            self.cla_bump(cref);
-            let start = if p.is_some() { 1 } else { 0 };
-            let lits: Vec<Lit> = self.clauses[cref].lits[start..].to_vec();
-            for q in lits {
+            debug_assert_ne!(confl, NO_REASON, "analysis must have a reason");
+            self.cla_bump(confl);
+            for k in start..self.clause_len(confl) {
+                let q = self.clause_lit(confl, k);
                 let v = q.var().0 as usize;
                 if !self.seen[v] && self.level[v] > 0 {
                     self.seen[v] = true;
-                    self.var_bump(q.var());
+                    self.var_bump(v);
                     if self.level[v] >= self.decision_level() {
                         counter += 1;
                     } else {
@@ -365,60 +502,66 @@ impl Solver {
                 }
             }
             // Find next literal to expand.
-            loop {
+            let uip = loop {
                 index -= 1;
                 let l = self.trail[index];
                 if self.seen[l.var().0 as usize] {
-                    p = Some(l);
-                    break;
+                    break l;
                 }
-            }
-            let pv = p.unwrap().var().0 as usize; // lint: allow
+            };
+            let pv = uip.var().0 as usize;
             self.seen[pv] = false;
             counter -= 1;
             if counter == 0 {
-                learnt[0] = !p.unwrap(); // lint: allow
+                learnt[0] = !uip;
                 break;
             }
             confl = self.reason[pv];
+            start = 1;
         }
-        // Clause minimisation (cheap local check): remove literals whose
-        // reason clause is entirely subsumed by the learnt set.
-        let keep: Vec<Lit> = learnt[1..]
-            .iter()
-            .copied()
-            .filter(|&l| !self.redundant(l, &learnt))
-            .collect();
-        let mut out = vec![learnt[0]];
-        out.extend(keep);
-        // Compute backtrack level = max level among out[1..].
-        let bt = if out.len() == 1 {
-            0
-        } else {
-            let mut max_i = 1;
-            for i in 2..out.len() {
-                if self.level[out[i].var().0 as usize] > self.level[out[max_i].var().0 as usize] {
-                    max_i = i;
-                }
+        // Clause minimisation (cheap local check): drop literals whose
+        // reason clause lies entirely within the learnt set. `seen` marks
+        // exactly the variables of learnt[1..] here, so it stands for the
+        // membership test; the kept literals keep their order.
+        let mut kept = 1;
+        for i in 1..learnt.len() {
+            if !self.redundant(learnt[i]) {
+                learnt.swap(kept, i);
+                kept += 1;
             }
-            out.swap(1, max_i);
-            self.level[out[1].var().0 as usize]
-        };
+        }
         for l in &learnt[1..] {
             self.seen[l.var().0 as usize] = false;
         }
-        (out, bt)
+        learnt.truncate(kept);
+        // Compute backtrack level = max level among learnt[1..].
+        let bt = if learnt.len() == 1 {
+            0
+        } else {
+            let mut max_i = 1;
+            for i in 2..learnt.len() {
+                if self.level[learnt[i].var().0 as usize]
+                    > self.level[learnt[max_i].var().0 as usize]
+                {
+                    max_i = i;
+                }
+            }
+            learnt.swap(1, max_i);
+            self.level[learnt[1].var().0 as usize]
+        };
+        self.lits_buf = learnt;
+        bt
     }
 
     /// A literal is redundant if its reason's literals are all already in
     /// the learnt clause (single-step self-subsumption).
-    fn redundant(&self, l: Lit, learnt: &[Lit]) -> bool {
-        match self.reason[l.var().0 as usize] {
-            None => false,
-            Some(cref) => self.clauses[cref].lits[1..].iter().all(|&q| {
-                learnt.contains(&q) || self.level[q.var().0 as usize] == 0
-            }),
-        }
+    fn redundant(&self, l: Lit) -> bool {
+        let cref = self.reason[l.var().0 as usize];
+        cref != NO_REASON
+            && (1..self.clause_len(cref)).all(|k| {
+                let v = self.clause_lit(cref, k).var().0 as usize;
+                self.seen[v] || self.level[v] == 0
+            })
     }
 
     fn backtrack(&mut self, level: u32) {
@@ -427,68 +570,105 @@ impl Solver {
         }
         let lim = self.trail_lim[level as usize];
         for i in (lim..self.trail.len()).rev() {
-            let v = self.trail[i].var().0 as usize;
-            self.polarity[v] = self.assigns[v] == Assign::True;
-            self.assigns[v] = Assign::Undef;
-            self.reason[v] = None;
+            let l = self.trail[i];
+            let v = l.var().0;
+            self.polarity[v as usize] = !l.is_neg();
+            self.values[l.index()] = Assign::Undef;
+            self.values[(!l).index()] = Assign::Undef;
+            self.reason[v as usize] = NO_REASON;
+            self.order.insert(v, &self.activity);
         }
         self.trail.truncate(lim);
         self.trail_lim.truncate(level as usize);
         self.qhead = self.trail.len();
     }
 
+    /// The unassigned variable of highest activity (lowest index among
+    /// ties), in its saved phase.
     fn pick_branch(&mut self) -> Option<Lit> {
-        // Highest-activity unassigned variable (linear scan is fine at the
-        // problem sizes of leaf-module cones; a heap would change nothing
-        // semantically).
-        let mut best: Option<Var> = None;
-        let mut best_act = -1.0f64;
-        for v in 0..self.assigns.len() {
-            if self.assigns[v] == Assign::Undef && self.activity[v] > best_act {
-                best_act = self.activity[v];
-                best = Some(Var(v as u32));
+        while let Some(v) = self.order.pop(&self.activity) {
+            if self.values[Lit::pos(Var(v)).index()] == Assign::Undef {
+                let v = Var(v);
+                return Some(if self.polarity[v.0 as usize] {
+                    Lit::pos(v)
+                } else {
+                    Lit::neg(v)
+                });
             }
         }
-        best.map(|v| {
-            if self.polarity[v.0 as usize] {
-                Lit::pos(v)
-            } else {
-                Lit::neg(v)
-            }
-        })
+        None
+    }
+
+    /// A clause is locked while it is the reason of its first literal
+    /// (propagation always asserts `lits[0]` and never moves it after).
+    fn locked(&self, cref: ClauseRef) -> bool {
+        self.reason[self.clause_lit(cref, 0).var().0 as usize] == cref
     }
 
     fn reduce_db(&mut self) {
-        self.learnt_refs.sort_by(|&a, &b| {
-            self.clauses[a]
-                .activity
-                .partial_cmp(&self.clauses[b].activity)
+        let mut refs = std::mem::take(&mut self.learnt_refs);
+        refs.sort_by(|&a, &b| {
+            self.clause_activity(a)
+                .partial_cmp(&self.clause_activity(b))
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
-        let locked: veridic_aig::hash::FxHashSet<ClauseRef> =
-            self.reason.iter().flatten().copied().collect();
-        let half = self.learnt_refs.len() / 2;
-        let mut removed = Vec::new();
-        let mut kept = Vec::new();
-        for (i, &cref) in self.learnt_refs.iter().enumerate() {
-            if i < half && self.clauses[cref].learnt && !locked.contains(&cref) && self.clauses[cref].lits.len() > 2 {
-                removed.push(cref);
+        let half = refs.len() / 2;
+        let mut kept = 0;
+        for i in 0..refs.len() {
+            let cref = refs[i];
+            if i < half && !self.locked(cref) && self.clause_len(cref) > 2 {
+                self.arena[cref as usize] |= 1;
+                self.wasted += HEADER + self.clause_len(cref);
             } else {
-                kept.push(cref);
+                refs[kept] = cref;
+                kept += 1;
             }
         }
-        for cref in removed {
-            self.detach_clause(cref);
+        let removed = kept < refs.len();
+        refs.truncate(kept);
+        self.learnt_refs = refs;
+        if removed {
+            let arena = &self.arena;
+            for ws in &mut self.watches {
+                ws.retain(|w| arena[w.cref as usize] & 1 == 0);
+            }
         }
-        self.learnt_refs = kept;
+        if self.wasted > self.arena.len() / 2 {
+            self.compact();
+        }
     }
 
-    fn detach_clause(&mut self, cref: ClauseRef) {
-        let (w0, w1) = (self.clauses[cref].lits[0], self.clauses[cref].lits[1]);
-        self.watches[(!w0).index()].retain(|w| w.cref != cref);
-        self.watches[(!w1).index()].retain(|w| w.cref != cref);
-        self.clauses[cref].lits.clear();
-        self.free_list.push(cref);
+    /// Copies the live clauses into a fresh arena, in order, and remaps
+    /// every reference; each list keeps its order.
+    fn compact(&mut self) {
+        let mut to = Vec::with_capacity(self.arena.len() - self.wasted);
+        let mut at = 0;
+        while at < self.arena.len() {
+            let end = at + HEADER + self.clause_len(at as ClauseRef);
+            if !self.is_deleted(at as ClauseRef) {
+                let moved = to.len() as u32;
+                to.extend_from_slice(&self.arena[at..end]);
+                // The old copy's first activity word forwards to the new one.
+                self.arena[at + 1] = moved;
+            }
+            at = end;
+        }
+        let forward = |old: &mut ClauseRef, arena: &[u32]| *old = arena[*old as usize + 1];
+        for ws in &mut self.watches {
+            for w in ws {
+                forward(&mut w.cref, &self.arena);
+            }
+        }
+        for r in &mut self.reason {
+            if *r != NO_REASON {
+                forward(r, &self.arena);
+            }
+        }
+        for r in &mut self.learnt_refs {
+            forward(r, &self.arena);
+        }
+        self.arena = to;
+        self.wasted = 0;
     }
 
     /// Solves under the given assumptions.
@@ -519,25 +699,28 @@ impl Solver {
                 }
                 // All assumption-level conflicts below the assumption count
                 // mean UNSAT under assumptions: handled by re-deciding below.
-                let (learnt, bt) = self.analyze(confl);
+                let bt = self.analyze(confl);
                 // Never backtrack above the assumption prefix: if the
                 // asserting level is inside the assumptions, re-propagating
                 // will re-derive the conflict and eventually hit level 0 or
                 // fail an assumption.
                 self.backtrack(bt);
-                if learnt.len() == 1 {
-                    if self.lit_value(learnt[0]) == Assign::False {
+                let asserting = self.lits_buf[0];
+                if self.lits_buf.len() == 1 {
+                    match self.values[asserting.index()] {
                         // Asserting literal contradicts an assumption level
                         // assignment at or below bt: unsat under assumptions.
-                        return SolveResult::Unsat;
-                    }
-                    if self.lit_value(learnt[0]) == Assign::Undef {
-                        self.unchecked_enqueue(learnt[0], None);
+                        Assign::False => return SolveResult::Unsat,
+                        Assign::Undef => self.unchecked_enqueue(asserting, NO_REASON),
+                        Assign::True => {}
                     }
                 } else {
-                    let cref = self.attach_clause(learnt.clone(), true);
+                    let learnt = std::mem::take(&mut self.lits_buf);
+                    let cref = self.attach_clause(&learnt);
+                    self.lits_buf = learnt;
+                    self.learnt_refs.push(cref);
                     self.cla_bump(cref);
-                    self.unchecked_enqueue(learnt[0], Some(cref));
+                    self.unchecked_enqueue(asserting, cref);
                 }
                 self.var_decay();
                 if let Some(b) = self.budget {
@@ -564,7 +747,7 @@ impl Solver {
                 let dl = self.decision_level() as usize;
                 if dl < assumptions.len() {
                     let a = assumptions[dl];
-                    match self.lit_value(a) {
+                    match self.values[a.index()] {
                         Assign::True => {
                             // Already satisfied: open an empty decision level.
                             self.trail_lim.push(self.trail.len());
@@ -574,7 +757,7 @@ impl Solver {
                         }
                         Assign::Undef => {
                             self.trail_lim.push(self.trail.len());
-                            self.unchecked_enqueue(a, None);
+                            self.unchecked_enqueue(a, NO_REASON);
                         }
                     }
                     continue;
@@ -584,7 +767,7 @@ impl Solver {
                     Some(l) => {
                         self.decisions += 1;
                         self.trail_lim.push(self.trail.len());
-                        self.unchecked_enqueue(l, None);
+                        self.unchecked_enqueue(l, NO_REASON);
                     }
                 }
             }
@@ -787,6 +970,226 @@ mod tests {
                 }
             }
         }
+    }
+
+    // Search-exactness pins. The (decisions, propagations, conflicts)
+    // triples below were recorded with the linear-scan, Vec-per-clause
+    // solver. The order heap, the clause arena and the literal-indexed
+    // values must reproduce them exactly: a different decision order,
+    // propagation order or learnt clause moves at least one count, and
+    // with it the `sat_conflicts` figures and engine logs that the
+    // campaign goldens byte-compare.
+
+    type Counts = (SolveResult, u64, u64, u64);
+
+    fn counts(s: &Solver, r: SolveResult) -> Counts {
+        (r, s.decisions, s.propagations, s.num_conflicts())
+    }
+
+    /// Pigeonhole PHP(n, n-1); every clause gets `guard` (if any) as an
+    /// extra negative literal, so solving under `guard` asserts it.
+    fn pigeonhole(s: &mut Solver, n: usize, guard: Option<Lit>) {
+        let holes = n - 1;
+        let p: Vec<Vec<Var>> = (0..n)
+            .map(|_| (0..holes).map(|_| s.new_var()).collect())
+            .collect();
+        let mut clause = Vec::new();
+        let mut add = |s: &mut Solver, lits: &mut dyn Iterator<Item = Lit>| {
+            clause.clear();
+            clause.extend(guard.map(|g| !g));
+            clause.extend(lits);
+            s.add_clause(&clause);
+        };
+        for row in &p {
+            add(s, &mut row.iter().map(|&v| Lit::pos(v)));
+        }
+        for j in 0..holes {
+            for (i1, row1) in p.iter().enumerate() {
+                for row2 in &p[i1 + 1..] {
+                    add(s, &mut [Lit::neg(row1[j]), Lit::neg(row2[j])].into_iter());
+                }
+            }
+        }
+    }
+
+    /// Random 3-SAT over `nvars` variables from a fixed xorshift seed.
+    fn random_3sat(s: &mut Solver, seed: u64, nvars: usize, nclauses: usize) {
+        let mut state = seed;
+        let mut rnd = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..nvars {
+            s.new_var();
+        }
+        for _ in 0..nclauses {
+            let cls: Vec<Lit> = (0..3)
+                .map(|_| lit(Var((rnd() % nvars as u64) as u32), rnd() % 2 == 0))
+                .collect();
+            s.add_clause(&cls);
+        }
+    }
+
+    #[test]
+    fn search_counts_pigeonhole_crosses_rescale_and_reduce_db() {
+        // 5 398 conflicts: past the first 1e-100 activity rescale (4 489
+        // conflicts) and through several learnt-clause reductions.
+        let mut s = Solver::new();
+        pigeonhole(&mut s, 8, None);
+        let r = s.solve(&[]);
+        assert_eq!(counts(&s, r), (SolveResult::Unsat, 6561, 74538, 5398));
+        assert!(s.max_learnts > 2000.0, "reduce_db ran more than twice");
+    }
+
+    #[test]
+    fn search_counts_unknown_then_raised_budget() {
+        let mut s = Solver::new();
+        pigeonhole(&mut s, 8, None);
+        s.set_conflict_budget(Some(2000));
+        let first = s.solve(&[]);
+        let first = counts(&s, first);
+        s.set_conflict_budget(None);
+        let second = s.solve(&[]);
+        assert_eq!(
+            [first, counts(&s, second)],
+            [
+                (SolveResult::Unknown, 2526, 28158, 2000),
+                (SolveResult::Unsat, 6944, 77585, 5708)
+            ]
+        );
+    }
+
+    #[test]
+    fn search_counts_under_assumptions() {
+        // Repeated queries on one satisfiable instance under changing
+        // assumption sets; many variables are never bumped, so early
+        // decisions break equal (zero) activities by variable index.
+        let mut s = Solver::new();
+        random_3sat(&mut s, 0x9E37_79B9_7F4A_7C15 ^ 2, 150, 640);
+        let mut got = Vec::new();
+        for i in 0..8u32 {
+            let assumptions: Vec<Lit> = (0..4)
+                .map(|b| lit(Var(7 * i + b), (i >> (b % 3)) & 1 == 1))
+                .collect();
+            let r = s.solve(&assumptions);
+            got.push(counts(&s, r));
+        }
+        let r = s.solve(&[]);
+        got.push(counts(&s, r));
+        use SolveResult::{Sat, Unsat};
+        assert_eq!(
+            got,
+            [
+                (Unsat, 875, 22401, 727),
+                (Unsat, 1587, 39929, 1309),
+                (Sat, 2344, 60200, 1901),
+                (Sat, 2520, 64574, 2032),
+                (Sat, 2780, 71065, 2219),
+                (Sat, 2812, 71215, 2219),
+                (Sat, 3487, 88685, 2767),
+                (Unsat, 3836, 99363, 3071),
+                (Sat, 4443, 114386, 3542),
+            ]
+        );
+    }
+
+    #[test]
+    fn search_counts_survive_activity_underflow() {
+        // Five guarded pigeonholes solved one after another in one solver:
+        // 20 578 conflicts take four activity rescales, so the first
+        // pigeonhole's variables (cold since its solve) underflow to equal
+        // activities; the final unguarded solve then decides them in
+        // variable-index order among the ties.
+        let mut s = Solver::new();
+        let mut got = Vec::new();
+        for _ in 0..5 {
+            let g = Lit::pos(s.new_var());
+            pigeonhole(&mut s, 8, Some(g));
+            let r = s.solve(&[g]);
+            got.push(counts(&s, r));
+        }
+        let r = s.solve(&[]);
+        got.push(counts(&s, r));
+        use SolveResult::{Sat, Unsat};
+        assert_eq!(
+            got,
+            [
+                (Unsat, 5265, 59974, 4374),
+                (Unsat, 10797, 120852, 8889),
+                (Unsat, 15541, 174547, 12731),
+                (Unsat, 20516, 229051, 16682),
+                (Unsat, 25442, 280625, 20578),
+                (Sat, 25722, 280905, 20578),
+            ]
+        );
+    }
+
+    /// The variable the order heap must yield: the unassigned one of
+    /// highest activity, the lowest index among ties (a plain scan).
+    fn scan_pick(s: &Solver) -> Option<u32> {
+        let mut best: Option<u32> = None;
+        for v in 0..s.num_vars() as u32 {
+            if s.value(Var(v)).is_none()
+                && best.map_or(true, |b| s.activity[v as usize] > s.activity[b as usize])
+            {
+                best = Some(v);
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn order_heap_matches_the_scan_under_random_bumps() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut rnd = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut s = Solver::new();
+        for _ in 0..64 {
+            s.new_var();
+        }
+        for _ in 0..20_000 {
+            match rnd() % 4 {
+                // Bump by a few coarse amounts so that ties are common.
+                0 | 1 => {
+                    s.var_inc = (rnd() % 3) as f64;
+                    s.var_bump((rnd() % 64) as usize);
+                }
+                2 => {
+                    let want = scan_pick(&s);
+                    let got = s.pick_branch().map(|l| l.var().0);
+                    assert_eq!(got, want);
+                    if let Some(v) = got {
+                        s.trail_lim.push(s.trail.len());
+                        s.unchecked_enqueue(Lit::neg(Var(v)), NO_REASON);
+                    }
+                }
+                _ => s.backtrack((rnd() % (s.decision_level() as u64 + 1)) as u32),
+            }
+        }
+    }
+
+    #[test]
+    fn order_heap_breaks_underflow_ties_by_index() {
+        // Variables 0..7 sit in the heap in reverse index order (higher
+        // index, higher activity); bumping variable 8 past 1e100 rescales
+        // them all to 0.0, a seven-way tie that must pop as 0, 1, ..., 6.
+        let mut s = Solver::new();
+        for v in 0..9 {
+            s.new_var();
+            s.activity[v] = (v + 1) as f64 * 1e-300;
+        }
+        s.order.rebuild(&s.activity);
+        s.var_inc = 2e100;
+        s.var_bump(8);
+        assert!(s.activity[..8].iter().all(|&a| a == 0.0));
+        let order: Vec<u32> = std::iter::from_fn(|| s.order.pop(&s.activity)).collect();
+        assert_eq!(order, [8, 0, 1, 2, 3, 4, 5, 6, 7]);
     }
 
     #[test]
