@@ -1,43 +1,32 @@
 //! Structural static analysis: the latch dependency graph, its SCC
-//! condensation, FORCE-style static variable orders, and affinity
-//! clustering.
+//! condensation, and FORCE-style static variable orders.
 //!
-//! Everything structural the engines used to compute ad hoc — cone
-//! supports for window splitting, corn assignment, order quality — is
-//! derived here once per property cone, before any BDD node exists.
-//! The paper's partitioning argument is structural ("split where the
-//! design splits"), and the PR 7 dynamic-reordering experiment showed
-//! that order quality must be decided *before* the image blows up:
-//! this module is the positive-case complement.
+//! Everything structural the engines need — cone supports, order
+//! quality — is derived here once per property cone, before any BDD
+//! node exists. The paper's partitioning argument is structural ("split
+//! where the design splits"), and variable-order quality must be
+//! decided *before* the image blows up.
 //!
 //! * [`LatchGraph`] — latch → latches-in-next-state-support dependency
 //!   edges, with primary-input support tracked separately.
 //! * [`Condensation`] — Tarjan SCC condensation of the latch graph with
 //!   topological ranks and weakly-connected components. Feeds the
-//!   rank-unreachable lint and gives affinity clustering its atomic
-//!   units.
+//!   rank-unreachable lint.
 //! * [`force_order`] — an iterative center-of-gravity span minimization
 //!   (FORCE, Aloul et al.) over the AND/next-state hyperedges, returning
 //!   a static latch/input slot order. `veridic-mc` translates it into a
 //!   BDD variable order and seeds both BDD engines' managers with it
 //!   before the first image (`CheckOptions::static_order`).
-//! * [`affinity_clusters`] / [`latch_affinity_clusters`] — agglomerative
-//!   merge over shared-support Jaccard similarity, SCCs as atomic
-//!   units: the generalization of the POBDD window partitioner and the
-//!   partition layer's corn assignment.
 //!
 //! Determinism contract: every function here is a pure function of the
 //! AIG's construction order. No hashing iteration, no randomness, no
-//! wall clock — the same AIG always produces the same graph, order and
-//! clusters, which is what lets `static_order` claim worker-count
-//! invariance downstream.
+//! wall clock — the same AIG always produces the same graph and order.
 
 use crate::{Aig, LatchId, Node, Var};
 
 /// A slot in the structural vertex space: latches first (by
 /// [`LatchId`]), then primary inputs (by input index). This is the
-/// vertex id used by [`force_order`] and the support sets of
-/// [`latch_affinity_clusters`].
+/// vertex id used by [`force_order`].
 pub type Slot = u32;
 
 /// The latch dependency graph of an AIG.
@@ -431,119 +420,6 @@ pub fn force_order(aig: &Aig) -> ForceOrder {
     ForceOrder { slots: best_order, span_before, span_after: best_span, iterations }
 }
 
-/// Agglomerative affinity clustering over support sets.
-///
-/// `supports[i]` is item `i`'s (sorted) support-id set; `atoms` is an
-/// initial partition of the item indices into indivisible groups
-/// (pass singletons for free clustering, SCCs for the latch graph).
-/// Groups are merged pairwise — highest Jaccard similarity of their
-/// union supports first, smallest combined size breaking zero-overlap
-/// ties, lowest indices breaking the rest — until at most `target`
-/// clusters remain. Each returned cluster is the sorted item-index
-/// list; clusters are ordered by their smallest member.
-pub fn affinity_clusters(
-    supports: &[Vec<u32>],
-    atoms: &[Vec<usize>],
-    target: usize,
-) -> Vec<Vec<usize>> {
-    let target = target.max(1);
-    // Cluster state: member items + union support, None when merged
-    // away.
-    let mut clusters: Vec<Option<(Vec<usize>, Vec<u32>)>> = atoms
-        .iter()
-        .map(|members| {
-            let mut m = members.clone();
-            m.sort_unstable();
-            let mut sup: Vec<u32> =
-                m.iter().flat_map(|&i| supports[i].iter().copied()).collect();
-            sup.sort_unstable();
-            sup.dedup();
-            Some((m, sup))
-        })
-        .collect();
-    let mut live = clusters.iter().filter(|c| c.is_some()).count();
-    while live > target {
-        // Scan for the best merge pair. O(k²) per merge; the cluster
-        // counts here (windows, corns, SCC groups) are small.
-        let mut best: Option<(usize, usize, f64, usize)> = None;
-        for i in 0..clusters.len() {
-            let Some((mi, si)) = &clusters[i] else { continue };
-            for (j, cj) in clusters.iter().enumerate().skip(i + 1) {
-                let Some((mj, sj)) = cj else { continue };
-                let inter = sorted_intersection_len(si, sj);
-                let union = si.len() + sj.len() - inter;
-                let jac = if union == 0 { 0.0 } else { inter as f64 / union as f64 };
-                let size = mi.len() + mj.len();
-                let better = match &best {
-                    None => true,
-                    Some((_, _, bj, bs)) => {
-                        jac > *bj || (jac == *bj && size < *bs)
-                    }
-                };
-                if better {
-                    best = Some((i, j, jac, size));
-                }
-            }
-        }
-        let Some((i, j, _, _)) = best else { break };
-        let (mj, sj) = clusters[j].take().expect("best pair is live"); // lint: allow
-        let (mi, si) = clusters[i].as_mut().expect("best pair is live"); // lint: allow
-        mi.extend(mj);
-        mi.sort_unstable();
-        si.extend(sj);
-        si.sort_unstable();
-        si.dedup();
-        live -= 1;
-    }
-    let mut out: Vec<Vec<usize>> = clusters.into_iter().flatten().map(|(m, _)| m).collect();
-    out.sort_by_key(|m| m.first().copied());
-    out
-}
-
-fn sorted_intersection_len(a: &[u32], b: &[u32]) -> usize {
-    let (mut i, mut j, mut n) = (0, 0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                n += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    n
-}
-
-/// Clusters the latches of `aig` into at most `target` groups by
-/// shared next-state support, with the latch graph's SCCs as atomic
-/// units (mutually-fed latches never split across clusters). Returns
-/// sorted latch-id lists, ordered by smallest member.
-pub fn latch_affinity_clusters(aig: &Aig, target: usize) -> Vec<Vec<LatchId>> {
-    let graph = LatchGraph::build(aig);
-    let cond = graph.condense();
-    let n_latches = aig.num_latches();
-    // Item supports in slot space: next-state latch deps plus input
-    // deps (offset past the latch ids).
-    let supports: Vec<Vec<u32>> = (0..n_latches)
-        .map(|i| {
-            let id = LatchId(i as u32);
-            let mut s: Vec<u32> = graph.deps(id).to_vec();
-            s.extend(graph.input_deps(id).iter().map(|&j| n_latches as u32 + j));
-            s.sort_unstable();
-            s.dedup();
-            s
-        })
-        .collect();
-    let atoms: Vec<Vec<usize>> =
-        cond.sccs.iter().map(|m| m.iter().map(|&l| l as usize).collect()).collect();
-    affinity_clusters(&supports, &atoms, target)
-        .into_iter()
-        .map(|m| m.into_iter().map(|i| LatchId(i as u32)).collect())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -683,38 +559,5 @@ mod tests {
         g.input("b");
         let fo = force_order(&g);
         assert_eq!(fo.slots, vec![0, 1], "edge-free slots keep the natural order");
-    }
-
-    #[test]
-    fn affinity_clusters_merge_by_jaccard_and_respect_atoms() {
-        // Items 0,1 share support {1,2}; item 2 is disjoint; atoms keep
-        // 2 and 3 together.
-        let supports = vec![vec![1, 2], vec![1, 2], vec![9], vec![8]];
-        let atoms = vec![vec![0], vec![1], vec![2, 3]];
-        let clusters = affinity_clusters(&supports, &atoms, 2);
-        assert_eq!(clusters, vec![vec![0, 1], vec![2, 3]]);
-        // target=1 merges everything.
-        let all = affinity_clusters(&supports, &atoms, 1);
-        assert_eq!(all, vec![vec![0, 1, 2, 3]]);
-        // target beyond the atom count is a no-op partition.
-        let none = affinity_clusters(&supports, &atoms, 5);
-        assert_eq!(none.len(), 3);
-    }
-
-    #[test]
-    fn latch_affinity_keeps_sccs_atomic_and_groups_shared_support() {
-        let g = pipeline_and_loop();
-        let clusters = latch_affinity_clusters(&g, 2);
-        assert_eq!(clusters.iter().map(|c| c.len()).sum::<usize>(), 5);
-        // The {x, y} loop never splits.
-        let loop_cluster = clusters
-            .iter()
-            .find(|c| c.contains(&LatchId(3)))
-            .expect("x is somewhere"); // lint: allow
-        assert!(loop_cluster.contains(&LatchId(4)), "SCC must stay atomic");
-        // Every latch appears exactly once.
-        let mut all: Vec<u32> = clusters.iter().flatten().map(|l| l.0).collect();
-        all.sort_unstable();
-        assert_eq!(all, vec![0, 1, 2, 3, 4]);
     }
 }

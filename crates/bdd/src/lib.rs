@@ -44,8 +44,8 @@
 //!   serialized as a compact level-ordered node list (`Send`, no
 //!   manager references) and rebuilt — sharing, complement edges and
 //!   all — inside any manager with the same variable numbering, the
-//!   result arriving rooted. This is the frontier-exchange primitive of
-//!   the threaded POBDD engine and a checkpoint format in one.
+//!   result arriving rooted. This is the reachability engines'
+//!   checkpoint format.
 //!
 //! ```
 //! use veridic_bdd::BddManager;
@@ -64,11 +64,9 @@
 
 mod manager;
 mod ops;
-mod reorder;
 pub mod transfer;
 
 pub use veridic_aig::hash;
 pub use veridic_aig::hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use manager::{BddManager, NodeId, OutOfNodes};
-pub use reorder::{best_window_order, rebuild_with_order};
 pub use transfer::{DeltaBdd, ExportedBdd, TransferFormatError};

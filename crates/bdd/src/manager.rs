@@ -107,11 +107,8 @@ pub(crate) const TERMINAL_VAR: u32 = u32::MAX;
 /// free list of recycled slots. Variables are identified by `u32` ids;
 /// a var↔level indirection ([`BddManager::level_of`]) maps each id to
 /// its current position in the order — smaller levels are nearer the
-/// root (tested first). The order starts as the identity and changes
-/// only through dynamic reordering ([`BddManager::sift`] /
-/// [`BddManager::swap_adjacent_levels`]), which rewires the table in
-/// place: every external `NodeId` keeps denoting the same function
-/// across a reorder.
+/// root (tested first). The order is the identity unless a fresh
+/// manager installs another one with [`BddManager::adopt_order`].
 ///
 /// All operations that may allocate return `Result<NodeId, OutOfNodes>`.
 ///
@@ -130,19 +127,15 @@ pub(crate) const TERMINAL_VAR: u32 = u32::MAX;
 pub struct BddManager {
     pub(crate) nodes: Vec<Node>,
     pub(crate) unique: FxHashMap<(u32, NodeId, NodeId), NodeId>,
-    pub(crate) ite_cache: FxHashMap<(NodeId, NodeId, NodeId), (NodeId, u32)>,
-    pub(crate) exists_cache: FxHashMap<(NodeId, NodeId), (NodeId, u32)>,
-    pub(crate) and_exists_cache: FxHashMap<(NodeId, NodeId, NodeId), (NodeId, u32)>,
-    pub(crate) rename_cache: FxHashMap<(NodeId, u64), (NodeId, u32)>,
-    pub(crate) and_cache: FxHashMap<(NodeId, NodeId), (NodeId, u32)>,
+    pub(crate) ite_cache: FxHashMap<(NodeId, NodeId, NodeId), NodeId>,
+    pub(crate) exists_cache: FxHashMap<(NodeId, NodeId), NodeId>,
+    pub(crate) and_exists_cache: FxHashMap<(NodeId, NodeId, NodeId), NodeId>,
+    pub(crate) rename_cache: FxHashMap<(NodeId, u64), NodeId>,
+    pub(crate) and_cache: FxHashMap<(NodeId, NodeId), NodeId>,
     /// Reusable work stack of the iterative ITE (empty between calls).
     pub(crate) ite_tasks: Vec<crate::ops::IteFrame>,
     /// Reusable result stack of the iterative ITE (empty between calls).
     pub(crate) ite_results: Vec<NodeId>,
-    /// Collection counter; op-cache entries are stamped with it on
-    /// insert (and re-stamped on hit), so the cache-aging sweep can
-    /// tell entries untouched for N collections from hot ones.
-    pub(crate) cache_epoch: u32,
     /// Recycled node-table slots available for reuse by `mk`.
     pub(crate) free_list: Vec<u32>,
     /// External references: node index → reference count.
@@ -152,39 +145,11 @@ pub struct BddManager {
     pub(crate) total_allocated: u64,
     pub(crate) total_freed: u64,
     /// Variable id → current level (position in the order). Extended
-    /// lazily by `mk`; the identity until a reorder changes it.
+    /// lazily by `mk`; the identity unless `adopt_order` installed
+    /// another order.
     pub(crate) var2level: Vec<u32>,
     /// Current level → variable id (inverse of `var2level`).
     pub(crate) level2var: Vec<u32>,
-    /// If set, sifting fires automatically at operation entry whenever
-    /// the live count has grown by this many nodes since the last
-    /// reorder (see [`BddManager::set_auto_reorder`]).
-    pub(crate) auto_reorder_threshold: Option<usize>,
-    /// Live-node count right after the last reorder; baseline for the
-    /// auto-reorder trigger.
-    pub(crate) last_reorder_live: usize,
-    /// Variable pairs that must stay adjacent (in this relative order)
-    /// through reordering — sifted as 2-blocks. The interleaved
-    /// current/next encoding of the mc engines depends on this.
-    pub(crate) reorder_pairs: Vec<(u32, u32)>,
-    /// Number of sifting passes run (explicit or auto-triggered).
-    pub(crate) reorders_run: u64,
-    /// Sum of live-node counts entering each sift.
-    pub(crate) reorder_nodes_before: u64,
-    /// Sum of live-node counts leaving each sift.
-    pub(crate) reorder_nodes_after: u64,
-    /// Live-node count at the end of the last collection; baseline for
-    /// the growth-threshold heuristic.
-    pub(crate) last_gc_live: usize,
-    /// If set, collect whenever the live count has grown by this many
-    /// nodes since the last collection (checked at operation entry, a
-    /// safe point). `None` (the default) keeps the historical
-    /// quota-pressure-only policy.
-    gc_growth_threshold: Option<usize>,
-    /// If set, the sweep after each collection also evicts op-cache
-    /// entries not touched for more than this many collections.
-    /// `None` (the default) keeps entries until a referenced node dies.
-    cache_max_age: Option<u32>,
 }
 
 impl BddManager {
@@ -200,7 +165,6 @@ impl BddManager {
             and_cache: FxHashMap::default(),
             ite_tasks: Vec::new(),
             ite_results: Vec::new(),
-            cache_epoch: 0,
             free_list: Vec::new(),
             roots: FxHashMap::default(),
             max_nodes,
@@ -209,22 +173,13 @@ impl BddManager {
             total_freed: 0,
             var2level: Vec::new(),
             level2var: Vec::new(),
-            auto_reorder_threshold: None,
-            last_reorder_live: 1,
-            reorder_pairs: Vec::new(),
-            reorders_run: 0,
-            reorder_nodes_before: 0,
-            reorder_nodes_after: 0,
-            last_gc_live: 1,
-            gc_growth_threshold: None,
-            cache_max_age: None,
         }
     }
 
     /// Current level of variable `var` — its position in the order,
     /// smaller = nearer the root. Variables the manager has not seen
     /// yet (and the terminal, `TERMINAL_VAR`) sit at their own id,
-    /// which keeps them below every reordered level.
+    /// which keeps them below every adopted level.
     #[inline]
     pub fn level_of(&self, var: u32) -> u32 {
         match self.var2level.get(var as usize) {
@@ -258,9 +213,8 @@ impl BddManager {
     /// usual.
     ///
     /// Only legal while the manager holds no decision nodes (fresh, or
-    /// everything collected): with live nodes an order change must go
-    /// through [`swap_adjacent_levels`](Self::swap_adjacent_levels) /
-    /// [`sift`](Self::sift), which rewrite the nodes to match.
+    /// everything collected): the nodes of a live table are laid out for
+    /// the order they were built under.
     ///
     /// # Panics
     ///
@@ -281,9 +235,9 @@ impl BddManager {
             );
             var2level[var as usize] = level as u32;
         }
-        // Keep coverage of vars already tracked (e.g. via
-        // `set_reorder_pairs` on a fresh manager) with the identity
-        // tail `ensure_var` would have given them.
+        // Keep coverage of vars already tracked (by nodes since
+        // collected) with the identity tail `ensure_var` would have
+        // given them.
         for v in n as u32..self.var2level.len() as u32 {
             var2level.push(v);
         }
@@ -304,83 +258,6 @@ impl BddManager {
         let old = self.var2level.len() as u32;
         self.var2level.extend(old..=var);
         self.level2var.extend(old..=var);
-    }
-
-    /// Enables (or disables, with `None`) automatic dynamic reordering:
-    /// once armed, a sifting pass fires at operation entry whenever the
-    /// live count has grown by `threshold` nodes — *and* to at least
-    /// twice its size — since the last reorder (same safe point as the
-    /// growth-threshold GC, and likewise only once a root set exists).
-    /// The doubling term is the classic geometric backoff: reorders
-    /// happen at exponentially spaced table sizes, so their total cost
-    /// stays proportional to the work that grew the table. Tables past
-    /// a sixteenth of the node quota are never auto-sifted: a table
-    /// that big mid-computation is either headed for a memout — where
-    /// a better order only *delays* the inevitable quota death (it
-    /// compresses the intermediates, so strictly more image work fits
-    /// under the quota before the engine gives up; measured 4× slower
-    /// on the Fig. 7 blowup) — or already holds a workable order from
-    /// the passes that fired while it was small. Arming re-baselines
-    /// the trigger at the current live count.
-    pub fn set_auto_reorder(&mut self, threshold: Option<usize>) {
-        self.auto_reorder_threshold = threshold;
-        self.last_reorder_live = self.nodes.len() - self.free_list.len();
-    }
-
-    /// Declares variable pairs that must stay adjacent (in the given
-    /// relative order) through every reorder; sifting moves each pair
-    /// as one 2-block. Pairs must be adjacent in the current order when
-    /// declared. The mc engines pair each current-state variable with
-    /// its next-state twin so `rename`'s order-preservation contract
-    /// survives reordering.
-    pub fn set_reorder_pairs(&mut self, pairs: Vec<(u32, u32)>) {
-        for &(a, b) in &pairs {
-            self.ensure_var(a);
-            self.ensure_var(b);
-            debug_assert_eq!(
-                self.level_of(a) + 1,
-                self.level_of(b),
-                "reorder pair ({a},{b}) must be adjacent when declared"
-            );
-        }
-        self.reorder_pairs = pairs;
-    }
-
-    /// `(reorders run, Σ live nodes before, Σ live nodes after)` over
-    /// the manager's lifetime — the raw material for `CheckStats`.
-    pub fn reorder_stats(&self) -> (u64, u64, u64) {
-        (self.reorders_run, self.reorder_nodes_before, self.reorder_nodes_after)
-    }
-
-    /// Enables (or disables, with `None`) table-growth-threshold
-    /// collection: once armed, the manager collects whenever the live
-    /// count has grown by `threshold` nodes since the last collection,
-    /// checked at operation entry — a safe point, since operands are
-    /// rooted for the operation and anything else the caller holds must
-    /// already be protected. Like quota-pressure collection this only
-    /// fires once a root set exists.
-    ///
-    /// The point is steady-state hygiene for long-lived workers: with
-    /// quota-pressure-only collection a worker first fills its entire
-    /// quota with garbage, then pays one huge collect-and-retry per
-    /// operation at the ceiling. A growth threshold keeps the dead
-    /// fraction bounded instead.
-    pub fn set_gc_growth_threshold(&mut self, threshold: Option<usize>) {
-        self.gc_growth_threshold = threshold;
-    }
-
-    /// Enables (or disables, with `None`) cache-aged sweeping: each
-    /// collection evicts op-cache entries not inserted or hit for more
-    /// than `age` collections (in addition to the usual eviction of
-    /// entries mentioning dead nodes). `Some(0)` clears the op caches
-    /// wholesale at every collection.
-    ///
-    /// Aged entries pin no nodes (the sweep already drops dead-node
-    /// entries) but do cost memory and hash-table pressure; workers
-    /// that run many images through one manager use this to keep the
-    /// caches sized to the current wavefront.
-    pub fn set_cache_max_age(&mut self, age: Option<u32>) {
-        self.cache_max_age = age;
     }
 
     /// Number of **live** nodes (including the terminal): allocated slots
@@ -576,43 +453,32 @@ impl BddManager {
             }
         }
         self.total_freed += freed as u64;
-        self.cache_epoch = self.cache_epoch.wrapping_add(1);
-        let epoch = self.cache_epoch;
-        let max_age = self.cache_max_age;
-        if freed > 0 || max_age.is_some() {
+        if freed > 0 {
             let live = |id: NodeId| marked[id.index() as usize];
-            self.retain_op_caches(&mut |key, r, stamp| {
-                key.iter().all(|&k| live(k))
-                    && live(r)
-                    && max_age.map_or(true, |a| epoch.wrapping_sub(stamp) <= a)
-            });
+            self.retain_op_caches(&mut |key, r| key.iter().all(|&k| live(k)) && live(r));
         }
-        self.last_gc_live = self.nodes.len() - self.free_list.len();
         freed
     }
 
     /// The one enumeration of the five op caches: retains entries for
-    /// which `keep(key-nodes, result, age-stamp)` holds. The GC sweep
-    /// (liveness + age) and [`BddManager::clear_op_caches`] both go
-    /// through here, so a cache added later cannot be missed by one of
-    /// them. The `rename` cache passes only its function operand (its
-    /// second key component is a map hash, not a node).
-    pub(crate) fn retain_op_caches(
-        &mut self,
-        keep: &mut dyn FnMut(&[NodeId], NodeId, u32) -> bool,
-    ) {
-        self.ite_cache.retain(|&(f, g, h), &mut (r, s)| keep(&[f, g, h], r, s));
-        self.and_cache.retain(|&(f, g), &mut (r, s)| keep(&[f, g], r, s));
-        self.exists_cache.retain(|&(f, c), &mut (r, s)| keep(&[f, c], r, s));
-        self.and_exists_cache.retain(|&(f, g, c), &mut (r, s)| keep(&[f, g, c], r, s));
-        self.rename_cache.retain(|&(f, _), &mut (r, s)| keep(&[f], r, s));
+    /// which `keep(key-nodes, result)` holds. The GC sweep (liveness)
+    /// and [`BddManager::clear_op_caches`] both go through here, so a
+    /// cache added later cannot be missed by one of them. The `rename`
+    /// cache passes only its function operand (its second key component
+    /// is a map hash, not a node).
+    pub(crate) fn retain_op_caches(&mut self, keep: &mut dyn FnMut(&[NodeId], NodeId) -> bool) {
+        self.ite_cache.retain(|&(f, g, h), &mut r| keep(&[f, g, h], r));
+        self.and_cache.retain(|&(f, g), &mut r| keep(&[f, g], r));
+        self.exists_cache.retain(|&(f, c), &mut r| keep(&[f, c], r));
+        self.and_exists_cache.retain(|&(f, g, c), &mut r| keep(&[f, g, c], r));
+        self.rename_cache.retain(|&(f, _), &mut r| keep(&[f], r));
     }
 
     /// Drops every computed-cache entry (keeps the node table). This is
     /// the deduplicated "clear them all" the sweep and
     /// [`BddManager::clear_caches`] share.
     pub fn clear_op_caches(&mut self) {
-        self.retain_op_caches(&mut |_, _, _| false);
+        self.retain_op_caches(&mut |_, _| false);
     }
 
     /// Runs `op`; on quota exhaustion, garbage-collects (with `temps` as
@@ -635,32 +501,6 @@ impl BddManager {
         temps: &[NodeId],
         mut op: impl FnMut(&mut Self) -> Result<T, OutOfNodes>,
     ) -> Result<T, OutOfNodes> {
-        // Auto-reorder trigger: operation entry is the same safe point
-        // the growth-threshold GC uses (operands are in `temps`,
-        // everything else the caller holds is protected by contract).
-        // Sifting starts with its own collection, so it runs before —
-        // and updates `last_gc_live` for — the GC heuristic below.
-        if let Some(t) = self.auto_reorder_threshold {
-            let live = self.nodes.len() - self.free_list.len();
-            if !self.roots.is_empty()
-                && live >= self.last_reorder_live.saturating_add(t)
-                && live >= self.last_reorder_live.saturating_mul(2)
-                && live <= self.max_nodes / 16
-            {
-                self.sift_with_temps(temps);
-            }
-        }
-        // Growth-threshold heuristic: operation entry is a safe point
-        // (operands are in `temps`, everything else the caller holds is
-        // protected by contract), so collect proactively when the table
-        // has grown past the configured threshold since the last sweep.
-        if let Some(t) = self.gc_growth_threshold {
-            if !self.roots.is_empty()
-                && self.nodes.len() - self.free_list.len() >= self.last_gc_live.saturating_add(t)
-            {
-                self.gc_with_temps(temps);
-            }
-        }
         let allocated_before = self.total_allocated;
         match op(self) {
             Err(e) => {
@@ -713,39 +553,15 @@ impl BddManager {
     /// With complement edges there is exactly one terminal node, and
     /// every function — constants included — reaches it, so
     /// `size(TRUE) == 1` and `size(var) == 2`.
-    ///
-    /// Exactly [`BddManager::size_restricted`] with nothing fixed.
     pub fn size(&self, f: NodeId) -> usize {
-        self.size_restricted(f, &|_| None)
-    }
-
-    /// Counts the nodes of `f` still reachable when some variables are
-    /// fixed (`fixed(var)` = `Some(value)`): at a fixed variable's node
-    /// only the chosen branch is followed, everywhere else both. Pure
-    /// traversal — nothing is allocated, so unlike building the actual
-    /// cofactor this can neither fail nor eat the quota.
-    ///
-    /// The count is an upper bound on [`BddManager::size`] of the
-    /// generalized cofactor (restriction can merge nodes this walk still
-    /// counts separately), which makes it a cheap, deterministic proxy
-    /// for "how much of `f` survives inside this window" — the threaded
-    /// POBDD engine uses it to estimate per-window load for its
-    /// longest-processing-time worker assignment.
-    pub fn size_restricted(&self, f: NodeId, fixed: &dyn Fn(u32) -> Option<bool>) -> usize {
         let mut seen: FxHashSet<u32> = FxHashSet::default();
         let mut stack = vec![f];
         while let Some(n) = stack.pop() {
             if n.is_terminal() || !seen.insert(n.index()) {
                 continue;
             }
-            match fixed(self.var_of(n)) {
-                Some(true) => stack.push(self.hi(n)),
-                Some(false) => stack.push(self.lo(n)),
-                None => {
-                    stack.push(self.lo(n));
-                    stack.push(self.hi(n));
-                }
-            }
+            stack.push(self.lo(n));
+            stack.push(self.hi(n));
         }
         seen.len() + 1
     }
@@ -771,7 +587,7 @@ impl BddManager {
     pub fn count_sat(&self, f: NodeId, nvars: u32) -> f64 {
         let mut memo: FxHashMap<NodeId, f64> = FxHashMap::default();
         // count(n) = number of solutions below n, over the levels from
-        // level(var(n)) to nvars — with dynamic reordering the "skipped
+        // level(var(n)) to nvars — under an adopted order the "skipped
         // variables" exponent is a level gap, not a var-id gap. The memo
         // is keyed on the full edge (complement tag included), so f and
         // ¬f each get their own entry.
@@ -884,6 +700,32 @@ mod tests {
         assert_eq!(m.count_sat(b, 2), 2.0);
     }
 
+    /// `count_sat`'s skipped-variable exponent is a level gap, not a
+    /// var-id gap: a manager under an adopted, non-identity order must
+    /// count the same function as an identity-order manager does.
+    #[test]
+    fn count_sat_uses_levels_after_reorder() {
+        // f = x0·x3 ∨ x1·x4 ∨ x2·x5: 64 - 3^3 = 37 models over 6 vars.
+        let build = |m: &mut BddManager| {
+            let mut f = NodeId::FALSE;
+            for (a, b) in [(0, 3), (1, 4), (2, 5)] {
+                let va = m.var(a).unwrap();
+                let vb = m.var(b).unwrap();
+                let t = m.and(va, vb).unwrap();
+                f = m.or(f, t).unwrap();
+            }
+            f
+        };
+        let mut identity = BddManager::new(1 << 16);
+        let f = build(&mut identity);
+        assert_eq!(identity.count_sat(f, 6), 37.0);
+        let mut reordered = BddManager::new(1 << 16);
+        reordered.adopt_order(&[5, 0, 3, 1, 4, 2]);
+        let g = build(&mut reordered);
+        assert_eq!(reordered.level_of(5), 0, "the adopted order is in force");
+        assert_eq!(reordered.count_sat(g, 6), 37.0, "count_sat is order-invariant");
+    }
+
     #[test]
     fn gc_frees_unrooted_keeps_rooted() {
         let mut m = BddManager::new(1 << 16);
@@ -960,139 +802,6 @@ mod tests {
         }
         assert!(overflowed, "tiny quota must overflow without roots");
         assert_eq!(m.total_freed(), 0, "no GC without a root set");
-    }
-
-    /// Builds a chain of immediately-dropped xors over `vars`, leaving
-    /// `count` dead cones behind (roots only on the vars themselves).
-    fn churn(m: &mut BddManager, vars: &[NodeId], count: usize) {
-        for i in 0..count {
-            let junk = m.xor(vars[i % vars.len()], vars[(i + 1) % vars.len()]).unwrap();
-            let j2 = m.xor(junk, vars[(i + 2) % vars.len()]).unwrap();
-            let _ = j2; // dropped: garbage once the op returns
-        }
-    }
-
-    #[test]
-    fn growth_threshold_collects_without_quota_pressure() {
-        // Generous quota: the historical policy would never collect.
-        let mut m = BddManager::new(1 << 16);
-        let vars: Vec<NodeId> = (0..8).map(|v| m.var(v).unwrap()).collect();
-        for &v in &vars {
-            m.protect(v);
-        }
-        m.set_gc_growth_threshold(Some(16));
-        churn(&mut m, &vars, 64);
-        assert!(m.total_freed() > 0, "growth threshold must trigger collection");
-        // The live set stays near the rooted cone, far from the garbage total.
-        assert!(m.num_nodes() < m.total_allocated() as usize);
-        for &v in &vars {
-            assert!(m.eval(v, &|x| x == m.var_of(v)), "roots survive threshold GC");
-        }
-    }
-
-    #[test]
-    fn growth_threshold_does_not_fire_below_threshold() {
-        let mut m = BddManager::new(1 << 16);
-        let a = m.var(0).unwrap();
-        let b = m.var(1).unwrap();
-        m.protect(a);
-        m.protect(b);
-        m.set_gc_growth_threshold(Some(1 << 10));
-        let x = m.xor(a, b).unwrap();
-        let _ = m.and(a, b).unwrap();
-        let _ = x;
-        assert_eq!(m.total_freed(), 0, "small growth must not collect");
-    }
-
-    #[test]
-    fn growth_threshold_stays_disarmed_without_roots() {
-        // Same safety valve as quota-pressure GC: no root set, no sweeps
-        // (the manager cannot tell held ids from garbage).
-        let mut m = BddManager::new(1 << 16);
-        let vars: Vec<NodeId> = (0..8).map(|v| m.var(v).unwrap()).collect();
-        m.set_gc_growth_threshold(Some(4));
-        churn(&mut m, &vars, 32);
-        assert_eq!(m.total_freed(), 0, "no GC without a root set");
-    }
-
-    #[test]
-    fn cache_aged_sweep_evicts_stale_entries_only() {
-        let mut m = BddManager::new(1 << 16);
-        let a = m.var(0).unwrap();
-        let b = m.var(1).unwrap();
-        let c = m.var(2).unwrap();
-        for &v in [a, b, c].iter() {
-            m.protect(v);
-        }
-        m.set_cache_max_age(Some(1));
-        let ab = m.and(a, b).unwrap();
-        m.protect(ab);
-        assert!(!m.and_cache.is_empty());
-        // One collection: age 1, within max_age — the entry survives.
-        m.gc();
-        assert!(
-            m.and_cache.contains_key(&(a.min(b), a.max(b))),
-            "entry within max_age survives the sweep"
-        );
-        // Touching the entry re-stamps it; an untouched second collection
-        // then ages it past the limit.
-        m.gc();
-        assert!(
-            !m.and_cache.contains_key(&(a.min(b), a.max(b))),
-            "entry two collections stale is evicted"
-        );
-        // Eviction is about the cache only: the function itself is rooted
-        // and still correct, and recomputing repopulates the cache.
-        assert!(m.eval(ab, &|_| true));
-        let ab2 = m.and(a, b).unwrap();
-        assert_eq!(ab2, ab, "hash-consing rebuilds the same node");
-        assert!(m.and_cache.contains_key(&(a.min(b), a.max(b))));
-    }
-
-    #[test]
-    fn cache_hits_refresh_the_age_stamp() {
-        let mut m = BddManager::new(1 << 16);
-        let a = m.var(0).unwrap();
-        let b = m.var(1).unwrap();
-        m.protect(a);
-        m.protect(b);
-        m.set_cache_max_age(Some(1));
-        let ab = m.and(a, b).unwrap();
-        m.protect(ab); // keep the result live so only aging could evict
-        m.gc(); // entry now one collection old
-        let _ = m.and(a, b).unwrap(); // hit: re-stamps to the current epoch
-        m.gc();
-        assert!(
-            m.and_cache.contains_key(&(a.min(b), a.max(b))),
-            "a hot entry must not age out"
-        );
-    }
-
-    #[test]
-    fn heuristics_keep_live_quota_semantics() {
-        // The quota still measures live nodes and peak_live still tracks
-        // the high-water mark when both heuristics are on.
-        let mut m = BddManager::new(64);
-        let vars: Vec<NodeId> = (0..6).map(|v| m.var(v).unwrap()).collect();
-        for &v in &vars {
-            m.protect(v);
-        }
-        m.set_gc_growth_threshold(Some(8));
-        m.set_cache_max_age(Some(0));
-        churn(&mut m, &vars, 48);
-        let mut acc = vars[0];
-        m.protect(acc);
-        for &v in &vars[1..] {
-            let a2 = m.and(acc, v).unwrap();
-            m.reroot(acc, a2);
-            acc = a2;
-        }
-        assert!(m.num_nodes() <= 64, "quota bounds live nodes");
-        assert!(m.peak_live_nodes() >= m.num_nodes());
-        assert!(m.peak_live_nodes() <= 64, "peak live cannot exceed the quota");
-        assert!(m.total_allocated() > m.peak_live_nodes() as u64, "churn exceeded the peak");
-        assert!(m.eval(acc, &|_| true));
-        assert!(!m.eval(acc, &|v| v != 3));
     }
 
     #[test]

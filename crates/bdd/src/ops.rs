@@ -147,10 +147,7 @@ impl BddManager {
                         }
                         Norm::Rec(f, g, h, neg) => (f, g, h, neg),
                     };
-                    let epoch = self.cache_epoch;
-                    if let Some(e) = self.ite_cache.get_mut(&(f, g, h)) {
-                        e.1 = epoch;
-                        let r = e.0;
+                    if let Some(&r) = self.ite_cache.get(&(f, g, h)) {
                         results.push(if neg { !r } else { r });
                         continue;
                     }
@@ -170,7 +167,7 @@ impl BddManager {
                     let lo = results.pop().expect("lo cofactor result"); // lint: allow
                     match self.mk(v, lo, hi) {
                         Ok(r) => {
-                            self.ite_cache.insert(key, (r, self.cache_epoch));
+                            self.ite_cache.insert(key, r);
                             results.push(if neg { !r } else { r });
                         }
                         Err(e) => {
@@ -252,8 +249,8 @@ impl BddManager {
     /// Of two variable ids, the one whose **level** is nearer the root in
     /// the current order — the recursion variable of a binary apply. Var
     /// ids are only order surrogates under the identity order; every
-    /// top-variable pick must go through levels once dynamic reordering
-    /// can permute them. (`TERMINAL_VAR` maps to level `u32::MAX`, so
+    /// top-variable pick must go through levels because an adopted
+    /// order permutes them. (`TERMINAL_VAR` maps to level `u32::MAX`, so
     /// terminals lose against any decision variable.)
     #[inline]
     fn upper_var(&self, a: u32, b: u32) -> u32 {
@@ -310,10 +307,8 @@ impl BddManager {
             return Ok(NodeId::FALSE);
         }
         let key = (f.min(g), f.max(g));
-        let epoch = self.cache_epoch;
-        if let Some(e) = self.and_cache.get_mut(&key) {
-            e.1 = epoch;
-            return Ok(e.0);
+        if let Some(&r) = self.and_cache.get(&key) {
+            return Ok(r);
         }
         let v = self.upper_var(self.var_of(f), self.var_of(g));
         let (f0, f1) = self.cofactors(f, v);
@@ -321,7 +316,7 @@ impl BddManager {
         let lo = self.and_rec(f0, g0)?;
         let hi = self.and_rec(f1, g1)?;
         let r = self.mk(v, lo, hi)?;
-        self.and_cache.insert(key, (r, self.cache_epoch));
+        self.and_cache.insert(key, r);
         Ok(r)
     }
 
@@ -469,10 +464,8 @@ impl BddManager {
         if f.is_terminal() || cube == NodeId::TRUE {
             return Ok(f);
         }
-        let epoch = self.cache_epoch;
-        if let Some(e) = self.exists_cache.get_mut(&(f, cube)) {
-            e.1 = epoch;
-            return Ok(e.0);
+        if let Some(&r) = self.exists_cache.get(&(f, cube)) {
+            return Ok(r);
         }
         // Skip cube vars above f's top var (in the current order).
         let fv = self.var_of(f);
@@ -495,7 +488,7 @@ impl BddManager {
             let hi = self.exists_rec(self.hi(f), c)?;
             self.mk(fv, lo, hi)?
         };
-        self.exists_cache.insert((f, cube), (r, self.cache_epoch));
+        self.exists_cache.insert((f, cube), r);
         Ok(r)
     }
 
@@ -543,10 +536,8 @@ impl BddManager {
             return self.and_rec(f, g);
         }
         let key = (f.min(g), f.max(g), cube);
-        let epoch = self.cache_epoch;
-        if let Some(e) = self.and_exists_cache.get_mut(&key) {
-            e.1 = epoch;
-            return Ok(e.0);
+        if let Some(&r) = self.and_exists_cache.get(&key) {
+            return Ok(r);
         }
         let v = self.upper_var(self.var_of(f), self.var_of(g));
         let vl = self.level_of(v);
@@ -573,18 +564,17 @@ impl BddManager {
             let hi = self.and_exists_rec(f1, g1, c)?;
             self.mk(v, lo, hi)?
         };
-        self.and_exists_cache.insert(key, (r, self.cache_epoch));
+        self.and_exists_cache.insert(key, r);
         Ok(r)
     }
 
     /// Renames variables by an **order-preserving** mapping: `map[i]` is a
     /// `(from, to)` pair; variables not mentioned are unchanged. The
-    /// mapping must preserve relative variable order — under dynamic
-    /// reordering that means relative **level** order: sources sorted by
+    /// mapping must preserve relative variable order — under an adopted
+    /// order that means relative **level** order: sources sorted by
     /// their current level must map to targets in ascending level order.
-    /// (The mc engines keep each current/next pair adjacent through
-    /// reordering — see `BddManager::set_reorder_pairs` — precisely so
-    /// their rename maps stay order-preserving.)
+    /// (The mc engines' static order keeps each current/next pair
+    /// adjacent precisely so their rename maps stay order-preserving.)
     ///
     /// # Errors
     ///
@@ -631,10 +621,8 @@ impl BddManager {
         if f.is_complemented() {
             return Ok(!self.rename_rec(!f, map, map_hash)?);
         }
-        let epoch = self.cache_epoch;
-        if let Some(e) = self.rename_cache.get_mut(&(f, map_hash)) {
-            e.1 = epoch;
-            return Ok(e.0);
+        if let Some(&r) = self.rename_cache.get(&(f, map_hash)) {
+            return Ok(r);
         }
         let v = self.var_of(f);
         let nv = map
@@ -645,7 +633,7 @@ impl BddManager {
         let lo = self.rename_rec(self.lo(f), map, map_hash)?;
         let hi = self.rename_rec(self.hi(f), map, map_hash)?;
         let r = self.mk(nv, lo, hi)?;
-        self.rename_cache.insert((f, map_hash), (r, self.cache_epoch));
+        self.rename_cache.insert((f, map_hash), r);
         Ok(r)
     }
 

@@ -3,30 +3,32 @@
 //! rebuild it — complement edges, sharing and all — inside another
 //! manager.
 //!
-//! This is the communication primitive for multi-manager schemes: the
-//! threaded POBDD engine exchanges per-window frontier sets between
-//! worker managers through it, and the same representation doubles as a
-//! checkpoint format (a [`ExportedBdd`] owns no manager references and
-//! is `Send`).
+//! This is the checkpoint format of the reachability engines: a
+//! suspended run exports its reached and frontier sets (the frontier as
+//! a [`DeltaBdd`] against the reached export) and the resumed run
+//! imports them into a fresh manager. An [`ExportedBdd`] owns no
+//! manager references and is `Send`; the campaign codec writes it to
+//! disk.
 //!
 //! The format is a *level-ordered* list: nodes sorted by the source
-//! manager's **current** variable level (dynamic reordering can move
-//! vars, so level ≠ var id), deepest level first. Since a ROBDD parent's
-//! level is strictly above its children's, every node's children precede
-//! it in the list, so [`import`] is a single forward pass with no
-//! fixups. Edges are stored exactly as the manager holds them
-//! (complement tag in bit 0, regular then-edges per the canonical form),
-//! so a same-order roundtrip preserves the node count, not just the
-//! function.
+//! manager's variable level (an order installed with
+//! [`BddManager::adopt_order`] makes level ≠ var id), deepest level
+//! first. Since a ROBDD parent's level is strictly above its children's,
+//! every node's children precede it in the list, so [`import`] is a
+//! single forward pass with no fixups. Edges are stored exactly as the
+//! manager holds them (complement tag in bit 0, regular then-edges per
+//! the canonical form), so a same-order roundtrip preserves the node
+//! count, not just the function.
 //!
 //! Every export also carries the source order
 //! ([`ExportedBdd::source_order`]): a fresh importing manager can adopt
 //! it up front ([`BddManager::adopt_order`]) to rebuild the cone at its
-//! exported size. When the destination's order has diverged (each side
-//! sifts independently), [`import`] stays correct anyway: each node is
-//! rebuilt with the fast `mk` path only while the destination agrees the
-//! parent sits above its children, and falls back to a full ITE rebuild
-//! for the nodes where the orders disagree.
+//! exported size. When the destination's order differs — an export from
+//! an `adopt_order`ed manager meeting a natural-order one, or a
+//! checkpoint read back from disk — [`import`] stays correct anyway:
+//! each node is rebuilt with the fast `mk` path only while the
+//! destination agrees the parent sits above its children, and falls
+//! back to a full ITE rebuild for the nodes where the orders disagree.
 
 use crate::hash::FxHashMap;
 use crate::manager::{BddManager, NodeId, OutOfNodes};
@@ -72,11 +74,10 @@ struct ExportedNode {
 /// A manager-independent serialization of one BDD function, produced by
 /// [`export`] and consumed by [`import`].
 ///
-/// Owns plain data only (no manager references), so it can cross thread
-/// boundaries — this is what the threaded POBDD engine ships between
-/// its per-window worker managers, and what the portfolio scheduler's
-/// reachability checkpoints are made of. Equality is structural (same
-/// node list, same root), which two exports of the same function from
+/// Owns plain data only (no manager references), so it outlives the
+/// manager it came from — the portfolio scheduler's reachability
+/// checkpoints are made of it. Equality is structural (same node list,
+/// same root), which two exports of the same function from
 /// identically-evolved managers satisfy.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ExportedBdd {
@@ -248,10 +249,9 @@ pub fn export(src: &BddManager, f: NodeId) -> ExportedBdd {
             stack.push(node.hi.index());
         }
     }
-    // Level order (the source's *current* level, not the var id — they
-    // diverge once dynamic reordering has run), deepest first; ties
-    // broken by source index so the layout is deterministic for a given
-    // manager state.
+    // Level order (the source's level, not the var id — they diverge
+    // under an adopted order), deepest first; ties broken by source
+    // index so the layout is deterministic for a given manager state.
     indices.sort_unstable_by(|a, b| {
         let (la, lb) = (src.level_of(src.node(*a).var), src.level_of(src.node(*b).var));
         lb.cmp(&la).then(a.cmp(b))
@@ -277,43 +277,32 @@ pub fn export(src: &BddManager, f: NodeId) -> ExportedBdd {
 }
 
 /// Rebuilds one exported node inside `dst` from already-resolved
-/// children. Fast path: when `dst`'s current order agrees that the
-/// node's variable sits above both children, the stored shape replays
-/// with a single `mk`; the level check runs inside the same
-/// `run_with_gc` frame as the `mk`, so an auto-reorder firing at the
-/// operation entry point cannot stale it. When the orders disagree
-/// (the destination has sifted away from the export's order), the node
-/// is re-expressed as `ite(var, hi, lo)`, which re-normalizes that
-/// piece of the cone to `dst`'s order. The caller keeps `lo`/`hi`
-/// protected, so the intermediate variable node needs no registration
-/// of its own.
+/// children. Fast path: when `dst`'s order agrees that the node's
+/// variable sits above both children, the stored shape replays with a
+/// single `mk`. When the orders disagree (the destination's order is
+/// not the export's), the node is re-expressed as `ite(var, hi, lo)`,
+/// which re-normalizes that piece of the cone to `dst`'s order. The
+/// caller keeps `lo`/`hi` protected, so the intermediate variable node
+/// needs no registration of its own.
 fn build_node(
     dst: &mut BddManager,
     n: ExportedNode,
     lo: NodeId,
     hi: NodeId,
 ) -> Result<NodeId, OutOfNodes> {
-    let fast = dst.run_with_gc(&[lo, hi], |m| {
-        let vl = m.level_of(n.var);
-        let above = |e: NodeId| e.is_terminal() || vl < m.level_of(m.var_of(e));
-        if above(lo) && above(hi) {
-            m.mk(n.var, lo, hi).map(Some)
-        } else {
-            Ok(None)
-        }
-    })?;
-    match fast {
-        Some(r) => Ok(r),
-        None => {
-            let v = dst.var(n.var)?;
-            dst.ite(v, hi, lo)
-        }
+    let vl = dst.level_of(n.var);
+    let above = |e: NodeId| e.is_terminal() || vl < dst.level_of(dst.var_of(e));
+    if above(lo) && above(hi) {
+        dst.run_with_gc(&[lo, hi], |m| m.mk(n.var, lo, hi))
+    } else {
+        let v = dst.var(n.var)?;
+        dst.ite(v, hi, lo)
     }
 }
 
 /// Rebuilds an exported function inside `dst`, which may be a different
-/// manager in any state (fresh, mid-computation, another thread's) as
-/// long as it uses the same variable numbering. The two managers'
+/// manager in any state (fresh or mid-computation) as long as it uses
+/// the same variable numbering. The two managers'
 /// variable *orders* need not agree: nodes whose placement `dst`
 /// disputes are rebuilt through ITE (see [`ExportedBdd::source_order`]
 /// for how a fresh receiver can avoid even that).
@@ -363,8 +352,8 @@ pub fn import(exported: &ExportedBdd, dst: &mut BddManager) -> Result<NodeId, Ou
             }
         }
     }
-    // Root the result before the memo registrations are released — the
-    // same protect-across-release handoff `rebuild_with_order` uses.
+    // Root the result before the memo registrations are released, so no
+    // collection can take it before the caller owns it.
     let out = match failed {
         None => {
             let root = resolve(&memo, exported.root);
@@ -391,12 +380,9 @@ pub fn import(exported: &ExportedBdd, dst: &mut BddManager) -> Result<NodeId, Ou
 /// `baseline_len` up are this delta's own nodes. Like [`ExportedBdd`]
 /// it owns plain data only and is `Send`; equality is structural.
 ///
-/// This is the per-round traffic format of the multi-manager engines:
-/// successive frontiers overlap heavily (the new frontier is built
-/// from the old one's image), so shipping only the fresh cone cuts
-/// cross-manager traffic, and [`DeltaBdd::rebase`] lets both sides
-/// derive the next round's baseline from data they already share
-/// without a second transfer.
+/// This is the frontier format of reachability checkpoints: the
+/// frontier is a subset of the reached set, so encoded against the
+/// reached export it ships only the nodes the frontier's cone adds.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DeltaBdd {
     /// Length of the baseline node list this delta's references assume.
@@ -412,10 +398,9 @@ pub struct DeltaBdd {
 
 impl DeltaBdd {
     /// The source manager's variable order when the delta was taken,
-    /// root level first. If the source has sifted since the baseline
-    /// was exported this differs from the baseline's order — the
-    /// receiver can still import (per-node order checks handle it) but
-    /// may want to resynchronize its own order at a round boundary.
+    /// root level first. It differs from the baseline's order when the
+    /// two came from differently ordered managers; [`import_delta`]
+    /// handles that with the same per-node order checks as [`import`].
     pub fn source_order(&self) -> &[u32] {
         &self.order
     }
@@ -427,8 +412,7 @@ impl DeltaBdd {
     }
 
     /// Length of the baseline node list this delta was encoded against;
-    /// [`import_delta`] and [`DeltaBdd::rebase`] require a baseline of
-    /// exactly this length.
+    /// [`import_delta`] requires a baseline of exactly this length.
     pub fn baseline_len(&self) -> usize {
         self.baseline_len
     }
@@ -449,8 +433,7 @@ impl DeltaBdd {
     /// Rebuilds a delta from raw parts, validating that every reference
     /// stays inside the combined slot space and that delta-section
     /// references point strictly backwards — the invariant
-    /// [`import_delta`] and [`DeltaBdd::rebase`] index by without
-    /// further checks.
+    /// [`import_delta`] indexes by without further checks.
     ///
     /// # Errors
     ///
@@ -472,85 +455,6 @@ impl DeltaBdd {
             .map(|(var, lo, hi)| ExportedNode { var, lo: SlotRef(lo), hi: SlotRef(hi) })
             .collect();
         Ok(DeltaBdd { baseline_len, nodes, root: SlotRef(root), order })
-    }
-
-    /// Splices the delta onto its baseline and compacts the result to
-    /// the root's cone, yielding a standalone [`ExportedBdd`] of the
-    /// delta-encoded function. Pure data transformation — no manager is
-    /// involved — and deterministic, so a sender and a receiver that
-    /// share `(baseline, delta)` derive byte-identical rebased exports;
-    /// that is how the chained-baseline scheme agrees on the next
-    /// round's baseline without shipping it. The compaction keeps the
-    /// combined slot order (children still precede parents, though the
-    /// list is no longer globally level-sorted like a fresh [`export`])
-    /// and drops unreachable baseline nodes, so the node count equals
-    /// the function's true cone size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `baseline` is not of the length the delta was encoded
-    /// against.
-    pub fn rebase(&self, baseline: &ExportedBdd) -> ExportedBdd {
-        assert_eq!(
-            baseline.nodes.len(),
-            self.baseline_len,
-            "rebase against a baseline of the wrong shape"
-        );
-        let total = self.baseline_len + self.nodes.len();
-        let node_at = |k: usize| -> &ExportedNode {
-            if k < self.baseline_len {
-                &baseline.nodes[k]
-            } else {
-                &self.nodes[k - self.baseline_len]
-            }
-        };
-        let mut reachable = vec![false; total];
-        let mut stack = Vec::new();
-        if !self.root.is_terminal() {
-            stack.push(self.root.slot());
-        }
-        while let Some(k) = stack.pop() {
-            if reachable[k] {
-                continue;
-            }
-            reachable[k] = true;
-            let n = node_at(k);
-            for r in [n.lo, n.hi] {
-                if !r.is_terminal() {
-                    stack.push(r.slot());
-                }
-            }
-        }
-        // Children precede parents in the combined order (baseline refs
-        // stay inside the baseline; delta refs point backwards), so one
-        // ascending pass can renumber edges as it goes.
-        let mut new_slot = vec![usize::MAX; total];
-        let mut nodes = Vec::new();
-        for k in 0..total {
-            if !reachable[k] {
-                continue;
-            }
-            let n = node_at(k);
-            let tr = |r: SlotRef| -> SlotRef {
-                if r.is_terminal() {
-                    r
-                } else {
-                    SlotRef::to_slot(new_slot[r.slot()], r.is_complemented())
-                }
-            };
-            let moved = ExportedNode { var: n.var, lo: tr(n.lo), hi: tr(n.hi) };
-            new_slot[k] = nodes.len();
-            nodes.push(moved);
-        }
-        let root = if self.root.is_terminal() {
-            self.root
-        } else {
-            SlotRef::to_slot(new_slot[self.root.slot()], self.root.is_complemented())
-        };
-        // The delta's order is the freshest view of the source manager,
-        // so the rebased baseline carries it forward; both sides rebase
-        // from the same delta, so they still agree structurally.
-        ExportedBdd { nodes, root, order: self.order.clone() }
     }
 }
 
@@ -884,17 +788,12 @@ mod tests {
         let via_full = import(full, &mut dst).unwrap();
         let via_delta = import_delta(delta, baseline, &mut dst).unwrap();
         assert_eq!(via_delta, via_full, "hash-consing must unify the two routes");
-        let rebased = delta.rebase(baseline);
-        assert_eq!(rebased.node_count(), full.node_count(), "compaction keeps the exact cone");
-        let via_rebased = import(&rebased, &mut dst).unwrap();
-        assert_eq!(via_rebased, via_full);
         for asg in assignments(nvars) {
             let assign = |v: u32| asg >> v & 1 == 1;
             assert_eq!(dst.eval(via_delta, &assign), dst.eval(via_full, &assign));
         }
         dst.unprotect(via_full);
         dst.unprotect(via_delta);
-        dst.unprotect(via_rebased);
     }
 
     #[test]
@@ -1026,7 +925,7 @@ mod tests {
     }
 
     /// `(x0 ∧ xk) ∨ (x1 ∧ x{k+1}) ∨ …` — exponential under the identity
-    /// order, linear once sifting pairs the operands up.
+    /// order, linear under one that pairs the operands up.
     fn distant_pairs(m: &mut BddManager, k: u32) -> NodeId {
         let mut f = NodeId::FALSE;
         for i in 0..k {
@@ -1038,14 +937,14 @@ mod tests {
         f
     }
 
+    /// The pairing order `x0 x3 x1 x4 x2 x5` for `distant_pairs(_, 3)`.
+    const PAIRED: [u32; 6] = [0, 3, 1, 4, 2, 5];
+
     #[test]
-    fn roundtrip_from_sifted_source_into_identity_receiver() {
+    fn roundtrip_from_reordered_source_into_identity_receiver() {
         let mut src = BddManager::new(1 << 16);
+        src.adopt_order(&PAIRED);
         let f = distant_pairs(&mut src, 3);
-        src.protect(f);
-        src.sift();
-        let identity: Vec<u32> = (0..6).collect();
-        assert_ne!(src.current_order(), identity, "sift must actually move variables");
         let e = export(&src, f);
         assert_eq!(e.source_order(), &src.current_order()[..]);
         // Identity-order receiver: the ITE fallback re-normalizes.
@@ -1084,17 +983,22 @@ mod tests {
 
     #[test]
     fn delta_across_a_source_reorder_stays_correct() {
-        // Baseline exported under the identity order, then the source
-        // sifts before taking the delta: baseline recognition degrades
-        // gracefully (sifting rewrites structure, so matches may be
-        // lost) and the receiver imports correctly either way.
+        // Baseline exported under the identity order; the source then
+        // drops everything, adopts the pairing order and rebuilds before
+        // taking the delta. Baseline recognition degrades gracefully
+        // (the new order rewrites structure, so matches may be lost) and
+        // the identity-order receiver imports correctly either way.
         let mut src = BddManager::new(1 << 16);
         let f = distant_pairs(&mut src, 3);
         src.protect(f);
         let baseline = export(&src, f);
         let mut dst = BddManager::new(1 << 16);
         let imported_baseline = import(&baseline, &mut dst).unwrap();
-        src.sift();
+        src.unprotect(f);
+        src.gc();
+        src.adopt_order(&PAIRED);
+        let f = distant_pairs(&mut src, 3);
+        src.protect(f);
         let extra = src.var(6).unwrap();
         let g = src.or(f, extra).unwrap();
         src.protect(g);
@@ -1110,39 +1014,7 @@ mod tests {
             let assign = |v: u32| asg >> v & 1 == 1;
             assert_eq!(dst.eval(h, &assign), src.eval(g, &assign), "assignment {asg:07b}");
         }
-        // The rebased next-round baseline carries the delta's order.
-        let rebased = delta.rebase(&baseline);
-        assert_eq!(rebased.source_order(), delta.source_order());
         dst.unprotect(imported_baseline);
         dst.unprotect(h);
-    }
-
-    #[test]
-    fn chained_rebase_agrees_on_both_sides() {
-        // The multi-round scheme: baseline_{r+1} = delta_r.rebase(baseline_r)
-        // computed independently from shared data must be structurally
-        // identical on sender and receiver.
-        let mut src = BddManager::new(1 << 16);
-        let mut frontier = xor_chain(&mut src, &[8, 9]);
-        src.protect(frontier);
-        let mut baseline_sender = export(&src, frontier);
-        let mut baseline_receiver = baseline_sender.clone();
-        for round in 0..3u32 {
-            // Widen at the top (new var above the old cone): the old
-            // frontier stays shared node-for-node under the new root.
-            let v = src.var(7 - round).unwrap();
-            let next = src.or(frontier, v).unwrap();
-            src.reroot(frontier, next);
-            frontier = next;
-            let delta = export_delta(&src, frontier, &baseline_sender);
-            assert!(
-                delta.delta_node_count() < export(&src, frontier).node_count() - 1,
-                "successive frontiers must overlap"
-            );
-            baseline_sender = delta.rebase(&baseline_sender);
-            baseline_receiver = delta.rebase(&baseline_receiver);
-            assert_eq!(baseline_sender, baseline_receiver, "round {round}");
-            assert_eq!(baseline_sender.node_count(), src.size(frontier));
-        }
     }
 }

@@ -1,20 +1,17 @@
 //! Variable-order benchmark: the same provable property under the
-//! natural (pessimal, blocked) order, the FORCE static order, and
-//! dynamic reordering.
+//! natural (pessimal, blocked) order and the FORCE static order.
 //!
 //! The design is `build_order_stress(N)`: twin registers `a<i>`/`b<i>`
 //! that both sample `DIN[i]`, declared all-`a`s-then-all-`b`s, with a
 //! never-firing mismatch output. The reached set is the equality
 //! relation `a == b`, exponential under the natural order and linear
 //! once the twins are interleaved — the textbook order-sensitivity
-//! case. All three ids must *complete* (Proved) within the same node
-//! quota; the deltas are the point:
+//! case. Both ids must *complete* (Proved) within the same node quota;
+//! the delta is the point:
 //!
 //! - `order/natural` pays the exponential reached-set representation,
 //! - `order/static_order` recovers the interleaving from the
-//!   shared-input structure before the first image (FORCE),
-//! - `order/dynamic_reorder` recovers it reactively by sifting once the
-//!   table crosses the trigger threshold.
+//!   shared-input structure before the first image (FORCE).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use veridic::prelude::*;
@@ -36,11 +33,9 @@ fn order(c: &mut Criterion) {
     let base = CheckOptions::builder().bdd_only(true).pobdd_window_vars(0).bdd_nodes(1 << 21);
     let natural = base.clone().build();
     let static_order = base.clone().static_order(true).build();
-    let dynamic = base.clone().dynamic_reorder(true).build();
 
     let natural_peak = std::cell::Cell::new(0usize);
     let static_peak = std::cell::Cell::new(0usize);
-    let dynamic_peak = std::cell::Cell::new(0usize);
 
     let mut group = c.benchmark_group("order");
     group.sample_size(10);
@@ -60,19 +55,10 @@ fn order(c: &mut Criterion) {
             std::hint::black_box(r)
         })
     });
-    group.bench_function("dynamic_reorder", |b| {
-        b.iter(|| {
-            let r = check(&aig, &dynamic);
-            assert!(r.verdict.is_proved());
-            dynamic_peak.set(r.stats.bdd_nodes);
-            std::hint::black_box(r)
-        })
-    });
     group.finish();
 
     println!("order/natural  peak_live {} nodes", natural_peak.get());
     println!("order/static_order  peak_live {} nodes", static_peak.get());
-    println!("order/dynamic_reorder  peak_live {} nodes", dynamic_peak.get());
 }
 
 criterion_group! {

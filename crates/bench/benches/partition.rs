@@ -22,8 +22,6 @@ fn partition(c: &mut Criterion) {
     // so GC regressions (live peak creeping back toward nodes-ever-
     // allocated) are visible in review alongside the timings.
     let mono_peak = std::cell::Cell::new(0usize);
-    let mono_par_peak = std::cell::Cell::new(0usize);
-    let mono_sift_peak = std::cell::Cell::new(0usize);
     let part_gen_peak = std::cell::Cell::new(0usize);
     let part_tight_peak = std::cell::Cell::new(0usize);
     let part_par_workers = std::cell::RefCell::new(Vec::<PartitionWorkerStats>::new());
@@ -38,38 +36,6 @@ fn partition(c: &mut Criterion) {
             let r = check(&aig, &CheckOptions::default());
             assert!(!r.verdict.is_falsified());
             mono_peak.set(r.stats.bdd_nodes);
-            std::hint::black_box(r)
-        })
-    });
-    // The same monolithic check with the image computation fanned out
-    // across state-space lanes (2 workers, one private manager per
-    // lane). Verdict and round count are guaranteed identical to the
-    // serial run above; the wall-clock and peak-live deltas — smaller
-    // per-lane BDDs doing superlinear ops — are what this id tracks.
-    let mono_parallel = CheckOptions::builder().image_workers(2).build();
-    group.bench_function("monolithic_parallel", |b| {
-        b.iter(|| {
-            let r = check(&aig, &mono_parallel);
-            assert!(!r.verdict.is_falsified());
-            mono_par_peak.set(r.stats.bdd_nodes);
-            std::hint::black_box(r)
-        })
-    });
-    // The same monolithic check with dynamic variable reordering armed.
-    // Verdict and round count are guaranteed identical to
-    // monolithic_generous; the delta between the two ids is the whole
-    // point. On this memout-bound run the expected delta is ~zero: the
-    // auto-trigger freezes the order once the table passes quota/16,
-    // because a better order only delays the quota death (it compresses
-    // the intermediates, so more image work fits under the quota before
-    // the engine gives up). The id exists to pin that neutrality — any
-    // drift means the trigger policy changed cost on the blowup path.
-    let mono_sift = CheckOptions::builder().dynamic_reorder(true).build();
-    group.bench_function("monolithic_sift", |b| {
-        b.iter(|| {
-            let r = check(&aig, &mono_sift);
-            assert!(!r.verdict.is_falsified());
-            mono_sift_peak.set(r.stats.bdd_nodes);
             std::hint::black_box(r)
         })
     });
@@ -98,13 +64,13 @@ fn partition(c: &mut Criterion) {
             part_tight_peak.set(peak.unwrap_or(0));
         })
     });
-    // Intra-property fan-out: the same tight-budget corns across two
-    // worker threads (deterministic round-robin assignment, so the
-    // per-worker peaks below are stable run to run and comparable in
+    // Corn fan-out: the same tight-budget corns across two worker
+    // threads (deterministic round-robin assignment, so the per-worker
+    // peaks below are stable run to run and comparable in
     // BENCH_BASELINE.json).
     group.bench_function("partitioned_parallel", |b| {
         b.iter(|| {
-            let run = run_partition_with_workers(&steps, &tight, 2);
+            let run = run_partition_with_portfolio(&steps, &tight, 2, &Portfolio::default());
             assert!(run.all_proved);
             *part_par_workers.borrow_mut() = run.worker_stats;
         })
@@ -112,8 +78,6 @@ fn partition(c: &mut Criterion) {
     group.finish();
 
     println!("fig7/monolithic_generous  peak_live {} nodes", mono_peak.get());
-    println!("fig7/monolithic_parallel  peak_live {} nodes", mono_par_peak.get());
-    println!("fig7/monolithic_sift  peak_live {} nodes", mono_sift_peak.get());
     println!("fig7/partitioned_generous  peak_live {} nodes", part_gen_peak.get());
     println!("fig7/partitioned_tight  peak_live {} nodes", part_tight_peak.get());
     let workers = part_par_workers.borrow();

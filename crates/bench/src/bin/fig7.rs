@@ -71,7 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // (3) the same corns fanned out across two worker threads.
     let t2 = Instant::now();
-    let par = run_partition_with_workers(&steps, &tight, 2);
+    let par = run_partition_with_portfolio(&steps, &tight, 2, &Portfolio::default());
     let par_time = t2.elapsed();
     println!(
         "\n(3) parallel corns   : 2 workers, all proved = {}, in {:?}",

@@ -26,20 +26,20 @@ use veridic_bdd::{DeltaBdd, ExportedBdd, TransferFormatError};
 use veridic_chipgen::{Category, PropertyType};
 use veridic_core::flow::PropertyRecord;
 use veridic_mc::{
-    BadCoiStats, BddWorkerStats, CheckStats, EngineCheckpoint, EngineEvent, EngineId,
+    BadCoiStats, CheckStats, EngineCheckpoint, EngineEvent, EngineId,
     EventOutcome, EventResources, PreanalysisStats, ReachCheckpoint, RunCheckpoint, Trace,
     Verdict,
 };
 
 use crate::scheduler::{AdaptiveCheckpoint, LaneCheckpoint, LaneStatus};
-use crate::wire::{self, fnv1a, put_flag, put_string, put_varint, Reader, WireError};
+use crate::wire::{self, fnv1a, put_string, put_varint, Reader, WireError};
 
 /// Magic prefix of a [`CheckpointFile`].
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"VCKP";
 /// Magic prefix of an encoded [`PropertyRecord`] (journal `done` lines).
 pub const RECORD_MAGIC: [u8; 4] = *b"VREC";
 /// Current format version; bump on any layout change.
-pub const FORMAT_VERSION: u8 = 1;
+pub const FORMAT_VERSION: u8 = 2;
 
 /// A malformed or mismatched persisted artifact.
 ///
@@ -390,18 +390,6 @@ fn put_stats(out: &mut Vec<u8>, stats: &CheckStats) {
     put_varint(out, stats.bdd_quota_hits as u64);
     put_varint(out, stats.sat_conflicts);
     put_varint(out, stats.iterations as u64);
-    put_varint(out, stats.worker_bdd.len() as u64);
-    for w in &stats.worker_bdd {
-        put_varint(out, w.peak_live_nodes as u64);
-        put_varint(out, w.allocated);
-        put_flag(out, w.quota_hit);
-        put_varint(out, w.reorders);
-        put_varint(out, w.reorder_nodes_before);
-        put_varint(out, w.reorder_nodes_after);
-    }
-    put_varint(out, stats.reorders);
-    put_varint(out, stats.reorder_nodes_before);
-    put_varint(out, stats.reorder_nodes_after);
     put_varint(out, stats.static_order_span_before);
     put_varint(out, stats.static_order_span_after);
 }
@@ -434,18 +422,6 @@ fn get_stats(r: &mut Reader<'_>) -> Result<CheckStats, CodecError> {
     let bdd_quota_hits = r.varint_usize("quota hits")?;
     let sat_conflicts = r.varint()?;
     let iterations = r.varint_usize("iterations")?;
-    let n = r.length("worker bdd", 6)?;
-    let mut worker_bdd = Vec::with_capacity(n);
-    for _ in 0..n {
-        worker_bdd.push(BddWorkerStats {
-            peak_live_nodes: r.varint_usize("worker peak")?,
-            allocated: r.varint()?,
-            quota_hit: r.flag("worker quota")?,
-            reorders: r.varint()?,
-            reorder_nodes_before: r.varint()?,
-            reorder_nodes_after: r.varint()?,
-        });
-    }
     Ok(CheckStats {
         events,
         coi_latches,
@@ -457,10 +433,6 @@ fn get_stats(r: &mut Reader<'_>) -> Result<CheckStats, CodecError> {
         bdd_quota_hits,
         sat_conflicts,
         iterations,
-        worker_bdd,
-        reorders: r.varint()?,
-        reorder_nodes_before: r.varint()?,
-        reorder_nodes_after: r.varint()?,
         static_order_span_before: r.varint()?,
         static_order_span_after: r.varint()?,
     })
@@ -882,6 +854,29 @@ mod tests {
         assert!(matches!(
             CheckpointFile::decode(&bytes, None),
             Err(CodecError::Checksum { .. })
+        ));
+    }
+
+    /// A file of the previous layout (version 1) must be refused by
+    /// version, not misparsed: here an otherwise valid envelope whose
+    /// version byte says 1, with the checksum recomputed so the version
+    /// check is the only thing that can object.
+    #[test]
+    fn version_one_envelope_is_refused() {
+        let file = CheckpointFile {
+            aig_fingerprint: 1,
+            options_fingerprint: 2,
+            state: sample_state(),
+        };
+        let mut bytes = file.encode();
+        assert_eq!(bytes[4], FORMAT_VERSION);
+        bytes[4] = 1;
+        let body = bytes.len() - 8;
+        let checksum = fnv1a(wire::FNV_OFFSET, &bytes[..body]);
+        bytes[body..].copy_from_slice(&checksum.to_le_bytes());
+        assert!(matches!(
+            CheckpointFile::decode(&bytes, None),
+            Err(CodecError::UnsupportedVersion(1))
         ));
     }
 

@@ -3,8 +3,8 @@
 //!
 //! [`submit`] lays the directory out (spec, one `pending` journal per
 //! property, module-preparation errors); [`run`] is the daemon proper:
-//! it scans every journal, reaps `running` entries whose pid is dead
-//! (orphans of a killed daemon), shards the pending properties across
+//! it scans every journal, reaps `running` entries whose worker process
+//! is gone (orphans of a killed daemon), shards the pending properties across
 //! worker **processes** (`current_exe() --worker`, frame protocol over
 //! pipes), streams every finished [`PropertyRecord`] to
 //! `results.ndjson` as it arrives, and renders the final Table 2 +
@@ -328,9 +328,9 @@ pub fn run(root: &Path) -> Result<RunOutcome, DaemonError> {
     }
     write_atomic(&dir.pid_path(), std::process::id().to_string().as_bytes())?;
 
-    // Journal recovery: dead `running` pids are orphans and re-queue;
-    // their persisted checkpoints make the re-run a resume, not a
-    // restart.
+    // Journal recovery: `running` entries of gone workers are orphans
+    // and re-queue; their persisted checkpoints make the re-run a
+    // resume, not a restart.
     let ids = job_ids(&dir)?;
     let total = ids.len();
     let mut sup = Supervisor {

@@ -1,19 +1,21 @@
 //! The per-property job journal: an append-only state machine on disk.
 //!
 //! One journal file per property, holding one state transition per
-//! line: `pending` → `running <pid>` → `done <hex-record>`. Lines are
-//! appended and fsynced, never rewritten; the reader takes the **last
-//! parseable line** as the current state, so a line torn by a crash
-//! mid-append is simply ignored and the job falls back to its previous
-//! state. The `done` payload is the binary [`PropertyRecord`] codec
+//! line: `pending` → `running <pid> <start-time>` → `done <hex-record>`.
+//! Lines are appended and fsynced, never rewritten; the reader takes
+//! the **last parseable line** as the current state, so a line torn by
+//! a crash mid-append is simply ignored and the job falls back to its
+//! previous state. The `done` payload is the binary [`PropertyRecord`] codec
 //! (own magic and checksum) in lowercase hex — a flipped bit in a done
 //! line demotes the job to its previous `running` state rather than
 //! resurrecting a corrupt verdict.
 //!
 //! Recovery semantics live in [`JobState::effective`]: a `running`
-//! entry whose pid no longer exists is an orphan from a crashed
-//! daemon and counts as `pending` again (the worker that picks it up
-//! resumes from the property's persisted checkpoint, if one survived).
+//! entry whose worker no longer exists — no process with that pid, or
+//! one with a different start time because the pid was reused — is an
+//! orphan from a crashed daemon and counts as `pending` again (the
+//! worker that picks it up resumes from the property's persisted
+//! checkpoint, if one survived).
 
 use std::fs::{self, OpenOptions};
 use std::io::{self, Write};
@@ -22,7 +24,7 @@ use std::path::{Path, PathBuf};
 use veridic_core::flow::PropertyRecord;
 
 use crate::codec::{decode_record, encode_record};
-use crate::signal::pid_alive;
+use crate::signal::process_start_time;
 
 /// A job's journaled state.
 #[derive(Clone, Debug)]
@@ -33,17 +35,27 @@ pub enum JobState {
     Running {
         /// The claiming worker's pid at claim time.
         pid: u32,
+        /// The claiming worker's start time (see
+        /// [`process_start_time`]), which tells it apart from a later
+        /// process that reuses the pid.
+        start_time: u64,
     },
     /// Concluded with a full property record.
     Done(Box<PropertyRecord>),
 }
 
 impl JobState {
-    /// The state a restarted daemon should act on: `Running` whose pid
-    /// is dead is an orphan and is effectively `Pending`.
+    /// The state a restarted daemon should act on: `Running` counts
+    /// only while a process with that pid *and* that start time exists;
+    /// otherwise the worker is gone (even if its pid now belongs to
+    /// another process) and the job is effectively `Pending`.
     pub fn effective(self) -> JobState {
         match self {
-            JobState::Running { pid } if !pid_alive(pid) => JobState::Pending,
+            JobState::Running { pid, start_time }
+                if process_start_time(pid) != Some(start_time) =>
+            {
+                JobState::Pending
+            }
             other => other,
         }
     }
@@ -95,9 +107,10 @@ impl Journal {
         self.append("pending")
     }
 
-    /// Appends a `running` transition claimed by `pid`.
-    pub fn mark_running(&self, pid: u32) -> io::Result<()> {
-        self.append(&format!("running {pid}"))
+    /// Appends a `running` transition claimed by the process `pid`
+    /// that started at `start_time`.
+    pub fn mark_running(&self, pid: u32, start_time: u64) -> io::Result<()> {
+        self.append(&format!("running {pid} {start_time}"))
     }
 
     /// Appends a `done` transition with the full encoded record.
@@ -125,8 +138,10 @@ fn parse_line(line: &str) -> Option<JobState> {
     if line == "pending" {
         return Some(JobState::Pending);
     }
-    if let Some(pid) = line.strip_prefix("running ") {
-        return pid.parse().ok().map(|pid| JobState::Running { pid });
+    if let Some(claim) = line.strip_prefix("running ") {
+        let (pid, start_time) = claim.split_once(' ')?;
+        let (pid, start_time) = (pid.parse().ok()?, start_time.parse().ok()?);
+        return Some(JobState::Running { pid, start_time });
     }
     if let Some(hex) = line.strip_prefix("done ") {
         let bytes = from_hex(hex)?;
@@ -138,6 +153,7 @@ fn parse_line(line: &str) -> Option<JobState> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::signal::own_start_time;
     use std::time::Duration;
     use veridic_chipgen::{Category, PropertyType};
     use veridic_mc::{CheckStats, Verdict};
@@ -155,6 +171,11 @@ mod tests {
         }
     }
 
+    /// This process's own claim: `(pid, start time)`.
+    fn me() -> (u32, u64) {
+        (std::process::id(), own_start_time().expect("/proc/self/stat is readable")) // lint: allow
+    }
+
     fn temp_jobs_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("veridic-journal-{tag}-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap(); // lint: allow
@@ -167,7 +188,8 @@ mod tests {
         let j = Journal::for_job(&dir, 0);
         assert!(matches!(j.load(), JobState::Pending), "missing file is pending");
         j.mark_pending().unwrap(); // lint: allow
-        j.mark_running(std::process::id()).unwrap(); // lint: allow
+        let (pid, start_time) = me();
+        j.mark_running(pid, start_time).unwrap(); // lint: allow
         assert!(matches!(j.load(), JobState::Running { .. }));
         j.mark_done(&record()).unwrap(); // lint: allow
         let JobState::Done(r) = j.load() else {
@@ -182,7 +204,8 @@ mod tests {
     fn torn_done_line_falls_back_to_running() {
         let dir = temp_jobs_dir("torn");
         let j = Journal::for_job(&dir, 1);
-        j.mark_running(std::process::id()).unwrap(); // lint: allow
+        let (pid, start_time) = me();
+        j.mark_running(pid, start_time).unwrap(); // lint: allow
         // A done append cut mid-line (no newline, half the hex).
         let full = format!("done {}", to_hex(&encode_record(&record())));
         let torn = &full[..full.len() / 2];
@@ -197,10 +220,32 @@ mod tests {
     fn orphaned_running_entry_is_effectively_pending() {
         let dir = temp_jobs_dir("orphan");
         let j = Journal::for_job(&dir, 2);
-        j.mark_running(u32::MAX - 1).unwrap(); // lint: allow
+        j.mark_running(u32::MAX - 1, 0).unwrap(); // lint: allow
         assert!(matches!(j.load().effective(), JobState::Pending));
-        j.mark_running(std::process::id()).unwrap(); // lint: allow
+        let (pid, start_time) = me();
+        j.mark_running(pid, start_time).unwrap(); // lint: allow
         assert!(matches!(j.load().effective(), JobState::Running { .. }));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A dead worker whose pid the kernel has handed to another process
+    /// must not read as `running` (it would forever). Forged here with
+    /// this test's own (live) pid and a start time that is not its own.
+    #[test]
+    fn reused_pid_with_a_wrong_start_time_is_pending() {
+        let dir = temp_jobs_dir("reuse");
+        let j = Journal::for_job(&dir, 3);
+        let (pid, start_time) = me();
+        j.mark_running(pid, start_time + 1).unwrap(); // lint: allow
+        assert!(matches!(j.load(), JobState::Running { .. }), "the claim line parses");
+        assert!(matches!(j.load().effective(), JobState::Pending));
+        j.mark_running(pid, start_time).unwrap(); // lint: allow
+        assert!(matches!(j.load().effective(), JobState::Running { .. }));
+        // A claim without a start time no longer parses: the job falls
+        // back to its previous state.
+        j.mark_pending().unwrap(); // lint: allow
+        j.append(&format!("running {pid}")).unwrap(); // lint: allow
+        assert!(matches!(j.load(), JobState::Pending));
         fs::remove_dir_all(&dir).ok();
     }
 

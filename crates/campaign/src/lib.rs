@@ -12,8 +12,9 @@
 //!   atomic write-to-temp-then-rename persistence. Corrupt or stale
 //!   files fail loud with typed errors — never a silent wrong resume.
 //! - [`journal`] — one append-only state machine per property
-//!   (`pending` → `running <pid>` → `done <record>`); the last
-//!   parseable line wins, so torn writes degrade instead of corrupt.
+//!   (`pending` → `running <pid> <start-time>` → `done <record>`); the
+//!   last parseable line wins, so torn writes degrade instead of
+//!   corrupt.
 //! - [`daemon`] + [`worker`] — the service: properties are sharded
 //!   across OS processes (`current_exe() --worker`) over a
 //!   length-prefixed pipe protocol; verdicts stream to

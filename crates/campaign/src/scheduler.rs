@@ -277,9 +277,9 @@ fn lane_stats(lane: &LaneCheckpoint) -> Option<&CheckStats> {
 /// *base*: structural per-run fields — COI sizes, pre-analysis
 /// counters (each lane runs its own sweep on the same cone; counting
 /// it once keeps campaign totals comparable to cascade runs),
-/// iterations, worker tables, reorder-span figures — are taken from it
-/// alone. Cross-lane *resource* fields are summed (SAT conflicts, BDD
-/// allocation, quota hits, reorder passes) or maxed (peak live nodes),
+/// iterations, static-order span figures — are taken from it alone.
+/// Cross-lane *resource* fields are summed (SAT conflicts, BDD
+/// allocation, quota hits) or maxed (peak live nodes),
 /// and the event logs are concatenated in lane order so the merged log
 /// remains deterministic.
 fn merged_stats(lanes: &[LaneCheckpoint], concluding: Option<(usize, &CheckStats)>) -> CheckStats {
@@ -299,9 +299,6 @@ fn merged_stats(lanes: &[LaneCheckpoint], concluding: Option<(usize, &CheckStats
             merged.sat_conflicts += stats.sat_conflicts;
             merged.bdd_allocated += stats.bdd_allocated;
             merged.bdd_quota_hits += stats.bdd_quota_hits;
-            merged.reorders += stats.reorders;
-            merged.reorder_nodes_before += stats.reorder_nodes_before;
-            merged.reorder_nodes_after += stats.reorder_nodes_after;
             merged.bdd_nodes = merged.bdd_nodes.max(stats.bdd_nodes);
         }
     }

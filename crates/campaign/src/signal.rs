@@ -1,7 +1,8 @@
 //! Process signals without libc: a SIGTERM/SIGINT flag the daemon and
 //! its workers poll to flush in-flight checkpoints before exit, a
 //! `kill` wrapper for forwarding termination to worker shards, and
-//! `/proc`-based liveness probing for orphan reaping.
+//! `/proc`-based liveness probing (pid and process start time) for
+//! orphan reaping.
 //!
 //! This is the only module in the workspace that touches `unsafe`: two
 //! raw libc prototypes (`signal`, `kill`), each wrapped in a safe,
@@ -94,11 +95,34 @@ pub fn send_sigterm(pid: u32) -> bool {
     libc_shim::send(pid, SIGTERM)
 }
 
-/// True if a process with this pid currently exists, by `/proc` probe.
-/// This is how journal recovery tells a live `Running` entry (another
-/// daemon's worker still computing) from an orphan left by a crash.
+/// True if a process with this pid currently exists, by `/proc` probe
+/// (the daemon's pid lock uses it).
 pub fn pid_alive(pid: u32) -> bool {
     std::path::Path::new(&format!("/proc/{pid}")).exists()
+}
+
+/// Start time of process `pid` — field 22 of `/proc/<pid>/stat`, in
+/// clock ticks since boot — or `None` if no such process exists. The
+/// pair (pid, start time) names one process for good: a recycled pid
+/// comes back with a later start time. This is how journal recovery
+/// tells a live `Running` entry (another daemon's worker still
+/// computing) from an orphan left by a crash.
+pub fn process_start_time(pid: u32) -> Option<u64> {
+    stat_start_time(&std::fs::read_to_string(format!("/proc/{pid}/stat")).ok()?)
+}
+
+/// This process's own start time (see [`process_start_time`]), read
+/// from `/proc/self/stat`; a worker records it when it claims a job.
+pub fn own_start_time() -> Option<u64> {
+    stat_start_time(&std::fs::read_to_string("/proc/self/stat").ok()?)
+}
+
+/// Field 22 of a `/proc/<pid>/stat` line. The command name (field 2)
+/// is parenthesized and may itself hold spaces and parentheses, so
+/// fields are counted from the last `)`, where field 3 begins.
+fn stat_start_time(stat: &str) -> Option<u64> {
+    let rest = &stat[stat.rfind(')')? + 1..];
+    rest.split_whitespace().nth(22 - 3)?.parse().ok()
 }
 
 #[cfg(test)]
@@ -111,6 +135,17 @@ mod tests {
         // Linux pids are bounded by /proc/sys/kernel/pid_max (< 2^22 by
         // default, always < 2^31); this one cannot exist.
         assert!(!pid_alive(u32::MAX - 1));
+    }
+
+    #[test]
+    fn start_time_names_this_process_and_skips_odd_command_names() {
+        let own = own_start_time().expect("/proc/self/stat is readable"); // lint: allow
+        assert_eq!(process_start_time(std::process::id()), Some(own));
+        assert_eq!(process_start_time(u32::MAX - 1), None);
+        // Fields 3..=21 are placeholders; field 22 is the start time.
+        let line = format!("42 (odd) (na me)) S{} 777 0 0", " 0".repeat(18));
+        assert_eq!(stat_start_time(&line), Some(777));
+        assert_eq!(stat_start_time("42 (cut short) S 1 2"), None);
     }
 
     #[test]

@@ -106,9 +106,6 @@ impl CampaignSpec {
              bdd_nodes {}\n\
              max_iterations {}\n\
              pobdd_window_vars {}\n\
-             pobdd_workers {}\n\
-             image_workers {}\n\
-             dynamic_reorder {}\n\
              static_order {}\n\
              bdd_only {}\n\
              sat_only {}\n\
@@ -128,9 +125,6 @@ impl CampaignSpec {
             c.bdd_nodes,
             c.max_iterations,
             c.pobdd_window_vars,
-            c.pobdd_workers,
-            c.image_workers,
-            c.dynamic_reorder,
             c.static_order,
             c.bdd_only,
             c.sat_only,
@@ -184,13 +178,6 @@ impl CampaignSpec {
                 "pobdd_window_vars" => {
                     spec.check.pobdd_window_vars = value.parse().map_err(|_| bad())?;
                 }
-                "pobdd_workers" => {
-                    spec.check.pobdd_workers = value.parse().map_err(|_| bad())?;
-                }
-                "image_workers" => {
-                    spec.check.image_workers = value.parse().map_err(|_| bad())?;
-                }
-                "dynamic_reorder" => spec.check.dynamic_reorder = parse_bool()?,
                 "static_order" => spec.check.static_order = parse_bool()?,
                 "bdd_only" => spec.check.bdd_only = parse_bool()?,
                 "sat_only" => spec.check.sat_only = parse_bool()?,

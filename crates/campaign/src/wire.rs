@@ -196,15 +196,6 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Reads a bool encoded as one byte (`0`/`1`).
-    pub fn flag(&mut self, what: &'static str) -> Result<bool, WireError> {
-        match self.byte()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(WireError::Range { what, value: u64::from(other) }),
-        }
-    }
-
     /// Reads a length-prefixed UTF-8 string.
     pub fn string(&mut self, what: &'static str) -> Result<String, WireError> {
         let n = self.length(what, 1)?;
@@ -218,11 +209,6 @@ impl<'a> Reader<'a> {
 pub fn put_string(out: &mut Vec<u8>, s: &str) {
     put_varint(out, s.len() as u64);
     out.extend_from_slice(s.as_bytes());
-}
-
-/// Appends a bool as one byte.
-pub fn put_flag(out: &mut Vec<u8>, v: bool) {
-    out.push(u8::from(v));
 }
 
 #[cfg(test)]

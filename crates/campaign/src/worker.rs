@@ -306,6 +306,10 @@ pub fn run_worker(root: &Path) -> i32 {
         }
     };
     let (props, _errors) = enumerate_jobs(&spec);
+    // This worker's identity in journal claims. Without a readable
+    // `/proc` the start time is 0 and the claim never reads as live,
+    // exactly like a gone worker's.
+    let (pid, started) = (std::process::id(), signal::own_start_time().unwrap_or(0));
     if write_frame(&mut output, "READY").is_err() {
         return 2;
     }
@@ -331,7 +335,7 @@ pub fn run_worker(root: &Path) -> i32 {
             continue;
         };
         let journal = dir.journal(id);
-        let claim = journal.mark_running(std::process::id());
+        let claim = journal.mark_running(pid, started);
         let outcome = claim.and_then(|()| run_job(&dir, &spec, prop, id, &mut output));
         match outcome {
             Ok(JobEnd::Done(record)) => {

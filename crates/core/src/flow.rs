@@ -16,11 +16,9 @@ use veridic_psl::CompiledVUnit;
 /// Campaign configuration.
 #[derive(Clone, Debug, Default)]
 pub struct CampaignConfig {
-    /// Engine budgets per property. `check.pobdd_workers` additionally
-    /// controls *intra*-property parallelism (threaded POBDD windows);
-    /// its default of 1 composes with the module-level fan-out below
-    /// without oversubscribing — raise it instead of `workers` when a
-    /// campaign is dominated by a few hard properties.
+    /// Engine budgets per property. Each property check runs in one
+    /// thread with one BDD manager per engine; the campaign's
+    /// parallelism is the fan-out across properties below.
     pub check: CheckOptions,
     /// Worker threads for the per-property fan-out; `0` (the default)
     /// means one worker per available CPU. Any value produces a report
@@ -453,24 +451,6 @@ impl CampaignReport {
         self.records.iter().filter(|r| r.stats.bdd_quota_hits > 0).count()
     }
 
-    /// Peak live nodes of any single intra-property POBDD worker manager
-    /// across the campaign (`CheckStats::worker_bdd`): the per-thread
-    /// memory high-water mark when `CheckOptions::pobdd_workers`
-    /// fans a hard property out, 0 if the POBDD engine never ran.
-    pub fn peak_worker_bdd_nodes(&self) -> usize {
-        self.records
-            .iter()
-            .flat_map(|r| r.stats.worker_bdd.iter().map(|w| w.peak_live_nodes))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Widest intra-property worker fan-out observed across the
-    /// campaign (number of POBDD worker managers of the widest run).
-    pub fn max_pobdd_workers(&self) -> usize {
-        self.records.iter().map(|r| r.stats.worker_bdd.len()).max().unwrap_or(0)
-    }
-
     /// Campaign-wide totals of the static pre-analysis stage
     /// (`CheckStats::preanalysis` summed across every record): cones
     /// swept, sequentially-stuck latches found, AND nodes folded away,
@@ -520,7 +500,6 @@ impl CampaignReport {
             "{{\"type\":\"summary\",\"properties\":{},\"errors\":{},\"proved\":{},\
              \"falsified\":{},\"resource_out\":{},\"proved_ratio\":{:.6},\
              \"peak_bdd_nodes\":{},\"total_bdd_allocated\":{},\"quota_hits\":{},\
-             \"peak_worker_bdd_nodes\":{},\"max_pobdd_workers\":{},\
              \"preanalysis_totals\":{{\"bads_analyzed\":{},\"stuck_latches\":{},\
              \"folded_ands\":{},\"vacuous\":{}}},\"vacuous_count\":{},\
              \"total_time_ms\":{}}}",
@@ -533,8 +512,6 @@ impl CampaignReport {
             self.peak_bdd_nodes(),
             self.total_bdd_allocated(),
             self.quota_hit_count(),
-            self.peak_worker_bdd_nodes(),
-            self.max_pobdd_workers(),
             pre.bads_analyzed,
             pre.stuck_latches,
             pre.folded_ands,
@@ -732,40 +709,6 @@ mod tests {
         // The rendered report (which carries no wall-clock noise) is
         // byte-identical — the determinism contract of the executor.
         assert_eq!(serial.render_table2(&chip), parallel.render_table2(&chip));
-    }
-
-    #[test]
-    fn intra_property_worker_surfaces_aggregate() {
-        let mut report = CampaignReport::default();
-        assert_eq!(report.peak_worker_bdd_nodes(), 0);
-        assert_eq!(report.max_pobdd_workers(), 0);
-        let stats = CheckStats {
-            worker_bdd: vec![
-                veridic_mc::BddWorkerStats {
-                    peak_live_nodes: 10,
-                    allocated: 100,
-                    ..Default::default()
-                },
-                veridic_mc::BddWorkerStats {
-                    peak_live_nodes: 25,
-                    allocated: 80,
-                    ..Default::default()
-                },
-            ],
-            ..CheckStats::default()
-        };
-        report.records.push(PropertyRecord {
-            module: "m".into(),
-            category: Category::A,
-            vunit: "v".into(),
-            label: "l".into(),
-            ptype: PropertyType::Soundness,
-            verdict: Verdict::Proved { engine: "pobdd-umc" },
-            stats,
-            duration: Duration::default(),
-        });
-        assert_eq!(report.peak_worker_bdd_nodes(), 25, "max over any single worker manager");
-        assert_eq!(report.max_pobdd_workers(), 2, "widest fan-out observed");
     }
 
     #[test]

@@ -224,10 +224,10 @@ pub fn decomposition_is_acyclic(steps: &[PartitionStep], orig: &Module) -> Resul
     Ok(())
 }
 
-/// Per-worker BDD accounting of one [`run_partition_with_workers`] run:
-/// with the deterministic round-robin corn assignment, both figures are
-/// reproducible for a fixed worker count (they feed the bench
-/// `peak_live` lines).
+/// Per-worker BDD accounting of one [`run_partition_with_portfolio`]
+/// run: with the deterministic round-robin corn assignment, both
+/// figures are reproducible for a fixed worker count (they feed the
+/// bench `peak_live` lines).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PartitionWorkerStats {
     /// Largest per-check peak of any corn this worker ran.
@@ -264,18 +264,20 @@ fn run_step(step: &PartitionStep, portfolio: &Portfolio, opts: &CheckOptions) ->
 }
 
 /// Checks every step of a partition under the given budgets, serially
-/// (one worker). See [`run_partition_with_workers`] for the fan-out
-/// variant.
+/// (one worker) with the default engine cascade. See
+/// [`run_partition_with_portfolio`] for the fan-out variant.
 ///
 /// # Panics
 ///
 /// Panics if a generated step vunit fails to parse or compile (generator
 /// bug).
 pub fn run_partition(steps: &[PartitionStep], opts: &CheckOptions) -> PartitionRun {
-    run_partition_with_workers(steps, opts, 1)
+    run_partition_with_portfolio(steps, opts, 1, &Portfolio::default())
 }
 
-/// Checks every step of a partition, fanning the corns out across
+/// Checks every step of a partition under an explicit engine
+/// [`Portfolio`] (the partition-layer analogue of
+/// `run_campaign_with_portfolio`), fanning the corns out across
 /// `workers` threads (`0` = one per available CPU).
 ///
 /// Corn assignment is a deterministic round-robin — worker `i` runs
@@ -284,27 +286,13 @@ pub fn run_partition(steps: &[PartitionStep], opts: &CheckOptions) -> PartitionR
 /// list is identical to the serial run, and each worker's accounting in
 /// [`PartitionRun::worker_stats`] is stable for a fixed `W` (the
 /// determinism contract the `fig7/partitioned_parallel` bench leans
-/// on). Each corn's `check` owns its engines; nothing is shared across
-/// threads.
+/// on). Each corn's `check` owns its engines; the portfolio is shared by
+/// reference (it owns no per-run state).
 ///
 /// # Panics
 ///
 /// Panics if a generated step vunit fails to parse or compile (generator
 /// bug).
-pub fn run_partition_with_workers(
-    steps: &[PartitionStep],
-    opts: &CheckOptions,
-    workers: usize,
-) -> PartitionRun {
-    // One engine policy for the whole partition, shared by reference
-    // across the corn workers (a `Portfolio` owns no per-run state).
-    run_partition_with_portfolio(steps, opts, workers, &Portfolio::default())
-}
-
-/// [`run_partition_with_workers`] under an explicit engine
-/// [`Portfolio`]: every corn check is scheduled by `portfolio` instead
-/// of the default cascade — the partition-layer analogue of
-/// `run_campaign_with_portfolio`.
 pub fn run_partition_with_portfolio(
     steps: &[PartitionStep],
     opts: &CheckOptions,
@@ -312,98 +300,16 @@ pub fn run_partition_with_portfolio(
     portfolio: &Portfolio,
 ) -> PartitionRun {
     let workers = resolve_workers(workers, steps.len());
-    let assignment: Vec<Vec<usize>> =
-        (0..workers).map(|wid| (wid..steps.len()).step_by(workers).collect()).collect();
-    run_assigned(steps, opts, portfolio, &assignment)
-}
-
-/// [`run_partition_with_portfolio`] with an affinity-guided corn→worker
-/// assignment instead of the round-robin: corns are clustered by the
-/// Jaccard similarity of their checkpoint supports (each corn's assumed
-/// plus guaranteed checkpoint names) via
-/// [`veridic_aig::structure::affinity_clusters`], at most one cluster
-/// per worker, so corns cutting the same checkpoints — whose cones
-/// share most of their logic — run on the same thread back to back
-/// instead of being scattered by position.
-///
-/// Each corn's check is still independent (own engines, own managers),
-/// and results are merged in step order, so the verdict list, per-corn
-/// stats and `all_proved` are identical to [`run_partition_with_workers`]
-/// for any worker count; only which thread runs which corn — and hence
-/// the [`PartitionRun::worker_stats`] grouping — moves. The clustering
-/// is deterministic, so the grouping is reproducible for a fixed `W`.
-pub fn run_partition_with_affinity(
-    steps: &[PartitionStep],
-    opts: &CheckOptions,
-    workers: usize,
-    portfolio: &Portfolio,
-) -> PartitionRun {
-    let workers = resolve_workers(workers, steps.len());
-    run_assigned(steps, opts, portfolio, &affinity_assignment(steps, workers))
-}
-
-/// Resolves a requested worker count (`0` = one per available CPU),
-/// clamped to the step count.
-fn resolve_workers(requested: usize, steps: usize) -> usize {
-    if requested == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        requested
-    }
-    .min(steps.max(1))
-}
-
-/// Clusters the step indices into at most `workers` groups by shared
-/// checkpoint support. The support of a corn is the set of checkpoint
-/// names it assumes plus the one it guarantees — the cut boundary, so
-/// two corns overlap exactly when one's guaranteed checkpoint is the
-/// other's assumption (adjacent stages of a chain) or they assume the
-/// same upstream entity.
-fn affinity_assignment(steps: &[PartitionStep], workers: usize) -> Vec<Vec<usize>> {
-    let mut ids: BTreeMap<&str, u32> = BTreeMap::new();
-    for step in steps {
-        for name in step.assumes.iter().chain(std::iter::once(&step.guarantees)) {
-            let next = ids.len() as u32;
-            ids.entry(name.as_str()).or_insert(next);
-        }
-    }
-    let supports: Vec<Vec<u32>> = steps
-        .iter()
-        .map(|step| {
-            let mut s: Vec<u32> = step
-                .assumes
-                .iter()
-                .chain(std::iter::once(&step.guarantees))
-                .map(|name| ids[name.as_str()])
-                .collect();
-            s.sort_unstable();
-            s.dedup();
-            s
-        })
-        .collect();
-    let atoms: Vec<Vec<usize>> = (0..steps.len()).map(|i| vec![i]).collect();
-    veridic_aig::structure::affinity_clusters(&supports, &atoms, workers)
-}
-
-/// The shared fan-out: runs `assignment[wid]`'s steps on worker `wid`
-/// and merges the results back in step order.
-fn run_assigned(
-    steps: &[PartitionStep],
-    opts: &CheckOptions,
-    portfolio: &Portfolio,
-    assignment: &[Vec<usize>],
-) -> PartitionRun {
-    let per_worker: Vec<Vec<(usize, (String, CheckResult))>> = if assignment.len() <= 1 {
+    let per_worker: Vec<Vec<(usize, (String, CheckResult))>> = if workers <= 1 {
         vec![steps.iter().enumerate().map(|(i, s)| (i, run_step(s, portfolio, opts))).collect()]
     } else {
         std::thread::scope(|s| {
-            let handles: Vec<_> = assignment
-                .iter()
-                .map(|owned| {
+            let handles: Vec<_> = (0..workers)
+                .map(|wid| {
                     s.spawn(move || {
-                        owned
-                            .iter()
-                            .map(|&i| (i, run_step(&steps[i], portfolio, opts)))
+                        (wid..steps.len())
+                            .step_by(workers)
+                            .map(|i| (i, run_step(&steps[i], portfolio, opts)))
                             .collect::<Vec<_>>()
                     })
                 })
@@ -430,6 +336,17 @@ fn run_assigned(
         slots.into_iter().map(|r| r.expect("every step ran")).collect(); // lint: allow
     let all = results.iter().all(|(_, r)| r.verdict.is_proved());
     PartitionRun { steps: results, all_proved: all, worker_stats }
+}
+
+/// Resolves a requested worker count (`0` = one per available CPU),
+/// clamped to the step count.
+fn resolve_workers(requested: usize, steps: usize) -> usize {
+    if requested == 0 {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    } else {
+        requested
+    }
+    .min(steps.max(1))
 }
 
 /// Builds the Figure-7 demonstration module: a deep chain of
@@ -553,7 +470,7 @@ mod tests {
         let serial = run_partition(&steps, &opts);
         assert_eq!(serial.worker_stats.len(), 1);
         for workers in [2usize, 3, 0] {
-            let par = run_partition_with_workers(&steps, &opts, workers);
+            let par = run_partition_with_portfolio(&steps, &opts, workers, &Portfolio::default());
             assert_eq!(par.all_proved, serial.all_proved, "workers={workers}");
             assert_eq!(par.steps.len(), serial.steps.len());
             for ((an, ar), (bn, br)) in serial.steps.iter().zip(&par.steps) {
@@ -568,51 +485,6 @@ mod tests {
                 par.worker_stats.iter().map(|w| w.bdd_allocated).sum::<u64>(),
                 serial.worker_stats[0].bdd_allocated,
                 "workers={workers}"
-            );
-        }
-    }
-
-    /// The affinity assignment is a drop-in for the round-robin: same
-    /// verdicts, stats and step order — and on the chain decomposition
-    /// it groups stage-adjacent corns (which share a cut checkpoint)
-    /// onto the same worker as contiguous runs.
-    #[test]
-    fn affinity_partition_matches_serial_and_groups_adjacent_corns() {
-        let vm = chain_vm(6);
-        let steps = partition_output_integrity(&vm, 0).unwrap();
-        let opts = CheckOptions {
-            bdd_nodes: 60_000,
-            sat_conflicts: 50_000,
-            bmc_depth: 8,
-            induction_depth: 6,
-            ..CheckOptions::default()
-        };
-        let serial = run_partition(&steps, &opts);
-        for workers in [2usize, 3] {
-            let aff = run_partition_with_affinity(&steps, &opts, workers, &Portfolio::default());
-            assert_eq!(aff.all_proved, serial.all_proved, "workers={workers}");
-            assert_eq!(aff.steps.len(), serial.steps.len());
-            for ((an, ar), (bn, br)) in serial.steps.iter().zip(&aff.steps) {
-                assert_eq!(an, bn, "merge must stay in step order, workers={workers}");
-                assert_eq!(ar.verdict, br.verdict, "corn {an}, workers={workers}");
-                assert_eq!(ar.stats.iterations, br.stats.iterations, "corn {an}");
-            }
-            assert_eq!(
-                aff.worker_stats.iter().map(|w| w.bdd_allocated).sum::<u64>(),
-                serial.worker_stats[0].bdd_allocated,
-                "workers={workers}"
-            );
-        }
-        // The assignment itself: every cluster of the chain is a
-        // contiguous run of stages, because only stage-adjacent corns
-        // share a checkpoint (the cut between them) and the Jaccard
-        // merge always has a positive-overlap pair to take.
-        let clusters = affinity_assignment(&steps, 2);
-        assert_eq!(clusters.len(), 2);
-        for c in &clusters {
-            assert!(
-                c.windows(2).all(|w| w[1] == w[0] + 1),
-                "chain clusters must be contiguous: {clusters:?}"
             );
         }
     }

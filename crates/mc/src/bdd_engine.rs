@@ -8,11 +8,9 @@
 
 use crate::checkpoint::ReachCheckpoint;
 use crate::engine::Budget;
-use crate::pobdd::choose_split_vars;
-use crate::{BddWorkerStats, CheckStats};
-use std::sync::mpsc::{Receiver, Sender};
+use crate::CheckStats;
 use veridic_aig::{Aig, Lit, Var};
-use veridic_bdd::transfer::{self, DeltaBdd, ExportedBdd};
+use veridic_bdd::transfer;
 use veridic_bdd::{BddManager, FxHashMap, NodeId, OutOfNodes};
 
 /// Outcome of a BDD reachability engine.
@@ -365,17 +363,7 @@ pub fn bdd_umc(
     max_iterations: usize,
     stats: &mut CheckStats,
 ) -> BddEngineOutcome {
-    bdd_umc_session(
-        aig,
-        node_quota,
-        max_iterations,
-        1,
-        false,
-        false,
-        stats,
-        &mut Budget::unlimited(),
-        None,
-    )
+    bdd_umc_session(aig, node_quota, max_iterations, false, stats, &mut Budget::unlimited(), None)
 }
 
 /// A FORCE static variable order translated into the BDD variable
@@ -385,9 +373,8 @@ pub fn bdd_umc(
 pub(crate) struct StaticOrder {
     /// Permutation of the full BDD variable space `0..2n+i`: each
     /// latch's `(2i, 2i+1)` twin stays adjacent (so the interleaved
-    /// rename and the dynamic-reorder pair pinning keep working),
-    /// placed at the latch slot's FORCE position; inputs follow their
-    /// own FORCE positions.
+    /// rename stays order-preserving), placed at the latch slot's FORCE
+    /// position; inputs follow their own FORCE positions.
     pub order: Vec<u32>,
     /// Total hyperedge span of the natural order.
     pub span_before: u64,
@@ -398,8 +385,7 @@ pub(crate) struct StaticOrder {
 /// Computes the FORCE static order for `aig`
 /// (`veridic_aig::structure::force_order`) and translates the
 /// latch/input slot permutation into a BDD variable order. Purely
-/// structural — a function of the AIG alone, identical for every
-/// worker count, lane and window.
+/// structural — a function of the AIG alone.
 pub(crate) fn static_bdd_order(aig: &Aig) -> StaticOrder {
     let fo = veridic_aig::structure::force_order(aig);
     let n = aig.num_latches();
@@ -413,24 +399,6 @@ pub(crate) fn static_bdd_order(aig: &Aig) -> StaticOrder {
         }
     }
     StaticOrder { order, span_before: fo.span_before, span_after: fo.span_after }
-}
-
-/// Arms in-place dynamic reordering on a manager holding a transition
-/// system: every latch's current/next twin `(2i, 2i+1)` is pinned as a
-/// 2-block so the interleaved rename stays order-preserving through
-/// sifting, and the growth trigger scales with the quota the same way
-/// the lane GC threshold does. Verdict-neutral by construction — a
-/// reorder changes node placement, never the functions the rooted ids
-/// denote.
-pub(crate) fn arm_dynamic_reorder(mgr: &mut BddManager, num_latches: usize, node_quota: usize) {
-    mgr.set_reorder_pairs((0..num_latches as u32).map(|i| (2 * i, 2 * i + 1)).collect());
-    // Fire the first sift while the table is still small (1/32 of the
-    // quota): the order learned early on the design's structure rides
-    // through any later blowup, and the manager's geometric backoff +
-    // quota/16 ceiling keep the total reorder cost bounded — and keep
-    // sifting away from memout-bound runs, where a better order only
-    // delays the quota death.
-    mgr.set_auto_reorder(Some((node_quota / 32).max(1 << 12)));
 }
 
 /// [`bdd_umc`] under a cooperative round [`Budget`], optionally resumed
@@ -449,31 +417,15 @@ pub(crate) fn arm_dynamic_reorder(mgr: &mut BddManager, num_latches: usize, node
 /// fresh manager never built the dead intermediates of the first
 /// session).
 ///
-/// `image_workers` selects the image strategy: `1` (the default) is the
-/// serial engine, unchanged; any other value fans the per-round image
-/// out across lane threads (`0` = one per available CPU) as described
-/// on `parallel_umc_session` (private) — verdict, depth and iteration count are
-/// identical to serial for every worker count, and all manager-level
-/// statistics are identical across parallel worker counts.
-///
-/// `dynamic_reorder` arms automatic in-place variable sifting (see
-/// [`veridic_bdd::BddManager::sift`]) on every manager the session
-/// creates — the serial manager, the coordinator and each image lane.
-/// Verdict, depth and iteration count are unaffected; only node counts
-/// and wall-clock move.
-///
-/// `static_order` seeds every manager the session creates with the
-/// FORCE static variable order (see `static_bdd_order`) before any
-/// node is built. Also verdict/depth/iteration-neutral; with it off no
+/// `static_order` seeds the session's manager with the FORCE static
+/// variable order (see `static_bdd_order`) before any node is built.
+/// Verdict, depth and iteration count are unaffected; with it off no
 /// extra call of any kind is made, so the run is byte-identical to
 /// previous releases.
-#[allow(clippy::too_many_arguments)]
 pub fn bdd_umc_session(
     aig: &Aig,
     node_quota: usize,
     max_iterations: usize,
-    image_workers: usize,
-    dynamic_reorder: bool,
     static_order: bool,
     stats: &mut CheckStats,
     budget: &mut Budget,
@@ -497,34 +449,6 @@ pub fn bdd_umc_session(
             return BddEngineOutcome::ResourceOut;
         }
     };
-    if dynamic_reorder {
-        let n_latches = ts.num_latches();
-        arm_dynamic_reorder(&mut ts.mgr, n_latches, node_quota);
-    }
-    let workers = effective_image_workers(image_workers);
-    if workers > 1 {
-        // The lane split is derived from the transition system alone, so
-        // the lane structure — and with it every lane manager's op
-        // sequence — is independent of the worker count. No entangled
-        // variables means no way to partition the state space: fall
-        // through to the serial engine.
-        let split = choose_split_vars(&ts, IMAGE_LANE_VARS);
-        if !split.is_empty() {
-            return parallel_umc_session(
-                aig,
-                ts,
-                node_quota,
-                max_iterations,
-                workers,
-                dynamic_reorder,
-                order,
-                &split,
-                stats,
-                budget,
-                resume,
-            );
-        }
-    }
     let outcome = (|| -> Result<BddEngineOutcome, OutOfNodes> {
         let (mut reached, mut frontier, start_depth) = match session_start(&mut ts, resume)? {
             Some(start) => start,
@@ -570,7 +494,6 @@ pub fn bdd_umc_session(
     })();
     stats.bdd_nodes = stats.bdd_nodes.max(ts.mgr.peak_live_nodes());
     stats.bdd_allocated += ts.mgr.total_allocated();
-    fold_reorder_stats(stats, &ts.mgr);
     match outcome {
         Ok(o) => o,
         Err(_) => {
@@ -580,42 +503,10 @@ pub fn bdd_umc_session(
     }
 }
 
-// ---------------------------------------------------------------------
-// Parallel image: disjunctive lane decomposition.
-// ---------------------------------------------------------------------
-
-/// Number of lane-splitting variables for the parallel image: the
-/// current-state space is partitioned into `2^IMAGE_LANE_VARS` window
-/// lanes (fewer when fewer variables are structurally entangled), fixed
-/// by the transition system alone — never by the worker count — so
-/// every manager's op sequence, and with it all statistics, is
-/// worker-count-invariant.
-const IMAGE_LANE_VARS: u32 = 2;
-
-/// Folds a manager's lifetime reordering counters into the check's
-/// aggregate [`CheckStats`] (also used by the POBDD engine).
-pub(crate) fn fold_reorder_stats(stats: &mut CheckStats, mgr: &BddManager) {
-    let (runs, before, after) = mgr.reorder_stats();
-    stats.reorders += runs;
-    stats.reorder_nodes_before += before;
-    stats.reorder_nodes_after += after;
-}
-
-/// Resolves [`crate::CheckOptions::image_workers`]: `0` means one per
-/// available CPU.
-fn effective_image_workers(requested: usize) -> usize {
-    if requested == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        requested
-    }
-}
-
-/// Shared prologue of the serial and parallel monolithic sessions:
-/// import the checkpoint (the frontier through the delta path, against
-/// its paired reached export) or root the initial state and run the
-/// depth-0 bad check. `Ok(None)` means bad intersects the initial
-/// states.
+/// Prologue of a monolithic session: import the checkpoint (the
+/// frontier through the delta path, against its paired reached export)
+/// or root the initial state and run the depth-0 bad check. `Ok(None)`
+/// means bad intersects the initial states.
 fn session_start(
     ts: &mut TransitionSystem,
     resume: Option<&ReachCheckpoint>,
@@ -659,458 +550,6 @@ fn monolithic_checkpoint(
         reached: vec![reached_export],
         frontier: vec![frontier_delta],
         window_vars: 0,
-    }
-}
-
-/// Coordinator → lane-thread commands for the parallel image.
-enum ToLane {
-    /// Compute this round's lane images from the broadcast frontier
-    /// delta (encoded against the chained baseline both sides maintain).
-    Round(DeltaBdd),
-    /// Tear down and report per-lane manager accounting.
-    Stop,
-}
-
-/// Lane-thread → coordinator replies. Every command is answered by
-/// exactly one reply (even on quota failure), so the coordinator's
-/// barrier is a fixed receive count per phase.
-enum FromLane {
-    /// Setup finished (or failed: `ok == false`).
-    Built { ok: bool },
-    /// One `(lane, image export)` pair per owned lane, in ascending
-    /// lane order.
-    Images { images: Vec<(usize, ExportedBdd)>, ok: bool },
-}
-
-/// Monolithic forward reachability with the per-round image fanned out
-/// across `workers` lane threads.
-///
-/// # The determinism contract
-///
-/// The current-state space is partitioned by window cubes over
-/// [`IMAGE_LANE_VARS`] splitting variables (the same most-entangled
-/// selection the POBDD engine uses) into `L <= 2^IMAGE_LANE_VARS`
-/// *lanes*, fixed by the transition system alone. Since `∃` and `∧`
-/// distribute over `∨`, the image decomposes disjunctively:
-///
-/// ```text
-/// image(s) = ⋃_l image(s ∧ w_l)
-/// ```
-///
-/// and each lane runs the *serial* early-quantification schedule — the
-/// schedule depends only on the clusters, never on the accumulator, so
-/// it stays valid for any conjunct of `s`. Each lane owns a private
-/// [`TransitionSystem`]/manager seeded once at session start; lane `l`
-/// runs on thread `l mod nthreads`. Per round the coordinator
-/// broadcasts the frontier as a [`DeltaBdd`] against a chained baseline
-/// (both sides rebase on the same delta, so the baselines agree without
-/// ever being shipped), and OR-merges the returned lane images into the
-/// main manager in ascending lane order. Consequences:
-///
-/// * verdict, falsification depth and completed-round count equal the
-///   serial engine's for every worker count (same set-level fixpoint,
-///   same round structure);
-/// * every manager's op sequence is lane- or coordinator-local and
-///   worker-count-independent, so *all* manager statistics — peak live
-///   nodes, allocations, the per-lane entries in
-///   [`CheckStats::worker_bdd`] — are identical across parallel worker
-///   counts (serial peak-live naturally differs: the coordinator's
-///   manager never builds image intermediates here);
-/// * quota exhaustion in any lane aborts the round exactly like a
-///   serial mid-image quota failure: the round does not count toward
-///   [`CheckStats::iterations`] and the engine reports resource-out.
-#[allow(clippy::too_many_arguments)]
-fn parallel_umc_session(
-    aig: &Aig,
-    mut ts: TransitionSystem,
-    node_quota: usize,
-    max_iterations: usize,
-    workers: usize,
-    dynamic_reorder: bool,
-    order: Option<&[u32]>,
-    split: &[u32],
-    stats: &mut CheckStats,
-    budget: &mut Budget,
-    resume: Option<&ReachCheckpoint>,
-) -> BddEngineOutcome {
-    let nlanes = 1usize << split.len();
-    let nthreads = workers.min(nlanes);
-    let (up_tx, up_rx) = std::sync::mpsc::channel::<(usize, FromLane)>();
-    let (outcome, lane_stats) = std::thread::scope(|s| {
-        let mut to_lanes = Vec::with_capacity(nthreads);
-        let mut handles = Vec::with_capacity(nthreads);
-        for tid in 0..nthreads {
-            let (down_tx, down_rx) = std::sync::mpsc::channel::<ToLane>();
-            let up = up_tx.clone();
-            to_lanes.push(down_tx);
-            handles.push(s.spawn(move || {
-                image_lane_worker(
-                    aig,
-                    tid,
-                    nthreads,
-                    nlanes,
-                    split,
-                    node_quota,
-                    dynamic_reorder,
-                    order,
-                    &down_rx,
-                    &up,
-                )
-            }));
-        }
-        // Only the lane threads hold senders now: if every thread died,
-        // the coordinator's recv errors out instead of blocking forever.
-        drop(up_tx);
-        let outcome = drive_image_rounds(
-            &mut ts,
-            &to_lanes,
-            &up_rx,
-            nthreads,
-            nlanes,
-            max_iterations,
-            stats,
-            budget,
-            resume,
-        );
-        for tx in &to_lanes {
-            let _ = tx.send(ToLane::Stop);
-        }
-        let mut lane_stats: Vec<(usize, BddWorkerStats)> = handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("image lane worker panicked")) // lint: allow
-            .collect();
-        lane_stats.sort_unstable_by_key(|(l, _)| *l);
-        (outcome, lane_stats)
-    });
-    stats.bdd_nodes = stats.bdd_nodes.max(ts.mgr.peak_live_nodes());
-    stats.bdd_allocated += ts.mgr.total_allocated();
-    fold_reorder_stats(stats, &ts.mgr);
-    for (_, ws) in &lane_stats {
-        stats.bdd_nodes = stats.bdd_nodes.max(ws.peak_live_nodes);
-        stats.bdd_allocated += ws.allocated;
-        stats.bdd_quota_hits += ws.quota_hit as usize;
-        stats.reorders += ws.reorders;
-        stats.reorder_nodes_before += ws.reorder_nodes_before;
-        stats.reorder_nodes_after += ws.reorder_nodes_after;
-    }
-    stats.worker_bdd = lane_stats.into_iter().map(|(_, ws)| ws).collect();
-    match outcome {
-        Ok(o) => o,
-        Err(_) => {
-            stats.bdd_quota_hits += 1;
-            BddEngineOutcome::ResourceOut
-        }
-    }
-}
-
-/// The coordinator's round loop of the parallel image session: the
-/// serial fixpoint with `ts.image(frontier)` replaced by the lane
-/// fan-out. Errors are main-manager quota failures; lane quota failures
-/// come back through the protocol and degrade to resource-out directly
-/// (the lane's own accounting records the hit).
-#[allow(clippy::too_many_arguments)]
-fn drive_image_rounds(
-    ts: &mut TransitionSystem,
-    to_lanes: &[Sender<ToLane>],
-    up_rx: &Receiver<(usize, FromLane)>,
-    nthreads: usize,
-    nlanes: usize,
-    max_iterations: usize,
-    stats: &mut CheckStats,
-    budget: &mut Budget,
-    resume: Option<&ReachCheckpoint>,
-) -> Result<BddEngineOutcome, OutOfNodes> {
-    // Build barrier.
-    let mut built_ok = true;
-    for _ in 0..nthreads {
-        let (_, msg) = up_rx.recv().expect("image lane hung up during build"); // lint: allow
-        match msg {
-            FromLane::Built { ok } => built_ok &= ok,
-            _ => unreachable!("build phase answers with Built"),
-        }
-    }
-    if !built_ok {
-        return Ok(BddEngineOutcome::ResourceOut);
-    }
-    let (mut reached, mut frontier, start_depth) = match session_start(ts, resume)? {
-        Some(start) => start,
-        None => return Ok(BddEngineOutcome::FalsifiedAtDepth(0)),
-    };
-    // Both sides of the frontier broadcast start from the empty baseline
-    // and rebase on the identical delta every round.
-    let mut baseline = transfer::export(&ts.mgr, NodeId::FALSE);
-    for depth in start_depth + 1..=max_iterations {
-        if !budget.tick() {
-            if !budget.checkpoint_worthwhile() {
-                return Ok(BddEngineOutcome::Yielded);
-            }
-            return Ok(BddEngineOutcome::Suspended(monolithic_checkpoint(
-                &ts.mgr,
-                depth - 1,
-                reached,
-                frontier,
-            )));
-        }
-        let delta = transfer::export_delta(&ts.mgr, frontier, &baseline);
-        baseline = delta.rebase(&baseline);
-        for tx in to_lanes {
-            let _ = tx.send(ToLane::Round(delta.clone()));
-        }
-        let mut images: Vec<Option<ExportedBdd>> = (0..nlanes).map(|_| None).collect();
-        let mut ok = true;
-        for _ in 0..nthreads {
-            let (_, msg) = up_rx.recv().expect("image lane hung up during images"); // lint: allow
-            match msg {
-                FromLane::Images { images: imgs, ok: lane_ok } => {
-                    ok &= lane_ok;
-                    for (l, e) in imgs {
-                        images[l] = Some(e);
-                    }
-                }
-                _ => unreachable!("round phase answers with Images"),
-            }
-        }
-        if !ok {
-            // A lane hit its quota mid-image: round `depth` did not
-            // complete, exactly like a serial mid-image quota failure.
-            return Ok(BddEngineOutcome::ResourceOut);
-        }
-        // Merge in ascending lane order — the fixed order keeps the
-        // coordinator's op sequence worker-count-independent.
-        let mut img = NodeId::FALSE;
-        for e in images.iter().flatten() {
-            let part = transfer::import(e, &mut ts.mgr)?; // arrives rooted
-            let merged = ts.mgr.or(img, part)?;
-            ts.mgr.reroot(img, merged);
-            ts.mgr.unprotect(part);
-            img = merged;
-        }
-        let new = ts.mgr.and_not(img, reached)?;
-        ts.mgr.unprotect(img);
-        if new == NodeId::FALSE {
-            stats.iterations = depth;
-            return Ok(BddEngineOutcome::Proved);
-        }
-        if ts.intersects_bad(new) {
-            stats.iterations = depth;
-            return Ok(BddEngineOutcome::FalsifiedAtDepth(depth));
-        }
-        ts.mgr.protect(new); // becomes the next frontier
-        let r = ts.mgr.or(reached, new)?;
-        ts.mgr.reroot(reached, r);
-        reached = r;
-        ts.mgr.unprotect(frontier);
-        frontier = new;
-        stats.iterations = depth;
-    }
-    Ok(BddEngineOutcome::ResourceOut)
-}
-
-/// One lane of the parallel image: a private transition system, the
-/// lane's window cube, and the chained frontier baseline mirroring the
-/// coordinator's.
-struct ImageLane {
-    ts: TransitionSystem,
-    window: NodeId,
-    baseline: ExportedBdd,
-    lane: usize,
-}
-
-impl ImageLane {
-    /// One round: rebuild the frontier from the broadcast delta,
-    /// restrict it to the lane's window, image it through the serial
-    /// early-quantification schedule and export the result (a pure
-    /// read, so the unrooted image cannot be collected under it).
-    fn round(&mut self, delta: &DeltaBdd) -> Result<ExportedBdd, OutOfNodes> {
-        let fr = transfer::import_delta(delta, &self.baseline, &mut self.ts.mgr)?;
-        self.baseline = delta.rebase(&self.baseline);
-        let s = self.ts.mgr.and(fr, self.window)?;
-        self.ts.mgr.reroot(fr, s); // the import's registration moves to s
-        if s == NodeId::FALSE {
-            return Ok(transfer::export(&self.ts.mgr, NodeId::FALSE));
-        }
-        let img = self.ts.image(s)?;
-        let export = transfer::export(&self.ts.mgr, img);
-        self.ts.mgr.unprotect(s);
-        Ok(export)
-    }
-
-    fn worker_stats(&self, quota_hit: bool) -> BddWorkerStats {
-        let (reorders, reorder_nodes_before, reorder_nodes_after) = self.ts.mgr.reorder_stats();
-        BddWorkerStats {
-            peak_live_nodes: self.ts.mgr.peak_live_nodes(),
-            allocated: self.ts.mgr.total_allocated(),
-            quota_hit,
-            reorders,
-            reorder_nodes_before,
-            reorder_nodes_after,
-        }
-    }
-}
-
-/// Builds one lane's private transition system and window cube, and
-/// arms the GC heuristics: a lane lives across many rounds against the
-/// full quota, so collecting on table growth — and aging out cache
-/// entries no round has touched in a while — beats thrashing the
-/// quota-triggered collect-and-retry path. The heuristic parameters
-/// depend only on the quota, keeping lane managers deterministic for
-/// any worker count.
-fn lane_setup(
-    aig: &Aig,
-    lane: usize,
-    split: &[u32],
-    node_quota: usize,
-    dynamic_reorder: bool,
-    order: Option<&[u32]>,
-) -> Result<ImageLane, BddWorkerStats> {
-    let mut ts = match TransitionSystem::build_with_order(aig, node_quota, order) {
-        Ok(ts) => ts,
-        Err(e) => {
-            return Err(BddWorkerStats {
-                peak_live_nodes: e.peak_live_nodes,
-                allocated: e.total_allocated,
-                quota_hit: true,
-                ..Default::default()
-            })
-        }
-    };
-    let mut window = NodeId::TRUE;
-    for (bit, var) in split.iter().enumerate() {
-        let lit = if lane >> bit & 1 == 1 { ts.mgr.var(*var) } else { ts.mgr.nvar(*var) };
-        match lit.and_then(|l| ts.mgr.and(window, l)) {
-            Ok(c) => {
-                // The reroot chain leaves exactly one registration on
-                // the finished cube (terminals need none).
-                ts.mgr.reroot(window, c);
-                window = c;
-            }
-            Err(_) => {
-                return Err(BddWorkerStats {
-                    peak_live_nodes: ts.mgr.peak_live_nodes(),
-                    allocated: ts.mgr.total_allocated(),
-                    quota_hit: true,
-                    ..Default::default()
-                })
-            }
-        }
-    }
-    ts.mgr.set_gc_growth_threshold(Some((node_quota / 8).max(1 << 12)));
-    ts.mgr.set_cache_max_age(Some(8));
-    if dynamic_reorder {
-        let n_latches = ts.num_latches();
-        arm_dynamic_reorder(&mut ts.mgr, n_latches, node_quota);
-    }
-    let baseline = transfer::export(&ts.mgr, NodeId::FALSE);
-    Ok(ImageLane { ts, window, baseline, lane })
-}
-
-/// One lane thread: owns lanes `tid, tid + nthreads, …` and answers the
-/// round protocol for each in ascending lane order. Panic-guarded like
-/// the POBDD workers: a panicking round sends the error-flavored reply
-/// and keeps draining until `Stop` so the coordinator's
-/// fixed-receive-count barrier never deadlocks, then re-raises through
-/// the join.
-///
-/// A quota failure in one lane never short-circuits its siblings:
-/// every owned lane still attempts the build and every round, because
-/// each lane's work is a function of the round history alone. That
-/// keeps the set of lane executions — and with it every per-lane and
-/// aggregate statistic of a quota-death run — identical for every
-/// worker count and thread layout.
-#[allow(clippy::too_many_arguments)]
-fn image_lane_worker(
-    aig: &Aig,
-    tid: usize,
-    nthreads: usize,
-    nlanes: usize,
-    split: &[u32],
-    node_quota: usize,
-    dynamic_reorder: bool,
-    order: Option<&[u32]>,
-    rx: &Receiver<ToLane>,
-    tx: &Sender<(usize, FromLane)>,
-) -> Vec<(usize, BddWorkerStats)> {
-    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-    let owned: Vec<usize> = (tid..nlanes).step_by(nthreads).collect();
-    let setup = catch_unwind(AssertUnwindSafe(|| {
-        let mut lanes = Vec::with_capacity(owned.len());
-        let mut failed: Vec<(usize, BddWorkerStats)> = Vec::new();
-        for &l in &owned {
-            match lane_setup(aig, l, split, node_quota, dynamic_reorder, order) {
-                Ok(lane) => lanes.push(lane),
-                Err(ws) => failed.push((l, ws)),
-            }
-        }
-        (lanes, failed)
-    }));
-    let (mut lanes, setup_failed) = match setup {
-        Ok(v) => v,
-        Err(payload) => {
-            let _ = tx.send((tid, FromLane::Built { ok: false }));
-            drain_lanes_until_stop(tid, rx, tx);
-            resume_unwind(payload);
-        }
-    };
-    if !setup_failed.is_empty() {
-        let _ = tx.send((tid, FromLane::Built { ok: false }));
-        drain_lanes_until_stop(tid, rx, tx);
-        let mut out: Vec<(usize, BddWorkerStats)> =
-            lanes.iter().map(|la| (la.lane, la.worker_stats(false))).collect();
-        out.extend(setup_failed);
-        return out;
-    }
-    let _ = tx.send((tid, FromLane::Built { ok: true }));
-    let mut quota_lanes: Vec<usize> = Vec::new();
-    let mut panic_payload = None;
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            ToLane::Round(delta) => {
-                let round = catch_unwind(AssertUnwindSafe(|| {
-                    let mut images = Vec::with_capacity(lanes.len());
-                    let mut failed: Vec<usize> = Vec::new();
-                    for la in lanes.iter_mut() {
-                        match la.round(&delta) {
-                            Ok(e) => images.push((la.lane, e)),
-                            Err(_) => failed.push(la.lane),
-                        }
-                    }
-                    (images, failed)
-                }));
-                match round {
-                    Ok((images, failed)) if failed.is_empty() => {
-                        let _ = tx.send((tid, FromLane::Images { images, ok: true }));
-                        continue;
-                    }
-                    Ok((_, failed)) => quota_lanes = failed,
-                    Err(payload) => panic_payload = Some(payload),
-                }
-                let _ = tx.send((tid, FromLane::Images { images: Vec::new(), ok: false }));
-                drain_lanes_until_stop(tid, rx, tx);
-                break;
-            }
-            ToLane::Stop => break,
-        }
-    }
-    if let Some(payload) = panic_payload {
-        resume_unwind(payload);
-    }
-    lanes
-        .iter()
-        .map(|la| (la.lane, la.worker_stats(quota_lanes.contains(&la.lane))))
-        .collect()
-}
-
-/// After a quota failure the lane thread keeps answering the protocol
-/// until `Stop`, so the coordinator's barriers never block on a dead
-/// thread.
-fn drain_lanes_until_stop(tid: usize, rx: &Receiver<ToLane>, tx: &Sender<(usize, FromLane)>) {
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            ToLane::Round(_) => {
-                let _ = tx.send((tid, FromLane::Images { images: Vec::new(), ok: false }));
-            }
-            ToLane::Stop => break,
-        }
     }
 }
 
@@ -1224,149 +663,6 @@ mod tests {
             bdd_umc(&g, 300, 1 << 20, &mut stats),
             BddEngineOutcome::ResourceOut
         );
-    }
-
-    /// Maximal-period 16-bit Fibonacci LFSR (taps 16,14,13,11) whose
-    /// live working set genuinely outgrows a tight quota mid-run (see
-    /// the twin helper in the POBDD tests).
-    fn lfsr16() -> Aig {
-        let mut g = Aig::new();
-        let qs: Vec<_> = (0..16).map(|i| g.latch(format!("s{i}"), i == 0)).collect();
-        let fb = [16usize, 14, 13, 11]
-            .iter()
-            .map(|t| qs[*t - 1].1)
-            .reduce(|a, b| g.xor(a, b))
-            .unwrap();
-        for i in (1..16).rev() {
-            g.set_next(qs[i].0, qs[i - 1].1);
-        }
-        g.set_next(qs[0].0, fb);
-        let nz: Vec<_> = qs.iter().map(|(_, q)| !*q).collect();
-        let bad = g.and_many(nz);
-        g.add_bad("zero", bad);
-        g
-    }
-
-    /// The lane-parallel image must agree with the serial engine on
-    /// verdict, falsification depth and completed-round count for every
-    /// worker count — and every manager-level statistic must be
-    /// identical across parallel worker counts, because the lane
-    /// structure is fixed by the transition system, not by the thread
-    /// count.
-    #[test]
-    fn parallel_image_matches_serial_verdicts() {
-        let (mut g, qs) = counter(6);
-        // bad: counter == 44
-        let hit: Vec<Lit> = qs
-            .iter()
-            .enumerate()
-            .map(|(i, q)| if 44 >> i & 1 == 1 { *q } else { !*q })
-            .collect();
-        let bad = g.and_many(hit);
-        g.add_bad("hit", bad);
-        let mut serial = CheckStats::default();
-        let base = bdd_umc(&g, 1 << 20, 1000, &mut serial);
-        assert_eq!(base, BddEngineOutcome::FalsifiedAtDepth(44));
-        let mut parallel: Vec<CheckStats> = Vec::new();
-        for workers in [2usize, 3, 0] {
-            let mut stats = CheckStats::default();
-            let got = bdd_umc_session(
-                &g,
-                1 << 20,
-                1000,
-                workers,
-                false,
-                false,
-                &mut stats,
-                &mut Budget::unlimited(),
-                None,
-            );
-            assert_eq!(base, got, "workers={workers}");
-            assert_eq!(serial.iterations, stats.iterations, "workers={workers}");
-            if workers != 0 {
-                // `0` resolves to the CPU count, which on a single-core
-                // host is the serial path (no lane accounting).
-                assert!(!stats.worker_bdd.is_empty(), "lanes must report accounting");
-                for ws in &stats.worker_bdd {
-                    assert!(ws.peak_live_nodes > 0);
-                    assert!(!ws.quota_hit);
-                }
-                parallel.push(stats);
-            }
-        }
-        for s in &parallel[1..] {
-            assert_eq!(parallel[0].bdd_nodes, s.bdd_nodes, "peak live is worker-count-invariant");
-            assert_eq!(parallel[0].bdd_allocated, s.bdd_allocated);
-            assert_eq!(parallel[0].worker_bdd, s.worker_bdd);
-        }
-    }
-
-    #[test]
-    fn parallel_image_proves_fixpoints() {
-        let (mut g, qs) = counter(4);
-        let (l, s) = g.latch("stuck", false);
-        g.set_next(l, s);
-        let bad = g.and(qs[0], s);
-        g.add_bad("never", bad);
-        let mut serial = CheckStats::default();
-        assert_eq!(bdd_umc(&g, 1 << 20, 100, &mut serial), BddEngineOutcome::Proved);
-        for workers in [2usize, 4] {
-            let mut stats = CheckStats::default();
-            assert_eq!(
-                bdd_umc_session(
-                    &g,
-                    1 << 20,
-                    100,
-                    workers,
-                    false,
-                    false,
-                    &mut stats,
-                    &mut Budget::unlimited(),
-                    None,
-                ),
-                BddEngineOutcome::Proved,
-                "workers={workers}"
-            );
-            assert_eq!(serial.iterations, stats.iterations, "workers={workers}");
-        }
-    }
-
-    /// PR 4's iteration-count pin, extended to the parallel image: a
-    /// quota death mid-image leaves `stats.iterations` at the completed
-    /// rounds only, and the whole failure — outcome, round count, peak
-    /// accounting, per-lane quota flags — is deterministic across
-    /// parallel worker counts.
-    #[test]
-    fn parallel_quota_death_is_deterministic_mid_image() {
-        let g = lfsr16();
-        let quota = 1_500;
-        let mut base: Option<CheckStats> = None;
-        for workers in [2usize, 3, 4] {
-            let mut stats = CheckStats::default();
-            let got = bdd_umc_session(
-                &g,
-                quota,
-                1 << 20,
-                workers,
-                false,
-                false,
-                &mut stats,
-                &mut Budget::unlimited(),
-                None,
-            );
-            assert_eq!(got, BddEngineOutcome::ResourceOut, "workers={workers}");
-            assert!(stats.iterations > 0, "failure must be mid-run, not at build");
-            assert!(stats.bdd_quota_hits >= 1, "workers={workers}");
-            match &base {
-                None => base = Some(stats),
-                Some(b) => {
-                    assert_eq!(b.iterations, stats.iterations, "workers={workers}");
-                    assert_eq!(b.bdd_nodes, stats.bdd_nodes, "workers={workers}");
-                    assert_eq!(b.bdd_quota_hits, stats.bdd_quota_hits, "workers={workers}");
-                    assert_eq!(b.worker_bdd, stats.worker_bdd, "workers={workers}");
-                }
-            }
-        }
     }
 
     #[test]

@@ -40,7 +40,7 @@
 //! let (id, q) = aig.latch("q", false);
 //! aig.set_next(id, q);
 //! aig.add_bad("q_high", q);
-//! let opts = CheckOptions::builder().pobdd_workers(1).build();
+//! let opts = CheckOptions::builder().pobdd_window_vars(1).build();
 //! let result = Portfolio::default().check(&aig, &opts);
 //! assert!(matches!(result.verdict, Verdict::Proved { .. }));
 //! ```
@@ -137,25 +137,6 @@ impl Verdict {
     }
 }
 
-/// Per-worker BDD manager accounting for the threaded POBDD engine
-/// (one entry per worker thread, in worker-index order).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BddWorkerStats {
-    /// The worker manager's live-node high-water mark.
-    pub peak_live_nodes: usize,
-    /// Total nodes the worker's manager ever allocated.
-    pub allocated: u64,
-    /// True if this worker's manager exhausted its quota.
-    pub quota_hit: bool,
-    /// Dynamic reordering passes this worker's manager ran (zero unless
-    /// [`CheckOptions::dynamic_reorder`] is on).
-    pub reorders: u64,
-    /// Σ live nodes immediately before each of this worker's passes.
-    pub reorder_nodes_before: u64,
-    /// Σ live nodes immediately after each of this worker's passes.
-    pub reorder_nodes_after: u64,
-}
-
 /// Statistics of the static pre-analysis stage
 /// ([`CheckOptions::preanalysis`]): how many bads it swept, what it
 /// folded, and how many properties it concluded without an engine.
@@ -225,21 +206,6 @@ pub struct CheckStats {
     /// — both engines follow this convention, so a quota failure during
     /// the depth-d image reports d-1 everywhere.
     pub iterations: usize,
-    /// Per-worker manager accounting of the most recent partitioned-OBDD
-    /// run (replaced wholesale each run; empty if the POBDD engine never
-    /// ran). One entry per worker thread, in worker-index order; the
-    /// serial engine reports a single entry.
-    pub worker_bdd: Vec<BddWorkerStats>,
-    /// Dynamic reordering passes run across all BDD managers (zero
-    /// unless [`CheckOptions::dynamic_reorder`] is on and a trigger
-    /// fired).
-    pub reorders: u64,
-    /// Σ live nodes immediately before each reordering pass (paired
-    /// with [`CheckStats::reorder_nodes_after`]: the ratio is the
-    /// average shrink sifting bought).
-    pub reorder_nodes_before: u64,
-    /// Σ live nodes immediately after each reordering pass.
-    pub reorder_nodes_after: u64,
     /// Total hyperedge span of the natural variable order, recorded by
     /// the FORCE static-order pass ([`CheckOptions::static_order`]).
     /// Zero when the pass is off — the pass makes no calls at all then,

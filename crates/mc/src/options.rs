@@ -26,47 +26,15 @@ pub struct CheckOptions {
     /// Number of POBDD window variables (2^k partitions); 0 disables the
     /// POBDD fallback.
     pub pobdd_window_vars: u32,
-    /// Worker threads for the POBDD engine: each window partition's
-    /// fixpoint runs in its own thread with its own BDD manager,
-    /// exchanging frontiers between synchronous rounds (verdicts and
-    /// depths are worker-count-independent; see
-    /// [`crate::pobdd_reach`]). `0` = one per available CPU. The
-    /// default of `1` keeps the engine serial so it composes with
-    /// campaign-level parallelism (`CampaignConfig::workers` in
-    /// `veridic-core`) without oversubscribing; raise it for single
-    /// hard properties.
-    pub pobdd_workers: usize,
-    /// Worker threads for the monolithic BDD engine's image computation:
-    /// each round's image fans out across fixed state-space lanes, one
-    /// private BDD manager per lane, with frontiers broadcast through
-    /// the transfer layer's delta encoding (verdicts, depths, iteration
-    /// counts match serial for every worker count; see
-    /// `veridic_mc::bdd_umc_session`). `0` = one per available CPU. The
-    /// default of `1` keeps the engine serial — byte-identical stats to
-    /// the pre-parallel engine — so it composes with campaign-level
-    /// parallelism without oversubscribing.
-    pub image_workers: usize,
-    /// Enable dynamic variable reordering in the BDD engines: each BDD
-    /// manager (serial, per-lane, per-window) arms an automatic
-    /// in-place sifting pass that fires when the live node count has
-    /// grown by an engine-chosen threshold since the last reorder.
-    /// Verdicts, falsification depths and iteration counts are
-    /// identical with this on or off — only node counts and wall-clock
-    /// move (see `veridic_bdd::BddManager::sift`). Off by default: for
-    /// models whose natural order is already good, sifting is pure
-    /// overhead.
-    pub dynamic_reorder: bool,
     /// Seed both BDD engines' managers with the FORCE static variable
     /// order (`veridic_aig::structure::force_order`) before the first
     /// image: the latch/input slot order that minimizes hyperedge span
     /// over the AND/next-state structure, translated so each latch's
     /// current/next pair stays adjacent. Purely structural — computed
-    /// once per property cone from the AIG alone, identical for every
-    /// worker count, and composable with `dynamic_reorder` (sifting
-    /// starts from the seeded order instead of the natural one).
-    /// Verdicts, depths and iteration counts are unaffected; only node
-    /// counts and wall-clock move. Off by default: with this off the
-    /// engines are byte-identical to previous releases.
+    /// once per property cone from the AIG alone. Verdicts, depths and
+    /// iteration counts are unaffected; only node counts and wall-clock
+    /// move. Off by default: with this off the engines are
+    /// byte-identical to previous releases.
     pub static_order: bool,
     /// Skip the SAT engines (BDD-only portfolio).
     pub bdd_only: bool,
@@ -103,9 +71,6 @@ impl Default for CheckOptions {
             bdd_nodes: 1 << 21,
             max_iterations: 10_000,
             pobdd_window_vars: 2,
-            pobdd_workers: 1,
-            image_workers: 1,
-            dynamic_reorder: false,
             static_order: false,
             bdd_only: false,
             sat_only: false,
@@ -130,7 +95,7 @@ impl CheckOptions {
     /// full struct literal, which silently missed the live-node quota
     /// recalibration (2 000 ever-allocated units ≈ 1 000 live
     /// complement-edge nodes) and had to be hand-patched for every new
-    /// field (`pobdd_workers`).
+    /// field.
     pub fn tiny_budget() -> Self {
         CheckOptions::builder()
             .bmc_depth(4)
@@ -170,9 +135,6 @@ impl CheckOptions {
         word(self.bdd_nodes as u64);
         word(self.max_iterations as u64);
         word(u64::from(self.pobdd_window_vars));
-        word(self.pobdd_workers as u64);
-        word(self.image_workers as u64);
-        word(u64::from(self.dynamic_reorder));
         word(u64::from(self.static_order));
         word(u64::from(self.bdd_only));
         word(u64::from(self.sat_only));
@@ -188,7 +150,7 @@ impl CheckOptions {
 ///
 /// let opts = CheckOptions::builder()
 ///     .bmc_depth(10)
-///     .pobdd_workers(2)
+///     .pobdd_window_vars(3)
 ///     .build();
 /// assert_eq!(opts.bmc_depth, 10);
 /// assert_eq!(opts.sat_conflicts, CheckOptions::default().sat_conflicts);
@@ -227,12 +189,6 @@ impl CheckOptionsBuilder {
         max_iterations: usize,
         /// Sets [`CheckOptions::pobdd_window_vars`].
         pobdd_window_vars: u32,
-        /// Sets [`CheckOptions::pobdd_workers`].
-        pobdd_workers: usize,
-        /// Sets [`CheckOptions::image_workers`].
-        image_workers: usize,
-        /// Sets [`CheckOptions::dynamic_reorder`].
-        dynamic_reorder: bool,
         /// Sets [`CheckOptions::static_order`].
         static_order: bool,
         /// Sets [`CheckOptions::bdd_only`].
@@ -265,21 +221,18 @@ mod tests {
         assert!(opts.sat_only);
         let d = CheckOptions::default();
         assert_eq!(opts.bmc_depth, d.bmc_depth);
-        assert_eq!(opts.pobdd_workers, d.pobdd_workers);
+        assert_eq!(opts.pobdd_window_vars, d.pobdd_window_vars);
     }
 
     /// The drift regression: every field `tiny_budget` does not
     /// explicitly tighten must equal the default — in particular the
-    /// fields added after the preset was written (`pobdd_workers`) and
-    /// any future ones (the builder guarantees it structurally, this
-    /// pins the explicit list).
+    /// fields added after the preset was written and any future ones
+    /// (the builder guarantees it structurally, this pins the explicit
+    /// list).
     #[test]
     fn tiny_budget_tracks_default_for_untouched_fields() {
         let tiny = CheckOptions::tiny_budget();
         let d = CheckOptions::default();
-        assert_eq!(tiny.pobdd_workers, d.pobdd_workers);
-        assert_eq!(tiny.image_workers, d.image_workers);
-        assert_eq!(tiny.dynamic_reorder, d.dynamic_reorder);
         assert_eq!(tiny.static_order, d.static_order);
         assert!(!d.static_order, "static-order seeding defaults off");
         assert_eq!(tiny.bdd_only, d.bdd_only);

@@ -3,56 +3,37 @@
 //! (cubes over chosen state variables) and reachability fixpoints run per
 //! partition with cross-partition frontier exchange. Each partition's
 //! reached-set BDD stays smaller than the monolithic one, postponing node
-//! blow-up.
-//!
-//! With `workers > 1` the window partitions additionally fan out across
-//! threads: every worker owns a deterministic subset of the windows and
-//! a private [`TransitionSystem`]/manager built from the shared AIG, and
-//! frontiers cross worker boundaries between synchronous rounds through
-//! the [`veridic_bdd::transfer`] layer. Verdicts, falsification depths
-//! and iteration counts are identical to the serial engine for any
-//! worker count (see the determinism notes on [`pobdd_reach`]).
+//! blow-up. All windows live in one manager and run in the calling
+//! thread: parallelism belongs across properties (campaign threads and
+//! worker processes), not inside one check.
 
 use crate::bdd_engine::{BddEngineOutcome, TransitionSystem};
 use crate::checkpoint::ReachCheckpoint;
 use crate::engine::Budget;
-use crate::{BddWorkerStats, CheckStats};
-use std::sync::mpsc::{Receiver, Sender};
+use crate::CheckStats;
 use veridic_aig::Aig;
-use veridic_bdd::transfer::{self, DeltaBdd, ExportedBdd};
+use veridic_bdd::transfer::{self, ExportedBdd};
 use veridic_bdd::{NodeId, OutOfNodes};
 
 /// Partitioned forward reachability with `window_vars` splitting
-/// variables (up to 2^k windows) across `workers` threads (`0` = one
-/// per available CPU, `1` = serial in the calling thread).
+/// variables (up to 2^k windows).
 ///
 /// Splitting variables are the current-state variables with the highest
 /// occurrence count across transition-relation clusters — a cheap proxy
 /// for "most entangled", which is where partitioning pays off.
 /// Variables that occur in *no* cluster are never selected: a
-/// zero-occurrence split variable would double the window count (and
-/// the thread fan-out) with zero reached-set-size benefit, so the
-/// effective window count is clamped to 2^(entangled variables) even
-/// when `window_vars` asks for more.
-///
-/// # Determinism
+/// zero-occurrence split variable would double the window count with
+/// zero reached-set-size benefit, so the effective window count is
+/// clamped to 2^(entangled variables) even when `window_vars` asks for
+/// more.
 ///
 /// Rounds are globally synchronous: depth `d` ends only when every
 /// window's depth-`d` image has been distributed and absorbed, so the
-/// outcome, the falsification depth and [`CheckStats::iterations`] are
-/// the same for any worker count — threads change *where* each window's
-/// fixpoint runs, never *what* a round computes. The per-window bad
-/// checks commute (the set of states first reached at depth `d` is
-/// schedule-independent), and a falsifying round always reports its own
-/// depth. The one caveat is quota exhaustion: each worker's manager
-/// gets the full `node_quota`, so a run that exhausts the quota under
-/// one worker layout may fit under another; runs that conclude within
-/// quota agree everywhere. Per-worker manager accounting lands in
-/// [`CheckStats::worker_bdd`].
+/// falsification depth and [`CheckStats::iterations`] agree with the
+/// monolithic engine's.
 pub fn pobdd_reach(
     aig: &Aig,
     window_vars: u32,
-    workers: usize,
     node_quota: usize,
     max_iterations: usize,
     stats: &mut CheckStats,
@@ -60,10 +41,8 @@ pub fn pobdd_reach(
     pobdd_reach_session(
         aig,
         window_vars,
-        workers,
         node_quota,
         max_iterations,
-        false,
         false,
         stats,
         &mut Budget::unlimited(),
@@ -77,35 +56,21 @@ pub fn pobdd_reach(
 ///
 /// One budget round is consumed per global reachability round. When the
 /// budget trips between rounds, every window's reached and frontier set
-/// is exported through [`veridic_bdd::transfer`] (the threaded engine
-/// collects its workers' owned windows through the same round protocol)
-/// and the run suspends. Resume re-derives the identical window split
-/// from the AIG, imports the per-window sets, and continues at the next
-/// round — with any worker count: rounds are globally synchronous, so a
-/// checkpoint taken under one worker layout resumes under another with
-/// the same verdict, depth and completed-round count.
+/// is exported through [`veridic_bdd::transfer`] and the run suspends.
+/// Resume re-derives the identical window split from the AIG, imports
+/// the per-window sets, and continues at the next round with the same
+/// verdict, depth and completed-round count.
 ///
-/// `dynamic_reorder` arms automatic in-place variable sifting (see
-/// [`veridic_bdd::BddManager::sift`]) on every manager the session
-/// creates — the serial manager or each window worker's. Verdict,
-/// depth and iteration count are unaffected; only node counts and
-/// wall-clock move.
-///
-/// `static_order` seeds every manager the session creates with the
-/// FORCE static variable order (see
-/// [`veridic_aig::structure::force_order`]) before its transition
-/// system is built — computed once from the AIG, identical across
-/// workers, and composable with `dynamic_reorder` (sifting starts from
-/// the seeded order). Like reordering, it moves only node counts and
+/// `static_order` seeds the session's manager with the FORCE static
+/// variable order (see [`veridic_aig::structure::force_order`]) before
+/// its transition system is built. It moves only node counts and
 /// wall-clock, never verdicts, depths or iteration counts.
 #[allow(clippy::too_many_arguments)]
 pub fn pobdd_reach_session(
     aig: &Aig,
     window_vars: u32,
-    workers: usize,
     node_quota: usize,
     max_iterations: usize,
-    dynamic_reorder: bool,
     static_order: bool,
     stats: &mut CheckStats,
     budget: &mut Budget,
@@ -125,107 +90,7 @@ pub fn pobdd_reach_session(
     } else {
         None
     };
-    let order = seeded.as_deref();
-    let workers = effective_workers(workers, window_vars, aig);
-    if workers <= 1 {
-        serial_reach(
-            aig,
-            window_vars,
-            node_quota,
-            max_iterations,
-            dynamic_reorder,
-            order,
-            stats,
-            budget,
-            resume,
-        )
-    } else {
-        parallel_reach(
-            aig,
-            window_vars,
-            workers,
-            node_quota,
-            max_iterations,
-            dynamic_reorder,
-            order,
-            stats,
-            budget,
-            resume,
-        )
-    }
-}
-
-/// Resolves the requested worker count: `0` means one per available
-/// CPU, and the result is clamped to an upper bound on the window count
-/// (`2^min(window_vars, structurally entangled latches)`) so spawning a
-/// worker that cannot possibly own a window is avoided without building
-/// any BDDs. The bound uses the *structural* entanglement count — BDD
-/// support is a subset of structural support — so in rare cases where
-/// semantic cancellation drops further split variables a worker can
-/// still end up owning no windows; it then builds its transition system
-/// once and idles through the barriers.
-fn effective_workers(requested: usize, window_vars: u32, aig: &Aig) -> usize {
-    let requested = if requested == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        requested
-    };
-    if requested <= 1 {
-        return 1;
-    }
-    // Cap the shift well below usize bits; 2^16 windows is already far
-    // beyond any sensible fan-out.
-    let entangled = structurally_entangled_latches(aig) as u32;
-    let max_parts = 1usize << window_vars.min(entangled).min(16);
-    requested.clamp(1, max_parts)
-}
-
-/// Number of latches whose output appears in the combinational cone of
-/// some latch's next-state function — a cheap structural upper bound on
-/// the variables [`choose_split_vars`] can select (its cluster-support
-/// counts see the BDD support, a subset of the structural one). Costs
-/// one AIG walk, no BDDs.
-fn structurally_entangled_latches(aig: &Aig) -> usize {
-    use veridic_aig::hash::FxHashSet;
-    let latch_vars: FxHashSet<veridic_aig::Var> =
-        aig.latches().iter().map(|l| l.var).collect();
-    let mut seen: FxHashSet<veridic_aig::Var> = FxHashSet::default();
-    let mut entangled: FxHashSet<veridic_aig::Var> = FxHashSet::default();
-    let mut stack: Vec<veridic_aig::Var> =
-        aig.latches().iter().map(|l| l.next.var()).collect();
-    while let Some(v) = stack.pop() {
-        if !seen.insert(v) {
-            continue;
-        }
-        if latch_vars.contains(&v) {
-            entangled.insert(v);
-            continue; // cones stop at state variables
-        }
-        if let Some((a, b)) = aig.and_fanins(v) {
-            stack.push(a.var());
-            stack.push(b.var());
-        }
-    }
-    entangled.len()
-}
-
-// ---------------------------------------------------------------------
-// Serial engine (one manager, all windows).
-// ---------------------------------------------------------------------
-
-#[allow(clippy::too_many_arguments)]
-fn serial_reach(
-    aig: &Aig,
-    window_vars: u32,
-    node_quota: usize,
-    max_iterations: usize,
-    dynamic_reorder: bool,
-    order: Option<&[u32]>,
-    stats: &mut CheckStats,
-    budget: &mut Budget,
-    resume: Option<&ReachCheckpoint>,
-) -> BddEngineOutcome {
-    let mut ts = match TransitionSystem::build_with_order(aig, node_quota, order) {
+    let mut ts = match TransitionSystem::build_with_order(aig, node_quota, seeded.as_deref()) {
         Ok(ts) => ts,
         Err(e) => {
             // Quota-exhausted builds used to report 0 nodes in the
@@ -234,32 +99,12 @@ fn serial_reach(
             stats.bdd_nodes = stats.bdd_nodes.max(e.peak_live_nodes);
             stats.bdd_allocated += e.total_allocated;
             stats.bdd_quota_hits += 1;
-            stats.worker_bdd = vec![BddWorkerStats {
-                peak_live_nodes: e.peak_live_nodes,
-                allocated: e.total_allocated,
-                quota_hit: true,
-                ..Default::default()
-            }];
             return BddEngineOutcome::ResourceOut;
         }
     };
-    if dynamic_reorder {
-        let n_latches = ts.num_latches();
-        crate::bdd_engine::arm_dynamic_reorder(&mut ts.mgr, n_latches, node_quota);
-    }
-    let outcome = serial_run(&mut ts, window_vars, max_iterations, stats, budget, resume);
+    let outcome = run(&mut ts, window_vars, max_iterations, stats, budget, resume);
     stats.bdd_nodes = stats.bdd_nodes.max(ts.mgr.peak_live_nodes());
     stats.bdd_allocated += ts.mgr.total_allocated();
-    crate::bdd_engine::fold_reorder_stats(stats, &ts.mgr);
-    let (reorders, reorder_nodes_before, reorder_nodes_after) = ts.mgr.reorder_stats();
-    stats.worker_bdd = vec![BddWorkerStats {
-        peak_live_nodes: ts.mgr.peak_live_nodes(),
-        allocated: ts.mgr.total_allocated(),
-        quota_hit: outcome.is_err(),
-        reorders,
-        reorder_nodes_before,
-        reorder_nodes_after,
-    }];
     match outcome {
         Ok(o) => o,
         Err(_) => {
@@ -269,7 +114,9 @@ fn serial_reach(
     }
 }
 
-fn serial_run(
+/// The windowed fixpoint on a built transition system; `Err` is a
+/// quota failure.
+fn run(
     ts: &mut TransitionSystem,
     window_vars: u32,
     max_iterations: usize,
@@ -416,7 +263,7 @@ fn build_windows(ts: &mut TransitionSystem, split: &[u32]) -> Result<Vec<NodeId>
 /// shrink any partition's reached set, and each padded variable would
 /// double the window count for nothing (regression-tested in
 /// `zero_occurrence_vars_are_not_split_on`).
-pub(crate) fn choose_split_vars(ts: &TransitionSystem, want: u32) -> Vec<u32> {
+fn choose_split_vars(ts: &TransitionSystem, want: u32) -> Vec<u32> {
     let n = ts.num_latches() as u32;
     let mut counts: Vec<(u32, usize)> = (0..n).map(|i| (2 * i, 0)).collect();
     for c in &ts.clusters {
@@ -433,644 +280,6 @@ pub(crate) fn choose_split_vars(ts: &TransitionSystem, want: u32) -> Vec<u32> {
         .take(want.min(n) as usize)
         .map(|(v, _)| v)
         .collect()
-}
-
-// ---------------------------------------------------------------------
-// Threaded engine (one manager per worker, windows partitioned).
-// ---------------------------------------------------------------------
-
-/// A frontier piece crossing a worker boundary: image of window `src`
-/// restricted to window `dst`, serialized for the destination manager.
-type RemotePiece = (usize, usize, ExportedBdd); // (dst, src, piece)
-
-/// One window's checkpoint piece: `(window, reached, frontier)` — the
-/// frontier delta-encoded against the same window's reached export.
-type CheckpointPiece = (usize, ExportedBdd, DeltaBdd);
-
-/// Coordinator → worker commands, one round at a time.
-enum ToWorker {
-    /// Compute this round's images for every owned window and ship the
-    /// remote-destined pieces up.
-    Round,
-    /// Absorb the routed pieces (pre-sorted by `(dst, src)`) into the
-    /// owned reached sets/frontiers and report the round status.
-    Absorb(Vec<RemotePiece>),
-    /// Export the owned windows' reached/frontier sets (the budget
-    /// suspended the run between rounds).
-    Checkpoint,
-    /// Tear down and report final manager accounting.
-    Stop,
-}
-
-/// Worker → coordinator phase reports. Every command is answered by
-/// exactly one report (even on quota failure), so the coordinator's
-/// barrier is a fixed receive count per phase.
-enum FromWorker {
-    /// Setup done. `owner` is the worker's window→worker assignment —
-    /// every worker derives the identical map from its identically
-    /// built transition system, and the coordinator adopts the first
-    /// successful worker's copy for routing.
-    Built { falsified0: bool, ok: bool, owner: Vec<usize> },
-    Images { remote: Vec<RemotePiece>, ok: bool },
-    Absorbed { any_new: bool, falsified: bool, ok: bool },
-    Checkpointed { pieces: Vec<CheckpointPiece>, ok: bool },
-}
-
-#[allow(clippy::too_many_arguments)]
-fn parallel_reach(
-    aig: &Aig,
-    window_vars: u32,
-    workers: usize,
-    node_quota: usize,
-    max_iterations: usize,
-    dynamic_reorder: bool,
-    order: Option<&[u32]>,
-    stats: &mut CheckStats,
-    budget: &mut Budget,
-    resume: Option<&ReachCheckpoint>,
-) -> BddEngineOutcome {
-    let (up_tx, up_rx) = std::sync::mpsc::channel::<(usize, FromWorker)>();
-    let outcome = std::thread::scope(|s| {
-        let mut to_workers = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for wid in 0..workers {
-            let (down_tx, down_rx) = std::sync::mpsc::channel::<ToWorker>();
-            let up = up_tx.clone();
-            to_workers.push(down_tx);
-            handles.push(s.spawn(move || {
-                window_worker(
-                    aig,
-                    wid,
-                    workers,
-                    window_vars,
-                    node_quota,
-                    dynamic_reorder,
-                    order,
-                    resume,
-                    &down_rx,
-                    &up,
-                )
-            }));
-        }
-        // Only the workers hold senders now: if every worker died, the
-        // coordinator's recv errors out instead of blocking forever.
-        drop(up_tx);
-        let start_depth = resume.map_or(0, |ck| ck.depth);
-        let outcome = drive_rounds(
-            &to_workers,
-            &up_rx,
-            workers,
-            max_iterations,
-            stats,
-            budget,
-            start_depth,
-            window_vars,
-        );
-        for tx in &to_workers {
-            let _ = tx.send(ToWorker::Stop);
-        }
-        let worker_stats: Vec<BddWorkerStats> = handles
-            .into_iter()
-            .map(|h| h.join().expect("pobdd worker panicked")) // lint: allow
-            .collect();
-        for ws in &worker_stats {
-            stats.bdd_nodes = stats.bdd_nodes.max(ws.peak_live_nodes);
-            stats.bdd_allocated += ws.allocated;
-            stats.bdd_quota_hits += ws.quota_hit as usize;
-            stats.reorders += ws.reorders;
-            stats.reorder_nodes_before += ws.reorder_nodes_before;
-            stats.reorder_nodes_after += ws.reorder_nodes_after;
-        }
-        stats.worker_bdd = worker_stats;
-        outcome
-    });
-    outcome
-}
-
-/// The coordinator's round loop: broadcast a command, await one report
-/// per worker, reduce. Falsification takes precedence over quota
-/// failure in a mixed round — a found intersection with bad is sound
-/// regardless of what other workers ran out of.
-#[allow(clippy::too_many_arguments)]
-fn drive_rounds(
-    to_workers: &[Sender<ToWorker>],
-    up_rx: &Receiver<(usize, FromWorker)>,
-    workers: usize,
-    max_iterations: usize,
-    stats: &mut CheckStats,
-    budget: &mut Budget,
-    start_depth: usize,
-    window_vars: u32,
-) -> BddEngineOutcome {
-    // Build barrier. The window→worker map (identical from every
-    // worker) is adopted for piece routing.
-    let mut ok = true;
-    let mut falsified = false;
-    let mut owner: Vec<usize> = Vec::new();
-    for _ in 0..workers {
-        let (_, msg) = up_rx.recv().expect("pobdd worker hung up during build"); // lint: allow
-        match msg {
-            FromWorker::Built { falsified0, ok: worker_ok, owner: map } => {
-                ok &= worker_ok;
-                falsified |= falsified0;
-                if owner.is_empty() {
-                    owner = map;
-                }
-            }
-            _ => unreachable!("build phase answers with Built"),
-        }
-    }
-    if falsified {
-        return BddEngineOutcome::FalsifiedAtDepth(0);
-    }
-    if !ok {
-        return BddEngineOutcome::ResourceOut;
-    }
-
-    for depth in start_depth + 1..=max_iterations {
-        if !budget.tick() {
-            if !budget.checkpoint_worthwhile() {
-                // Slot-cap handover: the scheduler discards any state,
-                // so skip the whole worker checkpoint protocol phase.
-                return BddEngineOutcome::Yielded;
-            }
-            return checkpoint_workers(to_workers, up_rx, workers, depth - 1, window_vars);
-        }
-        // Phase A: images. Collect every worker's remote-destined pieces.
-        for tx in to_workers {
-            let _ = tx.send(ToWorker::Round);
-        }
-        let mut all_remote: Vec<Vec<RemotePiece>> = (0..workers).map(|_| Vec::new()).collect();
-        let mut ok = true;
-        for _ in 0..workers {
-            let (wid, msg) = up_rx.recv().expect("pobdd worker hung up during images"); // lint: allow
-            match msg {
-                FromWorker::Images { remote, ok: worker_ok } => {
-                    ok &= worker_ok;
-                    all_remote[wid] = remote;
-                }
-                _ => unreachable!("image phase answers with Images"),
-            }
-        }
-        if !ok {
-            return BddEngineOutcome::ResourceOut;
-        }
-        // Route by the shared window→worker map (a longest-processing-
-        // time bin-pack over window cost estimates; see
-        // `assign_windows_lpt`). Sort each worker's inbox by (dst, src)
-        // so absorption order — and therefore node allocation — is
-        // schedule-independent.
-        let mut inbox: Vec<Vec<RemotePiece>> = (0..workers).map(|_| Vec::new()).collect();
-        for pieces in all_remote {
-            for piece in pieces {
-                inbox[owner[piece.0]].push(piece);
-            }
-        }
-        for (wid, mut pieces) in inbox.into_iter().enumerate() {
-            pieces.sort_unstable_by_key(|(dst, src, _)| (*dst, *src));
-            let _ = to_workers[wid].send(ToWorker::Absorb(pieces));
-        }
-        // Phase B: absorb reports.
-        let mut ok = true;
-        let mut falsified = false;
-        let mut any_new = false;
-        for _ in 0..workers {
-            let (_, msg) = up_rx.recv().expect("pobdd worker hung up during absorb"); // lint: allow
-            match msg {
-                FromWorker::Absorbed { any_new: new, falsified: f, ok: worker_ok } => {
-                    any_new |= new;
-                    falsified |= f;
-                    ok &= worker_ok;
-                }
-                _ => unreachable!("absorb phase answers with Absorbed"),
-            }
-        }
-        if falsified {
-            stats.iterations = depth; // the concluding round counts
-            return BddEngineOutcome::FalsifiedAtDepth(depth);
-        }
-        if !ok {
-            return BddEngineOutcome::ResourceOut; // round d not completed
-        }
-        stats.iterations = depth; // round completed
-        if !any_new {
-            return BddEngineOutcome::Proved;
-        }
-    }
-    BddEngineOutcome::ResourceOut
-}
-
-/// Collects every worker's owned-window exports into one
-/// [`ReachCheckpoint`] after the budget suspended the run. If any
-/// worker cannot checkpoint (it died on a quota failure earlier), the
-/// run degrades to a plain resource-out — a partial checkpoint would
-/// resume unsoundly.
-fn checkpoint_workers(
-    to_workers: &[Sender<ToWorker>],
-    up_rx: &Receiver<(usize, FromWorker)>,
-    workers: usize,
-    depth: usize,
-    window_vars: u32,
-) -> BddEngineOutcome {
-    for tx in to_workers {
-        let _ = tx.send(ToWorker::Checkpoint);
-    }
-    let mut all_pieces: Vec<CheckpointPiece> = Vec::new();
-    let mut ok = true;
-    for _ in 0..workers {
-        let (_, msg) = up_rx.recv().expect("pobdd worker hung up during checkpoint"); // lint: allow
-        match msg {
-            FromWorker::Checkpointed { pieces, ok: worker_ok } => {
-                ok &= worker_ok;
-                all_pieces.extend(pieces);
-            }
-            _ => unreachable!("checkpoint phase answers with Checkpointed"),
-        }
-    }
-    if !ok {
-        return BddEngineOutcome::ResourceOut;
-    }
-    all_pieces.sort_unstable_by_key(|(w, _, _)| *w);
-    let nparts = all_pieces.len();
-    debug_assert!(all_pieces.iter().enumerate().all(|(i, (w, _, _))| i == *w));
-    let mut reached = Vec::with_capacity(nparts);
-    let mut frontier = Vec::with_capacity(nparts);
-    for (_, r, f) in all_pieces {
-        reached.push(r);
-        frontier.push(f);
-    }
-    BddEngineOutcome::Suspended(ReachCheckpoint { depth, reached, frontier, window_vars })
-}
-
-/// Per-worker state for the threaded engine: a private transition
-/// system plus the reached/frontier slots of the owned windows.
-struct WindowWorker {
-    ts: TransitionSystem,
-    /// All window cubes (every worker can slice an image by any window).
-    windows: Vec<NodeId>,
-    /// Window indices this worker owns (per the shared LPT assignment).
-    owned: Vec<usize>,
-    /// Window → owning worker, identical across workers (each derives
-    /// it from the same costs; see [`assign_windows_lpt`]).
-    owner: Vec<usize>,
-    wid: usize,
-    reached: Vec<NodeId>,
-    frontier: Vec<NodeId>,
-    /// Own-destined pieces of the current round, held between the image
-    /// and absorb phases (each protected).
-    local_pieces: Vec<(usize, usize, NodeId)>, // (dst, src, part)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn window_worker(
-    aig: &Aig,
-    wid: usize,
-    workers: usize,
-    window_vars: u32,
-    node_quota: usize,
-    dynamic_reorder: bool,
-    order: Option<&[u32]>,
-    resume: Option<&ReachCheckpoint>,
-    rx: &Receiver<ToWorker>,
-    tx: &Sender<(usize, FromWorker)>,
-) -> BddWorkerStats {
-    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-    // Every phase is panic-guarded: a panicking worker would otherwise
-    // deadlock the coordinator's fixed-receive-count barrier (its reply
-    // never arrives, and the other workers' live senders keep `recv`
-    // from erroring out). On a panic the worker sends the error-flavored
-    // reply, keeps the protocol alive until `Stop`, and only then
-    // re-raises, so the bug surfaces through the coordinator's join
-    // instead of hanging the check.
-    let setup = catch_unwind(AssertUnwindSafe(|| {
-        let mut ts =
-            TransitionSystem::build_with_order(aig, node_quota, order).map_err(|e| BddWorkerStats {
-            peak_live_nodes: e.peak_live_nodes,
-            allocated: e.total_allocated,
-            quota_hit: true,
-            ..Default::default()
-        })?;
-        if dynamic_reorder {
-            let n_latches = ts.num_latches();
-            crate::bdd_engine::arm_dynamic_reorder(&mut ts.mgr, n_latches, node_quota);
-        }
-        worker_setup(ts, wid, workers, window_vars, resume)
-    }));
-    let mut state = match setup {
-        Ok(Ok(state)) => state,
-        Ok(Err(stats)) => {
-            let _ = tx.send((
-                wid,
-                FromWorker::Built { falsified0: false, ok: false, owner: Vec::new() },
-            ));
-            drain_until_stop(wid, rx, tx);
-            return stats;
-        }
-        Err(payload) => {
-            let _ = tx.send((
-                wid,
-                FromWorker::Built { falsified0: false, ok: false, owner: Vec::new() },
-            ));
-            drain_until_stop(wid, rx, tx);
-            resume_unwind(payload);
-        }
-    };
-    let mut quota_hit = false;
-    // A resumed run's depth-0 check already happened in the original
-    // session; re-checking the imported frontier would double-report.
-    let falsified0 = resume.is_none() && state.init_intersects_bad();
-    let _ = tx.send((
-        wid,
-        FromWorker::Built { falsified0, ok: true, owner: state.owner.clone() },
-    ));
-    let mut panic_payload = None;
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            ToWorker::Round => {
-                match catch_unwind(AssertUnwindSafe(|| state.images())) {
-                    Ok(Ok(remote)) => {
-                        let _ = tx.send((wid, FromWorker::Images { remote, ok: true }));
-                        continue;
-                    }
-                    Ok(Err(_)) => quota_hit = true,
-                    Err(payload) => panic_payload = Some(payload),
-                }
-                let _ = tx.send((wid, FromWorker::Images { remote: Vec::new(), ok: false }));
-                drain_until_stop(wid, rx, tx);
-                break;
-            }
-            ToWorker::Absorb(pieces) => {
-                match catch_unwind(AssertUnwindSafe(|| state.absorb(pieces))) {
-                    Ok(Ok((any_new, falsified))) => {
-                        let _ =
-                            tx.send((wid, FromWorker::Absorbed { any_new, falsified, ok: true }));
-                        continue;
-                    }
-                    Ok(Err(_)) => quota_hit = true,
-                    Err(payload) => panic_payload = Some(payload),
-                }
-                let _ = tx.send((
-                    wid,
-                    FromWorker::Absorbed { any_new: false, falsified: false, ok: false },
-                ));
-                drain_until_stop(wid, rx, tx);
-                break;
-            }
-            ToWorker::Checkpoint => {
-                // Pure export: allocates nothing, cannot fail.
-                let pieces = state.checkpoint_pieces();
-                let _ = tx.send((wid, FromWorker::Checkpointed { pieces, ok: true }));
-            }
-            ToWorker::Stop => break,
-        }
-    }
-    if let Some(payload) = panic_payload {
-        resume_unwind(payload);
-    }
-    let (reorders, reorder_nodes_before, reorder_nodes_after) = state.ts.mgr.reorder_stats();
-    BddWorkerStats {
-        peak_live_nodes: state.ts.mgr.peak_live_nodes(),
-        allocated: state.ts.mgr.total_allocated(),
-        quota_hit,
-        reorders,
-        reorder_nodes_before,
-        reorder_nodes_after,
-    }
-}
-
-/// After a quota failure the worker keeps answering the protocol (every
-/// command gets its error-flavored report) until `Stop`, so the
-/// coordinator's fixed-count barriers never block on a dead worker.
-fn drain_until_stop(wid: usize, rx: &Receiver<ToWorker>, tx: &Sender<(usize, FromWorker)>) {
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            ToWorker::Round => {
-                let _ = tx.send((wid, FromWorker::Images { remote: Vec::new(), ok: false }));
-            }
-            ToWorker::Absorb(_) => {
-                let _ = tx.send((
-                    wid,
-                    FromWorker::Absorbed { any_new: false, falsified: false, ok: false },
-                ));
-            }
-            ToWorker::Checkpoint => {
-                let _ = tx.send((wid, FromWorker::Checkpointed { pieces: Vec::new(), ok: false }));
-            }
-            ToWorker::Stop => break,
-        }
-    }
-}
-
-/// Estimated per-window load: for each window cube, the node count
-/// every transition-relation cluster retains when the split variables
-/// are fixed to the window's polarity ([`veridic_bdd::BddManager::size_restricted`]
-/// — a pure traversal, no allocation). Windows that kill most of a
-/// cluster's nodes are cheap; windows that keep a cluster intact pay
-/// its full image cost every round. Deterministic for a given
-/// transition system, so every worker computes the identical vector.
-fn window_costs(ts: &TransitionSystem, split: &[u32], nparts: usize) -> Vec<u64> {
-    (0..nparts)
-        .map(|w| {
-            let fixed = |v: u32| -> Option<bool> {
-                split.iter().position(|&s| s == v).map(|bit| w >> bit & 1 == 1)
-            };
-            ts.clusters
-                .iter()
-                .map(|c| ts.mgr.size_restricted(*c, &fixed) as u64)
-                .sum()
-        })
-        .collect()
-}
-
-/// Longest-processing-time greedy bin-pack: windows sorted by cost
-/// (descending, ties by window index) are assigned one at a time to the
-/// least-loaded worker (ties to the lowest id). Replaces the old static
-/// round-robin (`w % workers`), which put the heaviest windows on the
-/// same worker whenever costs were skewed by position.
-///
-/// Fully deterministic, so every worker derives the identical map with
-/// no coordination; with all costs positive and at least as many
-/// windows as workers, every worker receives at least one window.
-/// Returns the window→worker map.
-fn assign_windows_lpt(costs: &[u64], workers: usize) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..costs.len()).collect();
-    order.sort_unstable_by(|&a, &b| costs[b].cmp(&costs[a]).then(a.cmp(&b)));
-    let mut owner = vec![0usize; costs.len()];
-    let mut load = vec![0u64; workers];
-    for w in order {
-        let wid = (0..workers).min_by_key(|&i| (load[i], i)).expect("workers >= 1"); // lint: allow
-        load[wid] += costs[w];
-        owner[w] = wid;
-    }
-    owner
-}
-
-/// Builds one worker's window/reached/frontier state. On quota failure
-/// the transition system is consumed and its final accounting returned
-/// so the worker can report honest per-worker stats.
-fn worker_setup(
-    mut ts: TransitionSystem,
-    wid: usize,
-    workers: usize,
-    window_vars: u32,
-    resume: Option<&ReachCheckpoint>,
-) -> Result<WindowWorker, BddWorkerStats> {
-    let fail = |ts: &TransitionSystem| {
-        let (reorders, reorder_nodes_before, reorder_nodes_after) = ts.mgr.reorder_stats();
-        BddWorkerStats {
-            peak_live_nodes: ts.mgr.peak_live_nodes(),
-            allocated: ts.mgr.total_allocated(),
-            quota_hit: true,
-            reorders,
-            reorder_nodes_before,
-            reorder_nodes_after,
-        }
-    };
-    // Every worker derives the identical split, costs and assignment
-    // from its identically built transition system — no coordination
-    // needed.
-    let split = choose_split_vars(&ts, window_vars);
-    let windows = match build_windows(&mut ts, &split) {
-        Ok(w) => w,
-        Err(_) => return Err(fail(&ts)),
-    };
-    let nparts = windows.len();
-    let owner = assign_windows_lpt(&window_costs(&ts, &split, nparts), workers);
-    let owned: Vec<usize> = (0..nparts).filter(|&w| owner[w] == wid).collect();
-    let mut reached = vec![NodeId::FALSE; nparts];
-    let mut frontier = vec![NodeId::FALSE; nparts];
-    match resume {
-        Some(ck) => {
-            assert_eq!(
-                ck.reached.len(),
-                nparts,
-                "checkpoint window count must match the re-derived split"
-            );
-            for &w in &owned {
-                // Imports arrive rooted — one registration per slot.
-                let r = match transfer::import(&ck.reached[w], &mut ts.mgr) {
-                    Ok(r) => r,
-                    Err(_) => return Err(fail(&ts)),
-                };
-                let f = match transfer::import_delta(&ck.frontier[w], &ck.reached[w], &mut ts.mgr)
-                {
-                    Ok(f) => f,
-                    Err(_) => return Err(fail(&ts)),
-                };
-                reached[w] = r;
-                frontier[w] = f;
-            }
-        }
-        None => {
-            for &w in &owned {
-                let part = match ts.mgr.and(ts.init, windows[w]) {
-                    Ok(p) => p,
-                    Err(_) => return Err(fail(&ts)),
-                };
-                ts.mgr.protect(part); // reached slot
-                ts.mgr.protect(part); // frontier slot
-                reached[w] = part;
-                frontier[w] = part;
-            }
-        }
-    }
-    Ok(WindowWorker {
-        ts,
-        windows,
-        owned,
-        owner,
-        wid,
-        reached,
-        frontier,
-        local_pieces: Vec::new(),
-    })
-}
-
-impl WindowWorker {
-    fn init_intersects_bad(&self) -> bool {
-        self.owned
-            .iter()
-            .any(|&w| self.frontier[w] != NodeId::FALSE && self.ts.intersects_bad(self.frontier[w]))
-    }
-
-    /// Phase A of a round: image every owned window's frontier and slice
-    /// it by all windows. Own-destined pieces stay local (protected);
-    /// pieces for other workers are exported immediately — before any
-    /// further allocation could trigger a collection — and shipped up.
-    fn images(&mut self) -> Result<Vec<RemotePiece>, OutOfNodes> {
-        let mut remote = Vec::new();
-        for &w in &self.owned {
-            let fr = self.frontier[w];
-            if fr == NodeId::FALSE {
-                continue;
-            }
-            let img = self.ts.image(fr)?;
-            self.ts.mgr.protect(img); // held across the whole window loop
-            for (dst, window) in self.windows.iter().enumerate() {
-                let part = self.ts.mgr.and(img, *window)?;
-                if part == NodeId::FALSE {
-                    continue;
-                }
-                if self.owner[dst] == self.wid {
-                    self.ts.mgr.protect(part); // held until the absorb phase
-                    self.local_pieces.push((dst, w, part));
-                } else {
-                    remote.push((dst, w, transfer::export(&self.ts.mgr, part)));
-                }
-            }
-            self.ts.mgr.unprotect(img);
-        }
-        Ok(remote)
-    }
-
-    /// Phase B: merge the round's local and imported pieces — sorted by
-    /// `(dst, src)` so allocation order is schedule-independent — into
-    /// the owned reached sets, checking each fresh set against bad.
-    fn absorb(&mut self, remote: Vec<RemotePiece>) -> Result<(bool, bool), OutOfNodes> {
-        let mut items: Vec<(usize, usize, NodeId)> = std::mem::take(&mut self.local_pieces);
-        for (dst, src, exported) in &remote {
-            let part = transfer::import(exported, &mut self.ts.mgr)?; // arrives rooted
-            items.push((*dst, *src, part));
-        }
-        items.sort_unstable_by_key(|(dst, src, _)| (*dst, *src));
-        let mut new_frontier = vec![NodeId::FALSE; self.windows.len()];
-        let mut any_new = false;
-        for (dst, _src, part) in items {
-            let fresh = self.ts.mgr.and_not(part, self.reached[dst])?;
-            self.ts.mgr.unprotect(part); // release the piece's root
-            if fresh == NodeId::FALSE {
-                continue;
-            }
-            if self.ts.intersects_bad(fresh) {
-                return Ok((any_new, true));
-            }
-            let r = self.ts.mgr.or(self.reached[dst], fresh)?;
-            self.ts.mgr.reroot(self.reached[dst], r);
-            self.reached[dst] = r;
-            let nf = self.ts.mgr.or(new_frontier[dst], fresh)?;
-            self.ts.mgr.reroot(new_frontier[dst], nf);
-            new_frontier[dst] = nf;
-            any_new = true;
-        }
-        for &w in &self.owned {
-            self.ts.mgr.unprotect(self.frontier[w]);
-            self.frontier[w] = new_frontier[w];
-        }
-        Ok((any_new, false))
-    }
-
-    /// Exports the owned windows' reached/frontier sets for a
-    /// [`ReachCheckpoint`]. Pure read — no allocation, cannot fail.
-    fn checkpoint_pieces(&self) -> Vec<CheckpointPiece> {
-        self.owned
-            .iter()
-            .map(|&w| {
-                let reached = transfer::export(&self.ts.mgr, self.reached[w]);
-                let frontier = transfer::export_delta(&self.ts.mgr, self.frontier[w], &reached);
-                (w, reached, frontier)
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -1105,47 +314,10 @@ mod tests {
             let mut s1 = CheckStats::default();
             let mut s2 = CheckStats::default();
             let mono = bdd_umc(&g, 1 << 20, 1000, &mut s1);
-            let part = pobdd_reach(&g, 2, 1, 1 << 20, 1000, &mut s2);
+            let part = pobdd_reach(&g, 2, 1 << 20, 1000, &mut s2);
             assert_eq!(mono, part, "bad_at={bad_at}");
             assert_eq!(s1.iterations, s2.iterations, "bad_at={bad_at}");
         }
-    }
-
-    #[test]
-    fn threaded_pobdd_matches_serial_verdicts() {
-        for bad_at in [0u64, 5, 9, 14] {
-            let g = counter_with_bad(4, bad_at);
-            let mut serial = CheckStats::default();
-            let base = pobdd_reach(&g, 2, 1, 1 << 20, 1000, &mut serial);
-            for workers in [2usize, 3, 4, 0] {
-                let mut stats = CheckStats::default();
-                let got = pobdd_reach(&g, 2, workers, 1 << 20, 1000, &mut stats);
-                assert_eq!(base, got, "bad_at={bad_at} workers={workers}");
-                assert_eq!(
-                    serial.iterations, stats.iterations,
-                    "iteration counts must agree at bad_at={bad_at} workers={workers}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn threaded_pobdd_records_per_worker_stats() {
-        let g = counter_with_bad(4, 9);
-        let mut stats = CheckStats::default();
-        let outcome = pobdd_reach(&g, 2, 2, 1 << 20, 1000, &mut stats);
-        assert_eq!(outcome, BddEngineOutcome::FalsifiedAtDepth(9));
-        assert_eq!(stats.worker_bdd.len(), 2, "one entry per worker");
-        for (i, ws) in stats.worker_bdd.iter().enumerate() {
-            assert!(ws.peak_live_nodes > 0, "worker {i} must report a peak");
-            assert!(ws.allocated > 0, "worker {i} must report allocations");
-            assert!(!ws.quota_hit);
-            assert!(stats.bdd_nodes >= ws.peak_live_nodes);
-        }
-        assert_eq!(
-            stats.bdd_allocated,
-            stats.worker_bdd.iter().map(|w| w.allocated).sum::<u64>()
-        );
     }
 
     #[test]
@@ -1162,14 +334,8 @@ mod tests {
         let (l2, s2) = g2.latch("stuck", false);
         g2.set_next(l2, s2);
         g2.add_bad("never", s2);
-        for workers in [1usize, 2] {
-            let mut stats = CheckStats::default();
-            assert_eq!(
-                pobdd_reach(&g2, 2, workers, 1 << 20, 1000, &mut stats),
-                BddEngineOutcome::Proved,
-                "workers={workers}"
-            );
-        }
+        let mut stats = CheckStats::default();
+        assert_eq!(pobdd_reach(&g2, 2, 1 << 20, 1000, &mut stats), BddEngineOutcome::Proved);
     }
 
     /// Regression: `pobdd_reach` returned early on a quota-exhausted
@@ -1179,18 +345,11 @@ mod tests {
     #[test]
     fn quota_exhausted_build_records_stats() {
         let g = counter_with_bad(16, (1 << 16) - 1);
-        for workers in [1usize, 2] {
-            let mut stats = CheckStats::default();
-            assert_eq!(
-                pobdd_reach(&g, 2, workers, 300, 1 << 20, &mut stats),
-                BddEngineOutcome::ResourceOut,
-                "workers={workers}"
-            );
-            assert!(stats.bdd_nodes > 0, "failure path must record peak live nodes");
-            assert!(stats.bdd_allocated > 0);
-            assert!(stats.bdd_quota_hits >= 1);
-            assert!(stats.worker_bdd.iter().any(|w| w.quota_hit));
-        }
+        let mut stats = CheckStats::default();
+        assert_eq!(pobdd_reach(&g, 2, 300, 1 << 20, &mut stats), BddEngineOutcome::ResourceOut);
+        assert!(stats.bdd_nodes > 0, "failure path must record peak live nodes");
+        assert!(stats.bdd_allocated > 0);
+        assert_eq!(stats.bdd_quota_hits, 1);
     }
 
     #[test]
@@ -1199,7 +358,7 @@ mod tests {
         let mut stats = CheckStats::default();
         // 6 window vars requested, only 2 latches exist.
         assert_eq!(
-            pobdd_reach(&g, 6, 1, 1 << 20, 1000, &mut stats),
+            pobdd_reach(&g, 6, 1 << 20, 1000, &mut stats),
             BddEngineOutcome::FalsifiedAtDepth(3)
         );
     }
@@ -1207,8 +366,8 @@ mod tests {
     /// Regression: `choose_split_vars` used to pad the split with
     /// variables that occur in zero clusters whenever `window_vars`
     /// exceeded the number of entangled variables — each useless split
-    /// variable doubled the window count (and now the thread fan-out)
-    /// with zero reached-set-size benefit.
+    /// variable doubled the window count with zero reached-set-size
+    /// benefit.
     #[test]
     fn zero_occurrence_vars_are_not_split_on() {
         // Latch a loads an input (its current var occurs in no cluster);
@@ -1230,7 +389,7 @@ mod tests {
         // And the engine still concludes correctly with the clamp.
         let mut stats = CheckStats::default();
         assert_eq!(
-            pobdd_reach(&g, 2, 1, 1 << 20, 100, &mut stats),
+            pobdd_reach(&g, 2, 1 << 20, 100, &mut stats),
             BddEngineOutcome::FalsifiedAtDepth(1)
         );
     }
@@ -1260,111 +419,41 @@ mod tests {
         g
     }
 
-    /// The LPT bin-pack itself: heaviest window first, always onto the
-    /// least-loaded worker, deterministic tie-breaks (lower window
-    /// index sorts first, lower worker id wins load ties).
-    #[test]
-    fn lpt_assignment_balances_skewed_costs() {
-        // One dominant window: it gets a worker to itself, the three
-        // small ones share the other — round-robin would have paired
-        // the giant with a small one and idled half of worker 1.
-        assert_eq!(assign_windows_lpt(&[10, 1, 1, 1], 2), vec![0, 1, 1, 1]);
-        // Two heavies split across workers, lighter ones balance.
-        assert_eq!(assign_windows_lpt(&[8, 7, 3, 2], 2), vec![0, 1, 1, 0]);
-        // Uniform costs degenerate to round-robin-like fairness: every
-        // worker gets two of the four windows.
-        let owner = assign_windows_lpt(&[5, 5, 5, 5], 2);
-        assert_eq!(owner.iter().filter(|&&w| w == 0).count(), 2);
-        assert_eq!(owner.iter().filter(|&&w| w == 1).count(), 2);
-        // With positive costs and nparts >= workers, nobody idles.
-        let owner = assign_windows_lpt(&[9, 1, 1, 1, 1, 1, 1, 1], 3);
-        for wid in 0..3 {
-            assert!(owner.contains(&wid), "worker {wid} must own a window");
-        }
-        // Determinism: same input, same output.
-        assert_eq!(assign_windows_lpt(&[8, 7, 3, 2], 2), assign_windows_lpt(&[8, 7, 3, 2], 2));
-    }
-
-    /// Window costs come from the pure-read restricted-size walk and
-    /// must be positive and deterministic.
-    #[test]
-    fn window_costs_are_positive_and_deterministic() {
-        let g = counter_with_bad(4, 9);
-        let ts = TransitionSystem::build(&g, 1 << 16).unwrap();
-        let split = choose_split_vars(&ts, 2);
-        let nparts = 1 << split.len();
-        let c1 = window_costs(&ts, &split, nparts);
-        let c2 = window_costs(&ts, &split, nparts);
-        assert_eq!(c1, c2);
-        assert_eq!(c1.len(), nparts);
-        assert!(c1.iter().all(|&c| c > 0), "every window keeps at least the terminals: {c1:?}");
-    }
-
-    /// The load-balancing regression pin: with the LPT assignment the
-    /// threaded engine still reports verdicts, depths and iteration
-    /// counts identical to serial on a design with deliberately skewed
-    /// windows (an LFSR's windows differ in reached-set growth), for
-    /// every worker count.
-    #[test]
-    fn lpt_threaded_engine_stays_serial_identical() {
-        let g = lfsr16();
-        let mut serial = CheckStats::default();
-        let base = pobdd_reach(&g, 2, 1, 1 << 20, 40, &mut serial);
-        for workers in [2usize, 3, 4] {
-            let mut stats = CheckStats::default();
-            let got = pobdd_reach(&g, 2, workers, 1 << 20, 40, &mut stats);
-            assert_eq!(base, got, "workers={workers}");
-            assert_eq!(serial.iterations, stats.iterations, "workers={workers}");
-        }
-    }
-
-    /// Kill-at-round-k → resume equality for the POBDD engine, serial
-    /// and threaded: the resumed run must reach the identical outcome,
-    /// falsification depth and completed-round count, and a checkpoint
-    /// taken under one worker layout must resume under another.
+    /// Kill-at-round-k → resume equality for the POBDD engine: the
+    /// resumed run must reach the identical outcome, falsification depth
+    /// and completed-round count.
     #[test]
     fn suspended_pobdd_resumes_identically() {
         use crate::engine::Budget;
         let g = counter_with_bad(5, 19);
         let mut full = CheckStats::default();
-        let uninterrupted = pobdd_reach(&g, 2, 1, 1 << 20, 1000, &mut full);
+        let uninterrupted = pobdd_reach(&g, 2, 1 << 20, 1000, &mut full);
         assert_eq!(uninterrupted, BddEngineOutcome::FalsifiedAtDepth(19));
         assert_eq!(full.iterations, 19);
 
-        for (kill_workers, resume_workers) in [(1usize, 1usize), (2, 2), (1, 3), (2, 1)] {
-            let mut s1 = CheckStats::default();
-            let mut budget = Budget::rounds(7);
-            let suspended = pobdd_reach_session(
-                &g, 2, kill_workers, 1 << 20, 1000, false, false, &mut s1, &mut budget, None,
-            );
-            let ck = match suspended {
-                BddEngineOutcome::Suspended(ck) => ck,
-                other => panic!("7 rounds must suspend, got {other:?}"),
-            };
-            assert_eq!(ck.depth, 7, "kill_workers={kill_workers}");
-            assert_eq!(ck.reached.len(), 4, "2 window vars -> 4 windows");
-            let mut s2 = CheckStats::default();
-            let resumed = pobdd_reach_session(
-                &g,
-                2,
-                resume_workers,
-                1 << 20,
-                1000,
-                false,
-                false,
-                &mut s2,
-                &mut Budget::unlimited(),
-                Some(&ck),
-            );
-            assert_eq!(
-                resumed, uninterrupted,
-                "kill={kill_workers} resume={resume_workers}"
-            );
-            assert_eq!(
-                s2.iterations, full.iterations,
-                "completed-round count must survive the kill (kill={kill_workers} resume={resume_workers})"
-            );
-        }
+        let mut s1 = CheckStats::default();
+        let mut budget = Budget::rounds(7);
+        let suspended =
+            pobdd_reach_session(&g, 2, 1 << 20, 1000, false, &mut s1, &mut budget, None);
+        let ck = match suspended {
+            BddEngineOutcome::Suspended(ck) => ck,
+            other => panic!("7 rounds must suspend, got {other:?}"),
+        };
+        assert_eq!(ck.depth, 7);
+        assert_eq!(ck.reached.len(), 4, "2 window vars -> 4 windows");
+        let mut s2 = CheckStats::default();
+        let resumed = pobdd_reach_session(
+            &g,
+            2,
+            1 << 20,
+            1000,
+            false,
+            &mut s2,
+            &mut Budget::unlimited(),
+            Some(&ck),
+        );
+        assert_eq!(resumed, uninterrupted);
+        assert_eq!(s2.iterations, full.iterations, "completed-round count must survive the kill");
     }
 
     /// Regression for the cross-engine iteration-count off-by-one:
@@ -1383,7 +472,7 @@ mod tests {
             let mut s1 = CheckStats::default();
             let mut s2 = CheckStats::default();
             let mono = bdd_umc(&g, quota, 1 << 20, &mut s1);
-            let part = pobdd_reach(&g, 0, 1, quota, 1 << 20, &mut s2);
+            let part = pobdd_reach(&g, 0, quota, 1 << 20, &mut s2);
             assert_eq!(mono, BddEngineOutcome::ResourceOut, "quota={quota}");
             assert_eq!(part, BddEngineOutcome::ResourceOut, "quota={quota}");
             assert!(s1.iterations > 0, "failure must be mid-run, not at build");

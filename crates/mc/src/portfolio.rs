@@ -152,8 +152,6 @@ impl Engine for BddUmcEngine {
             ctx.aig,
             ctx.opts.bdd_nodes,
             ctx.opts.max_iterations,
-            ctx.opts.image_workers,
-            ctx.opts.dynamic_reorder,
             ctx.opts.static_order,
             ctx.stats,
             ctx.budget,
@@ -174,8 +172,8 @@ impl Engine for BddUmcEngine {
     }
 }
 
-/// Partitioned-OBDD reachability (the paper's in-house engine), with
-/// intra-property worker threads per [`CheckOptions::pobdd_workers`].
+/// Partitioned-OBDD reachability (the paper's in-house engine) over
+/// [`CheckOptions::pobdd_window_vars`] splitting variables.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PobddEngine;
 
@@ -200,10 +198,8 @@ impl Engine for PobddEngine {
         match pobdd::pobdd_reach_session(
             ctx.aig,
             ctx.opts.pobdd_window_vars,
-            ctx.opts.pobdd_workers,
             ctx.opts.bdd_nodes,
             ctx.opts.max_iterations,
-            ctx.opts.dynamic_reorder,
             ctx.opts.static_order,
             ctx.stats,
             ctx.budget,
@@ -1029,21 +1025,16 @@ mod tests {
 
         // A capped *BDD* slot yields (no checkpoint is built for a
         // handover the scheduler would discard) and the next engine
-        // still concludes — serial and threaded POBDD alike.
-        for pobdd_workers in [1usize, 2] {
-            let opts = CheckOptions::builder()
-                .bdd_only(true)
-                .pobdd_workers(pobdd_workers)
-                .build();
-            let capped = Portfolio::empty()
-                .with_budgeted(Box::new(PobddEngine), 3)
-                .with(Box::new(BddUmcEngine));
-            let r = capped.check(&g, &opts);
-            assert!(r.verdict.is_falsified(), "workers={pobdd_workers}: {:?}", r.verdict);
-            let rendered = r.stats.engines_tried();
-            assert_eq!(rendered[0], "count_is_9/pobdd-umc: suspended");
-            assert_eq!(rendered[1], "count_is_9/bdd-umc: bad reachable at depth 9");
-        }
+        // still concludes.
+        let opts = CheckOptions::builder().bdd_only(true).build();
+        let capped = Portfolio::empty()
+            .with_budgeted(Box::new(PobddEngine), 3)
+            .with(Box::new(BddUmcEngine));
+        let r = capped.check(&g, &opts);
+        assert!(r.verdict.is_falsified(), "{:?}", r.verdict);
+        let rendered = r.stats.engines_tried();
+        assert_eq!(rendered[0], "count_is_9/pobdd-umc: suspended");
+        assert_eq!(rendered[1], "count_is_9/bdd-umc: bad reachable at depth 9");
     }
 
     /// Global-budget suspension and resume: verdict, falsification

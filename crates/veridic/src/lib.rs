@@ -66,10 +66,7 @@ pub mod prelude {
         analyze, fold_constants, ternary_sweep, ternary_sweep_constrained, ConstantNet,
         ConstrainedSweep, DesignReport, FoldResult, StuckLatch, SweepResult, Ternary,
     };
-    pub use veridic_aig::structure::{
-        affinity_clusters, force_order, latch_affinity_clusters, Condensation, ForceOrder,
-        LatchGraph,
-    };
+    pub use veridic_aig::structure::{force_order, Condensation, ForceOrder, LatchGraph};
     pub use veridic_aig::Aig;
     pub use veridic_campaign::{
         maybe_run_worker, AdaptiveScheduler, CampaignDir, CampaignSpec, CheckpointFile, CodecError,
@@ -89,8 +86,7 @@ pub mod prelude {
     };
     pub use veridic_core::partition::{
         cut_at, decomposition_is_acyclic, demo_chain_module, partition_output_integrity,
-        run_partition, run_partition_with_affinity, run_partition_with_portfolio,
-        run_partition_with_workers, PartitionWorkerStats,
+        run_partition, run_partition_with_portfolio, PartitionWorkerStats,
     };
     pub use veridic_core::stereotype::{
         edetect_vunit, generate_all, integrity_vunit, other_vunit, soundness_vunit,
@@ -99,9 +95,9 @@ pub mod prelude {
         make_verifiable, transform_design, VerifiableModule, EC_PORT, ED_PORT,
     };
     pub use veridic_mc::{
-        check, check_one, pobdd_reach, BadCoiStats, BddWorkerStats, Budget, CancelToken,
-        CheckOptions, CheckOptionsBuilder, CheckResult, CheckStats, Engine, EngineCheckpoint,
-        EngineCtx, EngineEvent, EngineId, EngineOutcome, EventOutcome, EventResources, Portfolio,
+        check, check_one, pobdd_reach, BadCoiStats, Budget, CancelToken, CheckOptions,
+        CheckOptionsBuilder, CheckResult, CheckStats, Engine, EngineCheckpoint, EngineCtx,
+        EngineEvent, EngineId, EngineOutcome, EventOutcome, EventResources, Portfolio,
         PortfolioOutcome, PreanalysisStats, ReachCheckpoint, RunCheckpoint, Verdict, PREANALYSIS,
     };
     pub use veridic_netlist::{Design, Expr, Module, NetId, PortDir, Value};

@@ -36,7 +36,7 @@ type RawNodes = Vec<(u32, u32, u32)>;
 /// Raw material for one export: unconstrained node triples, an
 /// unconstrained root, and an arbitrary **diverged** level order (not
 /// required to be an identity permutation — matching a checkpoint
-/// taken after dynamic reordering moved the source manager's order).
+/// taken from a manager with an adopted variable order).
 fn arb_export_parts() -> BoxedStrategy<(RawNodes, u32, Vec<u32>)> {
     (
         collection::vec((0u32..64, 0u32..1_000_000, 0u32..1_000_000), 0..10),

@@ -1,8 +1,7 @@
 //! The portfolio safety net: `Portfolio::default()` must be
-//! deterministic run-to-run, its SAT-only and BDD-only halves must
+//! deterministic run-to-run, and its SAT-only and BDD-only halves must
 //! agree with the full cascade on every verdict and counterexample
-//! depth, and turning on dynamic variable reordering must be
-//! verdict-neutral. (The byte-for-byte diff against the pre-redesign
+//! depth. (The byte-for-byte diff against the pre-redesign
 //! cascade retired with `veridic::mc::legacy` after PR 6 — the
 //! properties it pinned live on here as self-consistency contracts.)
 //!
@@ -21,9 +20,7 @@ use veridic::prelude::*;
 /// * repeat runs are identical down to every statistic,
 /// * the SAT-only and BDD-only halves agree with the full cascade on
 ///   verdict and counterexample depth (a half may resource out —
-///   fewer engines — but may not conclude differently),
-/// * enabling `dynamic_reorder` changes no verdict, depth, or
-///   iteration count.
+///   fewer engines — but may not conclude differently).
 fn assert_self_consistent(aig: &Aig, opts: &CheckOptions, what: &str) {
     let first = Portfolio::default().check(aig, opts);
     let again = Portfolio::default().check(aig, opts);
@@ -52,15 +49,6 @@ fn assert_self_consistent(aig: &Aig, opts: &CheckOptions, what: &str) {
             }
         }
     }
-
-    // Dynamic reordering is a performance knob, never a semantic one.
-    let sifted =
-        Portfolio::default().check(aig, &CheckOptions { dynamic_reorder: true, ..opts.clone() });
-    assert_eq!(first.verdict, sifted.verdict, "dynamic_reorder changed the verdict on {what}");
-    assert_eq!(
-        first.stats.iterations, sifted.stats.iterations,
-        "dynamic_reorder changed the round count on {what}"
-    );
 }
 
 // ---------------------------------------------------------------------
@@ -195,14 +183,13 @@ proptest! {
 
 /// The campaign over the full (buggy) small chip is deterministic
 /// record-for-record — verdicts, stats, engine-log rendering and the
-/// rendered Table 2 — and switching dynamic reordering on changes no
-/// verdict and no counterexample depth anywhere in the chip.
+/// rendered Table 2.
 #[test]
-fn full_campaign_is_deterministic_and_reorder_neutral() {
+fn full_campaign_is_deterministic() {
     let chip = Chip::generate(&ChipConfig { scale: Scale::Small, with_bugs: true });
     let opts = CheckOptions::default();
     let report = run_campaign(&chip, &CampaignConfig { check: opts.clone(), workers: 0 });
-    let replay = run_campaign(&chip, &CampaignConfig { check: opts.clone(), workers: 0 });
+    let replay = run_campaign(&chip, &CampaignConfig { check: opts, workers: 0 });
 
     assert_eq!(report.records.len(), replay.records.len());
     for (rec, rep) in report.records.iter().zip(&replay.records) {
@@ -218,22 +205,6 @@ fn full_campaign_is_deterministic_and_reorder_neutral() {
         );
     }
     assert_eq!(report.render_table2(&chip), replay.render_table2(&chip));
-
-    // Reorder neutrality across the whole campaign: identical verdicts
-    // and depths, identical Table 2 (which renders verdict columns, not
-    // node counts).
-    let sifted_opts = CheckOptions::builder().dynamic_reorder(true).build();
-    let sifted = run_campaign(&chip, &CampaignConfig { check: sifted_opts, workers: 0 });
-    assert_eq!(report.records.len(), sifted.records.len());
-    for (rec, s) in report.records.iter().zip(&sifted.records) {
-        let what = format!("{}/{}", rec.module, rec.label);
-        assert_eq!(rec.verdict, s.verdict, "dynamic_reorder changed the verdict at {what}");
-        assert_eq!(
-            rec.stats.iterations, s.stats.iterations,
-            "dynamic_reorder changed the round count at {what}"
-        );
-    }
-    assert_eq!(report.render_table2(&chip), sifted.render_table2(&chip));
 }
 
 // ---------------------------------------------------------------------
@@ -284,42 +255,11 @@ fn killed_reachability_resumes_identically_via_facade() {
     assert_eq!(resumed.stats.iterations, uninterrupted.stats.iterations);
 }
 
-/// The same kill → resume contract with the lane-parallel image
-/// engine: suspending broadcasts the frontier through the checkpoint's
-/// delta encoding, and the resumed run re-enters the parallel fan-out
-/// mid-fixpoint with an identical verdict and round count.
-#[test]
-fn killed_parallel_reachability_resumes_identically_via_facade() {
-    let g = counter6_bad_at_44();
-    let opts = CheckOptions::builder()
-        .bdd_only(true)
-        .pobdd_window_vars(0)
-        .image_workers(2)
-        .build();
-    let portfolio = Portfolio::default();
-    let uninterrupted = portfolio.check(&g, &opts);
-
-    let checkpoint = portfolio
-        .run_with_budget(&g, &opts, &mut Budget::rounds(15))
-        .into_checkpoint()
-        .expect("15 rounds cannot reach depth 44");
-    let resumed = match portfolio.resume(&g, &opts, checkpoint) {
-        PortfolioOutcome::Done(r) => r,
-        PortfolioOutcome::Suspended(_) => panic!("unbudgeted resume concludes"),
-    };
-    assert_eq!(resumed.verdict, uninterrupted.verdict);
-    match (&resumed.verdict, &uninterrupted.verdict) {
-        (Verdict::Falsified(a), Verdict::Falsified(b)) => assert_eq!(a.len(), b.len()),
-        other => panic!("expected falsifications, got {other:?}"),
-    }
-    assert_eq!(resumed.stats.iterations, uninterrupted.stats.iterations);
-}
-
 /// What the checkpoint actually ships: a suspended monolithic run's
 /// frontier is a [`veridic::bdd::DeltaBdd`] paired with the same
-/// window's reached export, and a session resumed from it — serially
-/// or through the parallel lanes — rebuilds the frontier via the delta
-/// path and concludes with the full run's verdict.
+/// window's reached export, and a session resumed from it rebuilds the
+/// frontier via the delta path and concludes with the full run's
+/// verdict.
 #[test]
 fn monolithic_checkpoint_frontier_is_delta_encoded() {
     let g = counter6_bad_at_44();
@@ -328,8 +268,6 @@ fn monolithic_checkpoint_frontier_is_delta_encoded() {
         &g,
         1 << 20,
         10_000,
-        1,
-        false,
         false,
         &mut stats,
         &mut Budget::rounds(15),
@@ -347,106 +285,19 @@ fn monolithic_checkpoint_frontier_is_delta_encoded() {
         ck.reached[0].node_count() - 1,
         "the frontier delta must be encoded against this window's reached export"
     );
-    // Resume through the delta path, both serially and into the
-    // parallel lane fan-out.
-    for workers in [1usize, 2] {
-        let mut s = CheckStats::default();
-        let resumed = veridic::mc::bdd_umc_session(
-            &g,
-            1 << 20,
-            10_000,
-            workers,
-            false,
-            false,
-            &mut s,
-            &mut Budget::unlimited(),
-            Some(&ck),
-        );
-        assert!(
-            matches!(resumed, BddEngineOutcome::FalsifiedAtDepth(44)),
-            "resume at workers={workers} must conclude at depth 44, got {resumed:?}"
-        );
-    }
-}
-
-// ---------------------------------------------------------------------
-// Parallel image determinism through the facade.
-// ---------------------------------------------------------------------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// The lane-parallel image contract end-to-end on the real workload
-    /// shape: for a random chipgen leaf property, the monolithic BDD
-    /// engine must report the same verdict (hence falsification depth)
-    /// and completed-round count for every `image_workers` value —
-    /// including auto — and every deterministic BDD statistic must
-    /// agree between the explicit parallel counts.
-    #[test]
-    fn parallel_image_matches_serial(
-        module_idx in 0usize..32,
-        bug_coin in 0u32..2,
-        vunit_idx in 0usize..4,
-    ) {
-        let with_bugs = bug_coin == 1;
-        let chip = Chip::generate(&ChipConfig { scale: Scale::Small, with_bugs });
-        let modules = chip.modules();
-        let mi = &modules[module_idx % modules.len()];
-        let module = chip.design().module(mi.name()).unwrap();
-        let vm = make_verifiable(module).unwrap();
-        let vunits = generate_all(&vm).unwrap();
-        let (_, compiled) = &vunits[vunit_idx % vunits.len()];
-        let lowered = compiled.module.to_aig().unwrap();
-        let mut aig = lowered.aig.clone();
-        for (label, net) in &compiled.asserts {
-            aig.add_bad(label.clone(), lowered.bit(*net, 0));
-        }
-        for (label, net) in &compiled.assumes {
-            aig.add_constraint(label.clone(), !lowered.bit(*net, 0));
-        }
-        let with_workers = |w: usize| {
-            CheckOptions::builder()
-                .bdd_only(true)
-                .pobdd_window_vars(0)
-                // Tight enough that the hardest properties resource out
-                // instead of dominating the suite — quota deaths must
-                // be worker-count-deterministic too.
-                .bdd_nodes(1 << 16)
-                .image_workers(w)
-                .build()
-        };
-        let what = format!("{}:{} with_bugs={}", mi.name(), vunit_idx, with_bugs);
-        let serial = Portfolio::default().check(&aig, &with_workers(1));
-        let mut parallel_stats = Vec::new();
-        // `0` resolves to the CPU count, so on a single-core host it is
-        // the serial path: it joins the verdict/round contract but not
-        // the lane-accounting comparison below.
-        for workers in [2usize, 3, 0] {
-            let got = Portfolio::default().check(&aig, &with_workers(workers));
-            prop_assert_eq!(
-                &serial.verdict, &got.verdict,
-                "verdict diverged at workers={} on {}", workers, &what
-            );
-            prop_assert_eq!(
-                serial.stats.iterations, got.stats.iterations,
-                "round count diverged at workers={} on {}", workers, &what
-            );
-            if workers != 0 {
-                parallel_stats.push(got.stats);
-            }
-        }
-        let (two, three) = (&parallel_stats[0], &parallel_stats[1]);
-        prop_assert_eq!(
-            two.bdd_nodes, three.bdd_nodes,
-            "peak live nodes diverged between parallel counts on {}", &what
-        );
-        prop_assert_eq!(
-            two.bdd_allocated, three.bdd_allocated,
-            "allocations diverged between parallel counts on {}", &what
-        );
-        prop_assert_eq!(
-            &two.worker_bdd, &three.worker_bdd,
-            "per-lane stats diverged between parallel counts on {}", &what
-        );
-    }
+    // Resume through the delta path.
+    let mut s = CheckStats::default();
+    let resumed = veridic::mc::bdd_umc_session(
+        &g,
+        1 << 20,
+        10_000,
+        false,
+        &mut s,
+        &mut Budget::unlimited(),
+        Some(&ck),
+    );
+    assert!(
+        matches!(resumed, BddEngineOutcome::FalsifiedAtDepth(44)),
+        "resume must conclude at depth 44, got {resumed:?}"
+    );
 }

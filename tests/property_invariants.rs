@@ -205,120 +205,12 @@ proptest! {
             let want = eval_tree(&trees[0], asg) && eval_tree(&trees[1], asg);
             prop_assert_eq!(m.eval(conj, &|v| asg >> v & 1 == 1), want);
         }
-        // Continue with the heuristic collectors armed as aggressively
-        // as they go — collect on any growth, evict cache entries the
-        // moment they age — which changes *when* sweeps happen (at
-        // every operation entry now), never what survives them. Under
-        // this regime every value held across an operation must be
-        // rooted (the engines' discipline; an unrooted intermediate is
-        // fair game at the very next op), so the churn here is a chain
-        // of individually-protected operations over the rooted roots.
-        m.set_gc_growth_threshold(Some(1));
-        m.set_cache_max_age(Some(0));
-        let conj2 = m.and(roots[1], roots[2]).unwrap();
-        m.protect(conj2);
-        let mix = m.xor(conj2, roots[0]).unwrap();
-        m.protect(mix);
-        for asg in 0..(1u32 << NVARS) {
-            let e: Vec<bool> = trees.iter().map(|t| eval_tree(t, asg)).collect();
-            let assign = |v: u32| asg >> v & 1 == 1;
-            prop_assert_eq!(
-                m.eval(conj2, &assign),
-                e[1] && e[2],
-                "ops must stay correct under heuristic GC, assignment {:05b}", asg
-            );
-            prop_assert_eq!(
-                m.eval(mix, &assign),
-                (e[1] && e[2]) ^ e[0],
-                "assignment {:05b}", asg
-            );
-        }
-        for (t, f) in trees.iter().zip(&roots) {
-            for asg in 0..(1u32 << NVARS) {
-                prop_assert_eq!(
-                    m.eval(*f, &|v| asg >> v & 1 == 1),
-                    eval_tree(t, asg),
-                    "root must survive heuristic GC, assignment {:05b}", asg
-                );
-            }
-        }
     }
 
-    /// In-place dynamic reordering — random adjacent-level swaps
-    /// followed by a full Rudell sift — preserves the function denoted
-    /// by every rooted external `NodeId`: the ids themselves stay
-    /// valid (no re-import, no translation table), their truth tables
-    /// are unchanged, they survive a post-reorder GC, and operations
-    /// keep working at the new order.
-    #[test]
-    fn reorder_preserves_rooted_functions(
-        t0 in bool_tree(NVARS),
-        t1 in bool_tree(NVARS),
-        junk in bool_tree(NVARS),
-        swaps in proptest::collection::vec(0u32..NVARS - 1, 0..8),
-    ) {
-        let trees = [t0, t1];
-        let mut m = BddManager::new(1 << 18);
-        // Ensure every variable exists so swap levels 0..NVARS-1 are
-        // always in range, even when a random tree omits a variable.
-        for v in 0..NVARS {
-            m.var(v).unwrap();
-        }
-        let roots: Vec<_> = trees
-            .iter()
-            .map(|t| {
-                let f = tree_to_bdd(&mut m, t);
-                m.protect(f);
-                f
-            })
-            .collect();
-        // Unrooted garbage: reordering must neither resurrect it nor
-        // let the following sweep take a root with it.
-        let _ = tree_to_bdd(&mut m, &junk);
-        for &lvl in &swaps {
-            m.swap_adjacent_levels(lvl);
-            // The var<->level maps stay inverse permutations.
-            let order = m.current_order();
-            for (level, var) in order.iter().enumerate() {
-                prop_assert_eq!(m.level_of(*var) as usize, level);
-                prop_assert_eq!(m.var_at_level(level as u32), *var);
-            }
-        }
-        let (before, after) = m.sift();
-        prop_assert!(after <= before, "sifting must never grow the graph ({before} -> {after})");
-        for (t, f) in trees.iter().zip(&roots) {
-            for asg in 0..(1u32 << NVARS) {
-                prop_assert_eq!(
-                    m.eval(*f, &|v| asg >> v & 1 == 1),
-                    eval_tree(t, asg),
-                    "rooted id must denote the same function after reorder, assignment {:05b}", asg
-                );
-            }
-        }
-        // Reorder-then-GC: the swap rewiring must leave refcounts and
-        // reachability consistent enough for a full mark-and-sweep.
-        m.gc();
-        for (t, f) in trees.iter().zip(&roots) {
-            for asg in 0..(1u32 << NVARS) {
-                prop_assert_eq!(
-                    m.eval(*f, &|v| asg >> v & 1 == 1),
-                    eval_tree(t, asg),
-                    "rooted id must survive reorder-then-GC, assignment {:05b}", asg
-                );
-            }
-        }
-        // And the manager keeps functioning at the new order.
-        let conj = m.and(roots[0], roots[1]).unwrap();
-        for asg in 0..(1u32 << NVARS) {
-            let want = eval_tree(&trees[0], asg) && eval_tree(&trees[1], asg);
-            prop_assert_eq!(m.eval(conj, &|v| asg >> v & 1 == 1), want);
-        }
-    }
-
-    /// Transfer round-trips between managers whose dynamic orders have
-    /// diverged: a reordered source exports in its own level order, an
-    /// identity-order receiver rebuilds via the ITE fallback, a
-    /// receiver that adopted the source's order rebuilds node-exactly,
+    /// Transfer round-trips between managers whose orders diverge: a
+    /// source under an adopted, permuted order exports in its own level
+    /// order, an identity-order receiver rebuilds via the ITE fallback,
+    /// a receiver that adopted the source's order rebuilds node-exactly,
     /// and a further hop into a third order still denotes the same
     /// function.
     #[test]
@@ -327,17 +219,17 @@ proptest! {
         swaps in proptest::collection::vec(0u32..NVARS - 1, 1..8),
     ) {
         use veridic::bdd::transfer::{export, import};
-        let mut src = BddManager::new(1 << 18);
-        for v in 0..NVARS {
-            src.var(v).unwrap();
-        }
-        let f = tree_to_bdd(&mut src, &tf);
-        src.protect(f);
+        // The permuted order: random adjacent transpositions of the
+        // identity.
+        let mut order: Vec<u32> = (0..NVARS).collect();
         for &lvl in &swaps {
-            src.swap_adjacent_levels(lvl);
+            order.swap(lvl as usize, lvl as usize + 1);
         }
+        let mut src = BddManager::new(1 << 18);
+        src.adopt_order(&order);
+        let f = tree_to_bdd(&mut src, &tf);
         let exported = export(&src, f);
-        prop_assert!(exported.source_order().len() >= NVARS as usize);
+        prop_assert_eq!(exported.source_order(), &order[..]);
 
         // Identity-order receiver: level checks fail wherever the
         // orders disagree, so the ITE fallback must reconstruct.
@@ -414,16 +306,11 @@ proptest! {
             // than the full cone.
             prop_assert!(delta.delta_node_count() < full.node_count());
             // Both routes into one destination manager must hash-cons
-            // to the same node (node-identical reconstruction), and the
-            // pure-data rebase must compact to exactly the full cone.
+            // to the same node (node-identical reconstruction).
             let mut dst = BddManager::new(1 << 18);
             let via_full = import(&full, &mut dst).unwrap();
             let via_delta = import_delta(&delta, &baseline, &mut dst).unwrap();
             prop_assert_eq!(via_delta, via_full, "delta route must rebuild the same node");
-            let rebased = delta.rebase(&baseline);
-            prop_assert_eq!(rebased.node_count(), full.node_count());
-            let via_rebased = import(&rebased, &mut dst).unwrap();
-            prop_assert_eq!(via_rebased, via_full);
             for asg in 0..(1u32 << NVARS) {
                 prop_assert_eq!(
                     dst.eval(via_delta, &|v| asg >> v & 1 == 1),
@@ -433,7 +320,63 @@ proptest! {
             }
             dst.unprotect(via_full);
             dst.unprotect(via_delta);
-            dst.unprotect(via_rebased);
+        }
+    }
+
+    /// Transfer-layer roundtrip: export/import preserves the node count
+    /// and the full truth table for arbitrary functions (built from a
+    /// random truth table, so every shape of sharing and complement
+    /// placement shows up), both into a fresh manager and into one that
+    /// already holds unrelated nodes.
+    #[test]
+    fn transfer_roundtrip_preserves_count_and_truth_table(
+        nvars in 2u32..6,
+        table in 0u64..u64::MAX,
+        complement_root in 0u32..2,
+    ) {
+        use veridic::bdd::transfer::{export, import};
+        use veridic::bdd::NodeId;
+        let rows = 1u64 << nvars;
+        let table = table & ((1u128 << rows) as u64).wrapping_sub(1);
+        let mut src = BddManager::new(1 << 16);
+        // Build the function as an OR of minterms.
+        let mut f = NodeId::FALSE;
+        for row in 0..rows {
+            if table >> row & 1 == 1 {
+                let mut term = NodeId::TRUE;
+                for v in 0..nvars {
+                    let lit = if row >> v & 1 == 1 {
+                        src.var(v).unwrap()
+                    } else {
+                        src.nvar(v).unwrap()
+                    };
+                    term = src.and(term, lit).unwrap();
+                }
+                f = src.or(f, term).unwrap();
+            }
+        }
+        let f = if complement_root == 1 { !f } else { f };
+        let exported = export(&src, f);
+        prop_assert_eq!(exported.node_count(), src.size(f), "export must cover exactly the cone");
+
+        // Fresh destination manager.
+        let mut fresh = BddManager::new(1 << 16);
+        let g = import(&exported, &mut fresh).unwrap();
+        prop_assert_eq!(fresh.size(g), src.size(f), "node count must survive the roundtrip");
+
+        // Populated destination manager (unrelated junk + armed GC).
+        let mut busy = BddManager::new(1 << 16);
+        let a = busy.var(0).unwrap();
+        let b = busy.var(nvars - 1).unwrap();
+        let junk = busy.xor(a, b).unwrap();
+        busy.protect(junk);
+        let h = import(&exported, &mut busy).unwrap();
+        prop_assert_eq!(busy.size(h), src.size(f));
+
+        for asg in 0..rows {
+            let want = src.eval(f, &|v| asg >> v & 1 == 1);
+            prop_assert_eq!(fresh.eval(g, &|v| asg >> v & 1 == 1), want, "fresh, row {}", asg);
+            prop_assert_eq!(busy.eval(h, &|v| asg >> v & 1 == 1), want, "busy, row {}", asg);
         }
     }
 
