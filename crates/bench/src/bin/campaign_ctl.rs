@@ -11,7 +11,7 @@
 //!
 //! `submit` takes campaign-spec overrides as `key value` pairs
 //! (`scale small|full`, `with_bugs true`, `shards 4`, `slice_rounds 8`,
-//! `adaptive true`, plus any `CheckOptions` field). `resume` is the
+//! plus any `CheckOptions` field). `resume` is the
 //! same verb for a first run and for recovery after a crash — the
 //! journals decide what is left to do.
 

@@ -11,7 +11,7 @@
 //! ```
 //!
 //! `submit` accepts `key value` pairs in the campaign-spec vocabulary
-//! (`scale small|full`, `with_bugs true`, `shards 4`, `adaptive true`,
+//! (`scale small|full`, `with_bugs true`, `shards 4`,
 //! `slice_rounds 16`, plus any `CheckOptions` field — see
 //! `CampaignSpec`).
 

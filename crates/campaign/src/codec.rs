@@ -2,8 +2,8 @@
 //!
 //! Everything the campaign service writes to disk — suspended
 //! [`RunCheckpoint`]s (wrapped in a fingerprinted [`CheckpointFile`]
-//! envelope), adaptive-scheduler lane state, and the journal's
-//! completed [`PropertyRecord`]s — round-trips through this module.
+//! envelope) and the journal's completed [`PropertyRecord`]s —
+//! round-trips through this module.
 //! The format is length-prefixed varint lists over [`crate::wire`]
 //! primitives: checkpoint payloads are dominated by BDD node triples
 //! whose slot references are small by construction (children precede
@@ -31,7 +31,6 @@ use veridic_mc::{
     Verdict,
 };
 
-use crate::scheduler::{AdaptiveCheckpoint, LaneCheckpoint, LaneStatus};
 use crate::wire::{self, fnv1a, put_string, put_varint, Reader, WireError};
 
 /// Magic prefix of a [`CheckpointFile`].
@@ -509,7 +508,7 @@ fn get_verdict(r: &mut Reader<'_>) -> Result<Verdict, CodecError> {
 }
 
 // ---------------------------------------------------------------------
-// Portfolio and adaptive run state
+// Portfolio run state
 // ---------------------------------------------------------------------
 
 fn put_run_checkpoint(out: &mut Vec<u8>, ck: &RunCheckpoint) {
@@ -536,90 +535,22 @@ fn get_run_checkpoint(r: &mut Reader<'_>) -> Result<RunCheckpoint, CodecError> {
     Ok(RunCheckpoint { bad_index, slot, state, stats, reasons })
 }
 
-fn put_lane(out: &mut Vec<u8>, lane: &LaneCheckpoint) {
-    put_engine_id(out, lane.engine);
-    put_varint(out, lane.granted);
-    put_varint(out, lane.prev_progress);
-    match &lane.status {
-        LaneStatus::Fresh => out.push(0),
-        LaneStatus::Suspended(ck) => {
-            out.push(1);
-            put_run_checkpoint(out, ck);
-        }
-        LaneStatus::Retired { reason, stats } => {
-            out.push(2);
-            put_string(out, reason);
-            put_stats(out, stats);
-        }
-    }
-}
-
-fn get_lane(r: &mut Reader<'_>) -> Result<LaneCheckpoint, CodecError> {
-    let engine = get_engine_id(r)?;
-    let granted = r.varint()?;
-    let prev_progress = r.varint()?;
-    let status = match r.byte()? {
-        0 => LaneStatus::Fresh,
-        1 => LaneStatus::Suspended(get_run_checkpoint(r)?),
-        2 => {
-            let reason = r.string("retire reason")?;
-            let stats = get_stats(r)?;
-            LaneStatus::Retired { reason, stats }
-        }
-        tag => return Err(CodecError::BadTag { what: "lane status", tag }),
-    };
-    Ok(LaneCheckpoint { engine, granted, prev_progress, status })
-}
-
-fn put_adaptive(out: &mut Vec<u8>, ck: &AdaptiveCheckpoint) {
-    put_varint(out, ck.bad_index as u64);
-    put_varint(out, ck.cursor as u64);
-    put_varint(out, ck.lanes.len() as u64);
-    for lane in &ck.lanes {
-        put_lane(out, lane);
-    }
-}
-
-fn get_adaptive(r: &mut Reader<'_>) -> Result<AdaptiveCheckpoint, CodecError> {
-    let bad_index = r.varint_usize("bad index")?;
-    let cursor = r.varint_usize("cursor")?;
-    let n = r.length("lanes", 2)?;
-    let mut lanes = Vec::with_capacity(n);
-    for _ in 0..n {
-        lanes.push(get_lane(r)?);
-    }
-    Ok(AdaptiveCheckpoint { bad_index, cursor, lanes })
-}
-
-/// The resumable state of one property's verification run, as
-/// persisted between slices.
-#[derive(Clone, Debug)]
-pub enum PersistedState {
-    /// A default-policy portfolio run suspended mid-cascade.
-    Portfolio(Box<RunCheckpoint>),
-    /// An adaptive-scheduler run with per-lane state.
-    Adaptive(AdaptiveCheckpoint),
-}
-
-impl PersistedState {
-    /// The property (bad index) this state belongs to.
-    pub fn bad_index(&self) -> usize {
-        match self {
-            PersistedState::Portfolio(ck) => ck.bad_index,
-            PersistedState::Adaptive(ck) => ck.bad_index,
-        }
-    }
-}
+/// Tag byte in front of a checkpoint's [`RunCheckpoint`] payload, the
+/// only state kind format version 2 stores. The byte stays so that
+/// every version-2 file keeps its layout; any other tag is a
+/// [`CodecError::BadTag`].
+const RUN_CHECKPOINT_TAG: u8 = 0;
 
 /// A fingerprinted on-disk checkpoint: the envelope that binds a
-/// [`PersistedState`] to the exact AIG and
+/// [`RunCheckpoint`] to the exact AIG and
 /// [`CheckOptions`](veridic_mc::CheckOptions) it was taken under.
 ///
-/// Layout: `magic ∥ version ∥ aig_fp ∥ options_fp ∥ payload ∥ fnv64`,
-/// where both fingerprints are raw little-endian u64 and the trailing
-/// checksum covers every preceding byte. Resuming against a different
-/// chip or different options is refused with a typed error instead of
-/// silently producing a wrong verdict.
+/// Layout: `magic ∥ version ∥ aig_fp ∥ options_fp ∥ 0 ∥ payload ∥
+/// fnv64`, where both fingerprints are raw little-endian u64, `0` is
+/// the state tag byte, and the trailing checksum covers every preceding
+/// byte. Resuming against a different chip or different options is
+/// refused with a typed error instead of silently producing a wrong
+/// verdict.
 #[derive(Clone, Debug)]
 pub struct CheckpointFile {
     /// [`Aig::fingerprint`](veridic_aig::Aig::fingerprint) of the
@@ -629,7 +560,7 @@ pub struct CheckpointFile {
     /// of the run's options.
     pub options_fingerprint: u64,
     /// The suspended run state.
-    pub state: PersistedState,
+    pub state: RunCheckpoint,
 }
 
 impl CheckpointFile {
@@ -640,16 +571,8 @@ impl CheckpointFile {
         out.push(FORMAT_VERSION);
         out.extend_from_slice(&self.aig_fingerprint.to_le_bytes());
         out.extend_from_slice(&self.options_fingerprint.to_le_bytes());
-        match &self.state {
-            PersistedState::Portfolio(ck) => {
-                out.push(0);
-                put_run_checkpoint(&mut out, ck);
-            }
-            PersistedState::Adaptive(ck) => {
-                out.push(1);
-                put_adaptive(&mut out, ck);
-            }
-        }
+        out.push(RUN_CHECKPOINT_TAG);
+        put_run_checkpoint(&mut out, &self.state);
         let checksum = fnv1a(wire::FNV_OFFSET, &out);
         out.extend_from_slice(&checksum.to_le_bytes());
         out
@@ -680,8 +603,7 @@ impl CheckpointFile {
             }
         }
         let state = match r.byte()? {
-            0 => PersistedState::Portfolio(Box::new(get_run_checkpoint(&mut r)?)),
-            1 => PersistedState::Adaptive(get_adaptive(&mut r)?),
+            RUN_CHECKPOINT_TAG => get_run_checkpoint(&mut r)?,
             tag => return Err(CodecError::BadTag { what: "persisted state", tag }),
         };
         r.expect_end()?;
@@ -798,8 +720,8 @@ pub fn decode_record(bytes: &[u8]) -> Result<PropertyRecord, CodecError> {
 mod tests {
     use super::*;
 
-    fn sample_state() -> PersistedState {
-        PersistedState::Portfolio(Box::new(RunCheckpoint {
+    fn sample_state() -> RunCheckpoint {
+        RunCheckpoint {
             bad_index: 1,
             slot: 0,
             state: EngineCheckpoint::Bmc { next_depth: 7 },
@@ -819,21 +741,37 @@ mod tests {
                 ..CheckStats::default()
             },
             reasons: vec!["bmc: suspended".into()],
-        }))
+        }
     }
 
-    fn roundtrip(state: PersistedState) -> CheckpointFile {
-        let file = CheckpointFile { aig_fingerprint: 0xa1, options_fingerprint: 0xb2, state };
-        let bytes = file.encode();
-        CheckpointFile::decode(&bytes, Some((0xa1, 0xb2))).unwrap() // lint: allow
+    /// Re-stamps an encoded envelope's checksum after a deliberate edit,
+    /// so the edit is the only thing the decoder can object to.
+    fn restamp(bytes: &mut [u8]) {
+        let body = bytes.len() - 8;
+        let checksum = fnv1a(wire::FNV_OFFSET, &bytes[..body]);
+        bytes[body..].copy_from_slice(&checksum.to_le_bytes());
     }
+
+    /// The sample checkpoint's encoding, byte for byte, as format
+    /// version 2 writes it: checkpoints already on disk must keep
+    /// loading.
+    const SAMPLE_BYTES: [u8; 77] = [
+        86, 67, 75, 80, 2, 161, 0, 0, 0, 0, 0, 0, 0, 178, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 7, 1,
+        2, 98, 48, 3, 98, 109, 99, 7, 42, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 42, 0, 0, 0, 1,
+        14, 98, 109, 99, 58, 32, 115, 117, 115, 112, 101, 110, 100, 101, 100, 12, 177, 93, 24,
+        96, 96, 106, 78,
+    ];
 
     #[test]
     fn portfolio_checkpoint_round_trips() {
-        let back = roundtrip(sample_state());
-        let PersistedState::Portfolio(ck) = back.state else {
-            panic!("wrong variant") // lint: allow
+        let file = CheckpointFile {
+            aig_fingerprint: 0xa1,
+            options_fingerprint: 0xb2,
+            state: sample_state(),
         };
+        assert_eq!(file.encode(), SAMPLE_BYTES);
+        let back = CheckpointFile::decode(&SAMPLE_BYTES, Some((0xa1, 0xb2))).unwrap(); // lint: allow
+        let ck = back.state;
         assert_eq!(ck.bad_index, 1);
         assert_eq!(ck.state, EngineCheckpoint::Bmc { next_depth: 7 });
         assert_eq!(ck.stats.sat_conflicts, 42);
@@ -863,21 +801,30 @@ mod tests {
     /// check is the only thing that can object.
     #[test]
     fn version_one_envelope_is_refused() {
-        let file = CheckpointFile {
-            aig_fingerprint: 1,
-            options_fingerprint: 2,
-            state: sample_state(),
-        };
-        let mut bytes = file.encode();
+        let mut bytes = SAMPLE_BYTES;
         assert_eq!(bytes[4], FORMAT_VERSION);
         bytes[4] = 1;
-        let body = bytes.len() - 8;
-        let checksum = fnv1a(wire::FNV_OFFSET, &bytes[..body]);
-        bytes[body..].copy_from_slice(&checksum.to_le_bytes());
+        restamp(&mut bytes);
         assert!(matches!(
             CheckpointFile::decode(&bytes, None),
             Err(CodecError::UnsupportedVersion(1))
         ));
+    }
+
+    /// A checkpoint with state tag 1 (the lane state of the removed
+    /// adaptive scheduler) is a typed refusal, so its job restarts like
+    /// any other stale checkpoint's.
+    #[test]
+    fn adaptive_state_tag_is_refused() {
+        let mut bytes = SAMPLE_BYTES;
+        let tag_at = 4 + 1 + 8 + 8;
+        assert_eq!(bytes[tag_at], RUN_CHECKPOINT_TAG);
+        bytes[tag_at] = 1;
+        restamp(&mut bytes);
+        assert_eq!(
+            CheckpointFile::decode(&bytes, None).err(),
+            Some(CodecError::BadTag { what: "persisted state", tag: 1 })
+        );
     }
 
     #[test]

@@ -152,10 +152,16 @@ fn job_ids(dir: &CampaignDir) -> Result<Vec<usize>, DaemonError> {
     Ok(ids)
 }
 
+/// The pid of the daemon holding `daemon.pid`, if it is still alive.
+/// The lock reads `<pid> <start-time>` and holds only while that pid's
+/// process has that start time, so a dead daemon's lock does not
+/// outlive it when the kernel hands its pid to another process. A line
+/// without a start time is stale.
 fn read_pid_lock(dir: &CampaignDir) -> Option<u32> {
     let text = fs::read_to_string(dir.pid_path()).ok()?;
-    let pid: u32 = text.trim().parse().ok()?;
-    signal::pid_alive(pid).then_some(pid)
+    let (pid, start_time) = text.trim().split_once(' ')?;
+    let (pid, start_time): (u32, u64) = (pid.parse().ok()?, start_time.parse().ok()?);
+    (signal::process_start_time(pid) == Some(start_time)).then_some(pid)
 }
 
 /// Summarizes a campaign directory without touching its state.
@@ -326,7 +332,10 @@ pub fn run(root: &Path) -> Result<RunOutcome, DaemonError> {
             return Err(DaemonError::AlreadyRunning { pid });
         }
     }
-    write_atomic(&dir.pid_path(), std::process::id().to_string().as_bytes())?;
+    // Without a readable `/proc` the start time is 0 and the lock never
+    // reads as live, like a gone daemon's.
+    let lock = format!("{} {}", std::process::id(), signal::own_start_time().unwrap_or(0));
+    write_atomic(&dir.pid_path(), lock.as_bytes())?;
 
     // Journal recovery: `running` entries of gone workers are orphans
     // and re-queue; their persisted checkpoints make the re-run a
@@ -480,4 +489,32 @@ pub fn run(root: &Path) -> Result<RunOutcome, DaemonError> {
     append_ndjson(&dir, &report.to_json())?;
     fs::remove_file(dir.pid_path()).ok();
     Ok(RunOutcome::Completed(Box::new(report)))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `kill -9` leaves `daemon.pid` behind, and the kernel may hand
+    /// the dead daemon's pid to another process: the lock must name the
+    /// pid *and* its start time, or every later `run` would fail with
+    /// `AlreadyRunning`. Forged here with this test's own (live) pid.
+    #[test]
+    fn pid_lock_with_a_reused_pid_is_stale() {
+        let root = std::env::temp_dir().join(format!("veridic-pidlock-{}", std::process::id()));
+        fs::remove_dir_all(&root).ok();
+        submit(&root, &CampaignSpec::default()).unwrap(); // lint: allow
+        let dir = CampaignDir::new(&root);
+        let pid = std::process::id();
+        let started = signal::own_start_time().expect("/proc/self/stat is readable"); // lint: allow
+        for (lock, holder) in [
+            (format!("{pid} {}", started + 1), None),
+            (format!("{pid}"), None),
+            (format!("{pid} {started}"), Some(pid)),
+        ] {
+            fs::write(dir.pid_path(), &lock).unwrap(); // lint: allow
+            assert_eq!(status(&root).unwrap().daemon_pid, holder, "lock {lock:?}"); // lint: allow
+        }
+        fs::remove_dir_all(&root).ok();
+    }
 }

@@ -1,6 +1,5 @@
 //! Verification as a service for the Umezawa–Shimizu methodology:
-//! persistent checkpoints, a crash-recoverable campaign daemon, and an
-//! adaptive engine scheduler.
+//! persistent checkpoints and a crash-recoverable campaign daemon.
 //!
 //! The crate turns `veridic`'s one-shot campaign run into a durable
 //! service over a campaign **directory**:
@@ -22,11 +21,6 @@
 //!   `running` entries and resuming each property from its last
 //!   checkpoint, reproducing the uninterrupted run's Table 2
 //!   byte-for-byte.
-//! - [`scheduler`] — an opt-in adaptive alternative to the fixed
-//!   engine cascade: engines run in time-sliced lanes and the lane
-//!   showing progress (BMC depth, reachability frontier growth) earns
-//!   a boosted budget each round. Off by default; the default
-//!   portfolio order is preserved exactly when disabled.
 //! - [`signal`] — SIGTERM/SIGINT latching so daemon and workers flush
 //!   in-flight checkpoints before exit.
 //!
@@ -37,17 +31,15 @@
 pub mod codec;
 pub mod daemon;
 pub mod journal;
-pub mod scheduler;
 pub mod signal;
 pub mod spec;
 pub mod store;
 pub mod wire;
 pub mod worker;
 
-pub use codec::{CheckpointFile, CodecError, PersistedState};
+pub use codec::{CheckpointFile, CodecError};
 pub use daemon::{run, status, submit, DaemonError, RunOutcome, StatusSummary, SubmitSummary};
 pub use journal::{JobState, Journal};
-pub use scheduler::{AdaptiveCheckpoint, AdaptiveScheduler, AdaptiveStep};
 pub use spec::{CampaignSpec, SpecError};
 pub use store::{load_checkpoint, save_checkpoint, LoadError};
 pub use worker::{maybe_run_worker, CampaignDir};

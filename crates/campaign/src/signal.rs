@@ -2,7 +2,7 @@
 //! its workers poll to flush in-flight checkpoints before exit, a
 //! `kill` wrapper for forwarding termination to worker shards, and
 //! `/proc`-based liveness probing (pid and process start time) for
-//! orphan reaping.
+//! orphan reaping and the daemon lock.
 //!
 //! This is the only module in the workspace that touches `unsafe`: two
 //! raw libc prototypes (`signal`, `kill`), each wrapped in a safe,
@@ -95,24 +95,20 @@ pub fn send_sigterm(pid: u32) -> bool {
     libc_shim::send(pid, SIGTERM)
 }
 
-/// True if a process with this pid currently exists, by `/proc` probe
-/// (the daemon's pid lock uses it).
-pub fn pid_alive(pid: u32) -> bool {
-    std::path::Path::new(&format!("/proc/{pid}")).exists()
-}
-
 /// Start time of process `pid` — field 22 of `/proc/<pid>/stat`, in
 /// clock ticks since boot — or `None` if no such process exists. The
 /// pair (pid, start time) names one process for good: a recycled pid
 /// comes back with a later start time. This is how journal recovery
 /// tells a live `Running` entry (another daemon's worker still
-/// computing) from an orphan left by a crash.
+/// computing) from an orphan left by a crash, and how the daemon lock
+/// tells a live daemon from a dead one whose pid was reused.
 pub fn process_start_time(pid: u32) -> Option<u64> {
     stat_start_time(&std::fs::read_to_string(format!("/proc/{pid}/stat")).ok()?)
 }
 
 /// This process's own start time (see [`process_start_time`]), read
-/// from `/proc/self/stat`; a worker records it when it claims a job.
+/// from `/proc/self/stat`; a worker records it when it claims a job,
+/// the daemon when it takes the lock.
 pub fn own_start_time() -> Option<u64> {
     stat_start_time(&std::fs::read_to_string("/proc/self/stat").ok()?)
 }
@@ -128,14 +124,6 @@ fn stat_start_time(stat: &str) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn own_pid_is_alive_and_absurd_pid_is_not() {
-        assert!(pid_alive(std::process::id()));
-        // Linux pids are bounded by /proc/sys/kernel/pid_max (< 2^22 by
-        // default, always < 2^31); this one cannot exist.
-        assert!(!pid_alive(u32::MAX - 1));
-    }
 
     #[test]
     fn start_time_names_this_process_and_skips_odd_command_names() {

@@ -27,9 +27,6 @@ pub struct CampaignSpec {
     /// Budget rounds per scheduler slice; checkpoints are persisted at
     /// slice boundaries.
     pub slice_rounds: u64,
-    /// Use the adaptive engine scheduler instead of the default
-    /// cascade.
-    pub adaptive: bool,
     /// Engine budgets and selection.
     pub check: CheckOptions,
 }
@@ -41,7 +38,6 @@ impl Default for CampaignSpec {
             with_bugs: false,
             shards: 2,
             slice_rounds: 16,
-            adaptive: false,
             check: CheckOptions::default(),
         }
     }
@@ -98,7 +94,6 @@ impl CampaignSpec {
              with_bugs {}\n\
              shards {}\n\
              slice_rounds {}\n\
-             adaptive {}\n\
              bmc_depth {}\n\
              sat_conflicts {}\n\
              induction_depth {}\n\
@@ -117,7 +112,6 @@ impl CampaignSpec {
             self.with_bugs,
             self.shards,
             self.slice_rounds,
-            self.adaptive,
             c.bmc_depth,
             c.sat_conflicts,
             c.induction_depth,
@@ -164,7 +158,14 @@ impl CampaignSpec {
                 "with_bugs" => spec.with_bugs = parse_bool()?,
                 "shards" => spec.shards = value.parse().map_err(|_| bad())?,
                 "slice_rounds" => spec.slice_rounds = value.parse().map_err(|_| bad())?,
-                "adaptive" => spec.adaptive = parse_bool()?,
+                // Specs written while the adaptive scheduler existed
+                // carry `adaptive false`; `true` asked for a scheduler
+                // this build does not have.
+                "adaptive" => {
+                    if value != "false" {
+                        return Err(bad());
+                    }
+                }
                 "bmc_depth" => spec.check.bmc_depth = value.parse().map_err(|_| bad())?,
                 "sat_conflicts" => spec.check.sat_conflicts = value.parse().map_err(|_| bad())?,
                 "induction_depth" => {
@@ -200,11 +201,34 @@ mod tests {
             with_bugs: true,
             shards: 3,
             slice_rounds: 7,
-            adaptive: true,
             check: CheckOptions::tiny_budget(),
         };
         let text = spec.to_text();
         assert_eq!(CampaignSpec::parse(&text), Ok(spec));
+    }
+
+    /// `spec.txt` as the default spec was written while the adaptive
+    /// scheduler existed: campaign directories submitted then must keep
+    /// loading with the same meaning.
+    const DEFAULT_SPEC_WITH_ADAPTIVE_KEY: &str = "veridic-campaign-spec v1\n\
+        scale small\nwith_bugs false\nshards 2\nslice_rounds 16\nadaptive false\n\
+        bmc_depth 30\nsat_conflicts 200000\ninduction_depth 6\nsimple_path true\n\
+        bdd_nodes 2097152\nmax_iterations 10000\npobdd_window_vars 2\nstatic_order false\n\
+        bdd_only false\nsat_only false\npreanalysis true\n";
+
+    #[test]
+    fn specs_with_the_adaptive_key_still_load() {
+        assert_eq!(
+            CampaignSpec::parse(DEFAULT_SPEC_WITH_ADAPTIVE_KEY),
+            Ok(CampaignSpec::default())
+        );
+        assert!(!CampaignSpec::default().to_text().contains("adaptive"));
+        for value in ["true", "maybe"] {
+            assert_eq!(
+                CampaignSpec::parse(&format!("{HEADER}\nadaptive {value}")),
+                Err(SpecError::BadValue { key: "adaptive".into(), value: value.into() })
+            );
+        }
     }
 
     #[test]

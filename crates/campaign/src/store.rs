@@ -72,20 +72,19 @@ pub fn load_checkpoint(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::PersistedState;
     use veridic_mc::{CheckStats, EngineCheckpoint, RunCheckpoint};
 
     fn sample() -> CheckpointFile {
         CheckpointFile {
             aig_fingerprint: 7,
             options_fingerprint: 9,
-            state: PersistedState::Portfolio(Box::new(RunCheckpoint {
+            state: RunCheckpoint {
                 bad_index: 0,
                 slot: 1,
                 state: EngineCheckpoint::Induction { next_k: 3 },
                 stats: CheckStats::default(),
                 reasons: Vec::new(),
-            })),
+            },
         }
     }
 
@@ -97,7 +96,7 @@ mod tests {
         save_checkpoint(&path, &sample()).unwrap(); // lint: allow
         assert!(!dir.join("p0.ckpt.tmp").exists(), "temp must be renamed away");
         let back = load_checkpoint(&path, Some((7, 9))).unwrap(); // lint: allow
-        assert!(matches!(back.state, PersistedState::Portfolio(ref ck) if ck.slot == 1));
+        assert_eq!(back.state.slot, 1);
         // Overwrite keeps the file valid.
         save_checkpoint(&path, &sample()).unwrap(); // lint: allow
         assert!(load_checkpoint(&path, None).is_ok());

@@ -16,13 +16,13 @@
 //!
 //! A job runs in fixed-size budget **slices** (`slice_rounds` from the
 //! campaign spec). At every slice boundary the suspended
-//! [`RunCheckpoint`](veridic_mc::RunCheckpoint) (or adaptive lane
-//! state) is persisted atomically before the next slice starts — so a
-//! `kill -9` at any instant loses at most the slice in flight, and the
-//! restarted run replays from the last boundary with the same slice
-//! grid an uninterrupted run uses. That alignment is what makes the
-//! resumed verdict, falsification depth and completed-round count equal
-//! to an uninterrupted run's, byte for byte in the final tables.
+//! [`RunCheckpoint`](veridic_mc::RunCheckpoint) is persisted atomically
+//! before the next slice starts — so a `kill -9` at any instant loses
+//! at most the slice in flight, and the restarted run replays from the
+//! last boundary with the same slice grid an uninterrupted run uses.
+//! That alignment is what makes the resumed verdict, falsification
+//! depth and completed-round count equal to an uninterrupted run's,
+//! byte for byte in the final tables.
 //!
 //! SIGTERM is gentler than `kill -9`: a watcher thread bridges the
 //! [`crate::signal`] flag into the slice's
@@ -38,11 +38,10 @@ use std::time::{Duration, Instant};
 
 use veridic_chipgen::Chip;
 use veridic_core::flow::{module_properties, record_from_result, PreparedProperty, PropertyRecord};
-use veridic_mc::{Budget, CancelToken, CheckResult, CheckStats, Portfolio, PortfolioOutcome};
+use veridic_mc::{Budget, CancelToken, Portfolio, PortfolioOutcome};
 
-use crate::codec::{encode_record, CheckpointFile, PersistedState};
+use crate::codec::{encode_record, CheckpointFile};
 use crate::journal::{to_hex, Journal};
-use crate::scheduler::{AdaptiveScheduler, AdaptiveStep};
 use crate::signal;
 use crate::spec::CampaignSpec;
 use crate::store;
@@ -152,15 +151,20 @@ pub fn enumerate_jobs(spec: &CampaignSpec) -> (Vec<PreparedProperty>, Vec<(Strin
 /// How often the cancel bridge looks at the shutdown flag.
 const SHUTDOWN_POLL: Duration = Duration::from_millis(25);
 
-/// Bridges the process-wide shutdown flag into a job's cancel token:
-/// a small thread polling [`signal::shutdown_requested`] every `poll`
-/// until cancellation fires or the job ends. The job ends the bridge by
-/// dropping the returned sender, which wakes it at once, so joining it
-/// adds no wait to the job.
-fn spawn_cancel_bridge(token: CancelToken, poll: Duration) -> (mpsc::Sender<()>, JoinHandle<()>) {
+/// Bridges a shutdown flag (in the worker,
+/// [`signal::shutdown_requested`]) into a job's cancel token: a small
+/// thread polling `shutdown` every `poll` until cancellation fires or
+/// the job ends. The job ends the bridge by dropping the returned
+/// sender, which wakes it at once, so joining it adds no wait to the
+/// job.
+fn spawn_cancel_bridge(
+    token: CancelToken,
+    poll: Duration,
+    shutdown: fn() -> bool,
+) -> (mpsc::Sender<()>, JoinHandle<()>) {
     let (job_running, job_ended) = mpsc::channel::<()>();
     let bridge = std::thread::spawn(move || loop {
-        if signal::shutdown_requested() {
+        if shutdown() {
             token.cancel();
             return;
         }
@@ -182,12 +186,15 @@ enum JobEnd {
 
 /// Runs one property to conclusion (or shutdown) in budget slices,
 /// persisting a fingerprint-bound checkpoint at every boundary.
+/// `shutdown` is the flag that interrupts the job
+/// ([`signal::shutdown_requested`] in the worker).
 fn run_job(
     dir: &CampaignDir,
     spec: &CampaignSpec,
     prop: &PreparedProperty,
     id: usize,
     out: &mut impl Write,
+    shutdown: fn() -> bool,
 ) -> io::Result<JobEnd> {
     let t0 = Instant::now();
     let aig_fp = prop.aig.fingerprint();
@@ -195,9 +202,19 @@ fn run_job(
     let ckpt_path = dir.ckpt_path(id);
     // A checkpoint left by a previous (killed) daemon resumes the run;
     // damaged or mismatched files are reported and ignored — the job
-    // restarts from scratch rather than resuming wrongly.
+    // restarts from scratch rather than resuming wrongly. The sibling
+    // asserts of one vunit share its AIG, so the fingerprints cannot
+    // tell their checkpoints apart: the bad index must match too.
     let resume = match store::load_checkpoint(&ckpt_path, Some((aig_fp, opts_fp))) {
-        Ok(file) => Some(file.state),
+        Ok(file) if file.state.bad_index == prop.bad_index => Some(file.state),
+        Ok(file) => {
+            let msg = format!(
+                "WARN {id} stale checkpoint ignored: it is for bad {}, this job checks bad {}",
+                file.state.bad_index, prop.bad_index
+            );
+            write_frame(out, &msg)?;
+            None
+        }
         Err(store::LoadError::Io(_)) => None,
         Err(store::LoadError::Codec(e)) => {
             write_frame(out, &format!("WARN {id} stale checkpoint ignored: {e}"))?;
@@ -206,77 +223,39 @@ fn run_job(
     };
 
     let token = CancelToken::new();
-    let (job_running, bridge) = spawn_cancel_bridge(token.clone(), SHUTDOWN_POLL);
-    let persist = |state: PersistedState, out: &mut dyn Write| -> io::Result<()> {
-        let file = CheckpointFile {
-            aig_fingerprint: aig_fp,
-            options_fingerprint: opts_fp,
-            state,
-        };
-        store::save_checkpoint(&ckpt_path, &file)?;
-        write_frame(out, &format!("CKPT {id}"))
+    let (job_running, bridge) = spawn_cancel_bridge(token.clone(), SHUTDOWN_POLL, shutdown);
+    let portfolio = Portfolio::default();
+    let slice = || Budget::rounds(spec.slice_rounds.max(1)).with_cancel(&token);
+    let mut outcome = match resume {
+        Some(ck) => portfolio.resume_bad_with_budget(&prop.aig, &spec.check, ck, &mut slice()),
+        None => portfolio.check_bad_with_budget(&prop.aig, prop.bad_index, &spec.check, &mut slice()),
     };
-
-    let result: Result<CheckResult, ()> = if spec.adaptive {
-        let scheduler = AdaptiveScheduler::new(spec.slice_rounds);
-        let mut state = match resume {
-            Some(PersistedState::Adaptive(ck)) => ck,
-            // A portfolio checkpoint under an adaptive spec cannot
-            // happen with matching option fingerprints unless the spec
-            // file was hand-edited; restart cleanly.
-            _ => scheduler.start(&prop.aig, prop.bad_index, &spec.check),
-        };
-        loop {
-            match scheduler.step(&prop.aig, &spec.check, state, Some(&token)) {
-                AdaptiveStep::Continue(next) => {
-                    persist(PersistedState::Adaptive(next.clone()), out)?;
-                    if signal::shutdown_requested() {
-                        break Err(());
-                    }
-                    state = next;
+    let result = loop {
+        match outcome {
+            PortfolioOutcome::Done(result) => break Some(result),
+            PortfolioOutcome::Suspended(state) => {
+                let file = CheckpointFile {
+                    aig_fingerprint: aig_fp,
+                    options_fingerprint: opts_fp,
+                    state,
+                };
+                store::save_checkpoint(&ckpt_path, &file)?;
+                write_frame(out, &format!("CKPT {id}"))?;
+                if shutdown() {
+                    break None;
                 }
-                AdaptiveStep::Done(result) => break Ok(result),
-            }
-        }
-    } else {
-        let portfolio = Portfolio::default();
-        let slice = || Budget::rounds(spec.slice_rounds.max(1)).with_cancel(&token);
-        let mut outcome = match resume {
-            Some(PersistedState::Portfolio(ck)) => {
-                portfolio.resume_bad_with_budget(&prop.aig, &spec.check, *ck, &mut slice())
-            }
-            _ => portfolio.check_bad_with_budget(
-                &prop.aig,
-                prop.bad_index,
-                &spec.check,
-                CheckStats::default(),
-                &mut slice(),
-            ),
-        };
-        loop {
-            match outcome {
-                PortfolioOutcome::Done(result) => break Ok(result),
-                PortfolioOutcome::Suspended(ck) => {
-                    persist(PersistedState::Portfolio(Box::new(ck.clone())), out)?;
-                    if signal::shutdown_requested() {
-                        break Err(());
-                    }
-                    outcome =
-                        portfolio.resume_bad_with_budget(&prop.aig, &spec.check, ck, &mut slice());
-                }
+                outcome =
+                    portfolio.resume_bad_with_budget(&prop.aig, &spec.check, file.state, &mut slice());
             }
         }
     };
     drop(job_running);
     let _ = bridge.join();
 
-    match result {
-        Ok(result) => {
-            let record = record_from_result(prop, result, t0.elapsed());
-            Ok(JobEnd::Done(Box::new(record)))
-        }
-        Err(()) => Ok(JobEnd::Interrupted),
-    }
+    Ok(match result {
+        Some(result) => JobEnd::Done(Box::new(record_from_result(prop, result, t0.elapsed()))),
+        None => JobEnd::Interrupted,
+    })
 }
 
 /// The worker main loop; returns the process exit code.
@@ -336,7 +315,8 @@ pub fn run_worker(root: &Path) -> i32 {
         };
         let journal = dir.journal(id);
         let claim = journal.mark_running(pid, started);
-        let outcome = claim.and_then(|()| run_job(&dir, &spec, prop, id, &mut output));
+        let outcome = claim
+            .and_then(|()| run_job(&dir, &spec, prop, id, &mut output, signal::shutdown_requested));
         match outcome {
             Ok(JobEnd::Done(record)) => {
                 if let Err(e) = journal.mark_done(&record) {
@@ -378,6 +358,7 @@ pub fn maybe_run_worker() -> Option<i32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use veridic_core::flow::check_property;
 
     #[test]
     fn frames_round_trip() {
@@ -406,7 +387,7 @@ mod tests {
         // A poll period far beyond the test's patience: the bridge must
         // wake because the job ended, not because the period elapsed.
         let (job_running, bridge) =
-            spawn_cancel_bridge(CancelToken::new(), Duration::from_secs(60));
+            spawn_cancel_bridge(CancelToken::new(), Duration::from_secs(60), || false);
         let t0 = Instant::now();
         drop(job_running);
         bridge.join().unwrap(); // lint: allow
@@ -414,6 +395,69 @@ mod tests {
             t0.elapsed() < Duration::from_secs(5),
             "join took {:?}",
             t0.elapsed()
+        );
+    }
+
+    /// The asserts of one vunit share its AIG, so a sibling's checkpoint
+    /// passes both fingerprint checks. The job must still refuse it and
+    /// check its own property from scratch, not journal the sibling's
+    /// verdict under its own label.
+    #[test]
+    fn a_sibling_checkpoint_is_stale() {
+        let spec = CampaignSpec::default();
+        let chip = Chip::generate(&spec.chip_config());
+        let opts = &spec.check;
+        // A property, and the next assert of its vunit, whose run
+        // suspends after one round (a real mid-cascade checkpoint).
+        let (prop, sibling_ck) = chip
+            .modules()
+            .iter()
+            .find_map(|mi| {
+                let (props, _) = module_properties(&chip, mi);
+                props.windows(2).find_map(|pair| {
+                    let [prop, sib] = pair else { return None };
+                    if prop.aig.fingerprint() != sib.aig.fingerprint() {
+                        return None;
+                    }
+                    let (portfolio, slice) = (Portfolio::default(), &mut Budget::rounds(1));
+                    match portfolio.check_bad_with_budget(&sib.aig, sib.bad_index, opts, slice) {
+                        PortfolioOutcome::Suspended(ck) => Some((prop.clone(), ck)),
+                        PortfolioOutcome::Done(_) => None,
+                    }
+                })
+            })
+            .expect("the Small chip has a vunit with two asserts"); // lint: allow
+        let sibling_bad = sibling_ck.bad_index;
+
+        let root = std::env::temp_dir().join(format!("veridic-sibling-{}", std::process::id()));
+        std::fs::remove_dir_all(&root).ok();
+        let dir = CampaignDir::new(&root);
+        std::fs::create_dir_all(dir.ckpt_dir()).unwrap(); // lint: allow
+        let file = CheckpointFile {
+            aig_fingerprint: prop.aig.fingerprint(),
+            options_fingerprint: opts.fingerprint(),
+            state: sibling_ck,
+        };
+        store::save_checkpoint(&dir.ckpt_path(7), &file).unwrap(); // lint: allow
+
+        let mut out = Vec::new();
+        let end = run_job(&dir, &spec, &prop, 7, &mut out, || false).unwrap(); // lint: allow
+        std::fs::remove_dir_all(&root).ok();
+
+        let first = read_frame(&mut io::Cursor::new(out)).unwrap(); // lint: allow
+        let first = first.unwrap_or_default();
+        let warning = format!("WARN 7 stale checkpoint ignored: it is for bad {sibling_bad},");
+        assert!(first.starts_with(&warning), "first frame: {first:?}");
+        let JobEnd::Done(record) = end else {
+            panic!("the job must conclude, not be interrupted") // lint: allow
+        };
+        let own = check_property(&prop, &Portfolio::default(), opts);
+        assert_eq!(record.verdict, own.verdict);
+        let own_bad = &prop.aig.bads()[prop.bad_index].name;
+        assert!(
+            record.stats.events.iter().all(|e| &e.bad == own_bad),
+            "every event must name {own_bad}: {:?}",
+            record.stats.engines_tried()
         );
     }
 

@@ -1,7 +1,8 @@
 //! End-to-end crash recovery: a campaign daemon killed with `kill -9`
 //! mid-flight and restarted must reproduce the uninterrupted run's
 //! Table 2 byte-for-byte, and the same per-property records modulo
-//! wall-clock durations.
+//! wall-clock durations, and must leave a finished campaign with no
+//! pending or running job and no daemon lock.
 //!
 //! The test drives the real `campaignd` binary (daemon + worker
 //! processes), not in-process shims — the recovery path under test is
@@ -25,14 +26,13 @@ fn temp_campaign_dir(tag: &str) -> PathBuf {
 
 /// Submits the shared spec: the small bug-seeded chip, two worker
 /// shards, one-round slices (maximum checkpoint traffic).
-fn submit(dir: &Path, adaptive: bool) {
+fn submit(dir: &Path) {
     let status = campaignd()
         .arg("submit")
         .arg(dir)
         .args(["with_bugs", "true"])
         .args(["shards", "2"])
         .args(["slice_rounds", "1"])
-        .args(["adaptive", if adaptive { "true" } else { "false" }])
         .stdout(Stdio::null())
         .status()
         .expect("spawn campaignd submit"); // lint: allow
@@ -113,7 +113,7 @@ fn kill_dash_nine_mid_campaign_recovers_to_identical_table2() {
     let crashed = temp_campaign_dir("crashed");
 
     // Uninterrupted reference run.
-    submit(&baseline, false);
+    submit(&baseline);
     run_to_completion(&baseline);
     let reference_table2 =
         fs::read_to_string(baseline.join("table2.txt")).expect("baseline table2"); // lint: allow
@@ -121,7 +121,7 @@ fn kill_dash_nine_mid_campaign_recovers_to_identical_table2() {
     assert!(!reference_records.is_empty(), "baseline produced no records");
 
     // Same campaign, but the daemon dies hard mid-flight.
-    submit(&crashed, false);
+    submit(&crashed);
     let mut daemon = campaignd()
         .arg("run")
         .arg(&crashed)
@@ -173,24 +173,12 @@ fn kill_dash_nine_mid_campaign_recovers_to_identical_table2() {
         "recovered records must match the uninterrupted run modulo durations"
     );
 
-    fs::remove_dir_all(&baseline).ok();
-    fs::remove_dir_all(&crashed).ok();
-}
-
-#[test]
-fn adaptive_campaign_completes_with_a_full_table() {
-    let dir = temp_campaign_dir("adaptive");
-    submit(&dir, true);
-    run_to_completion(&dir);
-    let table2 = fs::read_to_string(dir.join("table2.txt")).expect("adaptive table2"); // lint: allow
-    assert!(table2.starts_with("Table 2."), "table2 header missing: {table2:?}");
-    assert!(!canonical_records(&dir).is_empty(), "adaptive campaign produced no records");
-
-    // status on the finished campaign: everything done, no daemon.
-    let output = campaignd().arg("status").arg(&dir).output().expect("status"); // lint: allow
+    // status on the recovered campaign: everything done, no daemon.
+    let output = campaignd().arg("status").arg(&crashed).output().expect("status"); // lint: allow
     let text = String::from_utf8_lossy(&output.stdout).to_string();
     assert!(text.contains("0 pending, 0 running"), "unexpected status: {text}");
     assert!(text.contains("no daemon"), "pid lock not released: {text}");
 
-    fs::remove_dir_all(&dir).ok();
+    fs::remove_dir_all(&baseline).ok();
+    fs::remove_dir_all(&crashed).ok();
 }

@@ -260,12 +260,12 @@ fn run_module(
 /// Modules fan out across [`CampaignConfig::workers`] scoped threads
 /// pulling the next module index from a shared atomic queue, so both
 /// preparation (Verifiable transform, stereotype generation, AIG
-/// lowering) and the per-property `check_one` calls run in parallel,
-/// and a module's AIGs are dropped as soon as its checks finish — only
-/// in-flight modules stay resident. Every check owns its engines, and
-/// per-module outputs are merged back in module-index order, so the
-/// report is identical to a serial run regardless of worker count or
-/// completion order.
+/// lowering) and the per-property `Portfolio::check_bad` calls run in
+/// parallel, and a module's AIGs are dropped as soon as its checks
+/// finish — only in-flight modules stay resident. Every check owns its
+/// engines, and per-module outputs are merged back in module-index
+/// order, so the report is identical to a serial run regardless of
+/// worker count or completion order.
 pub fn run_campaign(chip: &Chip, cfg: &CampaignConfig) -> CampaignReport {
     run_campaign_with_portfolio(chip, cfg, &Portfolio::default())
 }
@@ -273,7 +273,7 @@ pub fn run_campaign(chip: &Chip, cfg: &CampaignConfig) -> CampaignReport {
 /// [`run_campaign`] with an explicit engine [`Portfolio`]: every
 /// property check is scheduled by `portfolio` instead of the default
 /// cascade, so a campaign can run a custom engine mix (BDD-only
-/// portfolios, per-engine round caps, user-implemented engines). The
+/// portfolios, reordered engines, user-implemented engines). The
 /// portfolio is shared by reference across the campaign workers.
 pub fn run_campaign_with_portfolio(
     chip: &Chip,

@@ -28,12 +28,6 @@ pub enum BddEngineOutcome {
     /// fresh manager. Never returned by the unbudgeted entry points
     /// ([`bdd_umc`], [`crate::pobdd_reach`]).
     Suspended(ReachCheckpoint),
-    /// A slot-local round cap stopped the run
-    /// ([`Budget::checkpoint_worthwhile`] said no): the scheduler will
-    /// hand over to the next engine and discard any state, so no
-    /// checkpoint was built — the reached-set export is skipped
-    /// entirely. Never returned by the unbudgeted entry points.
-    Yielded,
 }
 
 /// A transition-system build that exhausted the node quota, carrying the
@@ -462,9 +456,6 @@ pub fn bdd_umc_session(
         // d there, skewing Tables 2/3 between engines).
         for depth in start_depth + 1..=max_iterations {
             if !budget.tick() {
-                if !budget.checkpoint_worthwhile() {
-                    return Ok(BddEngineOutcome::Yielded);
-                }
                 return Ok(BddEngineOutcome::Suspended(monolithic_checkpoint(
                     &ts.mgr,
                     depth - 1,

@@ -1,5 +1,6 @@
 //! Resumable engine state: what a suspended engine hands the scheduler
-//! so a later [`crate::Portfolio::resume`] can continue the run.
+//! so a later [`crate::Portfolio::resume_bad_with_budget`] can continue
+//! the run.
 //!
 //! The SAT engines checkpoint a cursor (their solver state is rebuilt
 //! deterministically on resume); the BDD engines serialize their
@@ -60,38 +61,12 @@ pub enum EngineCheckpoint {
     Reach(ReachCheckpoint),
 }
 
-impl ReachCheckpoint {
-    /// Total nodes shipped by the per-window frontier deltas — a cheap
-    /// proxy for how much *new* state the last completed round found.
-    /// The adaptive campaign scheduler reads this between slices: a
-    /// reachability engine whose frontier deltas keep growing is still
-    /// discovering states and earns budget; one whose deltas collapse
-    /// toward zero is converging (or saturating) on its own.
-    pub fn frontier_nodes(&self) -> usize {
-        self.frontier.iter().map(DeltaBdd::delta_node_count).sum()
-    }
-}
-
 impl EngineCheckpoint {
     /// The completed reachability depth, if this is a BDD checkpoint.
     pub fn reach_depth(&self) -> Option<usize> {
         match self {
             EngineCheckpoint::Reach(r) => Some(r.depth),
             _ => None,
-        }
-    }
-
-    /// A scalar progress cursor, comparable between two checkpoints of
-    /// the **same** engine: BMC's next query depth, induction's next k,
-    /// reachability's completed round count. The adaptive scheduler
-    /// budgets by the per-slice *delta* of this value — an engine whose
-    /// cursor advanced last slice is making progress; one that merely
-    /// burned its slice without moving is starving productive lanes.
-    pub fn progress(&self) -> u64 {
-        match self {
-            EngineCheckpoint::Bmc { next_depth } => *next_depth as u64,
-            EngineCheckpoint::Induction { next_k } => *next_k as u64,
-            EngineCheckpoint::Reach(r) => r.depth as u64,
         }
     }
 }

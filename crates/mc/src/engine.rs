@@ -107,7 +107,7 @@ impl CancelToken {
 /// "stop now" — SAT engines suspend with their next depth/k, BDD
 /// engines serialize their reached/frontier sets through the
 /// `veridic_bdd::transfer` layer so the run can resume mid-fixpoint
-/// (see `Portfolio::resume`).
+/// (see `Portfolio::resume_bad_with_budget`).
 ///
 /// [`Budget::unlimited`] never says stop; it is what the compatibility
 /// shims use, so un-budgeted runs behave exactly like the pre-portfolio
@@ -117,12 +117,6 @@ pub struct Budget {
     rounds_left: Option<u64>,
     cancel: Option<CancelToken>,
     used: u64,
-    /// For a [`Budget::child`]: the parent's remaining rounds at
-    /// creation (`None` = parent unlimited). Lets
-    /// [`Budget::checkpoint_worthwhile`] tell a run-wide trip from a
-    /// slot-cap-only trip.
-    parent_left: Option<u64>,
-    is_child: bool,
 }
 
 impl Default for Budget {
@@ -134,12 +128,12 @@ impl Default for Budget {
 impl Budget {
     /// No round limit, no cancellation.
     pub fn unlimited() -> Self {
-        Budget { rounds_left: None, cancel: None, used: 0, parent_left: None, is_child: false }
+        Budget { rounds_left: None, cancel: None, used: 0 }
     }
 
     /// At most `n` engine rounds across the run.
     pub fn rounds(n: u64) -> Self {
-        Budget { rounds_left: Some(n), cancel: None, used: 0, parent_left: None, is_child: false }
+        Budget { rounds_left: Some(n), cancel: None, used: 0 }
     }
 
     /// Attaches a cancellation token (checked at every tick).
@@ -174,42 +168,13 @@ impl Budget {
         self.used
     }
 
-    /// A child budget capped at `cap` rounds (on top of whatever this
-    /// budget has left), sharing the cancellation token. The scheduler
-    /// uses this to give each portfolio slot its own round allowance;
-    /// charge the child's consumption back with [`Budget::charge`].
-    pub fn child(&self, cap: Option<u64>) -> Budget {
-        let rounds_left = match (self.rounds_left, cap) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (Some(a), None) => Some(a),
-            (None, b) => b,
-        };
-        Budget {
-            rounds_left,
-            cancel: self.cancel.clone(),
-            used: 0,
-            parent_left: self.rounds_left,
-            is_child: true,
-        }
-    }
-
-    /// After a refused [`Budget::tick`]: is a *resumable* checkpoint
-    /// worth building? `true` when the run as a whole stopped (the
-    /// cancel token fired, or a run-wide round budget is spent —
-    /// including the parent budget of a [`Budget::child`]); `false`
-    /// when only a per-slot round cap tripped, in which case the
-    /// scheduler hands over to the next engine and would discard the
-    /// checkpoint anyway — the BDD engines use this to skip the
-    /// transfer-layer export of their reached sets entirely.
-    pub fn checkpoint_worthwhile(&self) -> bool {
-        if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-            return true;
-        }
-        if self.is_child {
-            self.parent_left.is_some_and(|p| self.used >= p)
-        } else {
-            true
-        }
+    /// A child budget with whatever rounds this budget has left,
+    /// sharing the cancellation token, and counting its own
+    /// [`Budget::used`] from zero. The scheduler hands each engine run
+    /// one, so the run's round count is attributable to it; charge the
+    /// child's consumption back with [`Budget::charge`].
+    pub fn child(&self) -> Budget {
+        Budget { rounds_left: self.rounds_left, cancel: self.cancel.clone(), used: 0 }
     }
 
     /// Deducts `rounds` from this budget (saturating), accounting for
@@ -234,8 +199,9 @@ pub struct EngineCtx<'a> {
     pub bad_name: &'a str,
     /// The configured budgets and knobs.
     pub opts: &'a CheckOptions,
-    /// The cooperative round budget for this engine run (already the
-    /// merge of the portfolio-wide budget and the slot's cap).
+    /// The cooperative round budget for this engine run: a
+    /// [`Budget::child`] of the run's budget, so its [`Budget::used`]
+    /// counts this engine run's rounds only.
     pub budget: &'a mut Budget,
     /// Statistics sink (shared across the whole check).
     pub stats: &'a mut CheckStats,
@@ -272,14 +238,6 @@ pub enum EngineOutcome {
     /// The cooperative [`Budget`] said stop; the checkpoint resumes the
     /// run where it left off.
     Suspended(EngineCheckpoint),
-    /// The budget said stop but only a slot-local round cap tripped
-    /// ([`Budget::checkpoint_worthwhile`] returned `false`): the
-    /// scheduler hands over to the next engine, so the engine skipped
-    /// building a checkpoint. Engines whose checkpoints are cheap
-    /// cursors (the SAT engines) may return
-    /// [`EngineOutcome::Suspended`] instead; the scheduler treats both
-    /// as a handover when the run-wide budget still has rounds.
-    Yielded,
 }
 
 /// A verification engine the [`crate::Portfolio`] can schedule.
@@ -440,45 +398,23 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_worthwhile_distinguishes_trip_causes() {
-        // Slot cap binds, parent has rounds left: not worthwhile.
-        let parent = Budget::rounds(10);
-        let mut child = parent.child(Some(2));
-        while child.tick() {}
-        assert!(!child.checkpoint_worthwhile(), "slot-cap trip is a handover");
-        // Parent budget binds: worthwhile.
-        let parent = Budget::rounds(2);
-        let mut child = parent.child(Some(10));
-        while child.tick() {}
-        assert!(child.checkpoint_worthwhile(), "run-wide trip must checkpoint");
-        // Child of an unlimited parent with a slot cap: handover.
-        let parent = Budget::unlimited();
-        let mut child = parent.child(Some(2));
-        while child.tick() {}
-        assert!(!child.checkpoint_worthwhile());
-        // Cancellation always checkpoints, cap or not.
-        let token = CancelToken::new();
-        let parent = Budget::unlimited().with_cancel(&token);
-        let mut child = parent.child(Some(2));
-        token.cancel();
-        assert!(!child.tick());
-        assert!(child.checkpoint_worthwhile());
-        // A non-child budget is the run budget: its trip checkpoints.
-        let mut own = Budget::rounds(1);
-        while own.tick() {}
-        assert!(own.checkpoint_worthwhile());
-    }
-
-    #[test]
     fn child_budget_merges_caps_and_charges_back() {
         let mut parent = Budget::rounds(10);
-        let mut child = parent.child(Some(3));
+        let mut child = parent.child();
         assert!(child.tick() && child.tick() && child.tick());
-        assert!(!child.tick(), "slot cap must bind");
+        assert_eq!(child.used(), 3, "a child counts its own rounds");
+        assert_eq!(parent.used(), 0, "until they are charged back");
         parent.charge(child.used());
         assert_eq!(parent.used(), 3);
-        let wide = parent.child(Some(100));
-        assert_eq!(wide.rounds_left, Some(7), "parent remainder must bind");
+        let next = parent.child();
+        assert_eq!(next.rounds_left, Some(7), "parent remainder must bind");
+        assert_eq!(next.used(), 0);
+        // A child shares its parent's cancellation token.
+        let token = CancelToken::new();
+        let mut child = Budget::unlimited().with_cancel(&token).child();
+        assert!(child.tick());
+        token.cancel();
+        assert!(!child.tick(), "cancelling the parent's token stops the child");
     }
 
     #[test]

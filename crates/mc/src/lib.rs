@@ -13,13 +13,14 @@
 //!   the paper's in-house engine \[Jain, IWLS 2004\].
 //!
 //! Each engine implements the [`Engine`] trait; a [`Portfolio`] owns an
-//! ordered, per-engine-budgeted policy over them. The default policy is
-//! the paper's cascade (BMC → induction → BDD UMC → POBDD), and the
-//! flat [`check`]/[`check_one`] entry points are thin shims over it.
-//! Every engine loop cooperates with a [`Budget`]/[`CancelToken`], and
-//! the BDD engines checkpoint their fixpoint state through
-//! `veridic_bdd::transfer` so a suspended run resumes
-//! ([`Portfolio::resume`]) with identical verdicts.
+//! ordered policy over them. The default policy is the paper's cascade
+//! (BMC → induction → BDD UMC → POBDD), and the flat [`check`] entry
+//! point is a thin shim over it. Every engine loop cooperates with a
+//! [`Budget`]/[`CancelToken`], and the BDD engines checkpoint their
+//! fixpoint state through `veridic_bdd::transfer`, so a run checked in
+//! budget slices ([`Portfolio::check_bad_with_budget`], then
+//! [`Portfolio::resume_bad_with_budget`]) reaches the same verdict as
+//! an uninterrupted one.
 //!
 //! All engines run under **deterministic resource budgets** (BDD node
 //! quotas, SAT conflict quotas, depth limits). Exhausting a budget yields
@@ -243,7 +244,8 @@ pub struct CheckResult {
 /// BDD forward UMC → POBDD UMC. Engines that exhaust their budget hand
 /// over to the next; if all do, the result is [`Verdict::ResourceOut`].
 /// Prefer holding a [`Portfolio`] when checking many properties (the
-/// policy is built once) or when budgets/checkpoints are needed.
+/// policy is built once; [`Portfolio::check_bad`] checks one bad) or
+/// when budgets/checkpoints are needed.
 ///
 /// # Panics
 ///
@@ -251,19 +253,6 @@ pub struct CheckResult {
 /// the AIG (a checker bug, never a property of the design).
 pub fn check(aig: &Aig, opts: &CheckOptions) -> CheckResult {
     Portfolio::default().check(aig, opts)
-}
-
-/// Checks a single bad (by index into [`Aig::bads`]).
-///
-/// A thin compatibility shim over [`Portfolio::check_bad`] with the
-/// default policy; see [`check`] for the cascade and panics.
-pub fn check_one(
-    aig: &Aig,
-    bad_index: usize,
-    opts: &CheckOptions,
-    stats: &mut CheckStats,
-) -> Verdict {
-    Portfolio::default().check_bad(aig, bad_index, opts, stats)
 }
 
 #[cfg(test)]

@@ -169,9 +169,6 @@ fn run(
     // `bdd_umc`, so Tables 2/3 agree between engines on every exit path.
     for depth in start_depth + 1..=max_iterations {
         if !budget.tick() {
-            if !budget.checkpoint_worthwhile() {
-                return Ok(BddEngineOutcome::Yielded);
-            }
             let reached_exports: Vec<ExportedBdd> =
                 reached.iter().map(|&n| transfer::export(&ts.mgr, n)).collect();
             let frontier_deltas = frontier

@@ -1,24 +1,22 @@
-//! The portfolio scheduler: an ordered, per-engine-budgeted policy over
-//! [`Engine`] implementations, with a typed event log and
-//! checkpoint/resume.
+//! The portfolio scheduler: an ordered policy over [`Engine`]
+//! implementations, with a typed event log and checkpoint/resume.
 //!
 //! [`Portfolio::default`] reproduces the historical hard-coded cascade
 //! exactly — BMC → k-induction → BDD UMC → POBDD UMC, gated by the
 //! `bdd_only`/`sat_only`/`pobdd_window_vars` options — verdicts, stats
-//! and rendered event strings included. Beyond the cascade it adds what
-//! the flat `check()` entry point never could:
+//! and rendered event strings included. A portfolio schedules one bad
+//! in one of two ways:
 //!
-//! * **custom policies** — any ordering of any [`Engine`]
-//!   implementations, each with an optional round cap
-//!   ([`Portfolio::with_budgeted`]), so a scheduler can say "give BMC
-//!   10 frames, then go straight to the BDD engines";
-//! * **cooperative interruption** — a [`Budget`] (round limit and/or
-//!   [`CancelToken`]) threaded into every engine loop;
-//! * **resumable runs** — when the budget trips, the run suspends into
-//!   a [`RunCheckpoint`] carrying the engine's serialized state (BDD
-//!   reached/frontier sets travel through [`veridic_bdd::transfer`]'s
-//!   level-ordered export) and [`Portfolio::resume`] continues it with
-//!   identical verdicts.
+//! * **whole** — [`Portfolio::check_bad`] (and [`Portfolio::check`],
+//!   which calls it on every bad of the AIG in turn);
+//! * **in budget slices** — [`Portfolio::check_bad_with_budget`] runs
+//!   under a cooperative [`Budget`] (round limit and/or
+//!   [`CancelToken`](crate::CancelToken)) threaded into every engine
+//!   loop; when it trips, the run suspends into a [`RunCheckpoint`]
+//!   carrying the engine's serialized state (BDD reached/frontier sets
+//!   travel through [`veridic_bdd::transfer`]'s level-ordered export),
+//!   and [`Portfolio::resume_bad_with_budget`] continues it for the
+//!   next slice with identical verdicts.
 
 use crate::bmc::{self, BmcOutcome, InductionOutcome};
 use crate::checkpoint::EngineCheckpoint;
@@ -167,7 +165,6 @@ impl Engine for BddUmcEngine {
             bdd_engine::BddEngineOutcome::Suspended(ck) => {
                 EngineOutcome::Suspended(EngineCheckpoint::Reach(ck))
             }
-            bdd_engine::BddEngineOutcome::Yielded => EngineOutcome::Yielded,
         }
     }
 }
@@ -215,7 +212,6 @@ impl Engine for PobddEngine {
             bdd_engine::BddEngineOutcome::Suspended(ck) => {
                 EngineOutcome::Suspended(EngineCheckpoint::Reach(ck))
             }
-            bdd_engine::BddEngineOutcome::Yielded => EngineOutcome::Yielded,
         }
     }
 }
@@ -224,26 +220,18 @@ impl Engine for PobddEngine {
 // The scheduler.
 // ---------------------------------------------------------------------
 
-/// One slot of a portfolio policy: an engine plus an optional cap on
-/// the budget rounds it may consume per run before the scheduler moves
-/// on to the next slot.
-struct EngineSlot {
-    engine: Box<dyn Engine>,
-    rounds: Option<u64>,
-}
-
-/// A suspended portfolio run: everything [`Portfolio::resume`] needs to
-/// continue where the budget tripped — which bad, which engine slot,
-/// the engine's serialized state, the statistics (event log included)
-/// accumulated so far, and the resource-out reasons already collected
-/// for the suspended bad.
+/// A suspended portfolio run: everything
+/// [`Portfolio::resume_bad_with_budget`] needs to continue where the
+/// budget tripped — which bad, which engine slot, the engine's
+/// serialized state, the statistics (event log included) accumulated so
+/// far, and the resource-out reasons already collected for the bad.
 ///
 /// Owns plain data only (the BDD state travels as
 /// [`veridic_bdd::transfer::ExportedBdd`]), so it is `Send` and can
 /// outlive every manager of the original run.
 #[derive(Clone, Debug)]
 pub struct RunCheckpoint {
-    /// Index of the bad the run was suspended on (earlier bads proved).
+    /// Index of the bad the run checks, into [`Aig::bads`].
     pub bad_index: usize,
     /// Index of the suspended engine in the portfolio's slot order.
     pub slot: usize,
@@ -262,29 +250,12 @@ pub struct RunCheckpoint {
 pub enum PortfolioOutcome {
     /// The run concluded.
     Done(CheckResult),
-    /// The budget tripped; resume with [`Portfolio::resume`].
+    /// The budget tripped; resume with
+    /// [`Portfolio::resume_bad_with_budget`].
     Suspended(RunCheckpoint),
 }
 
-impl PortfolioOutcome {
-    /// Unwraps the finished result; panics on a suspension.
-    pub fn expect_done(self, msg: &str) -> CheckResult {
-        match self {
-            PortfolioOutcome::Done(r) => r,
-            PortfolioOutcome::Suspended(_) => panic!("{msg}"),
-        }
-    }
-
-    /// The checkpoint, if the run suspended.
-    pub fn into_checkpoint(self) -> Option<RunCheckpoint> {
-        match self {
-            PortfolioOutcome::Done(_) => None,
-            PortfolioOutcome::Suspended(ck) => Some(ck),
-        }
-    }
-}
-
-/// An ordered, per-engine-budgeted verification policy.
+/// An ordered verification policy.
 ///
 /// The default value is the paper's cascade (see the module docs);
 /// [`Portfolio::empty`] + [`Portfolio::with`] build custom policies,
@@ -292,13 +263,13 @@ impl PortfolioOutcome {
 /// `Send + Sync` and is shared by reference across campaign worker
 /// threads — it owns no per-run state.
 pub struct Portfolio {
-    slots: Vec<EngineSlot>,
+    slots: Vec<Box<dyn Engine>>,
 }
 
 impl Default for Portfolio {
-    /// The historical cascade: BMC → k-induction → BDD UMC → POBDD UMC,
-    /// every slot unbudgeted (the options' own depth/conflict/node
-    /// limits are the only resource bounds, exactly as before).
+    /// The historical cascade: BMC → k-induction → BDD UMC → POBDD UMC
+    /// (the options' own depth/conflict/node limits are the only
+    /// resource bounds, exactly as before).
     fn default() -> Self {
         Portfolio::empty()
             .with(Box::new(BmcEngine))
@@ -309,31 +280,22 @@ impl Default for Portfolio {
 }
 
 impl Portfolio {
-    /// A policy with no engines; chain [`Portfolio::with`] /
-    /// [`Portfolio::with_budgeted`] to populate it.
+    /// A policy with no engines; chain [`Portfolio::with`] to populate
+    /// it.
     pub fn empty() -> Self {
         Portfolio { slots: Vec::new() }
     }
 
-    /// Appends an engine with no per-slot round cap.
+    /// Appends an engine.
     #[must_use]
     pub fn with(mut self, engine: Box<dyn Engine>) -> Self {
-        self.slots.push(EngineSlot { engine, rounds: None });
-        self
-    }
-
-    /// Appends an engine capped at `rounds` budget rounds per run; when
-    /// the cap trips the scheduler records a suspension event and moves
-    /// on to the next slot (the run as a whole keeps going).
-    #[must_use]
-    pub fn with_budgeted(mut self, engine: Box<dyn Engine>, rounds: u64) -> Self {
-        self.slots.push(EngineSlot { engine, rounds: Some(rounds) });
+        self.slots.push(engine);
         self
     }
 
     /// The policy's engine identities, in schedule order.
     pub fn engine_ids(&self) -> Vec<EngineId> {
-        self.slots.iter().map(|s| s.engine.id()).collect()
+        self.slots.iter().map(|e| e.id()).collect()
     }
 
     /// Number of engine slots.
@@ -346,9 +308,11 @@ impl Portfolio {
         self.slots.is_empty()
     }
 
-    /// Checks every bad of `aig` (each separately; first failure wins)
-    /// under the given budgets, unbudgeted — the drop-in replacement
-    /// for the legacy `check()` cascade.
+    /// Checks every bad of `aig` in turn with [`Portfolio::check_bad`],
+    /// stopping at the first one that is not proved (that bad's verdict
+    /// is the result); if every bad is proved the verdict is
+    /// `Proved { engine: "portfolio" }`. The statistics accumulate over
+    /// every bad checked.
     ///
     /// # Panics
     ///
@@ -356,13 +320,18 @@ impl Portfolio {
     /// replay on the AIG (a checker bug, never a property of the
     /// design).
     pub fn check(&self, aig: &Aig, opts: &CheckOptions) -> CheckResult {
-        self.run_with_budget(aig, opts, &mut Budget::unlimited())
-            .expect_done("an unlimited budget cannot suspend")
+        let mut stats = CheckStats::default();
+        for bad_index in 0..aig.bads().len() {
+            let verdict = self.check_bad(aig, bad_index, opts, &mut stats);
+            if !verdict.is_proved() {
+                return CheckResult { verdict, stats };
+            }
+        }
+        CheckResult { verdict: Verdict::Proved { engine: "portfolio" }, stats }
     }
 
-    /// Checks a single bad (by index into [`Aig::bads`]), accumulating
-    /// into `stats` — the drop-in replacement for the legacy
-    /// `check_one`.
+    /// Checks a single bad (by index into [`Aig::bads`]), unbudgeted,
+    /// accumulating into `stats`.
     ///
     /// # Panics
     ///
@@ -380,24 +349,38 @@ impl Portfolio {
         }
     }
 
-    /// Runs the full multi-bad check under a cooperative [`Budget`].
+    /// Checks a **single** bad under a cooperative [`Budget`]: the
+    /// suspendable counterpart of [`Portfolio::check_bad`], and the
+    /// primitive out-of-process campaign workers are built on — each
+    /// property is one bad of a multi-bad unit AIG, checked in budget
+    /// slices with the [`RunCheckpoint`] persisted between slices.
+    ///
     /// When the budget trips (round limit reached or the paired
     /// [`crate::CancelToken`] cancelled), the run suspends into a
-    /// [`RunCheckpoint`] instead of finishing.
+    /// [`RunCheckpoint`] carrying the statistics accumulated so far. A
+    /// run driven to completion through any sequence of
+    /// [`Portfolio::resume_bad_with_budget`] slices reaches the same
+    /// verdict as an un-sliced [`Portfolio::check_bad`] (BDD state
+    /// resumes exactly; see [`Portfolio::resume_bad_with_budget`] for
+    /// the SAT-cursor caveat), with suspension events marking the
+    /// slice boundaries.
     ///
     /// # Panics
     ///
     /// See [`Portfolio::check`].
-    pub fn run_with_budget(
+    pub fn check_bad_with_budget(
         &self,
         aig: &Aig,
+        bad_index: usize,
         opts: &CheckOptions,
         budget: &mut Budget,
     ) -> PortfolioOutcome {
-        self.drive(aig, opts, budget, CheckStats::default(), 0, None)
+        self.slice(aig, bad_index, opts, CheckStats::default(), budget, None)
     }
 
-    /// Continues a suspended run, unbudgeted (it will conclude).
+    /// Continues a suspended run of [`Portfolio::check_bad_with_budget`]
+    /// for one more budget slice; a run can be suspended and resumed
+    /// any number of times.
     ///
     /// The AIG and options must be the ones the checkpoint was taken
     /// under; the window split and engine schedule are re-derived from
@@ -419,70 +402,6 @@ impl Portfolio {
     /// variant the named slot's engine cannot consume (all the signs
     /// of a checkpoint resumed against the wrong run; silently
     /// continuing would produce wrong verdicts).
-    pub fn resume(&self, aig: &Aig, opts: &CheckOptions, checkpoint: RunCheckpoint) -> PortfolioOutcome {
-        self.resume_with_budget(aig, opts, checkpoint, &mut Budget::unlimited())
-    }
-
-    /// [`Portfolio::resume`] under a fresh cooperative budget — a run
-    /// can be suspended and resumed any number of times.
-    pub fn resume_with_budget(
-        &self,
-        aig: &Aig,
-        opts: &CheckOptions,
-        checkpoint: RunCheckpoint,
-        budget: &mut Budget,
-    ) -> PortfolioOutcome {
-        self.validate_checkpoint(aig, opts, &checkpoint);
-        let RunCheckpoint { bad_index, slot, state, stats, reasons } = checkpoint;
-        self.drive(aig, opts, budget, stats, bad_index, Some((slot, state, reasons)))
-    }
-
-    /// Checks a **single** bad under a cooperative budget: the
-    /// suspendable counterpart of [`Portfolio::check_bad`], and the
-    /// primitive out-of-process campaign workers are built on — each
-    /// property is one bad of a multi-bad unit AIG, checked in budget
-    /// slices with the [`RunCheckpoint`] persisted between slices.
-    ///
-    /// `stats` seeds the run's statistics (normally
-    /// `CheckStats::default()`); on suspension the accumulated stats
-    /// travel inside the checkpoint, exactly as in
-    /// [`Portfolio::run_with_budget`]. A run driven to completion
-    /// through any sequence of
-    /// [`Portfolio::resume_bad_with_budget`] slices reaches the same
-    /// verdict as an un-sliced [`Portfolio::check_bad`] (BDD state
-    /// resumes exactly; see [`Portfolio::resume`] for the SAT-cursor
-    /// caveat), with suspension events marking the slice boundaries.
-    ///
-    /// # Panics
-    ///
-    /// See [`Portfolio::check`].
-    pub fn check_bad_with_budget(
-        &self,
-        aig: &Aig,
-        bad_index: usize,
-        opts: &CheckOptions,
-        stats: CheckStats,
-        budget: &mut Budget,
-    ) -> PortfolioOutcome {
-        let mut stats = stats;
-        match self.check_bad_inner(aig, bad_index, opts, &mut stats, budget, None) {
-            Ok(verdict) => PortfolioOutcome::Done(CheckResult { verdict, stats }),
-            Err((slot, state, reasons)) => {
-                PortfolioOutcome::Suspended(RunCheckpoint { bad_index, slot, state, stats, reasons })
-            }
-        }
-    }
-
-    /// Continues a suspended **single-bad** run for one more budget
-    /// slice. Unlike [`Portfolio::resume_with_budget`] it stops at the
-    /// checkpoint's bad: a conclusion is returned as `Done` without
-    /// rolling on to the AIG's later bads — the out-of-process campaign
-    /// checks every property as its own single-bad run.
-    ///
-    /// # Panics
-    ///
-    /// See [`Portfolio::resume`] (same checkpoint-compatibility
-    /// validation).
     pub fn resume_bad_with_budget(
         &self,
         aig: &Aig,
@@ -492,9 +411,20 @@ impl Portfolio {
     ) -> PortfolioOutcome {
         self.validate_checkpoint(aig, opts, &checkpoint);
         let RunCheckpoint { bad_index, slot, state, stats, reasons } = checkpoint;
-        let mut stats = stats;
-        match self.check_bad_inner(aig, bad_index, opts, &mut stats, budget, Some((slot, state, reasons)))
-        {
+        self.slice(aig, bad_index, opts, stats, budget, Some((slot, state, reasons)))
+    }
+
+    /// One budget slice of a single-bad run, fresh or resumed.
+    fn slice(
+        &self,
+        aig: &Aig,
+        bad_index: usize,
+        opts: &CheckOptions,
+        mut stats: CheckStats,
+        budget: &mut Budget,
+        resume: Option<(usize, EngineCheckpoint, Vec<String>)>,
+    ) -> PortfolioOutcome {
+        match self.check_bad_inner(aig, bad_index, opts, &mut stats, budget, resume) {
             Ok(verdict) => PortfolioOutcome::Done(CheckResult { verdict, stats }),
             Err((slot, state, reasons)) => {
                 PortfolioOutcome::Suspended(RunCheckpoint { bad_index, slot, state, stats, reasons })
@@ -502,12 +432,13 @@ impl Portfolio {
         }
     }
 
-    /// The resume-compatibility guard shared by every resume entry
-    /// point: a checkpoint must name a slot this portfolio has, a bad
-    /// the AIG has, an engine state the named slot can consume, and a
-    /// slot still enabled under the options — all the signs of a
-    /// checkpoint resumed against the wrong run, where silently
-    /// continuing would produce wrong verdicts.
+    /// The resume-compatibility guard of
+    /// [`Portfolio::resume_bad_with_budget`]: a checkpoint must name a
+    /// slot this portfolio has, a bad the AIG has, an engine state the
+    /// named slot can consume, and a slot still enabled under the
+    /// options — all the signs of a checkpoint resumed against the
+    /// wrong run, where silently continuing would produce wrong
+    /// verdicts.
     fn validate_checkpoint(&self, aig: &Aig, opts: &CheckOptions, checkpoint: &RunCheckpoint) {
         let (slot, bad_index, state) = (checkpoint.slot, checkpoint.bad_index, &checkpoint.state);
         assert!(slot < self.slots.len(), "checkpoint slot {slot} out of range");
@@ -517,7 +448,7 @@ impl Portfolio {
              resume must be given the AIG the run was suspended on",
             aig.bads().len()
         );
-        let slot_id = self.slots[slot].engine.id();
+        let slot_id = self.slots[slot].id();
         let compatible = match (state, slot_id) {
             (EngineCheckpoint::Bmc { .. }, EngineId::Bmc) => true,
             (EngineCheckpoint::Induction { .. }, EngineId::Induction) => true,
@@ -537,44 +468,10 @@ impl Portfolio {
              resume must be given the portfolio the run was suspended under"
         );
         assert!(
-            self.slots[slot].engine.enabled(opts),
+            self.slots[slot].enabled(opts),
             "checkpoint slot {slot} ({slot_id}) is disabled under these options — \
              resume must be given the options the run was suspended under"
         );
-    }
-
-    /// The multi-bad loop shared by fresh and resumed runs.
-    fn drive(
-        &self,
-        aig: &Aig,
-        opts: &CheckOptions,
-        budget: &mut Budget,
-        mut stats: CheckStats,
-        first_bad: usize,
-        mut resume: Option<(usize, EngineCheckpoint, Vec<String>)>,
-    ) -> PortfolioOutcome {
-        for bad_index in first_bad..aig.bads().len() {
-            let resumed = resume.take();
-            match self.check_bad_inner(aig, bad_index, opts, &mut stats, budget, resumed) {
-                Ok(Verdict::Proved { .. }) => continue,
-                Ok(other) => {
-                    return PortfolioOutcome::Done(CheckResult { verdict: other, stats })
-                }
-                Err((slot, state, reasons)) => {
-                    return PortfolioOutcome::Suspended(RunCheckpoint {
-                        bad_index,
-                        slot,
-                        state,
-                        stats,
-                        reasons,
-                    })
-                }
-            }
-        }
-        PortfolioOutcome::Done(CheckResult {
-            verdict: Verdict::Proved { engine: "portfolio" },
-            stats,
-        })
     }
 
     /// Schedules the slots over one bad. `Ok` is a verdict; `Err` is a
@@ -603,8 +500,8 @@ impl Portfolio {
         }
         // Per-bad COI sizes: the summary fields aggregate by max so a
         // multi-bad check reports its hardest cone instead of whichever
-        // bad happened to be checked last. A resumed bad recorded its
-        // entry in the original session.
+        // bad happened to be checked last. A resumed run recorded its
+        // entry in its first slice.
         if resume.is_none() {
             stats.coi_latches = stats.coi_latches.max(sub.num_latches());
             stats.coi_ands = stats.coi_ands.max(sub.num_ands());
@@ -622,7 +519,7 @@ impl Portfolio {
         // fold is skipped entirely and the engines run on `sub`
         // unchanged — which is what keeps preanalysis-on byte-identical
         // to preanalysis-off on designs with nothing to fold. Resumed
-        // bads re-derive the same fold deterministically (their
+        // runs re-derive the same fold deterministically (their
         // checkpoints were taken against the folded AIG) but do not
         // re-count the stats, mirroring the COI accounting above.
         let folded = if opts.preanalysis {
@@ -726,15 +623,14 @@ impl Portfolio {
             None => (0, None, Vec::new()),
         };
 
-        for (slot_index, slot) in self.slots.iter().enumerate().skip(first_slot) {
-            let engine = slot.engine.as_ref();
+        for (slot_index, engine) in self.slots.iter().enumerate().skip(first_slot) {
             if !engine.enabled(opts) || !engine.supports(engine_aig) {
                 continue;
             }
             let id = engine.id();
             let sat_before = stats.sat_conflicts;
             let alloc_before = stats.bdd_allocated;
-            let mut eng_budget = budget.child(slot.rounds);
+            let mut eng_budget = budget.child();
             let resume_state = engine_resume.take();
             let outcome = {
                 let mut ctx = EngineCtx {
@@ -814,24 +710,7 @@ impl Portfolio {
                 }
                 EngineOutcome::Suspended(state) => {
                     push(stats, EventOutcome::Suspended);
-                    if budget.is_exhausted() {
-                        // The run-wide budget (or its cancel token)
-                        // tripped: suspend the whole run, resumably.
-                        return Err((slot_index, state, reasons));
-                    }
-                    // Only this slot's round cap tripped: hand over to
-                    // the next engine, like a resource-out with a
-                    // budget-flavored reason. The engine checkpoint is
-                    // dropped — the policy chose breadth over depth.
-                    // (Engines with expensive checkpoints detect this
-                    // case themselves via `checkpoint_worthwhile` and
-                    // return `Yielded` below instead.)
-                    reasons.push(format!("{id} round budget"));
-                }
-                EngineOutcome::Yielded => {
-                    // Slot-cap handover with no checkpoint built.
-                    push(stats, EventOutcome::Suspended);
-                    reasons.push(format!("{id} round budget"));
+                    return Err((slot_index, state, reasons));
                 }
             }
         }
@@ -904,6 +783,34 @@ mod tests {
         let bad = count_is(&mut g, &qs, bad_at);
         g.add_bad(format!("count_is_{bad_at}"), bad);
         g
+    }
+
+    /// Bad 0: a stuck latch (proved at once). Bad 1: a 5-bit counter
+    /// reaching 21 (depth 21, so small budgets suspend it).
+    fn stuck_and_deep_aig() -> Aig {
+        let mut g = Aig::new();
+        let qs = add_counter(&mut g, 5);
+        let (l, s) = g.latch("stuck", false);
+        g.set_next(l, s);
+        g.add_bad("never", s);
+        let deep = count_is(&mut g, &qs, 21);
+        g.add_bad("count_is_21", deep);
+        g
+    }
+
+    /// Resumes `ck` unbudgeted, which must conclude.
+    fn resume_to_end(p: &Portfolio, g: &Aig, opts: &CheckOptions, ck: RunCheckpoint) -> CheckResult {
+        match p.resume_bad_with_budget(g, opts, ck, &mut Budget::unlimited()) {
+            PortfolioOutcome::Done(r) => r,
+            PortfolioOutcome::Suspended(ck) => panic!("run suspended at slot {}", ck.slot),
+        }
+    }
+
+    fn suspended(outcome: PortfolioOutcome) -> RunCheckpoint {
+        match outcome {
+            PortfolioOutcome::Suspended(ck) => ck,
+            PortfolioOutcome::Done(r) => panic!("run concluded: {:?}", r.verdict),
+        }
     }
 
     /// Portfolio self-consistency on one design: repeated runs are
@@ -1005,38 +912,6 @@ mod tests {
         assert_eq!(r.verdict, Verdict::Proved { engine: "portfolio" });
     }
 
-    /// A per-slot round cap is a handover, not a run suspension: the
-    /// capped engine logs a suspension event and the cascade continues
-    /// to a conclusive verdict.
-    #[test]
-    fn slot_budget_hands_over_to_next_engine() {
-        let g = counter_aig(4, 9);
-        // BMC capped at 2 depths (the bug is at depth 9): it suspends,
-        // the BDD engine concludes.
-        let portfolio = Portfolio::empty()
-            .with_budgeted(Box::new(BmcEngine), 2)
-            .with(Box::new(BddUmcEngine));
-        let r = portfolio.check(&g, &CheckOptions::default());
-        assert!(r.verdict.is_falsified(), "{:?}", r.verdict);
-        let rendered = r.stats.engines_tried();
-        assert_eq!(rendered[0], "count_is_9/bmc: suspended");
-        assert_eq!(rendered[1], "count_is_9/bdd-umc: bad reachable at depth 9");
-        assert_eq!(r.stats.events[0].resources.rounds, 2, "the cap bounds the rounds");
-
-        // A capped *BDD* slot yields (no checkpoint is built for a
-        // handover the scheduler would discard) and the next engine
-        // still concludes.
-        let opts = CheckOptions::builder().bdd_only(true).build();
-        let capped = Portfolio::empty()
-            .with_budgeted(Box::new(PobddEngine), 3)
-            .with(Box::new(BddUmcEngine));
-        let r = capped.check(&g, &opts);
-        assert!(r.verdict.is_falsified(), "{:?}", r.verdict);
-        let rendered = r.stats.engines_tried();
-        assert_eq!(rendered[0], "count_is_9/pobdd-umc: suspended");
-        assert_eq!(rendered[1], "count_is_9/bdd-umc: bad reachable at depth 9");
-    }
-
     /// Global-budget suspension and resume: verdict, falsification
     /// depth and completed-round count must equal an uninterrupted run.
     #[test]
@@ -1046,17 +921,11 @@ mod tests {
         let portfolio = Portfolio::default();
         let uninterrupted = portfolio.check(&g, &opts);
 
-        let suspended = portfolio.run_with_budget(&g, &opts, &mut Budget::rounds(20));
-        let ck = match suspended {
-            PortfolioOutcome::Suspended(ck) => ck,
-            PortfolioOutcome::Done(r) => panic!("20 rounds must not conclude: {:?}", r.verdict),
-        };
+        let ck = suspended(portfolio.check_bad_with_budget(&g, 0, &opts, &mut Budget::rounds(20)));
         assert_eq!(ck.state.reach_depth(), Some(20), "suspended after 20 completed rounds");
         assert_eq!(ck.stats.iterations, 20);
 
-        let resumed = portfolio
-            .resume(&g, &opts, ck)
-            .expect_done("unbudgeted resume concludes");
+        let resumed = resume_to_end(&portfolio, &g, &opts, ck);
         assert_eq!(resumed.verdict, uninterrupted.verdict);
         match (&resumed.verdict, &uninterrupted.verdict) {
             (Verdict::Falsified(a), Verdict::Falsified(b)) => {
@@ -1097,10 +966,11 @@ mod tests {
             .preanalysis(false)
             .build();
         let portfolio = Portfolio::default();
-        let uninterrupted = portfolio.check(&g, &opts);
-        assert!(uninterrupted.verdict.is_proved());
+        let mut stats = CheckStats::default();
+        let uninterrupted = portfolio.check_bad(&g, 0, &opts, &mut stats);
+        assert!(uninterrupted.is_proved());
 
-        let mut outcome = portfolio.run_with_budget(&g, &opts, &mut Budget::rounds(3));
+        let mut outcome = portfolio.check_bad_with_budget(&g, 0, &opts, &mut Budget::rounds(3));
         let mut hops = 0;
         let resumed = loop {
             match outcome {
@@ -1108,13 +978,14 @@ mod tests {
                 PortfolioOutcome::Suspended(ck) => {
                     hops += 1;
                     assert!(hops < 100, "resume must make progress");
-                    outcome = portfolio.resume_with_budget(&g, &opts, ck, &mut Budget::rounds(3));
+                    outcome =
+                        portfolio.resume_bad_with_budget(&g, &opts, ck, &mut Budget::rounds(3));
                 }
             }
         };
         assert!(hops >= 2, "the tiny budget must suspend repeatedly (got {hops})");
-        assert_eq!(resumed.verdict, uninterrupted.verdict);
-        assert_eq!(resumed.stats.iterations, uninterrupted.stats.iterations);
+        assert_eq!(resumed.verdict, uninterrupted);
+        assert_eq!(resumed.stats.iterations, stats.iterations);
     }
 
     /// A pre-cancelled token suspends before the first round, and the
@@ -1127,12 +998,9 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let mut budget = Budget::unlimited().with_cancel(&token);
-        let ck = portfolio
-            .run_with_budget(&g, &opts, &mut budget)
-            .into_checkpoint()
-            .expect("cancelled run suspends");
+        let ck = suspended(portfolio.check_bad_with_budget(&g, 0, &opts, &mut budget));
         assert_eq!(ck.state.reach_depth(), Some(0), "no round ran");
-        let resumed = portfolio.resume(&g, &opts, ck).expect_done("resume concludes");
+        let resumed = resume_to_end(&portfolio, &g, &opts, ck);
         match resumed.verdict {
             Verdict::Falsified(t) => assert_eq!(t.len(), 22),
             other => panic!("expected falsification, got {other:?}"),
@@ -1147,12 +1015,9 @@ mod tests {
         let g = counter_aig(4, 9);
         let opts = CheckOptions::default();
         let portfolio = Portfolio::default();
-        let ck = portfolio
-            .run_with_budget(&g, &opts, &mut Budget::rounds(4))
-            .into_checkpoint()
-            .expect("4 rounds cannot reach depth 9");
+        let ck = suspended(portfolio.check_bad_with_budget(&g, 0, &opts, &mut Budget::rounds(4)));
         assert_eq!(ck.state, EngineCheckpoint::Bmc { next_depth: 4 });
-        let resumed = portfolio.resume(&g, &opts, ck).expect_done("resume concludes");
+        let resumed = resume_to_end(&portfolio, &g, &opts, ck);
         match resumed.verdict {
             Verdict::Falsified(t) => assert_eq!(t.len(), 10),
             other => panic!("expected falsification, got {other:?}"),
@@ -1166,17 +1031,19 @@ mod tests {
     fn resume_rejects_mismatched_portfolio() {
         let g = counter_aig(6, 50);
         let opts = CheckOptions::builder().bdd_only(true).pobdd_window_vars(0).build();
-        let ck = Portfolio::default()
-            .run_with_budget(&g, &opts, &mut Budget::rounds(5))
-            .into_checkpoint()
-            .expect("5 rounds must suspend");
+        let ck = suspended(Portfolio::default().check_bad_with_budget(
+            &g,
+            0,
+            &opts,
+            &mut Budget::rounds(5),
+        ));
         // Same slot count, different order: slot 2 is now induction.
         let reordered = Portfolio::empty()
             .with(Box::new(BddUmcEngine))
             .with(Box::new(BmcEngine))
             .with(Box::new(InductionEngine))
             .with(Box::new(PobddEngine));
-        let _ = reordered.resume(&g, &opts, ck);
+        let _ = reordered.resume_bad_with_budget(&g, &opts, ck, &mut Budget::unlimited());
     }
 
     /// A checkpoint resumed against the wrong AIG must fail loud (the
@@ -1184,23 +1051,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "bad index")]
     fn resume_rejects_mismatched_aig() {
-        // Two bads: a stuck latch (proved) then a deep counter value
-        // (suspends), so the checkpoint's bad index is 1.
-        let mut g = Aig::new();
-        let qs = add_counter(&mut g, 5);
-        let (l, s) = g.latch("stuck", false);
-        g.set_next(l, s);
-        g.add_bad("never", s);
-        let deep = count_is(&mut g, &qs, 21);
-        g.add_bad("count_is_21", deep);
+        let g = stuck_and_deep_aig();
         let opts = CheckOptions::builder().bdd_only(true).pobdd_window_vars(0).build();
         let portfolio = Portfolio::default();
-        let ck = portfolio
-            .run_with_budget(&g, &opts, &mut Budget::rounds(10))
-            .into_checkpoint()
-            .expect("the deep bad suspends");
+        let ck = suspended(portfolio.check_bad_with_budget(&g, 1, &opts, &mut Budget::rounds(10)));
         let other = counter_aig(4, 9); // one bad only
-        let _ = portfolio.resume(&other, &opts, ck);
+        let _ = portfolio.resume_bad_with_budget(&other, &opts, ck, &mut Budget::unlimited());
     }
 
     /// The vacuity short-circuit: a statically-constant bad concludes
@@ -1352,27 +1208,18 @@ mod tests {
         assert_eq!(on_stats, off.stats, "identity fast-path must be byte-identical");
     }
 
-    /// Multi-bad runs resume past already-proved bads: the checkpoint
-    /// records the bad index, and the resumed result covers the rest.
+    /// A run on a later bad of a multi-bad AIG resumes on that bad:
+    /// the checkpoint records the bad index, the resumed verdict is that
+    /// bad's, and the resume does not add a second per-bad COI record.
     #[test]
     fn multi_bad_resume_continues_from_suspended_bad() {
-        // Bad 0: a stuck latch (proved quickly). Bad 1: deep counter
-        // value (suspends under a small budget).
-        let mut g = Aig::new();
-        let qs = add_counter(&mut g, 5);
-        let (l, s) = g.latch("stuck", false);
-        g.set_next(l, s);
-        g.add_bad("never", s);
-        let deep = count_is(&mut g, &qs, 21);
-        g.add_bad("count_is_21", deep);
+        let g = stuck_and_deep_aig();
         let opts = CheckOptions::builder().bdd_only(true).pobdd_window_vars(0).build();
         let portfolio = Portfolio::default();
-        let ck = portfolio
-            .run_with_budget(&g, &opts, &mut Budget::rounds(10))
-            .into_checkpoint()
-            .expect("the deep bad suspends");
-        assert_eq!(ck.bad_index, 1, "bad 0 proved before the budget tripped");
-        let resumed = portfolio.resume(&g, &opts, ck).expect_done("resume concludes");
+        let ck = suspended(portfolio.check_bad_with_budget(&g, 1, &opts, &mut Budget::rounds(10)));
+        assert_eq!(ck.bad_index, 1);
+        assert_eq!(ck.stats.per_bad_coi.len(), 1);
+        let resumed = resume_to_end(&portfolio, &g, &opts, ck);
         match &resumed.verdict {
             Verdict::Falsified(t) => {
                 assert_eq!(t.bad_index, 1);
@@ -1380,7 +1227,7 @@ mod tests {
             }
             other => panic!("expected falsification, got {other:?}"),
         }
-        // The per-bad COI record is not duplicated by the resume.
-        assert_eq!(resumed.stats.per_bad_coi.len(), 2);
+        assert_eq!(resumed.stats.per_bad_coi.len(), 1, "the resume must not re-record the cone");
+        assert_eq!(resumed.stats.per_bad_coi[0].bad, "count_is_21");
     }
 }

@@ -14,7 +14,7 @@
 //! | Baseline | [`sim`] | cycle simulator + constrained-random stimulus |
 //! | Evaluation | [`chipgen`] | the synthetic server chip (Table 2 census, 7 bugs) |
 //! | Methodology | [`core`] | Verifiable RTL, stereotype vunits, partitioning, campaign |
-//! | Service | [`campaign`] | checkpoints, crash-recoverable daemon, adaptive scheduler |
+//! | Service | [`campaign`] | checkpoints, crash-recoverable daemon |
 //!
 //! ## Quickstart
 //!
@@ -69,8 +69,8 @@ pub mod prelude {
     pub use veridic_aig::structure::{force_order, Condensation, ForceOrder, LatchGraph};
     pub use veridic_aig::Aig;
     pub use veridic_campaign::{
-        maybe_run_worker, AdaptiveScheduler, CampaignDir, CampaignSpec, CheckpointFile, CodecError,
-        DaemonError, JobState, PersistedState, RunOutcome, StatusSummary,
+        maybe_run_worker, CampaignDir, CampaignSpec, CheckpointFile, CodecError, DaemonError,
+        JobState, RunOutcome, StatusSummary,
     };
     pub use veridic_chipgen::{
         build_leaf, build_order_stress, build_plans, observe_symptom, BugId, Category, Chip,
@@ -95,7 +95,7 @@ pub mod prelude {
         make_verifiable, transform_design, VerifiableModule, EC_PORT, ED_PORT,
     };
     pub use veridic_mc::{
-        check, check_one, pobdd_reach, BadCoiStats, Budget, CancelToken, CheckOptions,
+        check, pobdd_reach, BadCoiStats, Budget, CancelToken, CheckOptions,
         CheckOptionsBuilder, CheckResult, CheckStats, Engine, EngineCheckpoint, EngineCtx,
         EngineEvent, EngineId, EngineOutcome, EventOutcome, EventResources, Portfolio,
         PortfolioOutcome, PreanalysisStats, ReachCheckpoint, RunCheckpoint, Verdict, PREANALYSIS,

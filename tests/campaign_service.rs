@@ -2,14 +2,14 @@
 //! codec round-trips arbitrary run state (including BDD exports whose
 //! level order diverged from the source manager), every corruption
 //! mode fails with a typed error — never a panic or a silent wrong
-//! resume — and turning the adaptive scheduler *off* preserves the
+//! resume — and checking a property in budget slices preserves the
 //! default portfolio cascade exactly.
 
 use proptest::prelude::*;
 
 use veridic::bdd::{DeltaBdd, ExportedBdd};
 use veridic::campaign::codec::{decode_record, encode_record};
-use veridic::campaign::{CheckpointFile, CodecError, PersistedState};
+use veridic::campaign::{CheckpointFile, CodecError};
 use veridic::mc::{EngineCheckpoint, ReachCheckpoint, RunCheckpoint};
 use veridic::prelude::*;
 
@@ -104,7 +104,7 @@ fn arb_run_checkpoint() -> BoxedStrategy<RunCheckpoint> {
         .boxed()
 }
 
-fn file_of(state: PersistedState) -> CheckpointFile {
+fn file_of(state: RunCheckpoint) -> CheckpointFile {
     CheckpointFile { aig_fingerprint: 0x1234, options_fingerprint: 0x5678, state }
 }
 
@@ -120,7 +120,7 @@ proptest! {
     /// deterministic, so byte equality is structural equality).
     #[test]
     fn checkpoint_round_trips(ck in arb_run_checkpoint()) {
-        let file = file_of(PersistedState::Portfolio(Box::new(ck)));
+        let file = file_of(ck);
         let bytes = file.encode();
         let decoded = match CheckpointFile::decode(&bytes, Some((0x1234, 0x5678))) {
             Ok(f) => f,
@@ -145,15 +145,12 @@ proptest! {
             stats: CheckStats::default(),
             reasons: vec![],
         };
-        let bytes = file_of(PersistedState::Portfolio(Box::new(ck))).encode();
+        let bytes = file_of(ck).encode();
         let decoded = match CheckpointFile::decode(&bytes, None) {
             Ok(f) => f,
             Err(e) => return Err(format!("decode failed: {e}")),
         };
-        let PersistedState::Portfolio(ck) = decoded.state else {
-            return Err("wrong state kind".to_string());
-        };
-        let EngineCheckpoint::Reach(reach) = ck.state else {
+        let EngineCheckpoint::Reach(reach) = decoded.state.state else {
             return Err("wrong engine checkpoint".to_string());
         };
         let out = &reach.reached[0];
@@ -169,7 +166,7 @@ proptest! {
     /// typed error — never a panic, never a successful decode.
     #[test]
     fn any_truncation_fails_loud(ck in arb_run_checkpoint(), cut_raw in 0usize..100_000) {
-        let bytes = file_of(PersistedState::Portfolio(Box::new(ck))).encode();
+        let bytes = file_of(ck).encode();
         let cut = cut_raw % bytes.len();
         prop_assert!(CheckpointFile::decode(&bytes[..cut], None).is_err());
     }
@@ -182,7 +179,7 @@ proptest! {
         pos_raw in 0usize..100_000,
         flip_raw in 0u32..255,
     ) {
-        let mut bytes = file_of(PersistedState::Portfolio(Box::new(ck))).encode();
+        let mut bytes = file_of(ck).encode();
         let pos = pos_raw % bytes.len();
         #[allow(clippy::cast_possible_truncation)]
         let flip = (flip_raw + 1) as u8;
@@ -204,7 +201,7 @@ fn wrong_fingerprints_are_typed_refusals() {
         stats: CheckStats::default(),
         reasons: vec![],
     };
-    let bytes = file_of(PersistedState::Portfolio(Box::new(ck))).encode();
+    let bytes = file_of(ck).encode();
     // Same bytes, resumed against a different chip: refused by name.
     match CheckpointFile::decode(&bytes, Some((0xdead, 0x5678))) {
         Err(CodecError::AigFingerprint { expected: 0xdead, found: 0x1234 }) => {}
@@ -227,7 +224,8 @@ fn journal_records_round_trip_and_reject_damage() {
     assert!(errors.is_empty(), "module preparation failed: {errors:?}");
     let prop = &props[0];
     let mut stats = CheckStats::default();
-    let verdict = veridic::mc::check_one(&prop.aig, prop.bad_index, &CheckOptions::default(), &mut stats);
+    let verdict =
+        Portfolio::default().check_bad(&prop.aig, prop.bad_index, &CheckOptions::default(), &mut stats);
     let record = veridic::core::flow::record_from_result(
         prop,
         veridic::mc::CheckResult { verdict, stats },
@@ -243,20 +241,15 @@ fn journal_records_round_trip_and_reject_damage() {
 }
 
 // ---------------------------------------------------------------------
-// Default-order preservation when the adaptive scheduler is off
+// Default-order preservation under slicing
 // ---------------------------------------------------------------------
 
-/// Runs one property through the daemon's non-adaptive slice loop
-/// (fixed 1-round slices, suspend/resume at every boundary).
+/// Runs one property through the daemon's slice loop (fixed 1-round
+/// slices, suspend/resume at every boundary).
 fn run_sliced(prop: &veridic::core::flow::PreparedProperty, opts: &CheckOptions) -> CheckResult {
     let portfolio = Portfolio::default();
-    let mut outcome = portfolio.check_bad_with_budget(
-        &prop.aig,
-        prop.bad_index,
-        opts,
-        CheckStats::default(),
-        &mut Budget::rounds(1),
-    );
+    let mut outcome =
+        portfolio.check_bad_with_budget(&prop.aig, prop.bad_index, opts, &mut Budget::rounds(1));
     loop {
         match outcome {
             PortfolioOutcome::Done(result) => break result,
@@ -268,15 +261,15 @@ fn run_sliced(prop: &veridic::core::flow::PreparedProperty, opts: &CheckOptions)
     }
 }
 
-/// With `adaptive` off, the daemon's slice loop drives
-/// `Portfolio::default()` through suspend/resume — the verdict and the
+/// The daemon's slice loop drives `Portfolio::default()` through
+/// suspend/resume — the verdict and the
 /// engine *order* (bmc → induction → bdd-umc → pobdd-umc, by first
 /// event) must match a plain uninterrupted check of the same property,
 /// and two sliced runs must agree event-for-event (the determinism
 /// Table-2 byte equality rests on). Slicing may only add per-slice
 /// `Suspended` progress events; it must never reorder the cascade.
 #[test]
-fn non_adaptive_slicing_preserves_the_default_cascade() {
+fn slicing_preserves_the_default_cascade() {
     let chip = Chip::generate(&ChipConfig { scale: Scale::Small, with_bugs: true });
     let opts = CheckOptions::default();
     let mut compared = 0;
@@ -285,7 +278,7 @@ fn non_adaptive_slicing_preserves_the_default_cascade() {
         for prop in props.iter().take(2) {
             let mut ref_stats = CheckStats::default();
             let ref_verdict =
-                veridic::mc::check_one(&prop.aig, prop.bad_index, &opts, &mut ref_stats);
+                Portfolio::default().check_bad(&prop.aig, prop.bad_index, &opts, &mut ref_stats);
             let sliced = run_sliced(prop, &opts);
             assert_eq!(sliced.verdict, ref_verdict, "{}/{}", prop.module, prop.label);
             let cascade = |stats: &CheckStats| {

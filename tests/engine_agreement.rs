@@ -62,15 +62,16 @@ fn pobdd_agrees_with_monolithic_bdd_on_clean_module() {
     let vm = make_verifiable(&module).unwrap();
     // POBDD-forced portfolio: starve the monolithic BDD so the POBDD
     // fallback concludes, then compare against a generous BDD run.
+    let portfolio = Portfolio::default();
     for (_, compiled) in generate_all(&vm).unwrap().into_iter().take(2) {
         let aig = aig_for(&compiled);
         for idx in 0..compiled.asserts.len().min(3) {
             let mut s1 = CheckStats::default();
             let generous = CheckOptions::builder().bdd_only(true).build();
-            let v1 = check_one(&aig, idx, &generous, &mut s1);
+            let v1 = portfolio.check_bad(&aig, idx, &generous, &mut s1);
             let mut s2 = CheckStats::default();
             let pobdd = CheckOptions::builder().bdd_only(true).pobdd_window_vars(3).build();
-            let v2 = check_one(&aig, idx, &pobdd, &mut s2);
+            let v2 = portfolio.check_bad(&aig, idx, &pobdd, &mut s2);
             assert_eq!(
                 v1.is_proved(),
                 v2.is_proved(),

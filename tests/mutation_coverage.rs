@@ -22,7 +22,9 @@ fn falsified_types(module: &Module) -> Vec<PropertyType> {
         }
         for idx in 0..compiled.asserts.len() {
             let mut stats = CheckStats::default();
-            if check_one(&aig, idx, &CheckOptions::default(), &mut stats).is_falsified() {
+            let verdict =
+                Portfolio::default().check_bad(&aig, idx, &CheckOptions::default(), &mut stats);
+            if verdict.is_falsified() {
                 out.push(g.ptype);
             }
         }

@@ -239,14 +239,15 @@ fn killed_reachability_resumes_identically_via_facade() {
     let portfolio = Portfolio::default();
     let uninterrupted = portfolio.check(&g, &opts);
 
-    let checkpoint = portfolio
-        .run_with_budget(&g, &opts, &mut Budget::rounds(15))
-        .into_checkpoint()
-        .expect("15 rounds cannot reach depth 44");
-    let resumed = match portfolio.resume(&g, &opts, checkpoint) {
-        PortfolioOutcome::Done(r) => r,
-        PortfolioOutcome::Suspended(_) => panic!("unbudgeted resume concludes"),
+    let checkpoint = match portfolio.check_bad_with_budget(&g, 0, &opts, &mut Budget::rounds(15)) {
+        PortfolioOutcome::Suspended(ck) => ck,
+        PortfolioOutcome::Done(r) => panic!("15 rounds cannot reach depth 44: {:?}", r.verdict),
     };
+    let resumed =
+        match portfolio.resume_bad_with_budget(&g, &opts, checkpoint, &mut Budget::unlimited()) {
+            PortfolioOutcome::Done(r) => r,
+            PortfolioOutcome::Suspended(_) => panic!("unbudgeted resume concludes"),
+        };
     assert_eq!(resumed.verdict, uninterrupted.verdict);
     match (&resumed.verdict, &uninterrupted.verdict) {
         (Verdict::Falsified(a), Verdict::Falsified(b)) => assert_eq!(a.len(), b.len()),

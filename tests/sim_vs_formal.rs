@@ -18,7 +18,7 @@ fn formal_finds(module: &Module) -> Option<usize> {
         for idx in 0..compiled.asserts.len() {
             let mut stats = CheckStats::default();
             if let Verdict::Falsified(t) =
-                check_one(&aig, idx, &CheckOptions::default(), &mut stats)
+                Portfolio::default().check_bad(&aig, idx, &CheckOptions::default(), &mut stats)
             {
                 return Some(t.len());
             }
@@ -113,7 +113,8 @@ fn formal_counterexample_reproduces_symptom_in_simulator() {
     let mut trace = None;
     for idx in 0..compiled.asserts.len() {
         let mut stats = CheckStats::default();
-        if let Verdict::Falsified(t) = check_one(&aig, idx, &CheckOptions::default(), &mut stats)
+        if let Verdict::Falsified(t) =
+            Portfolio::default().check_bad(&aig, idx, &CheckOptions::default(), &mut stats)
         {
             trace = Some(t);
             break;
