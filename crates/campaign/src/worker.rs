@@ -204,7 +204,10 @@ fn run_job(
     // damaged or mismatched files are reported and ignored — the job
     // restarts from scratch rather than resuming wrongly. The sibling
     // asserts of one vunit share its AIG, so the fingerprints cannot
-    // tell their checkpoints apart: the bad index must match too.
+    // tell their checkpoints apart: the bad index must match too. A
+    // file that passes all of this can still not fit the cascade (a
+    // slot, engine state or window split this run does not have);
+    // the portfolio refuses it, and it is ignored the same way.
     let resume = match store::load_checkpoint(&ckpt_path, Some((aig_fp, opts_fp))) {
         Ok(file) if file.state.bad_index == prop.bad_index => Some(file.state),
         Ok(file) => {
@@ -226,9 +229,18 @@ fn run_job(
     let (job_running, bridge) = spawn_cancel_bridge(token.clone(), SHUTDOWN_POLL, shutdown);
     let portfolio = Portfolio::default();
     let slice = || Budget::rounds(spec.slice_rounds.max(1)).with_cancel(&token);
-    let mut outcome = match resume {
-        Some(ck) => portfolio.resume_bad_with_budget(&prop.aig, &spec.check, ck, &mut slice()),
-        None => portfolio.check_bad_with_budget(&prop.aig, prop.bad_index, &spec.check, &mut slice()),
+    let fresh = || {
+        portfolio.check_bad_with_budget(&prop.aig, prop.bad_index, &spec.check, &mut slice())
+    };
+    let resumed =
+        resume.map(|ck| portfolio.resume_bad_with_budget(&prop.aig, &spec.check, ck, &mut slice()));
+    let mut outcome = match resumed {
+        Some(Ok(outcome)) => outcome,
+        Some(Err(misfit)) => {
+            write_frame(out, &format!("WARN {id} stale checkpoint ignored: {misfit}"))?;
+            fresh()
+        }
+        None => fresh(),
     };
     let result = loop {
         match outcome {
@@ -244,8 +256,9 @@ fn run_job(
                 if shutdown() {
                     break None;
                 }
-                outcome =
-                    portfolio.resume_bad_with_budget(&prop.aig, &spec.check, file.state, &mut slice());
+                outcome = portfolio
+                    .resume_bad_with_budget(&prop.aig, &spec.check, file.state, &mut slice())
+                    .expect("the run's own checkpoint fits it"); // lint: allow
             }
         }
     };
@@ -359,6 +372,7 @@ pub fn maybe_run_worker() -> Option<i32> {
 mod tests {
     use super::*;
     use veridic_core::flow::check_property;
+    use veridic_mc::{CheckOptions, CheckpointMisfit, EngineCheckpoint, EngineId, RunCheckpoint};
 
     #[test]
     fn frames_round_trip() {
@@ -398,6 +412,62 @@ mod tests {
         );
     }
 
+    /// Runs job 7 of `prop` under the default spec over a checkpoint
+    /// file that holds `state` and the job's own fingerprints, in a
+    /// campaign directory named after `test`; returns the job's first
+    /// frame, after checking that its record is the job's own fresh
+    /// verdict on its own bad.
+    fn run_over_checkpoint(test: &str, prop: &PreparedProperty, state: RunCheckpoint) -> String {
+        let spec = CampaignSpec::default();
+        let root = std::env::temp_dir().join(format!("veridic-{test}-{}", std::process::id()));
+        std::fs::remove_dir_all(&root).ok();
+        let dir = CampaignDir::new(&root);
+        std::fs::create_dir_all(dir.ckpt_dir()).unwrap(); // lint: allow
+        let file = CheckpointFile {
+            aig_fingerprint: prop.aig.fingerprint(),
+            options_fingerprint: spec.check.fingerprint(),
+            state,
+        };
+        store::save_checkpoint(&dir.ckpt_path(7), &file).unwrap(); // lint: allow
+
+        let mut out = Vec::new();
+        let end = run_job(&dir, &spec, prop, 7, &mut out, || false).unwrap(); // lint: allow
+        std::fs::remove_dir_all(&root).ok();
+
+        let first = read_frame(&mut io::Cursor::new(out)).unwrap(); // lint: allow
+        let JobEnd::Done(record) = end else {
+            panic!("the job must conclude, not be interrupted") // lint: allow
+        };
+        let own = check_property(prop, &Portfolio::default(), &spec.check);
+        assert_eq!(record.verdict, own.verdict);
+        let own_bad = &prop.aig.bads()[prop.bad_index].name;
+        assert!(
+            record.stats.events.iter().all(|e| &e.bad == own_bad),
+            "every event must name {own_bad}: {:?}",
+            record.stats.engines_tried()
+        );
+        first.unwrap_or_default()
+    }
+
+    /// The first property of the Small chip and a real checkpoint of
+    /// it, suspended after one round (in BMC, the cascade's first slot).
+    fn suspended_property() -> (PreparedProperty, RunCheckpoint) {
+        let spec = CampaignSpec::default();
+        let chip = Chip::generate(&spec.chip_config());
+        let (props, _) = module_properties(&chip, &chip.modules()[0]);
+        let prop = props.into_iter().next().expect("the module has a property"); // lint: allow
+        let outcome = Portfolio::default().check_bad_with_budget(
+            &prop.aig,
+            prop.bad_index,
+            &spec.check,
+            &mut Budget::rounds(1),
+        );
+        let PortfolioOutcome::Suspended(ck) = outcome else {
+            panic!("one round cannot conclude {}", prop.label) // lint: allow
+        };
+        (prop, ck)
+    }
+
     /// The asserts of one vunit share its AIG, so a sibling's checkpoint
     /// passes both fingerprint checks. The job must still refuse it and
     /// check its own property from scratch, not journal the sibling's
@@ -428,37 +498,66 @@ mod tests {
             })
             .expect("the Small chip has a vunit with two asserts"); // lint: allow
         let sibling_bad = sibling_ck.bad_index;
-
-        let root = std::env::temp_dir().join(format!("veridic-sibling-{}", std::process::id()));
-        std::fs::remove_dir_all(&root).ok();
-        let dir = CampaignDir::new(&root);
-        std::fs::create_dir_all(dir.ckpt_dir()).unwrap(); // lint: allow
-        let file = CheckpointFile {
-            aig_fingerprint: prop.aig.fingerprint(),
-            options_fingerprint: opts.fingerprint(),
-            state: sibling_ck,
-        };
-        store::save_checkpoint(&dir.ckpt_path(7), &file).unwrap(); // lint: allow
-
-        let mut out = Vec::new();
-        let end = run_job(&dir, &spec, &prop, 7, &mut out, || false).unwrap(); // lint: allow
-        std::fs::remove_dir_all(&root).ok();
-
-        let first = read_frame(&mut io::Cursor::new(out)).unwrap(); // lint: allow
-        let first = first.unwrap_or_default();
+        let first = run_over_checkpoint("sibling", &prop, sibling_ck);
         let warning = format!("WARN 7 stale checkpoint ignored: it is for bad {sibling_bad},");
         assert!(first.starts_with(&warning), "first frame: {first:?}");
-        let JobEnd::Done(record) = end else {
-            panic!("the job must conclude, not be interrupted") // lint: allow
-        };
-        let own = check_property(&prop, &Portfolio::default(), opts);
-        assert_eq!(record.verdict, own.verdict);
-        let own_bad = &prop.aig.bads()[prop.bad_index].name;
-        assert!(
-            record.stats.events.iter().all(|e| &e.bad == own_bad),
-            "every event must name {own_bad}: {:?}",
-            record.stats.engines_tried()
+    }
+
+    /// A checkpoint that passes the codec, the fingerprints and the bad
+    /// check can still not fit the cascade. Each such file must be
+    /// reported and the job run afresh: a panic would repeat on every
+    /// respawned worker.
+    fn assert_misfit_is_stale(
+        test: &str,
+        prop: &PreparedProperty,
+        state: RunCheckpoint,
+        misfit: CheckpointMisfit,
+    ) {
+        let first = run_over_checkpoint(test, prop, state);
+        assert_eq!(first, format!("WARN 7 stale checkpoint ignored: {misfit}"));
+    }
+
+    #[test]
+    fn a_checkpoint_past_the_last_slot_is_stale() {
+        let (prop, ck) = suspended_property();
+        let state = RunCheckpoint { slot: 9, ..ck };
+        let misfit = CheckpointMisfit::SlotOutOfRange { slot: 9, slots: 4 };
+        assert_misfit_is_stale("past-last-slot", &prop, state, misfit);
+    }
+
+    #[test]
+    fn a_bmc_state_at_the_induction_slot_is_stale() {
+        let (prop, ck) = suspended_property();
+        assert!(matches!(ck.state, EngineCheckpoint::Bmc { .. }), "{:?}", ck.state);
+        let state = RunCheckpoint { slot: 1, ..ck };
+        let misfit = CheckpointMisfit::WrongState { slot: 1, engine: EngineId::Induction };
+        assert_misfit_is_stale("bmc-at-induction", &prop, state, misfit);
+    }
+
+    #[test]
+    fn a_reach_checkpoint_with_the_wrong_window_count_is_stale() {
+        let (prop, ck) = suspended_property();
+        // A real monolithic reachability state, doubled into two windows.
+        let bdd_only = CheckOptions { bdd_only: true, ..CampaignSpec::default().check };
+        let outcome = Portfolio::default().check_bad_with_budget(
+            &prop.aig,
+            prop.bad_index,
+            &bdd_only,
+            &mut Budget::rounds(1),
         );
+        let PortfolioOutcome::Suspended(RunCheckpoint {
+            slot: 2,
+            state: EngineCheckpoint::Reach(mut reach),
+            ..
+        }) = outcome
+        else {
+            panic!("one round of BDD reachability cannot conclude {}", prop.label) // lint: allow
+        };
+        reach.reached.push(reach.reached[0].clone());
+        reach.frontier.push(reach.frontier[0].clone());
+        let state = RunCheckpoint { slot: 2, state: EngineCheckpoint::Reach(reach), ..ck };
+        let misfit = CheckpointMisfit::WindowCount { expected: 1, reached: 2, frontier: 2 };
+        assert_misfit_is_stale("window-count", &prop, state, misfit);
     }
 
     #[test]

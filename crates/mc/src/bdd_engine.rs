@@ -6,7 +6,7 @@
 //! after all state variables. Interleaving keeps the current→next rename
 //! order-preserving, so renaming is a linear rebuild.
 
-use crate::checkpoint::ReachCheckpoint;
+use crate::checkpoint::{CheckpointMisfit, ReachCheckpoint};
 use crate::engine::Budget;
 use crate::CheckStats;
 use veridic_aig::{Aig, Lit, Var};
@@ -28,6 +28,10 @@ pub enum BddEngineOutcome {
     /// fresh manager. Never returned by the unbudgeted entry points
     /// ([`bdd_umc`], [`crate::pobdd_reach`]).
     Suspended(ReachCheckpoint),
+    /// The resume checkpoint was taken on another window split than the
+    /// one this run derives, so the run did not start. Never returned
+    /// without a checkpoint.
+    Misfit(CheckpointMisfit),
 }
 
 /// A transition-system build that exhausted the node quota, carrying the
@@ -409,7 +413,8 @@ pub(crate) fn static_bdd_order(aig: &Aig) -> StaticOrder {
 /// [`CheckStats::iterations`] are identical to an uninterrupted run
 /// (manager accounting — allocations, peaks — naturally differs: the
 /// fresh manager never built the dead intermediates of the first
-/// session).
+/// session). A partitioned engine's checkpoint gives
+/// [`BddEngineOutcome::Misfit`].
 ///
 /// `static_order` seeds the session's manager with the FORCE static
 /// variable order (see `static_bdd_order`) before any node is built.
@@ -425,6 +430,9 @@ pub fn bdd_umc_session(
     budget: &mut Budget,
     resume: Option<&ReachCheckpoint>,
 ) -> BddEngineOutcome {
+    if let Some(Err(misfit)) = resume.map(|ck| ck.check_windows(0, 1)) {
+        return BddEngineOutcome::Misfit(misfit);
+    }
     let seeded = if static_order {
         let so = static_bdd_order(aig);
         stats.static_order_span_before = so.span_before;
@@ -504,8 +512,6 @@ fn session_start(
 ) -> Result<Option<(NodeId, NodeId, usize)>, OutOfNodes> {
     match resume {
         Some(ck) => {
-            assert_eq!(ck.window_vars, 0, "monolithic engine resumed with a POBDD checkpoint");
-            assert_eq!(ck.reached.len(), 1, "monolithic checkpoint has one window");
             // Imports arrive rooted — exactly the registration the
             // reached/frontier slots own.
             let r = transfer::import(&ck.reached[0], &mut ts.mgr)?;

@@ -10,7 +10,11 @@
 //! run resumes mid-fixpoint with an identical verdict, falsification
 //! depth and completed-round count.
 
+use std::fmt;
+
 use veridic_bdd::transfer::{DeltaBdd, ExportedBdd};
+
+use crate::engine::EngineId;
 
 /// Mid-fixpoint state of a BDD reachability engine (monolithic or
 /// partitioned): per-window reached and frontier sets at the end of a
@@ -42,6 +46,113 @@ pub struct ReachCheckpoint {
     /// verifies the count matches.
     pub window_vars: u32,
 }
+
+impl ReachCheckpoint {
+    /// Checks that this checkpoint was taken on the window split the
+    /// resuming engine derives: `window_vars` split variables and one
+    /// reached and one frontier set for each of its `windows` windows.
+    pub(crate) fn check_windows(
+        &self,
+        window_vars: u32,
+        windows: usize,
+    ) -> Result<(), CheckpointMisfit> {
+        if self.window_vars != window_vars {
+            let found = self.window_vars;
+            return Err(CheckpointMisfit::WindowVars { expected: window_vars, found });
+        }
+        if (self.reached.len(), self.frontier.len()) != (windows, windows) {
+            return Err(CheckpointMisfit::WindowCount {
+                expected: windows,
+                reached: self.reached.len(),
+                frontier: self.frontier.len(),
+            });
+        }
+        Ok(())
+    }
+}
+
+/// Why a checkpoint that decoded cleanly cannot resume a run: it does
+/// not fit the portfolio, AIG or options it was handed with. Continuing
+/// would not be the suspended run, so
+/// [`crate::Portfolio::resume_bad_with_budget`] refuses the checkpoint,
+/// and the caller can start the run afresh.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum CheckpointMisfit {
+    /// The slot index is past the portfolio's last engine.
+    SlotOutOfRange {
+        /// The checkpoint's slot.
+        slot: usize,
+        /// The portfolio's engine count.
+        slots: usize,
+    },
+    /// The bad index is past the AIG's last bad.
+    BadOutOfRange {
+        /// The checkpoint's bad index.
+        bad_index: usize,
+        /// The AIG's bad count.
+        bads: usize,
+    },
+    /// The slot's engine cannot take this kind of engine state.
+    WrongState {
+        /// The checkpoint's slot.
+        slot: usize,
+        /// The engine in that slot.
+        engine: EngineId,
+    },
+    /// The slot's engine is disabled under the options.
+    SlotDisabled {
+        /// The checkpoint's slot.
+        slot: usize,
+        /// The engine in that slot.
+        engine: EngineId,
+    },
+    /// A reachability checkpoint split on another number of window
+    /// variables than the resuming engine.
+    WindowVars {
+        /// The engine's count (0 for the monolithic engine).
+        expected: u32,
+        /// The checkpoint's count.
+        found: u32,
+    },
+    /// A reachability checkpoint with another number of windows than
+    /// the split the resuming engine derives.
+    WindowCount {
+        /// The engine's window count (1 for the monolithic engine).
+        expected: usize,
+        /// The checkpoint's reached sets.
+        reached: usize,
+        /// The checkpoint's frontier sets.
+        frontier: usize,
+    },
+}
+
+impl fmt::Display for CheckpointMisfit {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CheckpointMisfit::SlotOutOfRange { slot, slots } => {
+                write!(f, "it names engine slot {slot}, the portfolio has {slots} slots")
+            }
+            CheckpointMisfit::BadOutOfRange { bad_index, bads } => {
+                write!(f, "it is for bad {bad_index}, the AIG has {bads} bads")
+            }
+            CheckpointMisfit::WrongState { slot, engine } => {
+                write!(f, "its engine state does not fit slot {slot} ({engine})")
+            }
+            CheckpointMisfit::SlotDisabled { slot, engine } => {
+                write!(f, "slot {slot} ({engine}) is disabled under these options")
+            }
+            CheckpointMisfit::WindowVars { expected, found } => {
+                write!(f, "it splits on {found} window variables, the engine on {expected}")
+            }
+            CheckpointMisfit::WindowCount { expected, reached, frontier } => write!(
+                f,
+                "it has {reached} reached and {frontier} frontier sets, the engine {expected} windows"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for CheckpointMisfit {}
 
 /// A suspended engine's resumable state.
 #[derive(Clone, Debug, PartialEq)]

@@ -4,7 +4,7 @@
 //! loop, and the structured [`EngineEvent`] log that replaced the
 //! stringly-typed `engines_tried` vector.
 
-use crate::checkpoint::EngineCheckpoint;
+use crate::checkpoint::{CheckpointMisfit, EngineCheckpoint};
 use crate::{CheckOptions, CheckStats, Trace};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -238,6 +238,12 @@ pub enum EngineOutcome {
     /// The cooperative [`Budget`] said stop; the checkpoint resumes the
     /// run where it left off.
     Suspended(EngineCheckpoint),
+    /// The [`EngineCtx::resume`] checkpoint does not fit this run (a BDD
+    /// engine's window split, say), so the engine did not resume it.
+    /// The scheduler stops, and
+    /// [`crate::Portfolio::resume_bad_with_budget`] returns the misfit.
+    /// Only a run given a checkpoint may answer this.
+    Misfit(CheckpointMisfit),
 }
 
 /// A verification engine the [`crate::Portfolio`] can schedule.

@@ -62,7 +62,7 @@ pub use bmc::{
     bmc_check, bmc_check_budgeted, induction_check, induction_check_budgeted, BmcOutcome,
     InductionOutcome,
 };
-pub use checkpoint::{EngineCheckpoint, ReachCheckpoint};
+pub use checkpoint::{CheckpointMisfit, EngineCheckpoint, ReachCheckpoint};
 pub use engine::{
     Budget, CancelToken, Engine, EngineCtx, EngineEvent, EngineId, EngineOutcome, EventOutcome,
     EventResources,

@@ -59,7 +59,8 @@ pub fn pobdd_reach(
 /// is exported through [`veridic_bdd::transfer`] and the run suspends.
 /// Resume re-derives the identical window split from the AIG, imports
 /// the per-window sets, and continues at the next round with the same
-/// verdict, depth and completed-round count.
+/// verdict, depth and completed-round count. A checkpoint taken on
+/// another split gives [`BddEngineOutcome::Misfit`].
 ///
 /// `static_order` seeds the session's manager with the FORCE static
 /// variable order (see [`veridic_aig::structure::force_order`]) before
@@ -76,12 +77,6 @@ pub fn pobdd_reach_session(
     budget: &mut Budget,
     resume: Option<&ReachCheckpoint>,
 ) -> BddEngineOutcome {
-    if let Some(ck) = resume {
-        assert_eq!(
-            ck.window_vars, window_vars,
-            "POBDD resumed with a checkpoint from a different window split"
-        );
-    }
     let seeded = if static_order {
         let so = crate::bdd_engine::static_bdd_order(aig);
         stats.static_order_span_before = so.span_before;
@@ -133,11 +128,9 @@ fn run(
     let mut frontier = vec![NodeId::FALSE; nparts];
     let start_depth = match resume {
         Some(ck) => {
-            assert_eq!(
-                ck.reached.len(),
-                nparts,
-                "checkpoint window count must match the re-derived split"
-            );
+            if let Err(misfit) = ck.check_windows(window_vars, nparts) {
+                return Ok(BddEngineOutcome::Misfit(misfit));
+            }
             for w in 0..nparts {
                 // Each import arrives rooted: exactly the registration
                 // the reached/frontier slot owns.

@@ -19,7 +19,7 @@
 //!   next slice with identical verdicts.
 
 use crate::bmc::{self, BmcOutcome, InductionOutcome};
-use crate::checkpoint::EngineCheckpoint;
+use crate::checkpoint::{CheckpointMisfit, EngineCheckpoint};
 use crate::engine::{
     Budget, Engine, EngineCtx, EngineEvent, EngineId, EngineOutcome, EventOutcome, EventResources,
 };
@@ -165,6 +165,7 @@ impl Engine for BddUmcEngine {
             bdd_engine::BddEngineOutcome::Suspended(ck) => {
                 EngineOutcome::Suspended(EngineCheckpoint::Reach(ck))
             }
+            bdd_engine::BddEngineOutcome::Misfit(misfit) => EngineOutcome::Misfit(misfit),
         }
     }
 }
@@ -212,6 +213,7 @@ impl Engine for PobddEngine {
             bdd_engine::BddEngineOutcome::Suspended(ck) => {
                 EngineOutcome::Suspended(EngineCheckpoint::Reach(ck))
             }
+            bdd_engine::BddEngineOutcome::Misfit(misfit) => EngineOutcome::Misfit(misfit),
         }
     }
 }
@@ -345,7 +347,8 @@ impl Portfolio {
     ) -> Verdict {
         match self.check_bad_inner(aig, bad_index, opts, stats, &mut Budget::unlimited(), None) {
             Ok(verdict) => verdict,
-            Err(_) => unreachable!("an unlimited budget cannot suspend"),
+            Err(Halt::Suspended(..)) => unreachable!("an unlimited budget cannot suspend"),
+            Err(Halt::Misfit(_)) => unreachable!("a fresh run has no checkpoint to refuse"),
         }
     }
 
@@ -375,7 +378,10 @@ impl Portfolio {
         opts: &CheckOptions,
         budget: &mut Budget,
     ) -> PortfolioOutcome {
-        self.slice(aig, bad_index, opts, CheckStats::default(), budget, None)
+        match self.slice(aig, bad_index, opts, CheckStats::default(), budget, None) {
+            Ok(outcome) => outcome,
+            Err(_) => unreachable!("a fresh run has no checkpoint to refuse"),
+        }
     }
 
     /// Continues a suspended run of [`Portfolio::check_bad_with_budget`]
@@ -394,22 +400,28 @@ impl Portfolio {
     /// differently than if it had never been interrupted; the schedule
     /// (which depths/ks get queried) is still exact.
     ///
+    /// # Errors
+    ///
+    /// A [`CheckpointMisfit`] if the checkpoint does not fit this
+    /// portfolio, AIG and options: a slot index out of range, a bad
+    /// index the AIG does not have, an engine state the named slot's
+    /// engine cannot take, a slot the options disable, or a BDD window
+    /// split the engine does not derive. These are the signs of a
+    /// checkpoint resumed against another run, where continuing would
+    /// give wrong verdicts. Nothing of the run has been resumed then,
+    /// so the caller can start it afresh.
+    ///
     /// # Panics
     ///
-    /// See [`Portfolio::check`]; additionally panics if the checkpoint
-    /// does not fit this portfolio and AIG — a slot index out of
-    /// range, a bad index the AIG does not have, or an engine-state
-    /// variant the named slot's engine cannot consume (all the signs
-    /// of a checkpoint resumed against the wrong run; silently
-    /// continuing would produce wrong verdicts).
+    /// See [`Portfolio::check`].
     pub fn resume_bad_with_budget(
         &self,
         aig: &Aig,
         opts: &CheckOptions,
         checkpoint: RunCheckpoint,
         budget: &mut Budget,
-    ) -> PortfolioOutcome {
-        self.validate_checkpoint(aig, opts, &checkpoint);
+    ) -> Result<PortfolioOutcome, CheckpointMisfit> {
+        self.validate_checkpoint(aig, opts, &checkpoint)?;
         let RunCheckpoint { bad_index, slot, state, stats, reasons } = checkpoint;
         self.slice(aig, bad_index, opts, stats, budget, Some((slot, state, reasons)))
     }
@@ -423,60 +435,55 @@ impl Portfolio {
         mut stats: CheckStats,
         budget: &mut Budget,
         resume: Option<(usize, EngineCheckpoint, Vec<String>)>,
-    ) -> PortfolioOutcome {
+    ) -> Result<PortfolioOutcome, CheckpointMisfit> {
         match self.check_bad_inner(aig, bad_index, opts, &mut stats, budget, resume) {
-            Ok(verdict) => PortfolioOutcome::Done(CheckResult { verdict, stats }),
-            Err((slot, state, reasons)) => {
-                PortfolioOutcome::Suspended(RunCheckpoint { bad_index, slot, state, stats, reasons })
-            }
+            Ok(verdict) => Ok(PortfolioOutcome::Done(CheckResult { verdict, stats })),
+            Err(Halt::Suspended(slot, state, reasons)) => Ok(PortfolioOutcome::Suspended(
+                RunCheckpoint { bad_index, slot, state, stats, reasons },
+            )),
+            Err(Halt::Misfit(misfit)) => Err(misfit),
         }
     }
 
     /// The resume-compatibility guard of
     /// [`Portfolio::resume_bad_with_budget`]: a checkpoint must name a
     /// slot this portfolio has, a bad the AIG has, an engine state the
-    /// named slot can consume, and a slot still enabled under the
-    /// options — all the signs of a checkpoint resumed against the
-    /// wrong run, where silently continuing would produce wrong
-    /// verdicts.
-    fn validate_checkpoint(&self, aig: &Aig, opts: &CheckOptions, checkpoint: &RunCheckpoint) {
-        let (slot, bad_index, state) = (checkpoint.slot, checkpoint.bad_index, &checkpoint.state);
-        assert!(slot < self.slots.len(), "checkpoint slot {slot} out of range");
-        assert!(
-            bad_index < aig.bads().len(),
-            "checkpoint bad index {bad_index} out of range: the AIG has {} bads — \
-             resume must be given the AIG the run was suspended on",
-            aig.bads().len()
-        );
-        let slot_id = self.slots[slot].id();
-        let compatible = match (state, slot_id) {
+    /// named slot can take, and a slot still enabled under the options.
+    /// The engine itself checks what only it can derive (a BDD window
+    /// split).
+    fn validate_checkpoint(
+        &self,
+        aig: &Aig,
+        opts: &CheckOptions,
+        checkpoint: &RunCheckpoint,
+    ) -> Result<(), CheckpointMisfit> {
+        let (slot, bad_index) = (checkpoint.slot, checkpoint.bad_index);
+        let Some(engine) = self.slots.get(slot) else {
+            return Err(CheckpointMisfit::SlotOutOfRange { slot, slots: self.slots.len() });
+        };
+        if bad_index >= aig.bads().len() {
+            return Err(CheckpointMisfit::BadOutOfRange { bad_index, bads: aig.bads().len() });
+        }
+        let id = engine.id();
+        let fits = match (&checkpoint.state, id) {
             (EngineCheckpoint::Bmc { .. }, EngineId::Bmc) => true,
             (EngineCheckpoint::Induction { .. }, EngineId::Induction) => true,
             (EngineCheckpoint::Reach(_), EngineId::BddUmc | EngineId::PobddUmc) => true,
-            // Custom engines define their own checkpoint discipline
-            // over the closed `EngineCheckpoint` variants, so a custom
-            // slot accepts any of them — which also means this guard
-            // cannot catch a wrong-portfolio resume that happens to
-            // land on a custom slot; the slot-index and bad-index
-            // asserts are the only protection there.
+            // A custom engine checks its own state: it answers
+            // `EngineOutcome::Misfit` to one it cannot take.
             (_, EngineId::Custom(_)) => true,
             _ => false,
         };
-        assert!(
-            compatible,
-            "checkpoint state does not fit slot {slot} ({slot_id}) — \
-             resume must be given the portfolio the run was suspended under"
-        );
-        assert!(
-            self.slots[slot].enabled(opts),
-            "checkpoint slot {slot} ({slot_id}) is disabled under these options — \
-             resume must be given the options the run was suspended under"
-        );
+        if !fits {
+            return Err(CheckpointMisfit::WrongState { slot, engine: id });
+        }
+        if !engine.enabled(opts) {
+            return Err(CheckpointMisfit::SlotDisabled { slot, engine: id });
+        }
+        Ok(())
     }
 
-    /// Schedules the slots over one bad. `Ok` is a verdict; `Err` is a
-    /// suspension `(slot, engine checkpoint, reasons so far)`.
-    #[allow(clippy::type_complexity)]
+    /// Schedules the slots over one bad. `Ok` is a verdict.
     fn check_bad_inner(
         &self,
         aig: &Aig,
@@ -485,7 +492,7 @@ impl Portfolio {
         stats: &mut CheckStats,
         budget: &mut Budget,
         resume: Option<(usize, EngineCheckpoint, Vec<String>)>,
-    ) -> Result<Verdict, (usize, EngineCheckpoint, Vec<String>)> {
+    ) -> Result<Verdict, Halt> {
         // Cone of influence: bad + all constraints (constraints must
         // keep their meaning on every path).
         let bad = aig.bads()[bad_index].lit;
@@ -710,7 +717,11 @@ impl Portfolio {
                 }
                 EngineOutcome::Suspended(state) => {
                     push(stats, EventOutcome::Suspended);
-                    return Err((slot_index, state, reasons));
+                    return Err(Halt::Suspended(slot_index, state, reasons));
+                }
+                EngineOutcome::Misfit(misfit) => {
+                    assert!(resume_state.is_some(), "{id} refused a checkpoint it was not given");
+                    return Err(Halt::Misfit(misfit));
                 }
             }
         }
@@ -723,6 +734,15 @@ impl Portfolio {
             },
         })
     }
+}
+
+/// Why [`Portfolio::check_bad_inner`] stopped without a verdict.
+enum Halt {
+    /// The budget tripped: the slot, its engine's checkpoint and the
+    /// resource-out reasons so far.
+    Suspended(usize, EngineCheckpoint, Vec<String>),
+    /// The resumed engine refused its checkpoint.
+    Misfit(CheckpointMisfit),
 }
 
 /// The historical replay-assertion attribution for the built-in
@@ -801,8 +821,9 @@ mod tests {
     /// Resumes `ck` unbudgeted, which must conclude.
     fn resume_to_end(p: &Portfolio, g: &Aig, opts: &CheckOptions, ck: RunCheckpoint) -> CheckResult {
         match p.resume_bad_with_budget(g, opts, ck, &mut Budget::unlimited()) {
-            PortfolioOutcome::Done(r) => r,
-            PortfolioOutcome::Suspended(ck) => panic!("run suspended at slot {}", ck.slot),
+            Ok(PortfolioOutcome::Done(r)) => r,
+            Ok(PortfolioOutcome::Suspended(ck)) => panic!("run suspended at slot {}", ck.slot),
+            Err(misfit) => panic!("checkpoint refused: {misfit}"),
         }
     }
 
@@ -978,8 +999,9 @@ mod tests {
                 PortfolioOutcome::Suspended(ck) => {
                     hops += 1;
                     assert!(hops < 100, "resume must make progress");
-                    outcome =
-                        portfolio.resume_bad_with_budget(&g, &opts, ck, &mut Budget::rounds(3));
+                    outcome = portfolio
+                        .resume_bad_with_budget(&g, &opts, ck, &mut Budget::rounds(3))
+                        .expect("the run's own checkpoint fits");
                 }
             }
         };
@@ -1024,10 +1046,9 @@ mod tests {
         }
     }
 
-    /// A checkpoint resumed against the wrong portfolio must fail loud
-    /// (a reordered policy would silently mis-schedule otherwise).
+    /// A checkpoint resumed against the wrong portfolio is refused (a
+    /// reordered policy would silently mis-schedule otherwise).
     #[test]
-    #[should_panic(expected = "does not fit slot")]
     fn resume_rejects_mismatched_portfolio() {
         let g = counter_aig(6, 50);
         let opts = CheckOptions::builder().bdd_only(true).pobdd_window_vars(0).build();
@@ -1043,20 +1064,22 @@ mod tests {
             .with(Box::new(BmcEngine))
             .with(Box::new(InductionEngine))
             .with(Box::new(PobddEngine));
-        let _ = reordered.resume_bad_with_budget(&g, &opts, ck, &mut Budget::unlimited());
+        let refused = reordered.resume_bad_with_budget(&g, &opts, ck, &mut Budget::unlimited());
+        let misfit = CheckpointMisfit::WrongState { slot: 2, engine: EngineId::Induction };
+        assert_eq!(refused.err(), Some(misfit));
     }
 
-    /// A checkpoint resumed against the wrong AIG must fail loud (the
+    /// A checkpoint resumed against the wrong AIG is refused (the
     /// suspended bad index no longer exists → spurious proof).
     #[test]
-    #[should_panic(expected = "bad index")]
     fn resume_rejects_mismatched_aig() {
         let g = stuck_and_deep_aig();
         let opts = CheckOptions::builder().bdd_only(true).pobdd_window_vars(0).build();
         let portfolio = Portfolio::default();
         let ck = suspended(portfolio.check_bad_with_budget(&g, 1, &opts, &mut Budget::rounds(10)));
         let other = counter_aig(4, 9); // one bad only
-        let _ = portfolio.resume_bad_with_budget(&other, &opts, ck, &mut Budget::unlimited());
+        let refused = portfolio.resume_bad_with_budget(&other, &opts, ck, &mut Budget::unlimited());
+        assert_eq!(refused.err(), Some(CheckpointMisfit::BadOutOfRange { bad_index: 1, bads: 1 }));
     }
 
     /// The vacuity short-circuit: a statically-constant bad concludes

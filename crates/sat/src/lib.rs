@@ -6,10 +6,12 @@
 //! verification tool ... equipped with various formal solver algorithms").
 //!
 //! Features: two-literal watching, first-UIP conflict analysis with clause
-//! learning, VSIDS decision heuristic on a binary order heap with phase
-//! saving, Luby restarts, activity-based learnt-clause reduction over a
-//! flat clause arena that compacts itself, incremental solving under
-//! assumptions, and a deterministic conflict budget (the reproducible
+//! learning, VSIDS decision heuristic with phase saving on a two-tier
+//! order (a binary heap for bumped variables, a bitset in index order
+//! for those still at activity zero), Luby restarts, activity-based
+//! learnt-clause reduction over a flat clause arena that compacts
+//! itself, incremental solving under assumptions (clauses may be added
+//! between calls), and a deterministic conflict budget (the reproducible
 //! "time-out" used by the resource-bounded verification flow). The
 //! search itself is pinned, not just its answers: the search-exact
 //! contract is in ARCHITECTURE.md, "SAT hot-path design".

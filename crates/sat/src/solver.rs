@@ -49,15 +49,27 @@ struct Watcher {
 /// Marks a variable that is not in the [`OrderHeap`].
 const ABSENT: u32 = u32::MAX;
 
-/// The decision order: a binary heap of variables, highest activity first
-/// and ties to the lower index (the variable a scan over all variables
-/// picks). Assigned variables leave it lazily, when they reach the top;
-/// backtracking puts variables back.
+/// Marks a variable in the [`OrderHeap`]'s zero-activity tier.
+const UNBUMPED: u32 = u32::MAX - 1;
+
+/// The decision order: highest activity first and ties to the lower
+/// index (the variable a scan over all variables picks), in two tiers.
+/// Variables whose activity is exactly 0.0 (never bumped, or underflowed
+/// in a rescale) sit in a bitset; the rest sit in a binary heap. Every
+/// positive activity beats 0.0, and 0.0-ties go to the lower index,
+/// which is bit order, so the heap's top, or else the lowest set bit, is
+/// the scan's pick. Assigned variables leave lazily, when they come
+/// next; backtracking puts variables back.
 #[derive(Clone, Debug, Default)]
 struct OrderHeap {
     heap: Vec<u32>,
-    /// Each variable's position in `heap`, or [`ABSENT`].
+    /// Each variable's position in `heap`, [`UNBUMPED`] while it is in
+    /// `zero`, or [`ABSENT`].
     pos: Vec<u32>,
+    /// The zero-activity tier, one bit per variable.
+    zero: Vec<u64>,
+    /// No word of `zero` below this one has a bit set.
+    zero_from: usize,
 }
 
 impl OrderHeap {
@@ -66,23 +78,53 @@ impl OrderHeap {
         x > y || (x == y && a < b)
     }
 
+    /// Registers variable `v`, the next index, and inserts it.
+    fn add_var(&mut self, v: u32, activity: &[f64]) {
+        self.pos.push(ABSENT);
+        if v % 64 == 0 {
+            self.zero.push(0);
+        }
+        self.insert(v, activity);
+    }
+
     fn insert(&mut self, v: u32, activity: &[f64]) {
-        if self.pos[v as usize] == ABSENT {
+        if self.pos[v as usize] != ABSENT {
+            return;
+        }
+        if activity[v as usize] == 0.0 {
+            self.insert_zero(v);
+        } else {
             self.heap.push(v);
             self.sift_up(self.heap.len() - 1, activity);
         }
     }
 
-    /// Restores the heap after `v`'s activity grew.
+    fn insert_zero(&mut self, v: u32) {
+        let w = v as usize / 64;
+        self.zero[w] |= 1 << (v % 64);
+        self.zero_from = self.zero_from.min(w);
+        self.pos[v as usize] = UNBUMPED;
+    }
+
+    /// Restores the order after `v`'s activity grew.
     fn bumped(&mut self, v: u32, activity: &[f64]) {
-        let p = self.pos[v as usize];
-        if p != ABSENT {
-            self.sift_up(p as usize, activity);
+        match self.pos[v as usize] {
+            ABSENT => {}
+            UNBUMPED => {
+                if activity[v as usize] != 0.0 {
+                    self.zero[v as usize / 64] &= !(1 << (v % 64));
+                    self.heap.push(v);
+                    self.sift_up(self.heap.len() - 1, activity);
+                }
+            }
+            p => self.sift_up(p as usize, activity),
         }
     }
 
     fn pop(&mut self, activity: &[f64]) -> Option<u32> {
-        let last = self.heap.pop()?;
+        let Some(last) = self.heap.pop() else {
+            return self.pop_zero();
+        };
         let top = match self.heap.first_mut() {
             Some(root) => std::mem::replace(root, last),
             None => last,
@@ -94,8 +136,36 @@ impl OrderHeap {
         Some(top)
     }
 
-    /// Re-heapifies after every activity changed at once.
+    /// The lowest-index variable of the zero-activity tier.
+    fn pop_zero(&mut self) -> Option<u32> {
+        while let Some(word) = self.zero.get_mut(self.zero_from) {
+            if *word != 0 {
+                let v = (self.zero_from * 64) as u32 + word.trailing_zeros();
+                *word &= *word - 1;
+                self.pos[v as usize] = ABSENT;
+                return Some(v);
+            }
+            self.zero_from += 1;
+        }
+        None
+    }
+
+    /// Restores the order after every activity was scaled down at once:
+    /// variables whose activity underflowed to 0.0 move to the
+    /// zero-activity tier, and the heap is rebuilt from the rest.
     fn rebuild(&mut self, activity: &[f64]) {
+        let mut heap = std::mem::take(&mut self.heap);
+        heap.retain(|&v| {
+            let keep = activity[v as usize] != 0.0;
+            if !keep {
+                self.insert_zero(v);
+            }
+            keep
+        });
+        for (i, &v) in heap.iter().enumerate() {
+            self.pos[v as usize] = i as u32;
+        }
+        self.heap = heap;
         for i in (0..self.heap.len() / 2).rev() {
             self.sift_down(i, activity);
         }
@@ -231,8 +301,7 @@ impl Solver {
         self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
-        self.order.pos.push(ABSENT);
-        self.order.insert(v.0, &self.activity);
+        self.order.add_var(v.0, &self.activity);
         v
     }
 
@@ -256,12 +325,12 @@ impl Solver {
     /// Adds a clause. Returns `false` if the solver is now known
     /// unsatisfiable at level zero (callers may stop adding).
     ///
-    /// # Panics
-    ///
-    /// Panics if called while the solver holds decisions (between
-    /// incremental `solve` calls is fine — the trail is backtracked).
+    /// Clauses may be added between incremental [`Solver::solve`] calls:
+    /// the decisions and assumptions a call left on the trail are undone
+    /// first. So a model stays readable with [`Solver::value`] until the
+    /// next `add_clause` or `solve`.
     pub fn add_clause(&mut self, lits: &[Lit]) -> bool {
-        assert!(self.trail_lim.is_empty(), "add_clause at decision level > 0");
+        self.backtrack(0);
         if !self.ok {
             return false;
         }
@@ -1175,6 +1244,63 @@ mod tests {
     }
 
     #[test]
+    fn order_heap_matches_the_scan_across_underflowing_rescales() {
+        // Bump amounts span 0.0, a value the next rescale underflows to
+        // 0.0, and values that force a rescale every few bumps, so
+        // variables keep crossing between the two tiers. Variables are
+        // also assigned without leaving the order (as propagation does)
+        // and are bumped and rescaled while assigned, then backtracked.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut rnd = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut s = Solver::new();
+        let n = 150;
+        for _ in 0..n {
+            s.new_var();
+        }
+        let (mut rescales, mut unbumped_bumps) = (0, 0);
+        for _ in 0..40_000 {
+            let v = (rnd() % n) as usize;
+            match rnd() % 5 {
+                0 | 1 => {
+                    let inc = [0.0, 1e-260, 1.0, 2.0, 7e99][(rnd() % 5) as usize];
+                    s.var_inc = inc;
+                    if s.activity[v] == 0.0 && inc > 0.0 && s.order.pos[v] == UNBUMPED {
+                        unbumped_bumps += 1;
+                    }
+                    s.var_bump(v);
+                    if s.var_inc != inc {
+                        rescales += 1;
+                    }
+                }
+                // Up to a full assignment, so that the zero tier's
+                // cursor passes emptied words and backtracking refills
+                // words below it.
+                2 => {
+                    for _ in 0..1 + rnd() % n {
+                        let want = scan_pick(&s);
+                        let got = s.pick_branch().map(|l| l.var().0);
+                        assert_eq!(got, want);
+                        let Some(v) = got else { break };
+                        s.trail_lim.push(s.trail.len());
+                        s.unchecked_enqueue(Lit::neg(Var(v)), NO_REASON);
+                    }
+                }
+                3 if s.decision_level() > 0 && s.value(Var(v as u32)).is_none() => {
+                    s.unchecked_enqueue(Lit::pos(Var(v as u32)), NO_REASON);
+                }
+                _ => s.backtrack((rnd() % (s.decision_level() as u64 + 1)) as u32),
+            }
+        }
+        assert!(rescales > 100, "only {rescales} rescales");
+        assert!(unbumped_bumps > 1000, "only {unbumped_bumps} bumps left the zero tier");
+    }
+
+    #[test]
     fn order_heap_breaks_underflow_ties_by_index() {
         // Variables 0..7 sit in the heap in reverse index order (higher
         // index, higher activity); bumping variable 8 past 1e100 rescales
@@ -1182,14 +1308,44 @@ mod tests {
         let mut s = Solver::new();
         for v in 0..9 {
             s.new_var();
-            s.activity[v] = (v + 1) as f64 * 1e-300;
+            s.var_inc = (v + 1) as f64 * 1e-300;
+            s.var_bump(v);
         }
-        s.order.rebuild(&s.activity);
         s.var_inc = 2e100;
         s.var_bump(8);
         assert!(s.activity[..8].iter().all(|&a| a == 0.0));
         let order: Vec<u32> = std::iter::from_fn(|| s.order.pop(&s.activity)).collect();
         assert_eq!(order, [8, 0, 1, 2, 3, 4, 5, 6, 7]);
+    }
+
+    #[test]
+    fn clauses_can_be_added_after_a_model() {
+        // Enumerates the three models of (a | b) with blocking clauses.
+        let mut s = Solver::new();
+        let (a, b) = (s.new_var(), s.new_var());
+        s.add_clause(&[Lit::pos(a), Lit::pos(b)]);
+        let mut models = Vec::new();
+        while s.solve(&[]) == SolveResult::Sat && models.len() < 4 {
+            let model = [s.value(a), s.value(b)].map(|x| x == Some(true));
+            models.push(model);
+            s.add_clause(&[lit(a, !model[0]), lit(b, !model[1])]);
+        }
+        models.sort_unstable();
+        assert_eq!(models, [[false, true], [true, false], [true, true]]);
+    }
+
+    #[test]
+    fn clauses_can_be_added_after_failed_assumptions() {
+        // The second assumption fails with the first one still on the
+        // trail; the added unit then refutes the first one outright.
+        let mut s = Solver::new();
+        let (a, b) = (s.new_var(), s.new_var());
+        s.add_clause(&[Lit::neg(a), Lit::neg(b)]);
+        assert_eq!(s.solve(&[Lit::pos(a), Lit::pos(b)]), SolveResult::Unsat);
+        assert!(s.add_clause(&[Lit::neg(a)]));
+        assert_eq!(s.solve(&[Lit::pos(a)]), SolveResult::Unsat);
+        assert_eq!(s.solve(&[Lit::pos(b)]), SolveResult::Sat);
+        assert_eq!((s.value(a), s.value(b)), (Some(false), Some(true)));
     }
 
     #[test]

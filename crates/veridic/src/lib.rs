@@ -96,8 +96,8 @@ pub mod prelude {
     };
     pub use veridic_mc::{
         check, pobdd_reach, BadCoiStats, Budget, CancelToken, CheckOptions,
-        CheckOptionsBuilder, CheckResult, CheckStats, Engine, EngineCheckpoint, EngineCtx,
-        EngineEvent, EngineId, EngineOutcome, EventOutcome, EventResources, Portfolio,
+        CheckOptionsBuilder, CheckResult, CheckStats, CheckpointMisfit, Engine, EngineCheckpoint,
+        EngineCtx, EngineEvent, EngineId, EngineOutcome, EventOutcome, EventResources, Portfolio,
         PortfolioOutcome, PreanalysisStats, ReachCheckpoint, RunCheckpoint, Verdict, PREANALYSIS,
     };
     pub use veridic_netlist::{Design, Expr, Module, NetId, PortDir, Value};

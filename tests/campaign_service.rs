@@ -254,8 +254,9 @@ fn run_sliced(prop: &veridic::core::flow::PreparedProperty, opts: &CheckOptions)
         match outcome {
             PortfolioOutcome::Done(result) => break result,
             PortfolioOutcome::Suspended(ck) => {
-                outcome =
-                    portfolio.resume_bad_with_budget(&prop.aig, opts, ck, &mut Budget::rounds(1));
+                outcome = portfolio
+                    .resume_bad_with_budget(&prop.aig, opts, ck, &mut Budget::rounds(1))
+                    .expect("the run's own checkpoint fits");
             }
         }
     }

@@ -7,12 +7,15 @@
 //!
 //! Three layers:
 //! * a proptest over random small sequential designs,
-//! * a proptest over random chipgen leaf-module properties (the real
+//! * proptest-drawn random chipgen leaf-module properties (the real
 //!   workload shape: stereotype vunits, assumes, multi-bad AIGs),
+//!   checked on two threads,
 //! * the full small-chip campaign, record by record, Table-2 rendering
 //!   included.
 
 use proptest::prelude::*;
+use proptest::TestRng;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use veridic::mc::BddEngineOutcome;
 use veridic::prelude::*;
 
@@ -145,45 +148,87 @@ proptest! {
         };
         assert_self_consistent(&aig, &opts, &format!("{design:?} mode={mode}"));
     }
+}
 
-    /// The same contract on the real workload shape: a random chipgen
-    /// leaf module (from the clean or the bug-seeded chip), one of its
-    /// stereotype vunits, every assert of that vunit.
-    #[test]
-    fn portfolio_is_self_consistent_on_chipgen_properties(
-        module_idx in 0usize..32,
-        bug_coin in 0u32..2,
-        vunit_idx in 0usize..4,
-    ) {
-        let with_bugs = bug_coin == 1;
-        let chip = Chip::generate(&ChipConfig { scale: Scale::Small, with_bugs });
-        let modules = chip.modules();
-        let mi = &modules[module_idx % modules.len()];
-        let module = chip.design().module(mi.name()).unwrap();
-        let vm = make_verifiable(module).unwrap();
-        let vunits = generate_all(&vm).unwrap();
-        let (_, compiled) = &vunits[vunit_idx % vunits.len()];
-        let lowered = compiled.module.to_aig().unwrap();
-        let mut aig = lowered.aig.clone();
-        for (label, net) in &compiled.asserts {
-            aig.add_bad(label.clone(), lowered.bit(*net, 0));
+/// The same contract on the real workload shape: a random chipgen leaf
+/// module (from the clean or the bug-seeded chip), one of its
+/// stereotype vunits, every assert of that vunit.
+///
+/// The 32 cases are the ones `proptest!` draws for this test name,
+/// checked on two threads. Four of them dominate: under the natural
+/// variable order the BDD-only half of `mod_e03`'s first vunit runs
+/// into the node quota after one to two minutes (three draws, about
+/// 2 GB of BDD tables), and that of `mod_e02`'s first vunit, the last
+/// draw, proves its eight asserts in about five minutes (about 1 GB).
+/// One after another they took more than eleven minutes. The threads
+/// take the cases from the back, so the `mod_e02` case runs next to
+/// all the others instead of after them, and at most two of the heavy
+/// cases are in memory at once.
+#[test]
+fn portfolio_is_self_consistent_on_chipgen_properties() {
+    const NAME: &str = "portfolio_is_self_consistent_on_chipgen_properties";
+    let strategy = (0usize..32, 0u32..2, 0usize..4);
+    let mut cases: Vec<_> =
+        (0..32).map(|case| strategy.new_value(&mut TestRng::for_case(NAME, case))).collect();
+    cases.reverse();
+    let next = AtomicUsize::new(0);
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get()).min(2);
+    std::thread::scope(|s| {
+        for _ in 0..threads {
+            s.spawn(|| {
+                while let Some(&(module_idx, bug_coin, vunit_idx)) =
+                    cases.get(next.fetch_add(1, Ordering::Relaxed))
+                {
+                    assert_chipgen_case_self_consistent(module_idx, bug_coin == 1, vunit_idx);
+                }
+            });
         }
-        for (label, net) in &compiled.assumes {
-            aig.add_constraint(label.clone(), !lowered.bit(*net, 0));
-        }
-        assert_self_consistent(&aig, &CheckOptions::default(), &format!(
-            "{}:{} with_bugs={with_bugs}", mi.name(), vunit_idx
-        ));
+    });
+}
+
+fn assert_chipgen_case_self_consistent(module_idx: usize, with_bugs: bool, vunit_idx: usize) {
+    let chip = Chip::generate(&ChipConfig { scale: Scale::Small, with_bugs });
+    let modules = chip.modules();
+    let mi = &modules[module_idx % modules.len()];
+    let module = chip.design().module(mi.name()).unwrap();
+    let vm = make_verifiable(module).unwrap();
+    let vunits = generate_all(&vm).unwrap();
+    let (_, compiled) = &vunits[vunit_idx % vunits.len()];
+    let lowered = compiled.module.to_aig().unwrap();
+    let mut aig = lowered.aig.clone();
+    for (label, net) in &compiled.asserts {
+        aig.add_bad(label.clone(), lowered.bit(*net, 0));
     }
+    for (label, net) in &compiled.assumes {
+        aig.add_constraint(label.clone(), !lowered.bit(*net, 0));
+    }
+    assert_self_consistent(
+        &aig,
+        &CheckOptions::default(),
+        &format!("{}:{} with_bugs={with_bugs}", mi.name(), vunit_idx),
+    );
 }
 
 // ---------------------------------------------------------------------
 // The full campaign.
 // ---------------------------------------------------------------------
 
+/// FNV-1a (64-bit) over `bytes`, continuing from `hash`.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// The campaign over the full (buggy) small chip is deterministic
 /// record-for-record — verdicts, stats, engine-log rendering and the
 /// rendered Table 2.
+///
+/// It also pins the search itself at campaign scale: the SAT solver
+/// and the BDD engines must keep every conflict and allocation count
+/// (the sums of perfbench's `records.ndjson`), and each record's
+/// conflict count and engine log (the digest), so a speed-up that
+/// changes the search fails here and not only in the benchmark.
 #[test]
 fn full_campaign_is_deterministic() {
     let chip = Chip::generate(&ChipConfig { scale: Scale::Small, with_bugs: true });
@@ -205,6 +250,60 @@ fn full_campaign_is_deterministic() {
         );
     }
     assert_eq!(report.render_table2(&chip), replay.render_table2(&chip));
+
+    let conflicts: u64 = report.records.iter().map(|r| r.stats.sat_conflicts).sum();
+    let allocated: u64 = report.records.iter().map(|r| r.stats.bdd_allocated).sum();
+    let digest = report.records.iter().fold(FNV_OFFSET, |h, r| {
+        let line = format!(
+            "{}/{} {} {}\n",
+            r.module,
+            r.label,
+            r.stats.sat_conflicts,
+            r.stats.engines_tried().join("; ")
+        );
+        fnv1a(h, line.as_bytes())
+    });
+    assert_eq!(
+        (report.records.len(), conflicts, allocated, digest),
+        (158, 179_773, 15_561, 0x1710_19dd_dbe7_cc3b),
+        "the search moved: (records, Σ sat_conflicts, Σ bdd_allocated, digest)"
+    );
+}
+
+/// The campaign service's slice loop (16-round slices, every
+/// suspension resumed from its checkpoint) re-encodes earlier BMC
+/// frames into a fresh solver on each resume, so its conflict counts
+/// differ from a whole run's. This pins them on `mod_a00`: the sum is
+/// that module's share of perfbench's `service_records.ndjson`.
+#[test]
+fn sliced_module_conflicts_are_pinned() {
+    let chip = Chip::generate(&ChipConfig { scale: Scale::Small, with_bugs: true });
+    let opts = CheckOptions::default();
+    let module = chip
+        .modules()
+        .iter()
+        .find(|mi| mi.name() == "mod_a00")
+        .expect("the Small chip has mod_a00");
+    let (props, _) = veridic::core::flow::module_properties(&chip, module);
+    let portfolio = Portfolio::default();
+    let slice = || Budget::rounds(16);
+    let mut conflicts = 0;
+    for prop in &props {
+        let mut outcome =
+            portfolio.check_bad_with_budget(&prop.aig, prop.bad_index, &opts, &mut slice());
+        let result = loop {
+            match outcome {
+                PortfolioOutcome::Done(result) => break result,
+                PortfolioOutcome::Suspended(ck) => {
+                    outcome = portfolio
+                        .resume_bad_with_budget(&prop.aig, &opts, ck, &mut slice())
+                        .expect("the run's own checkpoint fits");
+                }
+            }
+        };
+        conflicts += result.stats.sat_conflicts;
+    }
+    assert_eq!((props.len(), conflicts), (15, 7_319), "(properties, Σ sat_conflicts)");
 }
 
 // ---------------------------------------------------------------------
@@ -245,8 +344,9 @@ fn killed_reachability_resumes_identically_via_facade() {
     };
     let resumed =
         match portfolio.resume_bad_with_budget(&g, &opts, checkpoint, &mut Budget::unlimited()) {
-            PortfolioOutcome::Done(r) => r,
-            PortfolioOutcome::Suspended(_) => panic!("unbudgeted resume concludes"),
+            Ok(PortfolioOutcome::Done(r)) => r,
+            Ok(PortfolioOutcome::Suspended(_)) => panic!("unbudgeted resume concludes"),
+            Err(misfit) => panic!("checkpoint refused: {misfit}"),
         };
     assert_eq!(resumed.verdict, uninterrupted.verdict);
     match (&resumed.verdict, &uninterrupted.verdict) {
