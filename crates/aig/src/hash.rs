@@ -9,9 +9,10 @@
 //! operation.
 //!
 //! It lives in `veridic-aig` — the base crate of the engine layer — so
-//! the BDD manager (unique table, computed caches), the SAT solver's
-//! CNF frame maps, and the model checkers' node maps all share one
-//! definition; `veridic_bdd::hash` re-exports it.
+//! the BDD manager (root set, traversal memos), the SAT solver's CNF
+//! frame maps, and the model checkers' node maps all share one
+//! definition; `veridic_bdd::hash` re-exports it. (The BDD unique
+//! table and computed caches are not hash maps: see `veridic-bdd`.)
 
 use std::hash::{BuildHasherDefault, Hasher};
 

@@ -19,13 +19,15 @@
 //!   slots, sweeps stale cache entries, and retries before raising
 //!   [`OutOfNodes`] — the quota therefore counts **live** nodes, not
 //!   nodes ever allocated.
-//! * **Hash-consed node table** with a unique table and per-operation
-//!   computed caches (ITE, AND apply — OR and difference are free
-//!   complement rewrites of it — quantification, renaming), all keyed
-//!   with [`hash::FxHasher`] (shared with the other engines via
-//!   `veridic-aig`) — dense manager ids don't need SipHash's DoS
-//!   resistance, and the multiply-xor scheme is several times faster on
-//!   tuple keys.
+//! * **Hash-consed node table with bounded side tables**: the unique
+//!   table is a chain of `next` links threaded through the nodes from a
+//!   power-of-two bucket array that doubles at load 1, and each
+//!   operation (ITE, AND apply — OR and difference are free complement
+//!   rewrites of it — quantification, relational product, renaming) has
+//!   a direct-mapped, lossy computed cache of 16-byte slots, grown with
+//!   the node table up to 2^20 slots. A miss only recomputes: without
+//!   a collection it finds every node it needs already in the table, so
+//!   results and allocation counts do not depend on the cache size.
 //! * **Iterative, normalized ITE**: the generic ternary op runs on an
 //!   explicit work stack, so its depth is independent of both operand
 //!   structure and variable count, and canonicalizes operand order *and*
@@ -62,6 +64,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod cache;
 mod manager;
 mod ops;
 pub mod transfer;

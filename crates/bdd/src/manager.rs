@@ -2,6 +2,7 @@
 //! representation, the external root set, and mark-and-sweep garbage
 //! collection with node recycling.
 
+use crate::cache::{hash3, OpCache};
 use crate::hash::{FxHashMap, FxHashSet};
 use std::error::Error;
 use std::fmt;
@@ -98,13 +99,26 @@ pub(crate) struct Node {
     pub lo: NodeId,
     /// Then-edge; always regular (canonical form).
     pub hi: NodeId,
+    /// The next node in the same unique-table chain ([`NIL`] ends it).
+    pub next: u32,
 }
 
 pub(crate) const TERMINAL_VAR: u32 = u32::MAX;
 
+/// The end of a unique-table chain: index 0 is the terminal, which never
+/// sits in a chain.
+const NIL: u32 = 0;
+
+/// The terminal node, and the contents of every free slot.
+const FREE: Node = Node { var: TERMINAL_VAR, lo: NodeId::TRUE, hi: NodeId::TRUE, next: NIL };
+
+/// log2 of the unique table's initial bucket count.
+const UNIQUE_INITIAL_BITS: u32 = 8;
+
 /// A Reduced Ordered BDD manager with complement edges: owns the node
-/// table, unique table, computed caches, the external root set, and the
-/// free list of recycled slots. Variables are identified by `u32` ids;
+/// table, the unique table (hash chains threaded through the nodes),
+/// the bounded computed caches, the external root set, and the free
+/// list of recycled slots. Variables are identified by `u32` ids;
 /// a var↔level indirection ([`BddManager::level_of`]) maps each id to
 /// its current position in the order — smaller levels are nearer the
 /// root (tested first). The order is the identity unless a fresh
@@ -126,12 +140,16 @@ pub(crate) const TERMINAL_VAR: u32 = u32::MAX;
 #[derive(Clone, Debug)]
 pub struct BddManager {
     pub(crate) nodes: Vec<Node>,
-    pub(crate) unique: FxHashMap<(u32, NodeId, NodeId), NodeId>,
-    pub(crate) ite_cache: FxHashMap<(NodeId, NodeId, NodeId), NodeId>,
-    pub(crate) exists_cache: FxHashMap<(NodeId, NodeId), NodeId>,
-    pub(crate) and_exists_cache: FxHashMap<(NodeId, NodeId, NodeId), NodeId>,
-    pub(crate) rename_cache: FxHashMap<(NodeId, u64), NodeId>,
-    pub(crate) and_cache: FxHashMap<(NodeId, NodeId), NodeId>,
+    /// Unique-table bucket heads (a power of two long): the index of the
+    /// first node of each chain, linked through [`Node::next`]. Doubles
+    /// when the table holds more decision nodes than buckets.
+    buckets: Vec<u32>,
+    pub(crate) ite_cache: OpCache<(NodeId, NodeId, NodeId)>,
+    pub(crate) exists_cache: OpCache<(NodeId, NodeId)>,
+    pub(crate) and_exists_cache: OpCache<(NodeId, NodeId, NodeId)>,
+    /// Keyed by the function and the two halves of the map's hash.
+    pub(crate) rename_cache: OpCache<(NodeId, [u32; 2])>,
+    pub(crate) and_cache: OpCache<(NodeId, NodeId)>,
     /// Reusable work stack of the iterative ITE (empty between calls).
     pub(crate) ite_tasks: Vec<crate::ops::IteFrame>,
     /// Reusable result stack of the iterative ITE (empty between calls).
@@ -156,13 +174,13 @@ impl BddManager {
     /// Creates a manager with the given quota on **live** nodes.
     pub fn new(max_nodes: usize) -> Self {
         BddManager {
-            nodes: vec![Node { var: TERMINAL_VAR, lo: NodeId::TRUE, hi: NodeId::TRUE }],
-            unique: FxHashMap::default(),
-            ite_cache: FxHashMap::default(),
-            exists_cache: FxHashMap::default(),
-            and_exists_cache: FxHashMap::default(),
-            rename_cache: FxHashMap::default(),
-            and_cache: FxHashMap::default(),
+            nodes: vec![FREE],
+            buckets: vec![NIL; 1 << UNIQUE_INITIAL_BITS],
+            ite_cache: OpCache::new(),
+            exists_cache: OpCache::new(),
+            and_exists_cache: OpCache::new(),
+            rename_cache: OpCache::new(),
+            and_cache: OpCache::new(),
             ite_tasks: Vec::new(),
             ite_results: Vec::new(),
             free_list: Vec::new(),
@@ -173,6 +191,21 @@ impl BddManager {
             total_freed: 0,
             var2level: Vec::new(),
             level2var: Vec::new(),
+        }
+    }
+
+    /// A manager whose every computed cache has two slots, so nearly
+    /// every lookup misses: the lossy-cache contract says results and
+    /// allocation counts must not notice.
+    #[cfg(test)]
+    pub(crate) fn with_two_slot_caches(max_nodes: usize) -> Self {
+        BddManager {
+            ite_cache: OpCache::with_max_bits(1),
+            exists_cache: OpCache::with_max_bits(1),
+            and_exists_cache: OpCache::with_max_bits(1),
+            rename_cache: OpCache::with_max_bits(1),
+            and_cache: OpCache::with_max_bits(1),
+            ..BddManager::new(max_nodes)
         }
     }
 
@@ -324,7 +357,50 @@ impl BddManager {
     /// exporter uses this to recognize baseline nodes in the source
     /// manager without allocating.
     pub(crate) fn lookup(&self, var: u32, lo: NodeId, hi: NodeId) -> Option<NodeId> {
-        self.unique.get(&(var, lo, hi)).copied()
+        self.find(self.bucket(var, lo, hi), var, lo, hi).map(NodeId::from_index)
+    }
+
+    /// The unique-table bucket of `(var, lo, hi)`: the high bits of its
+    /// multiplicative hash.
+    #[inline]
+    fn bucket(&self, var: u32, lo: NodeId, hi: NodeId) -> usize {
+        let bits = self.buckets.len().trailing_zeros();
+        (hash3(var, lo.0, hi.0) >> (64 - bits)) as usize
+    }
+
+    /// Walks bucket `b`'s chain for the node `(var, lo, hi)`.
+    #[inline]
+    fn find(&self, b: usize, var: u32, lo: NodeId, hi: NodeId) -> Option<u32> {
+        let mut i = self.buckets[b];
+        while i != NIL {
+            let n = &self.nodes[i as usize];
+            if n.var == var && n.lo == lo && n.hi == hi {
+                return Some(i);
+            }
+            i = n.next;
+        }
+        None
+    }
+
+    /// Rebuilds every chain from the node table in one pass: each
+    /// decision node (free slots hold `TERMINAL_VAR`) is pushed onto its
+    /// bucket. Called after the bucket array doubles.
+    fn relink(&mut self) {
+        self.buckets.fill(NIL);
+        for i in 1..self.nodes.len() {
+            let node = self.nodes[i];
+            if node.var != TERMINAL_VAR {
+                self.link(i as u32, node);
+            }
+        }
+    }
+
+    /// Pushes node `i` (whose contents are `node`) onto its chain.
+    #[inline]
+    fn link(&mut self, i: u32, node: Node) {
+        let b = self.bucket(node.var, node.lo, node.hi);
+        self.nodes[i as usize].next = self.buckets[b];
+        self.buckets[b] = i;
     }
 
     /// The reduced node `(var, lo, hi)`; applies the redundancy rule, the
@@ -343,33 +419,36 @@ impl BddManager {
                 && self.level_of(var) < self.level_of(self.nodes[hi.index() as usize].var),
             "order violation in mk"
         );
-        // One hash probe for both the hit and the miss path.
-        match self.unique.entry((var, lo, hi)) {
-            std::collections::hash_map::Entry::Occupied(e) => Ok(NodeId(e.get().0 ^ neg)),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                if self.nodes.len() - self.free_list.len() >= self.max_nodes {
-                    return Err(OutOfNodes { quota: self.max_nodes });
-                }
-                let index = match self.free_list.pop() {
-                    Some(i) => {
-                        self.nodes[i as usize] = Node { var, lo, hi };
-                        i
-                    }
-                    None => {
-                        self.nodes.push(Node { var, lo, hi });
-                        (self.nodes.len() - 1) as u32
-                    }
-                };
-                let id = NodeId::from_index(index);
-                e.insert(id);
-                self.total_allocated += 1;
-                let live = self.nodes.len() - self.free_list.len();
-                if live > self.peak_live {
-                    self.peak_live = live;
-                }
-                Ok(NodeId(id.0 ^ neg))
-            }
+        let b = self.bucket(var, lo, hi);
+        if let Some(i) = self.find(b, var, lo, hi) {
+            return Ok(NodeId(NodeId::from_index(i).0 ^ neg));
         }
+        if self.nodes.len() - self.free_list.len() >= self.max_nodes {
+            return Err(OutOfNodes { quota: self.max_nodes });
+        }
+        let node = Node { var, lo, hi, next: self.buckets[b] };
+        let index = match self.free_list.pop() {
+            Some(i) => {
+                self.nodes[i as usize] = node;
+                i
+            }
+            None => {
+                self.nodes.push(node);
+                (self.nodes.len() - 1) as u32
+            }
+        };
+        self.buckets[b] = index;
+        self.total_allocated += 1;
+        let live = self.nodes.len() - self.free_list.len();
+        if live > self.peak_live {
+            self.peak_live = live;
+        }
+        // Load 1: as many decision nodes (all but the terminal) as buckets.
+        if live - 1 > self.buckets.len() {
+            self.buckets = vec![NIL; self.buckets.len() * 2];
+            self.relink();
+        }
+        Ok(NodeId(NodeId::from_index(index).0 ^ neg))
     }
 
     /// Registers `n`'s node as an external root (reference-counted): it
@@ -410,9 +489,9 @@ impl BddManager {
     }
 
     /// Mark-and-sweep garbage collection: frees every node not reachable
-    /// from the root set, recycles the slots, and drops computed-cache
-    /// and unique-table entries that mention a dead node. Returns the
-    /// number of nodes freed.
+    /// from the root set, recycles the slots, rebuilds the unique-table
+    /// chains from the survivors, and empties every computed-cache slot
+    /// that names a dead node. Returns the number of nodes freed.
     ///
     /// Any unprotected `NodeId` obtained before this call dangles after
     /// it (unless reachable from a root); see the struct-level contract.
@@ -438,47 +517,43 @@ impl BddManager {
             stack.push(node.lo.index());
             stack.push(node.hi.index());
         }
-        // Already-recycled slots must not be freed twice.
-        for &i in &self.free_list {
-            marked[i as usize] = true;
-        }
+        // One pass frees the unmarked nodes and relinks the marked ones.
+        // Free slots (`TERMINAL_VAR`) stay free and unmarked: no cache
+        // entry names one, because the sweep that freed it emptied them.
+        self.buckets.fill(NIL);
         let mut freed = 0usize;
-        for (i, m) in marked.iter().enumerate().skip(1) {
-            if !m {
-                let node = self.nodes[i];
-                self.unique.remove(&(node.var, node.lo, node.hi));
-                self.nodes[i] = Node { var: TERMINAL_VAR, lo: NodeId::TRUE, hi: NodeId::TRUE };
+        for (i, &live) in marked.iter().enumerate().skip(1) {
+            let node = self.nodes[i];
+            if node.var == TERMINAL_VAR {
+                continue;
+            }
+            if live {
+                self.link(i as u32, node);
+            } else {
+                self.nodes[i] = FREE;
                 self.free_list.push(i as u32);
                 freed += 1;
             }
         }
         self.total_freed += freed as u64;
         if freed > 0 {
-            let live = |id: NodeId| marked[id.index() as usize];
-            self.retain_op_caches(&mut |key, r| key.iter().all(|&k| live(k)) && live(r));
+            self.sweep_caches(|id| marked[id.index() as usize]);
         }
         freed
     }
 
-    /// The one enumeration of the five op caches: retains entries for
-    /// which `keep(key-nodes, result)` holds. The GC sweep (liveness)
-    /// and [`BddManager::clear_op_caches`] both go through here, so a
-    /// cache added later cannot be missed by one of them. The `rename`
-    /// cache passes only its function operand (its second key component
-    /// is a map hash, not a node).
-    pub(crate) fn retain_op_caches(&mut self, keep: &mut dyn FnMut(&[NodeId], NodeId) -> bool) {
-        self.ite_cache.retain(|&(f, g, h), &mut r| keep(&[f, g, h], r));
-        self.and_cache.retain(|&(f, g), &mut r| keep(&[f, g], r));
-        self.exists_cache.retain(|&(f, c), &mut r| keep(&[f, c], r));
-        self.and_exists_cache.retain(|&(f, g, c), &mut r| keep(&[f, g, c], r));
-        self.rename_cache.retain(|&(f, _), &mut r| keep(&[f], r));
-    }
-
-    /// Drops every computed-cache entry (keeps the node table). This is
-    /// the deduplicated "clear them all" the sweep and
-    /// [`BddManager::clear_caches`] share.
-    pub fn clear_op_caches(&mut self) {
-        self.retain_op_caches(&mut |_, _| false);
+    /// Empties every computed-cache slot whose key or result names a
+    /// node for which `live` fails. The one list of the five caches:
+    /// the GC sweep and [`BddManager::clear_caches`] both go through
+    /// here, so a cache added later cannot be missed by one of them.
+    /// The sweep is required, not an optimization: `mk` recycles freed
+    /// slots, so a stale entry would name a different function.
+    fn sweep_caches(&mut self, live: impl Fn(NodeId) -> bool + Copy) {
+        self.ite_cache.sweep(live);
+        self.and_cache.sweep(live);
+        self.exists_cache.sweep(live);
+        self.and_exists_cache.sweep(live);
+        self.rename_cache.sweep(live);
     }
 
     /// Runs `op`; on quota exhaustion, garbage-collects (with `temps` as
@@ -579,7 +654,7 @@ impl BddManager {
     /// Clears the computed caches (keeps the node table). Useful between
     /// phases with different operand distributions.
     pub fn clear_caches(&mut self) {
-        self.clear_op_caches();
+        self.sweep_caches(|_| false);
     }
 
     /// Number of satisfying assignments of `f` over `nvars` variables
@@ -822,5 +897,255 @@ mod tests {
         m.unprotect(f);
         m.gc();
         assert_eq!(m.num_nodes(), live - 1, "f's node is now collectable");
+    }
+
+    /// SplitMix64: the tests' deterministic operation generator.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+    }
+
+    /// One operation over pool indices; `u32` masks select variables.
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        And(usize, usize),
+        Or(usize, usize),
+        Xor(usize, usize),
+        Ite(usize, usize, usize),
+        Exists(usize, u32),
+        AndExists(usize, usize, u32),
+        Rename(usize),
+    }
+
+    /// Variables the lossy-cache test draws from; renaming stays below
+    /// `RENAME_LIMIT`, which bounds every function's size.
+    const LOSSY_VARS: u32 = 10;
+    const RENAME_LIMIT: u32 = 14;
+
+    fn random_op(rng: &mut Rng, pool: usize) -> Op {
+        let mut pick = || rng.below(pool);
+        let (a, b, c) = (pick(), pick(), pick());
+        let mask = rng.below(1 << RENAME_LIMIT) as u32 | 1;
+        match rng.below(7) {
+            0 => Op::And(a, b),
+            1 => Op::Or(a, b),
+            2 => Op::Xor(a, b),
+            3 => Op::Ite(a, b, c),
+            4 => Op::Exists(a, mask),
+            5 => Op::AndExists(a, b, mask),
+            _ => Op::Rename(a),
+        }
+    }
+
+    fn mask_vars(mask: u32) -> Vec<u32> {
+        (0..32).filter(|v| mask >> v & 1 == 1).collect()
+    }
+
+    fn apply(m: &mut BddManager, pool: &[NodeId], op: Op) -> NodeId {
+        match op {
+            Op::And(a, b) => m.and(pool[a], pool[b]),
+            Op::Or(a, b) => m.or(pool[a], pool[b]),
+            Op::Xor(a, b) => m.xor(pool[a], pool[b]),
+            Op::Ite(a, b, c) => m.ite(pool[a], pool[b], pool[c]),
+            Op::Exists(a, mask) => {
+                let cube = m.cube(&mask_vars(mask)).unwrap();
+                m.exists(pool[a], cube)
+            }
+            Op::AndExists(a, b, mask) => {
+                let cube = m.cube(&mask_vars(mask)).unwrap();
+                m.and_exists(pool[a], pool[b], cube)
+            }
+            Op::Rename(a) => {
+                // Shift the support up by one, or back down to start at
+                // 0 once it would leave the variable range: both maps
+                // preserve order.
+                let support = m.support(pool[a]);
+                let up = support.last().is_some_and(|&v| v + 1 < RENAME_LIMIT);
+                let lowest = support.first().copied().unwrap_or(0);
+                let map: Vec<(u32, u32)> = support
+                    .iter()
+                    .map(|&v| (v, if up { v + 1 } else { v - lowest }))
+                    .collect();
+                m.rename(pool[a], &map)
+            }
+        }
+        .unwrap()
+    }
+
+    /// The lossy-cache contract: with no collection, a cache miss only
+    /// rebuilds nodes that already exist. A manager whose caches hold two
+    /// slots each must then return the very same `NodeId` for every
+    /// operation, and allocate exactly as many nodes, as a default one.
+    #[test]
+    fn two_slot_caches_change_no_result_and_no_allocation_count() {
+        for seed in 0..24 {
+            let mut rng = Rng(seed);
+            let mut full = BddManager::new(1 << 20);
+            let mut tiny = BddManager::with_two_slot_caches(1 << 20);
+            let mut pool: Vec<NodeId> = (0..LOSSY_VARS).map(|v| full.var(v).unwrap()).collect();
+            let tiny_vars: Vec<NodeId> = (0..LOSSY_VARS).map(|v| tiny.var(v).unwrap()).collect();
+            assert_eq!(pool, tiny_vars);
+            let mut last = None;
+            for step in 0..150 {
+                // Every fourth step repeats the last operation, so the
+                // default manager answers it from its cache.
+                let op = match last {
+                    Some(op) if step % 4 == 0 => op,
+                    _ => random_op(&mut rng, pool.len()),
+                };
+                let want = apply(&mut full, &pool, op);
+                let got = apply(&mut tiny, &pool, op);
+                assert_eq!(got, want, "seed {seed} step {step}: {op:?}");
+                assert_eq!(
+                    tiny.total_allocated(),
+                    full.total_allocated(),
+                    "seed {seed} step {step}: {op:?}"
+                );
+                pool.push(want);
+                last = Some(op);
+            }
+            assert_eq!(full.total_freed() + tiny.total_freed(), 0, "no collection ran");
+            assert!(tiny.ite_cache.slot_count() <= 2 && tiny.and_cache.slot_count() <= 2);
+            assert!(full.and_cache.slot_count() > 2, "the default caches grew");
+        }
+    }
+
+    /// Truth table of `f` over variables `0..n` (bit `a` = `f(a)`).
+    fn truth_table(m: &BddManager, f: NodeId, n: u32) -> u32 {
+        (0..1u32 << n).filter(|&a| m.eval(f, &|v| a >> v & 1 == 1)).fold(0, |t, a| t | 1 << a)
+    }
+
+    /// `∃ vars(mask). table`, as a truth table over `0..n`.
+    fn quantified(table: u32, mask: u32, n: u32) -> u32 {
+        (0..1u32 << n)
+            .filter(|&a| (0..1u32 << n).any(|b| b & !mask == a & !mask && table >> b & 1 == 1))
+            .fold(0, |t, a| t | 1 << a)
+    }
+
+    /// A collection frees nodes that cached results name, and `mk` then
+    /// recycles those slots for other functions. The sweep must empty
+    /// every such cache slot: a stale entry would answer a query about a
+    /// new function with the result computed for the slot's old one.
+    #[test]
+    fn recycled_slots_never_return_stale_cache_entries() {
+        const N: u32 = 4;
+        let mut rng = Rng(7);
+        let mut m = BddManager::new(1 << 16);
+        let vars: Vec<NodeId> = (0..N).map(|v| m.var(v).unwrap()).collect();
+        for &v in &vars {
+            m.protect(v);
+        }
+        let shift: Vec<(u32, u32)> = (0..N).map(|v| (v, v + N)).collect();
+        let mut recycled = 0;
+        for _round in 0..300 {
+            // Fresh functions, built into the slots the last round freed.
+            let free_before = m.free_list.len();
+            let mut pool = vars.clone();
+            for _ in 0..10 {
+                let (a, b) = (pool[rng.below(pool.len())], pool[rng.below(pool.len())]);
+                let f = match rng.below(3) {
+                    0 => m.and(a, b),
+                    1 => m.or(a, !b),
+                    _ => m.xor(a, b),
+                };
+                pool.push(f.unwrap());
+            }
+            recycled += free_before - m.free_list.len();
+            for _ in 0..30 {
+                let mut pick = || pool[rng.below(pool.len())];
+                let (f, g, h) = (pick(), pick(), pick());
+                let mask = rng.below(1 << N) as u32;
+                match rng.below(7) {
+                    0 => assert_eq!(m.and(f, g).unwrap(), m.ite_reference(f, g, NodeId::FALSE).unwrap()),
+                    1 => assert_eq!(m.or(f, g).unwrap(), m.ite_reference(f, NodeId::TRUE, g).unwrap()),
+                    2 => assert_eq!(m.xor(f, g).unwrap(), m.ite_reference(f, !g, g).unwrap()),
+                    3 => assert_eq!(m.ite(f, g, h).unwrap(), m.ite_reference(f, g, h).unwrap()),
+                    4 => {
+                        let cube = m.cube(&mask_vars(mask)).unwrap();
+                        let r = m.exists(f, cube).unwrap();
+                        let want = quantified(truth_table(&m, f, N), mask, N);
+                        assert_eq!(truth_table(&m, r, N), want);
+                    }
+                    5 => {
+                        let cube = m.cube(&mask_vars(mask)).unwrap();
+                        let r = m.and_exists(f, g, cube).unwrap();
+                        let conj = truth_table(&m, f, N) & truth_table(&m, g, N);
+                        assert_eq!(truth_table(&m, r, N), quantified(conj, mask, N));
+                    }
+                    _ => {
+                        let r = m.rename(f, &shift).unwrap();
+                        let back: Vec<(u32, u32)> = shift.iter().map(|&(a, b)| (b, a)).collect();
+                        let again = m.rename(r, &back).unwrap();
+                        assert_eq!(again, m.ite_reference(f, NodeId::TRUE, NodeId::FALSE).unwrap());
+                    }
+                }
+            }
+            // Everything but the variables dies here.
+            m.gc();
+        }
+        assert!(recycled > 1000, "mk recycled freed slots ({recycled})");
+    }
+
+    /// The chained unique table stays exact across bucket doublings and
+    /// collections: every live node is found under its own `(var, lo,
+    /// hi)`, re-`mk`-ing it allocates nothing and returns its own id, and
+    /// the chains hold exactly the live decision nodes.
+    #[test]
+    fn unique_table_finds_every_live_node_after_doublings_and_sweeps() {
+        fn check(m: &mut BddManager) {
+            let allocated = m.total_allocated();
+            for i in 1..m.nodes.len() {
+                let n = m.nodes[i];
+                if n.var == TERMINAL_VAR {
+                    continue;
+                }
+                let own = NodeId::from_index(i as u32);
+                assert_eq!(m.lookup(n.var, n.lo, n.hi), Some(own));
+                assert_eq!(m.mk(n.var, n.lo, n.hi).unwrap(), own);
+            }
+            assert_eq!(m.total_allocated(), allocated, "no duplicate was built");
+            let mut chained = 0;
+            for b in 0..m.buckets.len() {
+                let mut i = m.buckets[b];
+                while i != NIL {
+                    chained += 1;
+                    i = m.nodes[i as usize].next;
+                }
+            }
+            assert_eq!(chained, m.num_nodes() - 1, "chains hold exactly the decision nodes");
+        }
+        let mut rng = Rng(11);
+        let mut m = BddManager::new(1 << 20);
+        let vars: Vec<NodeId> = (0..12).map(|v| m.var(v).unwrap()).collect();
+        for &v in &vars {
+            m.protect(v);
+        }
+        for _round in 0..4 {
+            let mut pool = vars.clone();
+            for _ in 0..1500 {
+                let (a, b) = (pool[rng.below(pool.len())], pool[rng.below(pool.len())]);
+                let f = match rng.below(3) {
+                    0 => m.and(a, b),
+                    1 => m.or(a, b),
+                    _ => m.xor(a, b),
+                };
+                pool.push(f.unwrap());
+            }
+            check(&mut m);
+            // Keep a tenth of the round's functions across the sweep.
+            for &f in pool.iter().step_by(10) {
+                m.protect(f);
+            }
+            assert!(m.gc() > 0);
+            check(&mut m);
+        }
+        assert!(m.buckets.len() >= 1 << (UNIQUE_INITIAL_BITS + 3), "several doublings");
     }
 }

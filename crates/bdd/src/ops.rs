@@ -147,7 +147,7 @@ impl BddManager {
                         }
                         Norm::Rec(f, g, h, neg) => (f, g, h, neg),
                     };
-                    if let Some(&r) = self.ite_cache.get(&(f, g, h)) {
+                    if let Some(r) = self.ite_cache.get((f, g, h)) {
                         results.push(if neg { !r } else { r });
                         continue;
                     }
@@ -167,7 +167,7 @@ impl BddManager {
                     let lo = results.pop().expect("lo cofactor result"); // lint: allow
                     match self.mk(v, lo, hi) {
                         Ok(r) => {
-                            self.ite_cache.insert(key, r);
+                            self.ite_cache.insert(key, r, self.nodes.len());
                             results.push(if neg { !r } else { r });
                         }
                         Err(e) => {
@@ -307,7 +307,7 @@ impl BddManager {
             return Ok(NodeId::FALSE);
         }
         let key = (f.min(g), f.max(g));
-        if let Some(&r) = self.and_cache.get(&key) {
+        if let Some(r) = self.and_cache.get(key) {
             return Ok(r);
         }
         let v = self.upper_var(self.var_of(f), self.var_of(g));
@@ -316,7 +316,7 @@ impl BddManager {
         let lo = self.and_rec(f0, g0)?;
         let hi = self.and_rec(f1, g1)?;
         let r = self.mk(v, lo, hi)?;
-        self.and_cache.insert(key, r);
+        self.and_cache.insert(key, r, self.nodes.len());
         Ok(r)
     }
 
@@ -464,7 +464,7 @@ impl BddManager {
         if f.is_terminal() || cube == NodeId::TRUE {
             return Ok(f);
         }
-        if let Some(&r) = self.exists_cache.get(&(f, cube)) {
+        if let Some(r) = self.exists_cache.get((f, cube)) {
             return Ok(r);
         }
         // Skip cube vars above f's top var (in the current order).
@@ -488,7 +488,7 @@ impl BddManager {
             let hi = self.exists_rec(self.hi(f), c)?;
             self.mk(fv, lo, hi)?
         };
-        self.exists_cache.insert((f, cube), r);
+        self.exists_cache.insert((f, cube), r, self.nodes.len());
         Ok(r)
     }
 
@@ -536,7 +536,7 @@ impl BddManager {
             return self.and_rec(f, g);
         }
         let key = (f.min(g), f.max(g), cube);
-        if let Some(&r) = self.and_exists_cache.get(&key) {
+        if let Some(r) = self.and_exists_cache.get(key) {
             return Ok(r);
         }
         let v = self.upper_var(self.var_of(f), self.var_of(g));
@@ -564,7 +564,7 @@ impl BddManager {
             let hi = self.and_exists_rec(f1, g1, c)?;
             self.mk(v, lo, hi)?
         };
-        self.and_exists_cache.insert(key, r);
+        self.and_exists_cache.insert(key, r, self.nodes.len());
         Ok(r)
     }
 
@@ -598,20 +598,21 @@ impl BddManager {
                 );
             }
         }
-        // Hash the map for the cache key.
+        // Hash the map for the cache key, split into the key's two words.
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for (a, b) in map {
             h = (h ^ (*a as u64)).wrapping_mul(0x1000_0000_01b3);
             h = (h ^ (*b as u64)).wrapping_mul(0x1000_0000_01b3);
         }
-        self.run_with_gc(&[f], |m| m.rename_rec(f, map, h))
+        let map_hash = [h as u32, (h >> 32) as u32];
+        self.run_with_gc(&[f], |m| m.rename_rec(f, map, map_hash))
     }
 
     fn rename_rec(
         &mut self,
         f: NodeId,
         map: &[(u32, u32)],
-        map_hash: u64,
+        map_hash: [u32; 2],
     ) -> Result<NodeId, OutOfNodes> {
         if f.is_terminal() {
             return Ok(f);
@@ -621,7 +622,7 @@ impl BddManager {
         if f.is_complemented() {
             return Ok(!self.rename_rec(!f, map, map_hash)?);
         }
-        if let Some(&r) = self.rename_cache.get(&(f, map_hash)) {
+        if let Some(r) = self.rename_cache.get((f, map_hash)) {
             return Ok(r);
         }
         let v = self.var_of(f);
@@ -633,7 +634,7 @@ impl BddManager {
         let lo = self.rename_rec(self.lo(f), map, map_hash)?;
         let hi = self.rename_rec(self.hi(f), map, map_hash)?;
         let r = self.mk(nv, lo, hi)?;
-        self.rename_cache.insert((f, map_hash), r);
+        self.rename_cache.insert((f, map_hash), r, self.nodes.len());
         Ok(r)
     }
 

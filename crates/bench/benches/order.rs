@@ -15,6 +15,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use veridic::prelude::*;
+use veridic_bench::report_peak_rss;
 
 /// Twin-register pairs: large enough that the blocked order's ~2^N-node
 /// reached set dominates the run, small enough that the natural id
@@ -47,6 +48,8 @@ fn order(c: &mut Criterion) {
             std::hint::black_box(r)
         })
     });
+    // The first bench of the process, so the peak so far is its own.
+    report_peak_rss("order/natural");
     group.bench_function("static_order", |b| {
         b.iter(|| {
             let r = check(&aig, &static_order);

@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use veridic::prelude::*;
-use veridic_bench::aig_of;
+use veridic_bench::{aig_of, report_peak_rss};
 
 fn partition(c: &mut Criterion) {
     let module = demo_chain_module(12);
@@ -39,6 +39,9 @@ fn partition(c: &mut Criterion) {
             std::hint::black_box(r)
         })
     });
+    // The process peak so far is the monolithic check's: set-up is small
+    // and nothing else has run yet.
+    report_peak_rss("fig7/monolithic_generous");
     group.bench_function("partitioned_generous", |b| {
         b.iter(|| {
             let run = run_partition(&steps, &CheckOptions::default());

@@ -17,6 +17,14 @@
 //! slower than its baseline — or missing from the run — fails the
 //! invocation with exit 1. CI gates `fig7/` this way: those runs are
 //! seconds-long fixpoints, far above one-shot noise.
+//!
+//! Besides timings, the benches print two deterministic or near-
+//! deterministic figures per id, each with its own baseline key:
+//! `<id>  peak_live <n> nodes` (key `nodes:<id>`, the BDD live-node
+//! high-water mark, advisory) and `<id>  peak_rss <MiB> MiB` (key
+//! `rss:<id>`, the process's peak RSS after that bench). The peak RSS
+//! is gated like a timing: under `--fail-on-regression <prefix>`, an
+//! `rss:` id more than 25% above its baseline, or missing, fails too.
 
 use std::collections::BTreeMap;
 
@@ -53,12 +61,13 @@ fn core_count_warning(baseline_cores: Option<f64>, host_cores: usize) -> Option<
 
 /// The `--fail-on-regression` verdicts: every baseline bench id under
 /// `prefix` that regressed past [`GATE_THRESHOLD_PCT`] or is absent
-/// from the current run, as human-readable lines. Empty means the gate
-/// passes.
+/// from the current run, as human-readable lines (values rendered by
+/// `fmt`). Empty means the gate passes.
 fn gate_failures(
     baseline: &BTreeMap<String, f64>,
     current: &BTreeMap<String, f64>,
     prefix: &str,
+    fmt: fn(f64) -> String,
 ) -> Vec<String> {
     let mut failures = Vec::new();
     for (name, base_s) in baseline {
@@ -71,8 +80,8 @@ fn gate_failures(
                 if delta > GATE_THRESHOLD_PCT {
                     failures.push(format!(
                         "{name}: {} -> {} ({delta:+.1}%, threshold +{GATE_THRESHOLD_PCT:.0}%)",
-                        fmt_secs(*base_s),
-                        fmt_secs(*cur_s)
+                        fmt(*base_s),
+                        fmt(*cur_s)
                     ));
                 }
             }
@@ -115,23 +124,28 @@ fn main() {
         .unwrap_or_else(|e| panic!("cannot read {baseline_path}: {e}"));
 
     let full_baseline = parse_baseline(&baseline_text);
-    // Node baselines are stored flat alongside the timings under
-    // "nodes:<bench-id>" keys; numeric host metadata ("host_..." keys)
-    // is split out so it never lands in the timing comparison.
+    // Node and peak-RSS baselines are stored flat alongside the timings
+    // under "nodes:<bench-id>" and "rss:<bench-id>" keys; numeric host
+    // metadata ("host_..." keys) is split out so it never lands in the
+    // timing comparison.
     let mut baseline = BTreeMap::new();
     let mut node_baseline = BTreeMap::new();
+    let mut rss_baseline = BTreeMap::new();
     let mut baseline_cores = None;
     for (k, v) in full_baseline {
         if k == HOST_CORES_KEY {
             baseline_cores = Some(v);
         } else if let Some(name) = k.strip_prefix("nodes:") {
             node_baseline.insert(name.to_string(), v);
+        } else if let Some(name) = k.strip_prefix("rss:") {
+            rss_baseline.insert(name.to_string(), v);
         } else {
             baseline.insert(k, v);
         }
     }
     let current = parse_bench_output(&output);
-    let current_nodes = parse_peak_nodes(&output);
+    let current_nodes = parse_report(&output, "peak_live", "nodes");
+    let current_rss = parse_report(&output, "peak_rss", "MiB");
 
     println!("Bench comparison vs {baseline_path} (advisory)");
     let host_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
@@ -182,18 +196,18 @@ fn main() {
         for (name, base_n) in &node_baseline {
             match current_nodes.get(name.as_str()) {
                 Some(cur_n) if *base_n > 0.0 => {
-                    let delta = (*cur_n as f64 - *base_n) / *base_n * 100.0;
+                    let delta = (cur_n - base_n) / base_n * 100.0;
                     let flag = if delta > 10.0 { "  <-- more live nodes" } else { "" };
                     println!(
                         "{:<42} {:>12} {:>12} {:>+8.1}%{}",
-                        name, *base_n as u64, cur_n, delta, flag
+                        name, *base_n as u64, *cur_n as u64, delta, flag
                     );
                 }
                 // A zero baseline means the SAT portfolio settled the
                 // bench before any BDD engine ran; flag any change.
                 Some(cur_n) => {
-                    let flag = if *cur_n > 0 { "  <-- BDD engines now engaged" } else { "" };
-                    println!("{:<42} {:>12} {:>12} {:>9}{}", name, 0, cur_n, "-", flag);
+                    let flag = if *cur_n > 0.0 { "  <-- BDD engines now engaged" } else { "" };
+                    println!("{:<42} {:>12} {:>12} {:>9}{}", name, 0, *cur_n as u64, "-", flag);
                 }
                 None => println!("{name:<42} (not in this run)"),
             }
@@ -205,13 +219,42 @@ fn main() {
         }
     }
 
+    if !rss_baseline.is_empty() || !current_rss.is_empty() {
+        println!();
+        println!("Process peak RSS after the bench vs baseline");
+        println!("{:<42} {:>12} {:>12} {:>9}", "bench", "baseline", "current", "delta");
+        for (name, base) in &rss_baseline {
+            match current_rss.get(name.as_str()) {
+                Some(cur) => {
+                    let delta = (cur - base) / base * 100.0;
+                    let flag = if delta > GATE_THRESHOLD_PCT { "  <-- more memory" } else { "" };
+                    println!(
+                        "{:<42} {:>12} {:>12} {:>+8.1}%{}",
+                        name,
+                        fmt_mib(*base),
+                        fmt_mib(*cur),
+                        delta,
+                        flag
+                    );
+                }
+                None => println!("{name:<42} (not in this run)"),
+            }
+        }
+        for name in current_rss.keys() {
+            if !rss_baseline.contains_key(name) {
+                println!("{name:<42} (new; not in baseline)");
+            }
+        }
+    }
+
     if let Some(prefix) = &fail_prefix {
-        let failures = gate_failures(&baseline, &current, prefix);
+        let mut failures = gate_failures(&baseline, &current, prefix, fmt_secs);
+        failures.extend(gate_failures(&rss_baseline, &current_rss, prefix, fmt_mib));
         println!();
         if failures.is_empty() {
             println!(
                 "Gate: no `{prefix}*` bench regressed more than \
-                 {GATE_THRESHOLD_PCT:.0}% vs baseline"
+                 {GATE_THRESHOLD_PCT:.0}% vs baseline in time or peak RSS"
             );
         } else {
             eprintln!("Gate FAILED: `{prefix}*` benches regressed vs baseline:");
@@ -221,6 +264,10 @@ fn main() {
             std::process::exit(1);
         }
     }
+}
+
+fn fmt_mib(m: f64) -> String {
+    format!("{m:.1} MiB")
 }
 
 fn fmt_secs(s: f64) -> String {
@@ -278,24 +325,21 @@ fn parse_bench_output(text: &str) -> BTreeMap<String, f64> {
     map
 }
 
-/// Parses the benches' peak-live-node report lines:
-/// `<name>  peak_live <count> nodes`.
-fn parse_peak_nodes(text: &str) -> BTreeMap<String, u64> {
+/// Parses the benches' report lines `<name>  <keyword> <value> <unit>`:
+/// `peak_live <count> nodes` and `peak_rss <MiB> MiB`.
+fn parse_report(text: &str, keyword: &str, unit: &str) -> BTreeMap<String, f64> {
     let mut map = BTreeMap::new();
     for line in text.lines() {
         let mut parts = line.split_whitespace();
         let Some(name) = parts.next() else { continue };
         let rest: Vec<&str> = parts.collect();
-        let Some(pos) = rest.iter().position(|t| *t == "peak_live") else {
+        let Some(pos) = rest.iter().position(|t| *t == keyword) else {
             continue;
         };
-        let (Some(value), Some(unit)) = (rest.get(pos + 1), rest.get(pos + 2)) else {
-            continue;
-        };
-        if *unit != "nodes" {
+        if rest.get(pos + 2) != Some(&unit) {
             continue;
         }
-        let Ok(v) = value.parse::<u64>() else { continue };
+        let Some(Ok(v)) = rest.get(pos + 1).map(|v| v.parse::<f64>()) else { continue };
         map.insert(name.to_string(), v);
     }
     map
@@ -321,10 +365,10 @@ mod tests {
         let out = "fig7/monolithic_generous  peak_live 123456 nodes\n\
                    fig7/partitioned_tight  peak_live 789 nodes\n\
                    some/bench  min 1.0 s  median 1.0 s\n";
-        let m = parse_peak_nodes(out);
+        let m = parse_report(out, "peak_live", "nodes");
         assert_eq!(m.len(), 2);
-        assert_eq!(m["fig7/monolithic_generous"], 123456);
-        assert_eq!(m["fig7/partitioned_tight"], 789);
+        assert_eq!(m["fig7/monolithic_generous"], 123456.0);
+        assert_eq!(m["fig7/partitioned_tight"], 789.0);
         // Node lines must not leak into the timing map.
         assert!(parse_bench_output(out).contains_key("some/bench"));
         assert!(!parse_bench_output(out).contains_key("fig7/partitioned_tight"));
@@ -342,7 +386,7 @@ mod tests {
         current.insert("fig7/partitioned_tight".to_string(), 1.2); // +20%
         current.insert("sat/php_5_4".to_string(), 10.0); // huge, but unprefixed
 
-        let failures = gate_failures(&baseline, &current, "fig7/");
+        let failures = gate_failures(&baseline, &current, "fig7/", fmt_secs);
         assert_eq!(failures.len(), 2);
         assert!(failures[0].starts_with("fig7/gone: missing"));
         assert!(failures[1].starts_with("fig7/monolithic_generous:"));
@@ -350,7 +394,35 @@ mod tests {
         // Within threshold on every present id -> only the missing one.
         current.insert("fig7/monolithic_generous".to_string(), 12.0); // +20%
         current.insert("fig7/gone".to_string(), 2.0);
-        assert!(gate_failures(&baseline, &current, "fig7/").is_empty());
+        assert!(gate_failures(&baseline, &current, "fig7/", fmt_secs).is_empty());
+    }
+
+    #[test]
+    fn parses_peak_rss_lines_and_gates_them() {
+        let out = "fig7/monolithic_generous  peak_rss 93.4 MiB\n\
+                   order/natural  peak_rss 31.0 MiB\n\
+                   order/natural  peak_live 253916 nodes\n\
+                   order/static_order  peak_rss 12 KiB\n\
+                   fig7/partitioned_tight  min 18.38 ms  median 18.38 ms\n";
+        let rss = parse_report(out, "peak_rss", "MiB");
+        assert_eq!(rss.len(), 2, "other units and report kinds are not RSS: {rss:?}");
+        assert!((rss["fig7/monolithic_generous"] - 93.4).abs() < 1e-9);
+        assert!((rss["order/natural"] - 31.0).abs() < 1e-9);
+        assert!(!parse_bench_output(out).contains_key("order/natural"));
+
+        // The baseline file carries them as `rss:<id>` keys.
+        let text = "{\n  \"rss:order/natural\": 31.0,\n  \"order/natural\": 0.4\n}\n";
+        assert_eq!(parse_baseline(text)["rss:order/natural"], 31.0);
+
+        let mut baseline = BTreeMap::new();
+        baseline.insert("order/natural".to_string(), 31.0);
+        baseline.insert("fig7/monolithic_generous".to_string(), 70.0);
+        let failures = gate_failures(&baseline, &rss, "order/", fmt_mib);
+        assert!(failures.is_empty(), "{failures:?}");
+        // 93.4 MiB against 70 MiB is +33%: past the gate.
+        let failures = gate_failures(&baseline, &rss, "fig7/", fmt_mib);
+        assert_eq!(failures.len(), 1);
+        assert!(failures[0].contains("70.0 MiB -> 93.4 MiB"), "{}", failures[0]);
     }
 
     #[test]

@@ -62,9 +62,36 @@ pub fn check_module(module: &Module, opts: &CheckOptions) -> (usize, usize, usiz
     (p, f, r)
 }
 
+/// The process's peak resident set size (`VmHWM` of
+/// `/proc/self/status`) in MiB, or `None` where procfs does not report
+/// it. Benches print it as `<bench-id>  peak_rss <MiB> MiB` right after
+/// the bench that sets it, for `bench_compare`'s `rss:` baselines.
+pub fn peak_rss_mib() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kib: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kib / 1024.0)
+}
+
+/// Prints `id`'s peak-RSS report line (see [`peak_rss_mib`]); prints
+/// nothing where the figure is unavailable.
+pub fn report_peak_rss(id: &str) {
+    if let Some(mib) = peak_rss_mib() {
+        println!("{id}  peak_rss {mib:.1} MiB");
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn peak_rss_is_reported_on_linux() {
+        if cfg!(target_os = "linux") {
+            let mib = peak_rss_mib().expect("VmHWM in /proc/self/status");
+            assert!(mib > 0.0);
+        }
+    }
 
     #[test]
     fn check_module_counts_cleanly() {
