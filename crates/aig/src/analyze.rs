@@ -168,8 +168,11 @@ impl SweepResult {
 /// `num_latches + 1` rounds, each linear in the AIG.
 pub fn ternary_sweep(aig: &Aig) -> SweepResult {
     let n = aig.num_nodes();
-    let mut latch_values: Vec<Ternary> =
-        aig.latches().iter().map(|l| Ternary::from_bool(l.init)).collect();
+    let mut latch_values: Vec<Ternary> = aig
+        .latches()
+        .iter()
+        .map(|l| Ternary::from_bool(l.init))
+        .collect();
     let mut values = vec![Ternary::X; n];
     let mut rounds = 0;
     loop {
@@ -203,7 +206,11 @@ pub fn ternary_sweep(aig: &Aig) -> SweepResult {
             break;
         }
     }
-    SweepResult { values, latch_values, rounds }
+    SweepResult {
+        values,
+        latch_values,
+        rounds,
+    }
 }
 
 fn lit_value_in(values: &[Ternary], lit: Lit) -> Ternary {
@@ -350,7 +357,11 @@ pub fn ternary_sweep_constrained(aig: &Aig) -> ConstrainedSweep {
     let mut forced: Vec<(Var, bool)> = forced.into_iter().collect();
     forced.sort_unstable_by_key(|&(v, _)| v.0);
     ConstrainedSweep {
-        sweep: SweepResult { values, latch_values, rounds },
+        sweep: SweepResult {
+            values,
+            latch_values,
+            rounds,
+        },
         forced,
         contradiction,
     }
@@ -454,7 +465,9 @@ pub fn fold_constants(aig: &Aig, sweep: &SweepResult) -> Option<FoldResult> {
         if let Some(c) = sweep.lit_value(l).to_bool() {
             return if c { Lit::TRUE } else { Lit::FALSE };
         }
-        let base = *lit_map.get(&l.var()).expect("fold mapping missed an alive node"); // lint: allow
+        let base = *lit_map
+            .get(&l.var())
+            .expect("fold mapping missed an alive node"); // lint: allow
         if l.is_compl() {
             !base
         } else {
@@ -511,7 +524,13 @@ pub fn fold_constants(aig: &Aig, sweep: &SweepResult) -> Option<FoldResult> {
         out.add_constraint(c.name.clone(), l);
     }
     let folded_ands = aig.num_ands() - out.num_ands();
-    Some(FoldResult { aig: out, lit_map, latch_map, stuck, folded_ands })
+    Some(FoldResult {
+        aig: out,
+        lit_map,
+        latch_map,
+        stuck,
+        folded_ands,
+    })
 }
 
 /// A sequentially-stuck latch found by the sweep.
@@ -627,7 +646,10 @@ impl DesignReport {
             lines.push(format!("stuck latches: {}", names.join(", ")));
         }
         if !self.vacuous_bads.is_empty() {
-            lines.push(format!("vacuous bads (constant 0): {}", self.vacuous_bads.join(", ")));
+            lines.push(format!(
+                "vacuous bads (constant 0): {}",
+                self.vacuous_bads.join(", ")
+            ));
         }
         if !self.trivial_bads.is_empty() {
             lines.push(format!(
@@ -662,13 +684,19 @@ impl DesignReport {
             ));
         }
         if self.dead_ands > 0 {
-            lines.push(format!("AND nodes outside every bad cone: {}", self.dead_ands));
+            lines.push(format!(
+                "AND nodes outside every bad cone: {}",
+                self.dead_ands
+            ));
         }
         if !self.unused_inputs.is_empty() {
             lines.push(format!("unused inputs: {}", self.unused_inputs.join(", ")));
         }
         if !self.comb_loops.is_empty() {
-            lines.push(format!("combinational loops: {}", self.comb_loops.join("; ")));
+            lines.push(format!(
+                "combinational loops: {}",
+                self.comb_loops.join("; ")
+            ));
         }
         if !self.fanout_hotspots.is_empty() {
             lines.push(format!(
@@ -693,7 +721,10 @@ impl DesignReport {
 /// logic outside every bad/constraint cone, inputs feeding nothing).
 pub fn analyze(aig: &Aig) -> DesignReport {
     let sweep = ternary_sweep(aig);
-    let mut report = DesignReport { sweep_rounds: sweep.rounds, ..DesignReport::default() };
+    let mut report = DesignReport {
+        sweep_rounds: sweep.rounds,
+        ..DesignReport::default()
+    };
     for (id, value) in sweep.stuck_latches() {
         report.stuck_latches.push(StuckLatch {
             id,
@@ -717,7 +748,10 @@ pub fn analyze(aig: &Aig) -> DesignReport {
     }
     for o in aig.outputs() {
         if let Some(value) = sweep.lit_value(o.lit).to_bool() {
-            report.constant_outputs.push(ConstantNet { name: o.name.clone(), value });
+            report.constant_outputs.push(ConstantNet {
+                name: o.name.clone(),
+                value,
+            });
         }
     }
     // Structural verification cone: everything reachable from bads and
@@ -736,7 +770,10 @@ pub fn analyze(aig: &Aig) -> DesignReport {
     // constraints and outputs included.
     let any_cone = cone_vars(
         aig,
-        aig.bads().iter().chain(aig.constraints()).chain(aig.outputs()),
+        aig.bads()
+            .iter()
+            .chain(aig.constraints())
+            .chain(aig.outputs()),
     );
     for (var, name) in aig.inputs() {
         if !any_cone[var.0 as usize] {
@@ -756,15 +793,15 @@ pub fn analyze(aig: &Aig) -> DesignReport {
     }
     let constraint_cone = cone_vars(aig, aig.constraints().iter());
     for (var, name) in aig.inputs() {
-        if !constraint_cone[var.0 as usize]
-            && fanout[var.0 as usize] >= FANOUT_HOTSPOT_THRESHOLD
-        {
+        if !constraint_cone[var.0 as usize] && fanout[var.0 as usize] >= FANOUT_HOTSPOT_THRESHOLD {
             report.fanout_hotspots.push(name.clone());
         }
     }
     let condensation = LatchGraph::build(aig).condense();
     for id in condensation.input_unreachable_latches() {
-        report.unreachable_latches.push(aig.latch_info(id).name.clone());
+        report
+            .unreachable_latches
+            .push(aig.latch_info(id).name.clone());
     }
     report
 }
@@ -825,7 +862,11 @@ mod tests {
     fn sweep_finds_stuck_latches() {
         let (g, t, s0, s1) = mixed_aig();
         let sweep = ternary_sweep(&g);
-        assert_eq!(sweep.lit_value(t), Ternary::X, "a toggling latch is not constant");
+        assert_eq!(
+            sweep.lit_value(t),
+            Ternary::X,
+            "a toggling latch is not constant"
+        );
         assert_eq!(sweep.lit_value(s0), Ternary::False);
         assert_eq!(sweep.lit_value(s1), Ternary::True);
         assert_eq!(sweep.lit_value(!s1), Ternary::False);
@@ -968,10 +1009,13 @@ mod tests {
         assert_eq!(report.trivial_bads, vec!["trivial".to_string()]);
         assert_eq!(report.constant_true_constraints, vec!["always".to_string()]);
         assert_eq!(report.constant_false_constraints, vec!["never".to_string()]);
-        assert_eq!(report.constant_outputs, vec![ConstantNet {
-            name: "const_out".to_string(),
-            value: true,
-        }]);
+        assert_eq!(
+            report.constant_outputs,
+            vec![ConstantNet {
+                name: "const_out".to_string(),
+                value: true,
+            }]
+        );
         assert_eq!(report.stuck_latches.len(), 2);
         assert!(!report.is_clean());
         assert!(report.findings() >= 7);
@@ -993,10 +1037,16 @@ mod tests {
         g.add_output("o", dn);
         let report = analyze(&g);
         assert_eq!(report.dead_latches, vec!["dead".to_string()]);
-        assert_eq!(report.dead_ands, 3, "the xor's three ANDs are outside the bad cone");
+        assert_eq!(
+            report.dead_ands, 3,
+            "the xor's three ANDs are outside the bad cone"
+        );
         // `b` feeds the output cone, so only `floating` is unused.
         assert_eq!(report.unused_inputs, vec!["floating".to_string()]);
-        assert!(report.stuck_latches.is_empty(), "free-running latches are not stuck");
+        assert!(
+            report.stuck_latches.is_empty(),
+            "free-running latches are not stuck"
+        );
     }
 
     #[test]
@@ -1096,14 +1146,18 @@ mod tests {
         g.set_next(y, qx);
         // A free input fanning out past the hot-spot threshold.
         let free = g.input("free");
-        let others: Vec<Lit> =
-            (0..FANOUT_HOTSPOT_THRESHOLD).map(|i| g.input(format!("o{i}"))).collect();
+        let others: Vec<Lit> = (0..FANOUT_HOTSPOT_THRESHOLD)
+            .map(|i| g.input(format!("o{i}")))
+            .collect();
         let ands: Vec<Lit> = others.iter().map(|&o| g.and(free, o)).collect();
         let any = g.or_many(ands);
         let ring_bad = g.and(qx, any);
         g.add_bad("ring_and_any", ring_bad);
         let report = analyze(&g);
-        assert_eq!(report.unreachable_latches, vec!["ring_x".to_string(), "ring_y".to_string()]);
+        assert_eq!(
+            report.unreachable_latches,
+            vec!["ring_x".to_string(), "ring_y".to_string()]
+        );
         assert_eq!(report.fanout_hotspots, vec!["free".to_string()]);
         assert!(report.comb_loops.is_empty(), "AIGs cannot hold comb cycles");
         assert!(!report.is_clean());

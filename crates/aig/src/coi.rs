@@ -7,8 +7,8 @@
 //! the paper's Divide-and-Conquer argument: each stereotype property has a
 //! small cone.
 
-use crate::{Aig, LatchId, Lit, Node, Var};
 use crate::hash::FxHashMap;
+use crate::{Aig, LatchId, Lit, Node, Var};
 
 /// The result of a cone-of-influence extraction.
 #[derive(Clone, Debug)]
@@ -94,7 +94,12 @@ impl Aig {
             out.set_next(*new_id, map_lit(next, &lit_map));
         }
         let roots = roots.iter().map(|l| map_lit(*l, &lit_map)).collect();
-        CoiResult { aig: out, roots, latch_map, input_map }
+        CoiResult {
+            aig: out,
+            roots,
+            latch_map,
+            input_map,
+        }
     }
 }
 

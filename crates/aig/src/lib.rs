@@ -83,7 +83,12 @@ impl fmt::Debug for Lit {
         } else if *self == Lit::TRUE {
             write!(f, "1")
         } else {
-            write!(f, "{}v{}", if self.is_compl() { "!" } else { "" }, self.var().0)
+            write!(
+                f,
+                "{}v{}",
+                if self.is_compl() { "!" } else { "" },
+                self.var().0
+            )
         }
     }
 }
@@ -167,7 +172,9 @@ impl Aig {
     /// Adds a primary input and returns its (positive) literal.
     pub fn input(&mut self, name: impl Into<String>) -> Lit {
         let var = Var(self.nodes.len() as u32);
-        self.nodes.push(Node::Input { index: self.inputs.len() as u32 });
+        self.nodes.push(Node::Input {
+            index: self.inputs.len() as u32,
+        });
         self.inputs.push((var, name.into()));
         Lit::new(var, false)
     }
@@ -176,9 +183,16 @@ impl Aig {
     /// starts as constant false and must be set with [`Aig::set_next`].
     pub fn latch(&mut self, name: impl Into<String>, init: bool) -> (LatchId, Lit) {
         let var = Var(self.nodes.len() as u32);
-        self.nodes.push(Node::Latch { index: self.latches.len() as u32 });
+        self.nodes.push(Node::Latch {
+            index: self.latches.len() as u32,
+        });
         let id = LatchId(self.latches.len() as u32);
-        self.latches.push(Latch { var, next: Lit::FALSE, init, name: name.into() });
+        self.latches.push(Latch {
+            var,
+            next: Lit::FALSE,
+            init,
+            name: name.into(),
+        });
         (id, Lit::new(var, false))
     }
 
@@ -259,18 +273,27 @@ impl Aig {
 
     /// Registers a primary output.
     pub fn add_output(&mut self, name: impl Into<String>, lit: Lit) {
-        self.outputs.push(NamedLit { name: name.into(), lit });
+        self.outputs.push(NamedLit {
+            name: name.into(),
+            lit,
+        });
     }
 
     /// Registers a *bad* literal: the safety property is `never bad`.
     pub fn add_bad(&mut self, name: impl Into<String>, lit: Lit) {
-        self.bads.push(NamedLit { name: name.into(), lit });
+        self.bads.push(NamedLit {
+            name: name.into(),
+            lit,
+        });
     }
 
     /// Registers an invariant constraint: only paths on which every
     /// constraint holds in every cycle are considered.
     pub fn add_constraint(&mut self, name: impl Into<String>, lit: Lit) {
-        self.constraints.push(NamedLit { name: name.into(), lit });
+        self.constraints.push(NamedLit {
+            name: name.into(),
+            lit,
+        });
     }
 
     /// Number of AND nodes.
@@ -462,7 +485,12 @@ impl Aig {
         v ^ root.is_compl()
     }
 
-    fn eval_var(&self, var: Var, leaf: &dyn Fn(Var) -> bool, memo: &mut FxHashMap<Var, bool>) -> bool {
+    fn eval_var(
+        &self,
+        var: Var,
+        leaf: &dyn Fn(Var) -> bool,
+        memo: &mut FxHashMap<Var, bool>,
+    ) -> bool {
         if let Some(&v) = memo.get(&var) {
             return v;
         }

@@ -16,7 +16,9 @@ pub struct SimState {
 impl SimState {
     /// Initial state: every latch at its declared init value.
     pub fn initial(aig: &Aig) -> Self {
-        SimState { latch_values: aig.latches().iter().map(|l| l.init).collect() }
+        SimState {
+            latch_values: aig.latches().iter().map(|l| l.init).collect(),
+        }
     }
 
     /// Reads a latch value.
@@ -40,7 +42,11 @@ impl SimState {
     ///
     /// Panics if `inputs.len()` differs from the AIG's input count.
     pub fn step(&mut self, aig: &Aig, inputs: &[bool]) -> CycleValues {
-        assert_eq!(inputs.len(), aig.num_inputs(), "input vector length mismatch");
+        assert_eq!(
+            inputs.len(),
+            aig.num_inputs(),
+            "input vector length mismatch"
+        );
         let mut values = vec![false; aig.num_nodes()];
         for i in 0..aig.num_nodes() {
             let v = Var(i as u32);

@@ -110,7 +110,11 @@ impl LatchGraph {
         // condensation (dependencies first), so one pass suffices.
         let mut ranks = vec![0u32; sccs.len()];
         for ci in 0..sccs.len() {
-            let r = scc_deps[ci].iter().map(|&d| ranks[d as usize] + 1).max().unwrap_or(0);
+            let r = scc_deps[ci]
+                .iter()
+                .map(|&d| ranks[d as usize] + 1)
+                .max()
+                .unwrap_or(0);
             ranks[ci] = r;
         }
         // Weak components over the undirected latch graph (union-find).
@@ -149,11 +153,20 @@ impl LatchGraph {
         // closure runs on the condensation in topological order.
         let mut scc_tainted = vec![false; sccs.len()];
         for ci in 0..sccs.len() {
-            let direct = sccs[ci].iter().any(|&m| !self.input_deps[m as usize].is_empty());
+            let direct = sccs[ci]
+                .iter()
+                .any(|&m| !self.input_deps[m as usize].is_empty());
             let inherited = scc_deps[ci].iter().any(|&d| scc_tainted[d as usize]);
             scc_tainted[ci] = direct || inherited;
         }
-        Condensation { scc_of, sccs, scc_deps, ranks, component_of, scc_tainted }
+        Condensation {
+            scc_of,
+            sccs,
+            scc_deps,
+            ranks,
+            component_of,
+            scc_tainted,
+        }
     }
 }
 
@@ -313,9 +326,7 @@ pub fn force_order(aig: &Aig) -> ForceOrder {
         let v = Var(i as u32);
         let sup = match aig.node_kind(v) {
             Node::Const0 => Some(Vec::new()),
-            Node::Input { .. } | Node::Latch { .. } => {
-                slot_of(aig, v).map(|s| vec![s])
-            }
+            Node::Input { .. } | Node::Latch { .. } => slot_of(aig, v).map(|s| vec![s]),
             Node::And { a, b } => {
                 let merged = match (&supports[a.var().0 as usize], &supports[b.var().0 as usize]) {
                     (Some(sa), Some(sb)) => {
@@ -359,7 +370,12 @@ pub fn force_order(aig: &Aig) -> ForceOrder {
 
     let natural: Vec<Slot> = (0..n_slots as u32).collect();
     if n_slots == 0 || edges.is_empty() {
-        return ForceOrder { slots: natural, span_before: 0, span_after: 0, iterations: 0 };
+        return ForceOrder {
+            slots: natural,
+            span_before: 0,
+            span_after: 0,
+            iterations: 0,
+        };
     }
     let span_of = |pos: &[u32]| -> u64 {
         edges
@@ -389,9 +405,7 @@ pub fn force_order(aig: &Aig) -> ForceOrder {
         // Center of gravity of each edge at the current positions.
         let cogs: Vec<f64> = edges
             .iter()
-            .map(|e| {
-                e.iter().map(|&s| pos[s as usize] as f64).sum::<f64>() / e.len() as f64
-            })
+            .map(|e| e.iter().map(|&s| pos[s as usize] as f64).sum::<f64>() / e.len() as f64)
             .collect();
         // Each vertex moves to the mean of its incident edges' centers;
         // edge-free vertices keep their position.
@@ -417,7 +431,12 @@ pub fn force_order(aig: &Aig) -> ForceOrder {
             best_order = order.clone();
         }
     }
-    ForceOrder { slots: best_order, span_before, span_after: best_span, iterations }
+    ForceOrder {
+        slots: best_order,
+        span_before,
+        span_after: best_span,
+        iterations,
+    }
 }
 
 #[cfg(test)]
@@ -483,8 +502,7 @@ mod tests {
     fn tarjan_matches_brute_force_on_a_dense_graph() {
         // A hand-built graph with nested cycles: 0→1→2→0, 2→3, 3→4,
         // 4→3, 5 isolated.
-        let edges: Vec<Vec<u32>> =
-            vec![vec![1], vec![2], vec![0, 3], vec![4], vec![3], vec![]];
+        let edges: Vec<Vec<u32>> = vec![vec![1], vec![2], vec![0, 3], vec![4], vec![3], vec![]];
         let sccs = tarjan_sccs(6, |v| &edges[v]);
         let mut sets: Vec<Vec<u32>> = sccs.clone();
         sets.sort();
@@ -493,9 +511,11 @@ mod tests {
         assert!(sets.contains(&vec![5]));
         // Reverse-topological emission: {3,4} (a dependency of {0,1,2}
         // via 2→3? No: 2→3 means {0,1,2} depends on {3,4}) first.
-        let pos =
-            |s: &Vec<u32>| sccs.iter().position(|x| x == s).expect("scc present"); // lint: allow
-        assert!(pos(&vec![3, 4]) < pos(&vec![0, 1, 2]), "dependencies emit first");
+        let pos = |s: &Vec<u32>| sccs.iter().position(|x| x == s).expect("scc present"); // lint: allow
+        assert!(
+            pos(&vec![3, 4]) < pos(&vec![0, 1, 2]),
+            "dependencies emit first"
+        );
     }
 
     #[test]
@@ -517,10 +537,8 @@ mod tests {
         let mut g = Aig::new();
         let n = 8u32;
         let ins: Vec<Lit> = (0..n).map(|i| g.input(format!("i{i}"))).collect();
-        let avars: Vec<(LatchId, Lit)> =
-            (0..n).map(|i| g.latch(format!("a{i}"), false)).collect();
-        let bvars: Vec<(LatchId, Lit)> =
-            (0..n).map(|i| g.latch(format!("b{i}"), false)).collect();
+        let avars: Vec<(LatchId, Lit)> = (0..n).map(|i| g.latch(format!("a{i}"), false)).collect();
+        let bvars: Vec<(LatchId, Lit)> = (0..n).map(|i| g.latch(format!("b{i}"), false)).collect();
         for i in 0..n as usize {
             g.set_next(avars[i].0, ins[i]);
             g.set_next(bvars[i].0, ins[i]);
@@ -558,6 +576,10 @@ mod tests {
         g.input("a");
         g.input("b");
         let fo = force_order(&g);
-        assert_eq!(fo.slots, vec![0, 1], "edge-free slots keep the natural order");
+        assert_eq!(
+            fo.slots,
+            vec![0, 1],
+            "edge-free slots keep the natural order"
+        );
     }
 }

@@ -122,7 +122,11 @@ impl<K: CacheKey> OpCache<K> {
     /// (`max_bits ≥ 1`).
     pub(crate) fn with_max_bits(max_bits: u32) -> Self {
         debug_assert!((1..=MAX_BITS).contains(&max_bits));
-        OpCache { slots: Vec::new(), max_bits, inserts: 0 }
+        OpCache {
+            slots: Vec::new(),
+            max_bits,
+            inserts: 0,
+        }
     }
 
     #[inline]
@@ -147,7 +151,10 @@ impl<K: CacheKey> OpCache<K> {
     pub(crate) fn insert(&mut self, key: K, result: NodeId, table_len: usize) {
         debug_assert!(key != K::EMPTY);
         if self.slots.is_empty() {
-            let empty = Slot { key: K::EMPTY, result: NodeId::TRUE };
+            let empty = Slot {
+                key: K::EMPTY,
+                result: NodeId::TRUE,
+            };
             self.slots = vec![empty; 1 << INITIAL_BITS.min(self.max_bits)];
         } else if self.inserts > self.slots.len()
             && self.slots.len() < SLOTS_PER_NODE.saturating_mul(table_len)
@@ -163,7 +170,10 @@ impl<K: CacheKey> OpCache<K> {
     /// Doubles the table. An entry's new index extends its old one by
     /// one hash bit, so no two surviving entries collide.
     fn grow(&mut self) {
-        let empty = Slot { key: K::EMPTY, result: NodeId::TRUE };
+        let empty = Slot {
+            key: K::EMPTY,
+            result: NodeId::TRUE,
+        };
         let doubled = vec![empty; self.slots.len() * 2];
         let old = std::mem::replace(&mut self.slots, doubled);
         for slot in old {
@@ -226,7 +236,9 @@ mod tests {
     #[test]
     fn growth_keeps_every_entry() {
         let mut c: OpCache<(NodeId, NodeId, NodeId)> = OpCache::new();
-        let keys: Vec<_> = (0..200u32).map(|i| (NodeId(2 * i + 2), NodeId(7), NodeId(i))).collect();
+        let keys: Vec<_> = (0..200u32)
+            .map(|i| (NodeId(2 * i + 2), NodeId(7), NodeId(i)))
+            .collect();
         for &k in &keys {
             c.insert(k, k.2, 1 << 20);
         }

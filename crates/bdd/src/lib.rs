@@ -69,7 +69,7 @@ mod manager;
 mod ops;
 pub mod transfer;
 
-pub use veridic_aig::hash;
-pub use veridic_aig::hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use manager::{BddManager, NodeId, OutOfNodes};
 pub use transfer::{DeltaBdd, ExportedBdd, TransferFormatError};
+pub use veridic_aig::hash;
+pub use veridic_aig::hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};

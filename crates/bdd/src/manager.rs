@@ -110,7 +110,12 @@ pub(crate) const TERMINAL_VAR: u32 = u32::MAX;
 const NIL: u32 = 0;
 
 /// The terminal node, and the contents of every free slot.
-const FREE: Node = Node { var: TERMINAL_VAR, lo: NodeId::TRUE, hi: NodeId::TRUE, next: NIL };
+const FREE: Node = Node {
+    var: TERMINAL_VAR,
+    lo: NodeId::TRUE,
+    hi: NodeId::TRUE,
+    next: NIL,
+};
 
 /// log2 of the unique table's initial bucket count.
 const UNIQUE_INITIAL_BITS: u32 = 8;
@@ -357,7 +362,8 @@ impl BddManager {
     /// exporter uses this to recognize baseline nodes in the source
     /// manager without allocating.
     pub(crate) fn lookup(&self, var: u32, lo: NodeId, hi: NodeId) -> Option<NodeId> {
-        self.find(self.bucket(var, lo, hi), var, lo, hi).map(NodeId::from_index)
+        self.find(self.bucket(var, lo, hi), var, lo, hi)
+            .map(NodeId::from_index)
     }
 
     /// The unique-table bucket of `(var, lo, hi)`: the high bits of its
@@ -424,9 +430,16 @@ impl BddManager {
             return Ok(NodeId(NodeId::from_index(i).0 ^ neg));
         }
         if self.nodes.len() - self.free_list.len() >= self.max_nodes {
-            return Err(OutOfNodes { quota: self.max_nodes });
+            return Err(OutOfNodes {
+                quota: self.max_nodes,
+            });
         }
-        let node = Node { var, lo, hi, next: self.buckets[b] };
+        let node = Node {
+            var,
+            lo,
+            hi,
+            next: self.buckets[b],
+        };
         let index = match self.free_list.pop() {
             Some(i) => {
                 self.nodes[i as usize] = node;
@@ -666,12 +679,7 @@ impl BddManager {
         // variables" exponent is a level gap, not a var-id gap. The memo
         // is keyed on the full edge (complement tag included), so f and
         // ¬f each get their own entry.
-        fn go(
-            m: &BddManager,
-            n: NodeId,
-            nvars: u32,
-            memo: &mut FxHashMap<NodeId, f64>,
-        ) -> f64 {
+        fn go(m: &BddManager, n: NodeId, nvars: u32, memo: &mut FxHashMap<NodeId, f64>) -> f64 {
             if n == NodeId::FALSE {
                 return 0.0;
             }
@@ -684,14 +692,26 @@ impl BddManager {
             let v = m.level_of(m.var_of(n));
             let lo = m.lo(n);
             let hi = m.hi(n);
-            let lo_l = if lo.is_terminal() { nvars } else { m.level_of(m.var_of(lo)) };
-            let hi_l = if hi.is_terminal() { nvars } else { m.level_of(m.var_of(hi)) };
+            let lo_l = if lo.is_terminal() {
+                nvars
+            } else {
+                m.level_of(m.var_of(lo))
+            };
+            let hi_l = if hi.is_terminal() {
+                nvars
+            } else {
+                m.level_of(m.var_of(hi))
+            };
             let c = go(m, lo, nvars, memo) * 2f64.powi((lo_l - v - 1) as i32)
                 + go(m, hi, nvars, memo) * 2f64.powi((hi_l - v - 1) as i32);
             memo.insert(n, c);
             c
         }
-        let top = if f.is_terminal() { nvars } else { self.level_of(self.var_of(f)) };
+        let top = if f.is_terminal() {
+            nvars
+        } else {
+            self.level_of(self.var_of(f))
+        };
         go(self, f, nvars, &mut memo) * 2f64.powi(top as i32)
     }
 }
@@ -798,7 +818,11 @@ mod tests {
         reordered.adopt_order(&[5, 0, 3, 1, 4, 2]);
         let g = build(&mut reordered);
         assert_eq!(reordered.level_of(5), 0, "the adopted order is in force");
-        assert_eq!(reordered.count_sat(g, 6), 37.0, "count_sat is order-invariant");
+        assert_eq!(
+            reordered.count_sat(g, 6),
+            37.0,
+            "count_sat is order-invariant"
+        );
     }
 
     #[test]
@@ -819,7 +843,7 @@ mod tests {
         assert!(m.eval(keep, &|_| true));
         assert!(!m.eval(keep, &|_| false));
         let _ = dead; // dangling by contract — must not be used again
-        // Slots are recycled: rebuilding allocates into freed space.
+                      // Slots are recycled: rebuilding allocates into freed space.
         let len_before = m.nodes.len();
         let x2 = m.xor(a, b).unwrap();
         assert_eq!(m.nodes.len(), len_before, "mk must reuse freed slots");
@@ -1011,7 +1035,11 @@ mod tests {
                 pool.push(want);
                 last = Some(op);
             }
-            assert_eq!(full.total_freed() + tiny.total_freed(), 0, "no collection ran");
+            assert_eq!(
+                full.total_freed() + tiny.total_freed(),
+                0,
+                "no collection ran"
+            );
             assert!(tiny.ite_cache.slot_count() <= 2 && tiny.and_cache.slot_count() <= 2);
             assert!(full.and_cache.slot_count() > 2, "the default caches grew");
         }
@@ -1019,7 +1047,9 @@ mod tests {
 
     /// Truth table of `f` over variables `0..n` (bit `a` = `f(a)`).
     fn truth_table(m: &BddManager, f: NodeId, n: u32) -> u32 {
-        (0..1u32 << n).filter(|&a| m.eval(f, &|v| a >> v & 1 == 1)).fold(0, |t, a| t | 1 << a)
+        (0..1u32 << n)
+            .filter(|&a| m.eval(f, &|v| a >> v & 1 == 1))
+            .fold(0, |t, a| t | 1 << a)
     }
 
     /// `∃ vars(mask). table`, as a truth table over `0..n`.
@@ -1063,8 +1093,14 @@ mod tests {
                 let (f, g, h) = (pick(), pick(), pick());
                 let mask = rng.below(1 << N) as u32;
                 match rng.below(7) {
-                    0 => assert_eq!(m.and(f, g).unwrap(), m.ite_reference(f, g, NodeId::FALSE).unwrap()),
-                    1 => assert_eq!(m.or(f, g).unwrap(), m.ite_reference(f, NodeId::TRUE, g).unwrap()),
+                    0 => assert_eq!(
+                        m.and(f, g).unwrap(),
+                        m.ite_reference(f, g, NodeId::FALSE).unwrap()
+                    ),
+                    1 => assert_eq!(
+                        m.or(f, g).unwrap(),
+                        m.ite_reference(f, NodeId::TRUE, g).unwrap()
+                    ),
                     2 => assert_eq!(m.xor(f, g).unwrap(), m.ite_reference(f, !g, g).unwrap()),
                     3 => assert_eq!(m.ite(f, g, h).unwrap(), m.ite_reference(f, g, h).unwrap()),
                     4 => {
@@ -1083,7 +1119,10 @@ mod tests {
                         let r = m.rename(f, &shift).unwrap();
                         let back: Vec<(u32, u32)> = shift.iter().map(|&(a, b)| (b, a)).collect();
                         let again = m.rename(r, &back).unwrap();
-                        assert_eq!(again, m.ite_reference(f, NodeId::TRUE, NodeId::FALSE).unwrap());
+                        assert_eq!(
+                            again,
+                            m.ite_reference(f, NodeId::TRUE, NodeId::FALSE).unwrap()
+                        );
                     }
                 }
             }
@@ -1119,7 +1158,11 @@ mod tests {
                     i = m.nodes[i as usize].next;
                 }
             }
-            assert_eq!(chained, m.num_nodes() - 1, "chains hold exactly the decision nodes");
+            assert_eq!(
+                chained,
+                m.num_nodes() - 1,
+                "chains hold exactly the decision nodes"
+            );
         }
         let mut rng = Rng(11);
         let mut m = BddManager::new(1 << 20);
@@ -1146,6 +1189,9 @@ mod tests {
             assert!(m.gc() > 0);
             check(&mut m);
         }
-        assert!(m.buckets.len() >= 1 << (UNIQUE_INITIAL_BITS + 3), "several doublings");
+        assert!(
+            m.buckets.len() >= 1 << (UNIQUE_INITIAL_BITS + 3),
+            "several doublings"
+        );
     }
 }

@@ -20,7 +20,11 @@ pub(crate) enum IteFrame {
     /// Pop the two cofactor results, build the node at level `v`, cache
     /// it under the normalized `key`, and push the result complemented
     /// by `neg`.
-    Reduce { v: u32, key: (NodeId, NodeId, NodeId), neg: bool },
+    Reduce {
+        v: u32,
+        key: (NodeId, NodeId, NodeId),
+        neg: bool,
+    },
 }
 
 /// Outcome of [`normalize_ite`].
@@ -158,7 +162,11 @@ impl BddManager {
                     let (h0, h1) = self.cofactors(h, v);
                     // LIFO: the lo-branch Apply runs first and pushes its
                     // result below the hi-branch's.
-                    tasks.push(IteFrame::Reduce { v, key: (f, g, h), neg });
+                    tasks.push(IteFrame::Reduce {
+                        v,
+                        key: (f, g, h),
+                        neg,
+                    });
                     tasks.push(IteFrame::Apply(f1, g1, h1));
                     tasks.push(IteFrame::Apply(f0, g0, h0));
                 }
@@ -202,12 +210,7 @@ impl BddManager {
     ///
     /// Returns [`OutOfNodes`] when the quota is exhausted.
     #[doc(hidden)]
-    pub fn ite_reference(
-        &mut self,
-        f: NodeId,
-        g: NodeId,
-        h: NodeId,
-    ) -> Result<NodeId, OutOfNodes> {
+    pub fn ite_reference(&mut self, f: NodeId, g: NodeId, h: NodeId) -> Result<NodeId, OutOfNodes> {
         let mut memo = FxHashMap::default();
         self.ite_reference_rec(f, g, h, &mut memo)
     }
@@ -511,21 +514,11 @@ impl BddManager {
     ///
     /// Returns [`OutOfNodes`] when the quota is exhausted even after
     /// garbage collection.
-    pub fn and_exists(
-        &mut self,
-        f: NodeId,
-        g: NodeId,
-        cube: NodeId,
-    ) -> Result<NodeId, OutOfNodes> {
+    pub fn and_exists(&mut self, f: NodeId, g: NodeId, cube: NodeId) -> Result<NodeId, OutOfNodes> {
         self.run_with_gc(&[f, g, cube], |m| m.and_exists_rec(f, g, cube))
     }
 
-    fn and_exists_rec(
-        &mut self,
-        f: NodeId,
-        g: NodeId,
-        cube: NodeId,
-    ) -> Result<NodeId, OutOfNodes> {
+    fn and_exists_rec(&mut self, f: NodeId, g: NodeId, cube: NodeId) -> Result<NodeId, OutOfNodes> {
         if f == NodeId::FALSE || g == NodeId::FALSE || f == !g {
             return Ok(NodeId::FALSE);
         }
@@ -758,7 +751,12 @@ mod tests {
         let xn = m.xnor(a, b).unwrap();
         let nx = m.not(x);
         assert_eq!(xn, nx);
-        for (av, bv, ev) in [(false, false, false), (false, true, true), (true, false, true), (true, true, false)] {
+        for (av, bv, ev) in [
+            (false, false, false),
+            (false, true, true),
+            (true, false, true),
+            (true, true, false),
+        ] {
             assert_eq!(m.eval(x, &|v| if v == 0 { av } else { bv }), ev);
         }
     }

@@ -153,9 +153,17 @@ impl ExportedBdd {
         check_ref(root, nodes.len(), None)?;
         let nodes = nodes
             .into_iter()
-            .map(|(var, lo, hi)| ExportedNode { var, lo: SlotRef(lo), hi: SlotRef(hi) })
+            .map(|(var, lo, hi)| ExportedNode {
+                var,
+                lo: SlotRef(lo),
+                hi: SlotRef(hi),
+            })
             .collect();
-        Ok(ExportedBdd { nodes, root: SlotRef(root), order })
+        Ok(ExportedBdd {
+            nodes,
+            root: SlotRef(root),
+            order,
+        })
     }
 }
 
@@ -192,8 +200,15 @@ impl fmt::Display for TransferFormatError {
             TransferFormatError::BadRootRef { reference, slots } => {
                 write!(f, "root reference {reference:#x} escapes {slots} slot(s)")
             }
-            TransferFormatError::BadChildRef { node, reference, slots } => {
-                write!(f, "node {node}: child reference {reference:#x} escapes {slots} slot(s)")
+            TransferFormatError::BadChildRef {
+                node,
+                reference,
+                slots,
+            } => {
+                write!(
+                    f,
+                    "node {node}: child reference {reference:#x} escapes {slots} slot(s)"
+                )
             }
         }
     }
@@ -210,8 +225,15 @@ fn check_ref(r: u32, limit: usize, node: Option<usize>) -> Result<(), TransferFo
         return Ok(());
     }
     Err(match node {
-        Some(node) => TransferFormatError::BadChildRef { node, reference: r, slots: limit },
-        None => TransferFormatError::BadRootRef { reference: r, slots: limit },
+        Some(node) => TransferFormatError::BadChildRef {
+            node,
+            reference: r,
+            slots: limit,
+        },
+        None => TransferFormatError::BadRootRef {
+            reference: r,
+            slots: limit,
+        },
     })
 }
 
@@ -253,7 +275,10 @@ pub fn export(src: &BddManager, f: NodeId) -> ExportedBdd {
     // under an adopted order), deepest first; ties broken by source
     // index so the layout is deterministic for a given manager state.
     indices.sort_unstable_by(|a, b| {
-        let (la, lb) = (src.level_of(src.node(*a).var), src.level_of(src.node(*b).var));
+        let (la, lb) = (
+            src.level_of(src.node(*a).var),
+            src.level_of(src.node(*b).var),
+        );
         lb.cmp(&la).then(a.cmp(b))
     });
     for (slot, i) in indices.iter().enumerate() {
@@ -270,10 +295,18 @@ pub fn export(src: &BddManager, f: NodeId) -> ExportedBdd {
         .iter()
         .map(|i| {
             let node = src.node(*i);
-            ExportedNode { var: node.var, lo: translate(node.lo), hi: translate(node.hi) }
+            ExportedNode {
+                var: node.var,
+                lo: translate(node.lo),
+                hi: translate(node.hi),
+            }
         })
         .collect();
-    ExportedBdd { nodes, root: translate(f), order: src.current_order() }
+    ExportedBdd {
+        nodes,
+        root: translate(f),
+        order: src.current_order(),
+    }
 }
 
 /// Rebuilds one exported node inside `dst` from already-resolved
@@ -452,9 +485,18 @@ impl DeltaBdd {
         check_ref(root, baseline_len + nodes.len(), None)?;
         let nodes = nodes
             .into_iter()
-            .map(|(var, lo, hi)| ExportedNode { var, lo: SlotRef(lo), hi: SlotRef(hi) })
+            .map(|(var, lo, hi)| ExportedNode {
+                var,
+                lo: SlotRef(lo),
+                hi: SlotRef(hi),
+            })
             .collect();
-        Ok(DeltaBdd { baseline_len, nodes, root: SlotRef(root), order })
+        Ok(DeltaBdd {
+            baseline_len,
+            nodes,
+            root: SlotRef(root),
+            order,
+        })
     }
 }
 
@@ -525,7 +567,10 @@ pub fn export_delta(src: &BddManager, f: NodeId, baseline: &ExportedBdd) -> Delt
     // Same deterministic layout rule as `export` for the shipped part:
     // current source level, deepest first.
     indices.sort_unstable_by(|a, b| {
-        let (la, lb) = (src.level_of(src.node(*a).var), src.level_of(src.node(*b).var));
+        let (la, lb) = (
+            src.level_of(src.node(*a).var),
+            src.level_of(src.node(*b).var),
+        );
         lb.cmp(&la).then(a.cmp(b))
     });
     for (slot, i) in indices.iter().enumerate() {
@@ -544,10 +589,19 @@ pub fn export_delta(src: &BddManager, f: NodeId, baseline: &ExportedBdd) -> Delt
         .iter()
         .map(|i| {
             let node = src.node(*i);
-            ExportedNode { var: node.var, lo: translate(node.lo), hi: translate(node.hi) }
+            ExportedNode {
+                var: node.var,
+                lo: translate(node.lo),
+                hi: translate(node.hi),
+            }
         })
         .collect();
-    DeltaBdd { baseline_len: b, nodes, root: translate(f), order: src.current_order() }
+    DeltaBdd {
+        baseline_len: b,
+        nodes,
+        root: translate(f),
+        order: src.current_order(),
+    }
 }
 
 /// Rebuilds a delta-encoded function inside `dst`, given the same
@@ -787,7 +841,10 @@ mod tests {
         let mut dst = BddManager::new(1 << 16);
         let via_full = import(full, &mut dst).unwrap();
         let via_delta = import_delta(delta, baseline, &mut dst).unwrap();
-        assert_eq!(via_delta, via_full, "hash-consing must unify the two routes");
+        assert_eq!(
+            via_delta, via_full,
+            "hash-consing must unify the two routes"
+        );
         for asg in assignments(nvars) {
             let assign = |v: u32| asg >> v & 1 == 1;
             assert_eq!(dst.eval(via_delta, &assign), dst.eval(via_full, &assign));
@@ -921,7 +978,11 @@ mod tests {
         let delta = export_delta(&src, big, &baseline);
         let mut dst = BddManager::new(4);
         assert!(import_delta(&delta, &baseline, &mut dst).is_err());
-        assert_eq!(dst.num_roots(), 0, "failed delta import must unwind its roots");
+        assert_eq!(
+            dst.num_roots(),
+            0,
+            "failed delta import must unwind its roots"
+        );
     }
 
     /// `(x0 ∧ xk) ∨ (x1 ∧ x{k+1}) ∨ …` — exponential under the identity
@@ -952,14 +1013,22 @@ mod tests {
         let g = import(&e, &mut dst).unwrap();
         for asg in assignments(6) {
             let assign = |v: u32| asg >> v & 1 == 1;
-            assert_eq!(dst.eval(g, &assign), src.eval(f, &assign), "assignment {asg:06b}");
+            assert_eq!(
+                dst.eval(g, &assign),
+                src.eval(f, &assign),
+                "assignment {asg:06b}"
+            );
         }
         // A receiver that adopts the source order replays the cone at
         // its exported size, pure-`mk`.
         let mut adopted = BddManager::new(1 << 16);
         adopted.adopt_order(e.source_order());
         let h = import(&e, &mut adopted).unwrap();
-        assert_eq!(adopted.size(h), e.node_count(), "adopted order preserves the shape");
+        assert_eq!(
+            adopted.size(h),
+            e.node_count(),
+            "adopted order preserves the shape"
+        );
         for asg in assignments(6) {
             let assign = |v: u32| asg >> v & 1 == 1;
             assert_eq!(adopted.eval(h, &assign), src.eval(f, &assign));
@@ -974,10 +1043,18 @@ mod tests {
         let mut dst = BddManager::new(1 << 16);
         dst.adopt_order(&[3, 1, 0, 2]);
         let g = import(&e, &mut dst).unwrap();
-        assert_eq!(dst.size(g), e.node_count(), "xor cone is order-invariant in size");
+        assert_eq!(
+            dst.size(g),
+            e.node_count(),
+            "xor cone is order-invariant in size"
+        );
         for asg in assignments(4) {
             let assign = |v: u32| asg >> v & 1 == 1;
-            assert_eq!(dst.eval(g, &assign), src.eval(f, &assign), "assignment {asg:04b}");
+            assert_eq!(
+                dst.eval(g, &assign),
+                src.eval(f, &assign),
+                "assignment {asg:04b}"
+            );
         }
     }
 
@@ -1012,7 +1089,11 @@ mod tests {
         let h = import_delta(&delta, &baseline, &mut dst).unwrap();
         for asg in assignments(7) {
             let assign = |v: u32| asg >> v & 1 == 1;
-            assert_eq!(dst.eval(h, &assign), src.eval(g, &assign), "assignment {asg:07b}");
+            assert_eq!(
+                dst.eval(h, &assign),
+                src.eval(g, &assign),
+                "assignment {asg:07b}"
+            );
         }
         dst.unprotect(imported_baseline);
         dst.unprotect(h);

@@ -10,7 +10,10 @@ use veridic::prelude::*;
 use veridic_bench::check_module;
 
 fn campaign(c: &mut Criterion) {
-    let chip = Chip::generate(&ChipConfig { scale: Scale::Small, with_bugs: false });
+    let chip = Chip::generate(&ChipConfig {
+        scale: Scale::Small,
+        with_bugs: false,
+    });
     let mut group = c.benchmark_group("campaign");
     group.sample_size(10);
     // One representative module per category.
@@ -21,16 +24,25 @@ fn campaign(c: &mut Criterion) {
         }
         let module = chip.design().module(mi.name()).unwrap().clone();
         let n_props = mi.plan().p0() + mi.plan().p1() + mi.plan().p2() + mi.plan().p3;
-        group.bench_function(format!("module_{}_{}props", mi.plan().category, n_props), |b| {
-            b.iter(|| {
-                let (p, f, r) = check_module(&module, &CheckOptions::default());
-                assert_eq!((f, r), (0, 0));
-                std::hint::black_box(p)
-            })
-        });
+        group.bench_function(
+            format!("module_{}_{}props", mi.plan().category, n_props),
+            |b| {
+                b.iter(|| {
+                    let (p, f, r) = check_module(&module, &CheckOptions::default());
+                    assert_eq!((f, r), (0, 0));
+                    std::hint::black_box(p)
+                })
+            },
+        );
     }
-    let buggy = Chip::generate(&ChipConfig { scale: Scale::Small, with_bugs: true });
-    let cfg = CampaignConfig { workers: 1, ..Default::default() };
+    let buggy = Chip::generate(&ChipConfig {
+        scale: Scale::Small,
+        with_bugs: true,
+    });
+    let cfg = CampaignConfig {
+        workers: 1,
+        ..Default::default()
+    };
     group.bench_function("table2_small", |b| {
         b.iter(|| {
             let report = run_campaign(&buggy, &cfg);

@@ -27,7 +27,10 @@ fn engines(c: &mut Criterion) {
         })
     });
     group.bench_function("bdd_umc", |b| {
-        let opts = CheckOptions::builder().bdd_only(true).pobdd_window_vars(0).build();
+        let opts = CheckOptions::builder()
+            .bdd_only(true)
+            .pobdd_window_vars(0)
+            .build();
         b.iter(|| {
             let mut stats = CheckStats::default();
             assert!(portfolio.check_bad(&aig, 0, &opts, &mut stats).is_proved());

@@ -26,12 +26,20 @@ fn order(c: &mut Criterion) {
     let module = build_order_stress(PAIRS);
     let lowered = module.to_aig().unwrap();
     let mut aig = lowered.aig.clone();
-    let mismatch = module.ports.iter().find(|p| p.name == "MISMATCH").unwrap().net;
+    let mismatch = module
+        .ports
+        .iter()
+        .find(|p| p.name == "MISMATCH")
+        .unwrap()
+        .net;
     aig.add_bad("mismatch".to_string(), lowered.bit(mismatch, 0));
 
     // Pure BDD UMC: SAT/induction would prove the twin invariant
     // instantly and hide the ordering effect entirely.
-    let base = CheckOptions::builder().bdd_only(true).pobdd_window_vars(0).bdd_nodes(1 << 21);
+    let base = CheckOptions::builder()
+        .bdd_only(true)
+        .pobdd_window_vars(0)
+        .bdd_nodes(1 << 21);
     let natural = base.clone().build();
     let static_order = base.clone().static_order(true).build();
 

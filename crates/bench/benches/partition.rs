@@ -80,14 +80,26 @@ fn partition(c: &mut Criterion) {
     });
     group.finish();
 
-    println!("fig7/monolithic_generous  peak_live {} nodes", mono_peak.get());
-    println!("fig7/partitioned_generous  peak_live {} nodes", part_gen_peak.get());
-    println!("fig7/partitioned_tight  peak_live {} nodes", part_tight_peak.get());
+    println!(
+        "fig7/monolithic_generous  peak_live {} nodes",
+        mono_peak.get()
+    );
+    println!(
+        "fig7/partitioned_generous  peak_live {} nodes",
+        part_gen_peak.get()
+    );
+    println!(
+        "fig7/partitioned_tight  peak_live {} nodes",
+        part_tight_peak.get()
+    );
     let workers = part_par_workers.borrow();
     let par_peak = workers.iter().map(|w| w.peak_bdd_nodes).max().unwrap_or(0);
     println!("fig7/partitioned_parallel  peak_live {par_peak} nodes");
     for (i, w) in workers.iter().enumerate() {
-        println!("fig7/partitioned_parallel/w{i}  peak_live {} nodes", w.peak_bdd_nodes);
+        println!(
+            "fig7/partitioned_parallel/w{i}  peak_live {} nodes",
+            w.peak_bdd_nodes
+        );
     }
 }
 

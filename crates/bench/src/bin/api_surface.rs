@@ -111,8 +111,13 @@ fn pub_use_decls(src: &str) -> Vec<(usize, String)> {
     let mut rest = 0;
     while let Some(pos) = src[rest..].find("pub use ") {
         let start = rest + pos;
-        let Some(end) = src[start..].find(';') else { break };
-        out.push((start, src[start + "pub use ".len()..start + end].to_string()));
+        let Some(end) = src[start..].find(';') else {
+            break;
+        };
+        out.push((
+            start,
+            src[start + "pub use ".len()..start + end].to_string(),
+        ));
         rest = start + end + 1;
     }
     out

@@ -118,8 +118,8 @@ fn main() {
     let default_baseline = "BENCH_BASELINE.json".to_string();
     let baseline_path = positional.get(1).unwrap_or(&default_baseline);
 
-    let output = std::fs::read_to_string(out_path)
-        .unwrap_or_else(|e| panic!("cannot read {out_path}: {e}"));
+    let output =
+        std::fs::read_to_string(out_path).unwrap_or_else(|e| panic!("cannot read {out_path}: {e}"));
     let baseline_text = std::fs::read_to_string(baseline_path)
         .unwrap_or_else(|e| panic!("cannot read {baseline_path}: {e}"));
 
@@ -148,11 +148,16 @@ fn main() {
     let current_rss = parse_report(&output, "peak_rss", "MiB");
 
     println!("Bench comparison vs {baseline_path} (advisory)");
-    let host_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let host_cores = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
     if let Some(warning) = core_count_warning(baseline_cores, host_cores) {
         println!("{warning}");
     }
-    println!("{:<42} {:>12} {:>12} {:>9}", "bench", "baseline", "current", "delta");
+    println!(
+        "{:<42} {:>12} {:>12} {:>9}",
+        "bench", "baseline", "current", "delta"
+    );
     let mut missing: Vec<&str> = Vec::new();
     for (name, base_s) in &baseline {
         match current.get(name.as_str()) {
@@ -192,12 +197,19 @@ fn main() {
     if !node_baseline.is_empty() || !current_nodes.is_empty() {
         println!();
         println!("Live-peak BDD nodes vs baseline (deterministic)");
-        println!("{:<42} {:>12} {:>12} {:>9}", "bench", "baseline", "current", "delta");
+        println!(
+            "{:<42} {:>12} {:>12} {:>9}",
+            "bench", "baseline", "current", "delta"
+        );
         for (name, base_n) in &node_baseline {
             match current_nodes.get(name.as_str()) {
                 Some(cur_n) if *base_n > 0.0 => {
                     let delta = (cur_n - base_n) / base_n * 100.0;
-                    let flag = if delta > 10.0 { "  <-- more live nodes" } else { "" };
+                    let flag = if delta > 10.0 {
+                        "  <-- more live nodes"
+                    } else {
+                        ""
+                    };
                     println!(
                         "{:<42} {:>12} {:>12} {:>+8.1}%{}",
                         name, *base_n as u64, *cur_n as u64, delta, flag
@@ -206,8 +218,15 @@ fn main() {
                 // A zero baseline means the SAT portfolio settled the
                 // bench before any BDD engine ran; flag any change.
                 Some(cur_n) => {
-                    let flag = if *cur_n > 0.0 { "  <-- BDD engines now engaged" } else { "" };
-                    println!("{:<42} {:>12} {:>12} {:>9}{}", name, 0, *cur_n as u64, "-", flag);
+                    let flag = if *cur_n > 0.0 {
+                        "  <-- BDD engines now engaged"
+                    } else {
+                        ""
+                    };
+                    println!(
+                        "{:<42} {:>12} {:>12} {:>9}{}",
+                        name, 0, *cur_n as u64, "-", flag
+                    );
                 }
                 None => println!("{name:<42} (not in this run)"),
             }
@@ -222,12 +241,19 @@ fn main() {
     if !rss_baseline.is_empty() || !current_rss.is_empty() {
         println!();
         println!("Process peak RSS after the bench vs baseline");
-        println!("{:<42} {:>12} {:>12} {:>9}", "bench", "baseline", "current", "delta");
+        println!(
+            "{:<42} {:>12} {:>12} {:>9}",
+            "bench", "baseline", "current", "delta"
+        );
         for (name, base) in &rss_baseline {
             match current_rss.get(name.as_str()) {
                 Some(cur) => {
                     let delta = (cur - base) / base * 100.0;
-                    let flag = if delta > GATE_THRESHOLD_PCT { "  <-- more memory" } else { "" };
+                    let flag = if delta > GATE_THRESHOLD_PCT {
+                        "  <-- more memory"
+                    } else {
+                        ""
+                    };
                     println!(
                         "{:<42} {:>12} {:>12} {:>+8.1}%{}",
                         name,
@@ -287,8 +313,12 @@ fn parse_baseline(text: &str) -> BTreeMap<String, f64> {
     let mut map = BTreeMap::new();
     for line in text.lines() {
         let line = line.trim().trim_end_matches(',');
-        let Some(rest) = line.strip_prefix('"') else { continue };
-        let Some((name, value)) = rest.split_once("\":") else { continue };
+        let Some(rest) = line.strip_prefix('"') else {
+            continue;
+        };
+        let Some((name, value)) = rest.split_once("\":") else {
+            continue;
+        };
         if let Ok(v) = value.trim().parse::<f64>() {
             // Metadata keys ("host", "mode", ...) hold strings and fail
             // the parse above, so only bench entries land here.
@@ -312,7 +342,9 @@ fn parse_bench_output(text: &str) -> BTreeMap<String, f64> {
         let (Some(value), Some(unit)) = (rest.get(pos + 1), rest.get(pos + 2)) else {
             continue;
         };
-        let Ok(v) = value.parse::<f64>() else { continue };
+        let Ok(v) = value.parse::<f64>() else {
+            continue;
+        };
         let secs = match *unit {
             "s" => v,
             "ms" => v * 1e-3,
@@ -339,7 +371,9 @@ fn parse_report(text: &str, keyword: &str, unit: &str) -> BTreeMap<String, f64> 
         if rest.get(pos + 2) != Some(&unit) {
             continue;
         }
-        let Some(Ok(v)) = rest.get(pos + 1).map(|v| v.parse::<f64>()) else { continue };
+        let Some(Ok(v)) = rest.get(pos + 1).map(|v| v.parse::<f64>()) else {
+            continue;
+        };
         map.insert(name.to_string(), v);
     }
     map
@@ -405,7 +439,11 @@ mod tests {
                    order/static_order  peak_rss 12 KiB\n\
                    fig7/partitioned_tight  min 18.38 ms  median 18.38 ms\n";
         let rss = parse_report(out, "peak_rss", "MiB");
-        assert_eq!(rss.len(), 2, "other units and report kinds are not RSS: {rss:?}");
+        assert_eq!(
+            rss.len(),
+            2,
+            "other units and report kinds are not RSS: {rss:?}"
+        );
         assert!((rss["fig7/monolithic_generous"] - 93.4).abs() < 1e-9);
         assert!((rss["order/natural"] - 31.0).abs() < 1e-9);
         assert!(!parse_bench_output(out).contains_key("order/natural"));
@@ -422,7 +460,11 @@ mod tests {
         // 93.4 MiB against 70 MiB is +33%: past the gate.
         let failures = gate_failures(&baseline, &rss, "fig7/", fmt_mib);
         assert_eq!(failures.len(), 1);
-        assert!(failures[0].contains("70.0 MiB -> 93.4 MiB"), "{}", failures[0]);
+        assert!(
+            failures[0].contains("70.0 MiB -> 93.4 MiB"),
+            "{}",
+            failures[0]
+        );
     }
 
     #[test]
@@ -436,9 +478,8 @@ mod tests {
 
     #[test]
     fn host_cores_key_is_metadata_not_a_bench_id() {
-        let text = format!(
-            "{{\n  \"{HOST_CORES_KEY}\": 1,\n  \"fig7/monolithic_generous\": 60.91\n}}\n"
-        );
+        let text =
+            format!("{{\n  \"{HOST_CORES_KEY}\": 1,\n  \"fig7/monolithic_generous\": 60.91\n}}\n");
         let m = parse_baseline(&text);
         // The flat parser keeps it (it is numeric); main() must split it
         // out before the timing comparison — this pins that it parses.

@@ -14,10 +14,17 @@ fn main() {
             "{:<6} {:<12} {}",
             e.index,
             format!("{:?}", e.kind),
-            if e.used_injection_spares { "yes (tied-off selector muxes repurposed)" } else { "no (needs drive strength)" }
+            if e.used_injection_spares {
+                "yes (tied-off selector muxes repurposed)"
+            } else {
+                "no (needs drive strength)"
+            }
         );
     }
     let used = events.iter().filter(|e| e.used_injection_spares).count();
     println!();
-    println!("{used} of {} ECOs served from injection spares (paper: 2 of 6)", events.len());
+    println!(
+        "{used} of {} ECOs served from injection spares (paper: 2 of 6)",
+        events.len()
+    );
 }

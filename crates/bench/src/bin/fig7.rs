@@ -29,7 +29,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build();
 
     println!("Figure 7: partitioning a property for Divide-and-Conquer");
-    println!("chain of {stages} parity-propagating stages ({} state bits)\n", vm.module.state_bits());
+    println!(
+        "chain of {stages} parity-propagating stages ({} state bits)\n",
+        vm.module.state_bits()
+    );
 
     // (1) the original property.
     let vunits = generate_all(&vm)?;
@@ -41,7 +44,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let t0 = Instant::now();
     let mono = check(&aig, &tight);
     let mono_time = t0.elapsed();
-    println!("(1) monolithic check : {:?} in {:?}", short(&mono.verdict), mono_time);
+    println!(
+        "(1) monolithic check : {:?} in {:?}",
+        short(&mono.verdict),
+        mono_time
+    );
     for e in mono.stats.engines_tried() {
         println!("      {e}");
     }

@@ -42,7 +42,10 @@ const NO_PANIC_CRATES: [&str; 7] = FX_CRATES;
 /// Debug-scaffolding macros banned from committed code. Assembled at
 /// runtime so this file does not flag itself.
 fn banned_macros() -> Vec<String> {
-    ["dbg", "todo", "unimplemented"].iter().map(|m| format!("{m}!(")).collect()
+    ["dbg", "todo", "unimplemented"]
+        .iter()
+        .map(|m| format!("{m}!("))
+        .collect()
 }
 
 fn main() {
@@ -52,7 +55,9 @@ fn main() {
 
     let banned = banned_macros();
     for file in rs_files(&crates_dir) {
-        let Ok(text) = std::fs::read_to_string(&file) else { continue };
+        let Ok(text) = std::fs::read_to_string(&file) else {
+            continue;
+        };
         let display = file
             .strip_prefix(&root)
             .unwrap_or(&file)
@@ -128,7 +133,9 @@ fn rs_files(dir: &Path) -> Vec<PathBuf> {
     let mut out = Vec::new();
     let mut stack = vec![dir.to_path_buf()];
     while let Some(d) = stack.pop() {
-        let Ok(entries) = std::fs::read_dir(&d) else { continue };
+        let Ok(entries) = std::fs::read_dir(&d) else {
+            continue;
+        };
         let mut children: Vec<PathBuf> = entries.flatten().map(|e| e.path()).collect();
         children.sort();
         for p in children {
@@ -152,12 +159,17 @@ mod tests {
         // The patterns are assembled at runtime precisely so the string
         // literals in this binary never contain the banned spelling.
         let banned = banned_macros();
-        let expected: Vec<String> =
-            ["dbg", "todo", "unimplemented"].iter().map(|m| format!("{m}!{}", "(")).collect();
+        let expected: Vec<String> = ["dbg", "todo", "unimplemented"]
+            .iter()
+            .map(|m| format!("{m}!{}", "("))
+            .collect();
         assert_eq!(banned, expected);
         let this_file = include_str!("lint_conventions.rs");
         for m in &banned {
-            for line in this_file.lines().filter(|l| !l.trim_start().starts_with("//")) {
+            for line in this_file
+                .lines()
+                .filter(|l| !l.trim_start().starts_with("//"))
+            {
                 assert!(
                     !line.contains(m.as_str()),
                     "lint source would flag itself: {line:?}"
@@ -170,7 +182,11 @@ mod tests {
     fn fx_crate_list_matches_the_standardized_crates() {
         for c in FX_CRATES {
             assert!(
-                PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..").join("crates").join(c).is_dir(),
+                PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+                    .join("../..")
+                    .join("crates")
+                    .join(c)
+                    .is_dir(),
                 "FX crate {c} missing"
             );
         }

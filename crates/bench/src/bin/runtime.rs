@@ -12,13 +12,22 @@ fn main() {
     let small = std::env::args().any(|a| a == "--small");
     let scale = if small { Scale::Small } else { Scale::Full };
     eprintln!("generating chip ({scale:?}) ...");
-    let chip = Chip::generate(&ChipConfig { scale, with_bugs: false });
+    let chip = Chip::generate(&ChipConfig {
+        scale,
+        with_bugs: false,
+    });
     eprintln!("running campaign ...");
     let t0 = Instant::now();
     // Pin workers: the paper's §6.1 figure is a *single-CPU* latency
     // distribution; parallel checking would skew both the per-property
     // durations (contention) and the wall-clock mean (divided down).
-    let report = run_campaign(&chip, &CampaignConfig { workers: 1, ..Default::default() });
+    let report = run_campaign(
+        &chip,
+        &CampaignConfig {
+            workers: 1,
+            ..Default::default()
+        },
+    );
     let total = t0.elapsed();
 
     let mut lat: Vec<f64> = report
@@ -30,8 +39,14 @@ fn main() {
     let pct = |p: f64| lat[((lat.len() as f64 - 1.0) * p) as usize];
     println!("campaign: {} properties in {:?}", lat.len(), total);
     println!("per-property latency (ms):");
-    println!("  min {:.2}  p50 {:.2}  p90 {:.2}  p99 {:.2}  max {:.2}",
-        lat.first().unwrap(), pct(0.5), pct(0.9), pct(0.99), lat.last().unwrap());
+    println!(
+        "  min {:.2}  p50 {:.2}  p90 {:.2}  p99 {:.2}  max {:.2}",
+        lat.first().unwrap(),
+        pct(0.5),
+        pct(0.9),
+        pct(0.99),
+        lat.last().unwrap()
+    );
     let per_prop = total.as_secs_f64() / lat.len() as f64;
     println!("  mean {:.1} ms/property", per_prop * 1e3);
     println!();

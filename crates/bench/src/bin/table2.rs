@@ -11,8 +11,14 @@ fn main() {
     let small = std::env::args().any(|a| a == "--small");
     let scale = if small { Scale::Small } else { Scale::Full };
     eprintln!("generating chip at {scale:?} scale with the seven seeded bugs ...");
-    let chip = Chip::generate(&ChipConfig { scale, with_bugs: true });
-    eprintln!("running the campaign over {} leaf modules ...", chip.modules().len());
+    let chip = Chip::generate(&ChipConfig {
+        scale,
+        with_bugs: true,
+    });
+    eprintln!(
+        "running the campaign over {} leaf modules ...",
+        chip.modules().len()
+    );
     let t0 = Instant::now();
     let report = run_campaign(&chip, &CampaignConfig::default());
     for (m, e) in &report.errors {

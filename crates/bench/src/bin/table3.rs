@@ -11,7 +11,10 @@ const SIM_BUDGET: u64 = 50_000;
 const SEEDS: [u64; 5] = [11, 23, 37, 53, 71];
 
 fn main() {
-    let chip = Chip::generate(&ChipConfig { scale: Scale::Small, with_bugs: true });
+    let chip = Chip::generate(&ChipConfig {
+        scale: Scale::Small,
+        with_bugs: true,
+    });
     println!("Table 3. Classification of logic bugs");
     println!(
         "{:<6} {:<30} {:<10} {:>16} {:<6}",

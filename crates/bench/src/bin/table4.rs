@@ -5,7 +5,10 @@ use veridic::prelude::*;
 
 fn main() {
     eprintln!("generating the full-scale chip ...");
-    let chip = Chip::generate(&ChipConfig { scale: Scale::Full, with_bugs: false });
+    let chip = Chip::generate(&ChipConfig {
+        scale: Scale::Full,
+        with_bugs: false,
+    });
     let rows = area_report(&chip, &CellCosts::default());
     print!("{}", render_table4(&rows));
     println!();

@@ -8,7 +8,10 @@ fn main() {
     println!("Timing impact of the error-injection selector");
     println!("  selector (2:1 mux) delay : {:>7.0} ps", t.selector_ps);
     println!("  clock period @250 MHz    : {:>7.0} ps", t.period_ps);
-    println!("  selector share of cycle  : {:>6.1} %", t.percent_of_period());
+    println!(
+        "  selector share of cycle  : {:>6.1} %",
+        t.percent_of_period()
+    );
     println!();
     println!("(paper: 'about 200 ps that are about 4 % of total delay when");
     println!(" frequency is 250MHz. This timing delay was acceptable ... and");

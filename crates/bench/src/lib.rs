@@ -26,7 +26,10 @@ use veridic::prelude::*;
 ///
 /// Panics if the instrumented module fails to lower (generator bug).
 pub fn aig_of(compiled: &veridic::psl::CompiledVUnit) -> Aig {
-    let lowered = compiled.module.to_aig().expect("instrumented module lowers");
+    let lowered = compiled
+        .module
+        .to_aig()
+        .expect("instrumented module lowers");
     let mut aig = lowered.aig.clone();
     for (label, net) in &compiled.asserts {
         aig.add_bad(label.clone(), lowered.bit(*net, 0));

@@ -57,9 +57,10 @@ fn main() -> ExitCode {
     };
     let dir = Path::new(dir);
     match verb {
-        "submit" => match parse_spec(extra).map_err(|e| e.to_string()).and_then(|spec| {
-            submit(dir, &spec).map_err(|e| e.to_string())
-        }) {
+        "submit" => match parse_spec(extra)
+            .map_err(|e| e.to_string())
+            .and_then(|spec| submit(dir, &spec).map_err(|e| e.to_string()))
+        {
             Ok(summary) => {
                 println!(
                     "submitted {} jobs ({} module errors) to {}",

@@ -26,9 +26,8 @@ use veridic_bdd::{DeltaBdd, ExportedBdd, TransferFormatError};
 use veridic_chipgen::{Category, PropertyType};
 use veridic_core::flow::PropertyRecord;
 use veridic_mc::{
-    BadCoiStats, CheckStats, EngineCheckpoint, EngineEvent, EngineId,
-    EventOutcome, EventResources, PreanalysisStats, ReachCheckpoint, RunCheckpoint, Trace,
-    Verdict,
+    BadCoiStats, CheckStats, EngineCheckpoint, EngineEvent, EngineId, EventOutcome, EventResources,
+    PreanalysisStats, ReachCheckpoint, RunCheckpoint, Trace, Verdict,
 };
 
 use crate::wire::{self, fnv1a, put_string, put_varint, Reader, WireError};
@@ -92,7 +91,10 @@ impl fmt::Display for CodecError {
         match self {
             CodecError::BadMagic => write!(f, "not a campaign artifact (bad magic)"),
             CodecError::UnsupportedVersion(v) => {
-                write!(f, "format version {v} not supported (this build reads {FORMAT_VERSION})")
+                write!(
+                    f,
+                    "format version {v} not supported (this build reads {FORMAT_VERSION})"
+                )
             }
             CodecError::Checksum { expected, found } => {
                 write!(f, "checksum mismatch: content hashes to {expected:#018x}, file says {found:#018x}")
@@ -141,8 +143,14 @@ impl From<TransferFormatError> for CodecError {
 /// so decoding a million records with a custom engine leaks one string,
 /// not a million.
 fn intern_engine_name(name: &str) -> &'static str {
-    const KNOWN: [&str; 6] =
-        ["bmc", "induction", "bmc-induction", "bdd-umc", "pobdd-umc", "portfolio"];
+    const KNOWN: [&str; 6] = [
+        "bmc",
+        "induction",
+        "bmc-induction",
+        "bdd-umc",
+        "pobdd-umc",
+        "portfolio",
+    ];
     for k in KNOWN {
         if k == name {
             return k;
@@ -266,7 +274,12 @@ fn get_reach(r: &mut Reader<'_>) -> Result<ReachCheckpoint, CodecError> {
     for _ in 0..n {
         frontier.push(get_delta(r)?);
     }
-    Ok(ReachCheckpoint { depth, reached, frontier, window_vars })
+    Ok(ReachCheckpoint {
+        depth,
+        reached,
+        frontier,
+        window_vars,
+    })
 }
 
 fn put_engine_checkpoint(out: &mut Vec<u8>, state: &EngineCheckpoint) {
@@ -288,10 +301,17 @@ fn put_engine_checkpoint(out: &mut Vec<u8>, state: &EngineCheckpoint) {
 
 fn get_engine_checkpoint(r: &mut Reader<'_>) -> Result<EngineCheckpoint, CodecError> {
     match r.byte()? {
-        0 => Ok(EngineCheckpoint::Bmc { next_depth: r.varint_usize("bmc depth")? }),
-        1 => Ok(EngineCheckpoint::Induction { next_k: r.varint_usize("induction k")? }),
+        0 => Ok(EngineCheckpoint::Bmc {
+            next_depth: r.varint_usize("bmc depth")?,
+        }),
+        1 => Ok(EngineCheckpoint::Induction {
+            next_k: r.varint_usize("induction k")?,
+        }),
         2 => Ok(EngineCheckpoint::Reach(get_reach(r)?)),
-        tag => Err(CodecError::BadTag { what: "engine checkpoint", tag }),
+        tag => Err(CodecError::BadTag {
+            what: "engine checkpoint",
+            tag,
+        }),
     }
 }
 
@@ -340,7 +360,12 @@ fn get_outcome(r: &mut Reader<'_>) -> Result<EventOutcome, CodecError> {
         5 => EventOutcome::FalsifiedAtDepth(r.varint_usize("falsified depth")?),
         6 => EventOutcome::ResourceOut,
         7 => EventOutcome::Suspended,
-        tag => return Err(CodecError::BadTag { what: "event outcome", tag }),
+        tag => {
+            return Err(CodecError::BadTag {
+                what: "event outcome",
+                tag,
+            })
+        }
     })
 }
 
@@ -364,7 +389,12 @@ fn get_event(r: &mut Reader<'_>) -> Result<EngineEvent, CodecError> {
         bdd_peak_live: r.varint_usize("peak live")?,
         rounds: r.varint()?,
     };
-    Ok(EngineEvent { bad, engine, outcome, resources })
+    Ok(EngineEvent {
+        bad,
+        engine,
+        outcome,
+        resources,
+    })
 }
 
 fn put_stats(out: &mut Vec<u8>, stats: &CheckStats) {
@@ -499,11 +529,18 @@ fn get_verdict(r: &mut Reader<'_>) -> Result<Verdict, CodecError> {
     match r.byte()? {
         0 => {
             let engine = r.string("proved engine")?;
-            Ok(Verdict::Proved { engine: intern_engine_name(&engine) })
+            Ok(Verdict::Proved {
+                engine: intern_engine_name(&engine),
+            })
         }
         1 => Ok(Verdict::Falsified(get_trace(r)?)),
-        2 => Ok(Verdict::ResourceOut { reason: r.string("resource reason")? }),
-        tag => Err(CodecError::BadTag { what: "verdict", tag }),
+        2 => Ok(Verdict::ResourceOut {
+            reason: r.string("resource reason")?,
+        }),
+        tag => Err(CodecError::BadTag {
+            what: "verdict",
+            tag,
+        }),
     }
 }
 
@@ -532,7 +569,13 @@ fn get_run_checkpoint(r: &mut Reader<'_>) -> Result<RunCheckpoint, CodecError> {
     for _ in 0..n {
         reasons.push(r.string("reason")?);
     }
-    Ok(RunCheckpoint { bad_index, slot, state, stats, reasons })
+    Ok(RunCheckpoint {
+        bad_index,
+        slot,
+        state,
+        stats,
+        reasons,
+    })
 }
 
 /// Tag byte in front of a checkpoint's [`RunCheckpoint`] payload, the
@@ -582,18 +625,28 @@ impl CheckpointFile {
     /// `(aig_fingerprint, options_fingerprint)` pair of the run about
     /// to resume — is checked when given; pass `None` to inspect a
     /// checkpoint without binding it (e.g. `campaign_ctl status`).
-    pub fn decode(bytes: &[u8], expected: Option<(u64, u64)>) -> Result<CheckpointFile, CodecError> {
+    pub fn decode(
+        bytes: &[u8],
+        expected: Option<(u64, u64)>,
+    ) -> Result<CheckpointFile, CodecError> {
         let body = check_envelope(bytes, &CHECKPOINT_MAGIC)?;
         let mut r = Reader::new(body);
         let aig_fingerprint = u64::from_le_bytes(
-            r.bytes(8)?.try_into().map_err(|_| WireError::Truncated { at: 0 })?,
+            r.bytes(8)?
+                .try_into()
+                .map_err(|_| WireError::Truncated { at: 0 })?,
         );
         let options_fingerprint = u64::from_le_bytes(
-            r.bytes(8)?.try_into().map_err(|_| WireError::Truncated { at: 8 })?,
+            r.bytes(8)?
+                .try_into()
+                .map_err(|_| WireError::Truncated { at: 8 })?,
         );
         if let Some((aig_fp, opts_fp)) = expected {
             if aig_fingerprint != aig_fp {
-                return Err(CodecError::AigFingerprint { expected: aig_fp, found: aig_fingerprint });
+                return Err(CodecError::AigFingerprint {
+                    expected: aig_fp,
+                    found: aig_fingerprint,
+                });
             }
             if options_fingerprint != opts_fp {
                 return Err(CodecError::OptionsFingerprint {
@@ -604,10 +657,19 @@ impl CheckpointFile {
         }
         let state = match r.byte()? {
             RUN_CHECKPOINT_TAG => get_run_checkpoint(&mut r)?,
-            tag => return Err(CodecError::BadTag { what: "persisted state", tag }),
+            tag => {
+                return Err(CodecError::BadTag {
+                    what: "persisted state",
+                    tag,
+                })
+            }
         };
         r.expect_end()?;
-        Ok(CheckpointFile { aig_fingerprint, options_fingerprint, state })
+        Ok(CheckpointFile {
+            aig_fingerprint,
+            options_fingerprint,
+            state,
+        })
     }
 }
 
@@ -626,7 +688,9 @@ fn check_envelope<'a>(bytes: &'a [u8], magic: &[u8; 4]) -> Result<&'a [u8], Code
     }
     let content = &bytes[..bytes.len() - 8];
     let found = u64::from_le_bytes(
-        bytes[bytes.len() - 8..].try_into().map_err(|_| WireError::Truncated { at: bytes.len() })?,
+        bytes[bytes.len() - 8..]
+            .try_into()
+            .map_err(|_| WireError::Truncated { at: bytes.len() })?,
     );
     let expected = fnv1a(wire::FNV_OFFSET, content);
     if expected != found {
@@ -656,7 +720,12 @@ fn category_from(tag: u8) -> Result<Category, CodecError> {
         2 => Category::C,
         3 => Category::D,
         4 => Category::E,
-        tag => return Err(CodecError::BadTag { what: "category", tag }),
+        tag => {
+            return Err(CodecError::BadTag {
+                what: "category",
+                tag,
+            })
+        }
     })
 }
 
@@ -675,7 +744,12 @@ fn ptype_from(tag: u8) -> Result<PropertyType, CodecError> {
         1 => PropertyType::Soundness,
         2 => PropertyType::OutputIntegrity,
         3 => PropertyType::Other,
-        tag => return Err(CodecError::BadTag { what: "property type", tag }),
+        tag => {
+            return Err(CodecError::BadTag {
+                what: "property type",
+                tag,
+            })
+        }
     })
 }
 
@@ -713,7 +787,16 @@ pub fn decode_record(bytes: &[u8]) -> Result<PropertyRecord, CodecError> {
     let stats = get_stats(&mut r)?;
     let duration = Duration::from_micros(r.varint()?);
     r.expect_end()?;
-    Ok(PropertyRecord { module, category, vunit, label, ptype, verdict, stats, duration })
+    Ok(PropertyRecord {
+        module,
+        category,
+        vunit,
+        label,
+        ptype,
+        verdict,
+        stats,
+        duration,
+    })
 }
 
 #[cfg(test)]
@@ -756,10 +839,10 @@ mod tests {
     /// version 2 writes it: checkpoints already on disk must keep
     /// loading.
     const SAMPLE_BYTES: [u8; 77] = [
-        86, 67, 75, 80, 2, 161, 0, 0, 0, 0, 0, 0, 0, 178, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 7, 1,
-        2, 98, 48, 3, 98, 109, 99, 7, 42, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 42, 0, 0, 0, 1,
-        14, 98, 109, 99, 58, 32, 115, 117, 115, 112, 101, 110, 100, 101, 100, 12, 177, 93, 24,
-        96, 96, 106, 78,
+        86, 67, 75, 80, 2, 161, 0, 0, 0, 0, 0, 0, 0, 178, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 7, 1, 2,
+        98, 48, 3, 98, 109, 99, 7, 42, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 42, 0, 0, 0, 1, 14,
+        98, 109, 99, 58, 32, 115, 117, 115, 112, 101, 110, 100, 101, 100, 12, 177, 93, 24, 96, 96,
+        106, 78,
     ];
 
     #[test]
@@ -823,7 +906,10 @@ mod tests {
         restamp(&mut bytes);
         assert_eq!(
             CheckpointFile::decode(&bytes, None).err(),
-            Some(CodecError::BadTag { what: "persisted state", tag: 1 })
+            Some(CodecError::BadTag {
+                what: "persisted state",
+                tag: 1
+            })
         );
     }
 
@@ -863,12 +949,16 @@ mod tests {
     fn verdicts_round_trip_including_traces() {
         for verdict in [
             Verdict::Proved { engine: "bdd-umc" },
-            Verdict::Proved { engine: intern_engine_name("some-exotic-engine") },
+            Verdict::Proved {
+                engine: intern_engine_name("some-exotic-engine"),
+            },
             Verdict::Falsified(Trace {
                 inputs: vec![vec![true, false, true], vec![false; 9], vec![]],
                 bad_index: 3,
             }),
-            Verdict::ResourceOut { reason: "all engines exhausted".into() },
+            Verdict::ResourceOut {
+                reason: "all engines exhausted".into(),
+            },
         ] {
             let mut out = Vec::new();
             put_verdict(&mut out, &verdict);
@@ -887,8 +977,13 @@ mod tests {
             vunit: "v_csr".into(),
             label: "parity_detects".into(),
             ptype: PropertyType::ErrorDetection,
-            verdict: Verdict::Proved { engine: "bmc-induction" },
-            stats: CheckStats { iterations: 5, ..CheckStats::default() },
+            verdict: Verdict::Proved {
+                engine: "bmc-induction",
+            },
+            stats: CheckStats {
+                iterations: 5,
+                ..CheckStats::default()
+            },
             duration: Duration::from_micros(12_345),
         };
         let bytes = encode_record(&record);
@@ -914,6 +1009,9 @@ mod tests {
             duration: Duration::ZERO,
         };
         let bytes = encode_record(&record);
-        assert!(matches!(CheckpointFile::decode(&bytes, None), Err(CodecError::BadMagic)));
+        assert!(matches!(
+            CheckpointFile::decode(&bytes, None),
+            Err(CodecError::BadMagic)
+        ));
     }
 }

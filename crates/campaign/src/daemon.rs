@@ -120,7 +120,10 @@ pub fn submit(root: &Path, spec: &CampaignSpec) -> Result<SubmitSummary, DaemonE
         errors_text.push('\n');
     }
     write_atomic(&dir.errors_path(), errors_text.as_bytes())?;
-    Ok(SubmitSummary { jobs: props.len(), module_errors: errors.len() })
+    Ok(SubmitSummary {
+        jobs: props.len(),
+        module_errors: errors.len(),
+    })
 }
 
 /// A point-in-time view of a campaign directory.
@@ -259,7 +262,13 @@ fn spawn_worker(
             }
         }
     });
-    Ok(WorkerSlot { child, stdin, current: None, quitting: false, alive: true })
+    Ok(WorkerSlot {
+        child,
+        stdin,
+        current: None,
+        quitting: false,
+        alive: true,
+    })
 }
 
 /// The daemon supervision state, threaded through the message loop.
@@ -299,7 +308,10 @@ impl Supervisor {
 
 /// Appends one line to the NDJSON results stream.
 fn append_ndjson(dir: &CampaignDir, line: &str) -> io::Result<()> {
-    let mut f = OpenOptions::new().create(true).append(true).open(dir.results_path())?;
+    let mut f = OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(dir.results_path())?;
     f.write_all(line.as_bytes())?;
     f.write_all(b"\n")?;
     f.flush()
@@ -311,7 +323,10 @@ fn read_module_errors(dir: &CampaignDir) -> Vec<(String, String)> {
         return Vec::new();
     };
     text.lines()
-        .filter_map(|l| l.split_once('\t').map(|(m, r)| (m.to_string(), r.to_string())))
+        .filter_map(|l| {
+            l.split_once('\t')
+                .map(|(m, r)| (m.to_string(), r.to_string()))
+        })
         .collect()
 }
 
@@ -334,7 +349,11 @@ pub fn run(root: &Path) -> Result<RunOutcome, DaemonError> {
     }
     // Without a readable `/proc` the start time is 0 and the lock never
     // reads as live, like a gone daemon's.
-    let lock = format!("{} {}", std::process::id(), signal::own_start_time().unwrap_or(0));
+    let lock = format!(
+        "{} {}",
+        std::process::id(),
+        signal::own_start_time().unwrap_or(0)
+    );
     write_atomic(&dir.pid_path(), lock.as_bytes())?;
 
     // Journal recovery: `running` entries of gone workers are orphans
@@ -406,8 +425,7 @@ pub fn run(root: &Path) -> Result<RunOutcome, DaemonError> {
                             if sup.workers[index].current == Some(id) {
                                 sup.workers[index].current = None;
                             }
-                            match from_hex(hex).and_then(|b| crate::codec::decode_record(&b).ok())
-                            {
+                            match from_hex(hex).and_then(|b| crate::codec::decode_record(&b).ok()) {
                                 Some(record) => {
                                     append_ndjson(&dir, &record.to_json())?;
                                     sup.done.insert(id, record);
@@ -467,7 +485,10 @@ pub fn run(root: &Path) -> Result<RunOutcome, DaemonError> {
                 }
             }
             fs::remove_file(dir.pid_path()).ok();
-            return Ok(RunOutcome::Interrupted { done: sup.done.len(), total });
+            return Ok(RunOutcome::Interrupted {
+                done: sup.done.len(),
+                total,
+            });
         }
         for slot in &mut sup.workers {
             let _ = slot.child.wait();
@@ -513,7 +534,8 @@ mod tests {
             (format!("{pid} {started}"), Some(pid)),
         ] {
             fs::write(dir.pid_path(), &lock).unwrap(); // lint: allow
-            assert_eq!(status(&root).unwrap().daemon_pid, holder, "lock {lock:?}"); // lint: allow
+            assert_eq!(status(&root).unwrap().daemon_pid, holder, "lock {lock:?}");
+            // lint: allow
         }
         fs::remove_dir_all(&root).ok();
     }

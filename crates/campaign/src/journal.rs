@@ -87,7 +87,9 @@ pub(crate) fn from_hex(s: &str) -> Option<Vec<u8>> {
 impl Journal {
     /// The journal for job `id` inside `jobs_dir`.
     pub fn for_job(jobs_dir: &Path, id: usize) -> Journal {
-        Journal { path: jobs_dir.join(format!("{id}.journal")) }
+        Journal {
+            path: jobs_dir.join(format!("{id}.journal")),
+        }
     }
 
     /// The underlying file path.
@@ -96,7 +98,10 @@ impl Journal {
     }
 
     fn append(&self, line: &str) -> io::Result<()> {
-        let mut f = OpenOptions::new().create(true).append(true).open(&self.path)?;
+        let mut f = OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(&self.path)?;
         f.write_all(line.as_bytes())?;
         f.write_all(b"\n")?;
         f.sync_all()
@@ -145,7 +150,9 @@ fn parse_line(line: &str) -> Option<JobState> {
     }
     if let Some(hex) = line.strip_prefix("done ") {
         let bytes = from_hex(hex)?;
-        return decode_record(&bytes).ok().map(|r| JobState::Done(Box::new(r)));
+        return decode_record(&bytes)
+            .ok()
+            .map(|r| JobState::Done(Box::new(r)));
     }
     None
 }
@@ -173,11 +180,15 @@ mod tests {
 
     /// This process's own claim: `(pid, start time)`.
     fn me() -> (u32, u64) {
-        (std::process::id(), own_start_time().expect("/proc/self/stat is readable")) // lint: allow
+        (
+            std::process::id(),
+            own_start_time().expect("/proc/self/stat is readable"),
+        ) // lint: allow
     }
 
     fn temp_jobs_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("veridic-journal-{tag}-{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("veridic-journal-{tag}-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap(); // lint: allow
         dir
     }
@@ -186,7 +197,10 @@ mod tests {
     fn walks_the_state_machine_last_line_wins() {
         let dir = temp_jobs_dir("walk");
         let j = Journal::for_job(&dir, 0);
-        assert!(matches!(j.load(), JobState::Pending), "missing file is pending");
+        assert!(
+            matches!(j.load(), JobState::Pending),
+            "missing file is pending"
+        );
         j.mark_pending().unwrap(); // lint: allow
         let (pid, start_time) = me();
         j.mark_running(pid, start_time).unwrap(); // lint: allow
@@ -206,13 +220,16 @@ mod tests {
         let j = Journal::for_job(&dir, 1);
         let (pid, start_time) = me();
         j.mark_running(pid, start_time).unwrap(); // lint: allow
-        // A done append cut mid-line (no newline, half the hex).
+                                                  // A done append cut mid-line (no newline, half the hex).
         let full = format!("done {}", to_hex(&encode_record(&record())));
         let torn = &full[..full.len() / 2];
         let mut f = OpenOptions::new().append(true).open(j.path()).unwrap(); // lint: allow
         f.write_all(torn.as_bytes()).unwrap(); // lint: allow
         drop(f);
-        assert!(matches!(j.load(), JobState::Running { .. }), "torn line must be ignored");
+        assert!(
+            matches!(j.load(), JobState::Running { .. }),
+            "torn line must be ignored"
+        );
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -237,7 +254,10 @@ mod tests {
         let j = Journal::for_job(&dir, 3);
         let (pid, start_time) = me();
         j.mark_running(pid, start_time + 1).unwrap(); // lint: allow
-        assert!(matches!(j.load(), JobState::Running { .. }), "the claim line parses");
+        assert!(
+            matches!(j.load(), JobState::Running { .. }),
+            "the claim line parses"
+        );
         assert!(matches!(j.load().effective(), JobState::Pending));
         j.mark_running(pid, start_time).unwrap(); // lint: allow
         assert!(matches!(j.load().effective(), JobState::Running { .. }));

@@ -82,7 +82,10 @@ const HEADER: &str = "veridic-campaign-spec v1";
 impl CampaignSpec {
     /// The chip generation config this spec describes.
     pub fn chip_config(&self) -> ChipConfig {
-        ChipConfig { scale: self.scale, with_bugs: self.with_bugs }
+        ChipConfig {
+            scale: self.scale,
+            with_bugs: self.with_bugs,
+        }
     }
 
     /// Renders the spec as `spec.txt` text (stable key order).
@@ -141,7 +144,10 @@ impl CampaignSpec {
             let Some((key, value)) = line.split_once(' ') else {
                 return Err(SpecError::BadLine(line.to_string()));
             };
-            let bad = || SpecError::BadValue { key: key.to_string(), value: value.to_string() };
+            let bad = || SpecError::BadValue {
+                key: key.to_string(),
+                value: value.to_string(),
+            };
             let parse_bool = || match value {
                 "true" => Ok(true),
                 "false" => Ok(false),
@@ -226,7 +232,10 @@ mod tests {
         for value in ["true", "maybe"] {
             assert_eq!(
                 CampaignSpec::parse(&format!("{HEADER}\nadaptive {value}")),
-                Err(SpecError::BadValue { key: "adaptive".into(), value: value.into() })
+                Err(SpecError::BadValue {
+                    key: "adaptive".into(),
+                    value: value.into()
+                })
             );
         }
     }
@@ -238,7 +247,10 @@ mod tests {
         assert_eq!(CampaignSpec::parse("nonsense"), Err(SpecError::BadHeader));
         assert_eq!(
             CampaignSpec::parse(&format!("{HEADER}\nshards many")),
-            Err(SpecError::BadValue { key: "shards".into(), value: "many".into() })
+            Err(SpecError::BadValue {
+                key: "shards".into(),
+                value: "many".into()
+            })
         );
         assert_eq!(
             CampaignSpec::parse(&format!("{HEADER}\nwarp_factor 9")),

@@ -94,7 +94,10 @@ mod tests {
         fs::create_dir_all(&dir).unwrap(); // lint: allow
         let path = dir.join("p0.ckpt");
         save_checkpoint(&path, &sample()).unwrap(); // lint: allow
-        assert!(!dir.join("p0.ckpt.tmp").exists(), "temp must be renamed away");
+        assert!(
+            !dir.join("p0.ckpt.tmp").exists(),
+            "temp must be renamed away"
+        );
         let back = load_checkpoint(&path, Some((7, 9))).unwrap(); // lint: allow
         assert_eq!(back.state.slot, 1);
         // Overwrite keeps the file valid.
@@ -113,7 +116,10 @@ mod tests {
         let mut bytes = sample().encode();
         bytes.truncate(bytes.len() - 3);
         fs::write(&path, &bytes).unwrap(); // lint: allow
-        assert!(matches!(load_checkpoint(&path, None), Err(LoadError::Codec(_))));
+        assert!(matches!(
+            load_checkpoint(&path, None),
+            Err(LoadError::Codec(_))
+        ));
         fs::remove_dir_all(&dir).ok();
     }
 }

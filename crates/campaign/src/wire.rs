@@ -79,8 +79,15 @@ impl fmt::Display for WireError {
             WireError::Truncated { at } => write!(f, "input truncated at byte {at}"),
             WireError::VarintOverflow { at } => write!(f, "varint overflow at byte {at}"),
             WireError::Range { what, value } => write!(f, "{what}: value {value} out of range"),
-            WireError::BadLength { what, declared, remaining } => {
-                write!(f, "{what}: declared length {declared} exceeds {remaining} remaining bytes")
+            WireError::BadLength {
+                what,
+                declared,
+                remaining,
+            } => {
+                write!(
+                    f,
+                    "{what}: declared length {declared} exceeds {remaining} remaining bytes"
+                )
             }
             WireError::TrailingBytes { extra } => write!(f, "{extra} trailing byte(s)"),
             WireError::BadUtf8 { at } => write!(f, "invalid UTF-8 at byte {at}"),
@@ -133,13 +140,18 @@ impl<'a> Reader<'a> {
         if self.remaining() == 0 {
             Ok(())
         } else {
-            Err(WireError::TrailingBytes { extra: self.remaining() })
+            Err(WireError::TrailingBytes {
+                extra: self.remaining(),
+            })
         }
     }
 
     /// Reads one byte.
     pub fn byte(&mut self) -> Result<u8, WireError> {
-        let b = *self.buf.get(self.pos).ok_or(WireError::Truncated { at: self.pos })?;
+        let b = *self
+            .buf
+            .get(self.pos)
+            .ok_or(WireError::Truncated { at: self.pos })?;
         self.pos += 1;
         Ok(b)
     }
@@ -187,12 +199,22 @@ impl<'a> Reader<'a> {
     /// Reads an element count that must be plausible for the remaining
     /// input: each element occupies at least `min_element_bytes` bytes,
     /// so a corrupt header cannot trigger a huge pre-allocation.
-    pub fn length(&mut self, what: &'static str, min_element_bytes: usize) -> Result<usize, WireError> {
+    pub fn length(
+        &mut self,
+        what: &'static str,
+        min_element_bytes: usize,
+    ) -> Result<usize, WireError> {
         let v = self.varint()?;
-        let fits = usize::try_from(v).ok().and_then(|n| n.checked_mul(min_element_bytes.max(1)));
+        let fits = usize::try_from(v)
+            .ok()
+            .and_then(|n| n.checked_mul(min_element_bytes.max(1)));
         match fits {
             Some(total) if total <= self.remaining() => Ok(v as usize),
-            _ => Err(WireError::BadLength { what, declared: v, remaining: self.remaining() }),
+            _ => Err(WireError::BadLength {
+                what,
+                declared: v,
+                remaining: self.remaining(),
+            }),
         }
     }
 
@@ -247,7 +269,10 @@ mod tests {
         let mut buf = Vec::new();
         put_varint(&mut buf, 1 << 40);
         let mut r = Reader::new(&buf);
-        assert!(matches!(r.length("nodes", 3), Err(WireError::BadLength { .. })));
+        assert!(matches!(
+            r.length("nodes", 3),
+            Err(WireError::BadLength { .. })
+        ));
     }
 
     #[test]

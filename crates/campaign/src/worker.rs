@@ -65,7 +65,10 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<String>> {
     }
     let len = u32::from_le_bytes(len) as usize;
     if len > 1 << 24 {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "oversized frame"));
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "oversized frame",
+        ));
     }
     let mut payload = vec![0u8; len];
     r.read_exact(&mut payload)?;
@@ -229,15 +232,17 @@ fn run_job(
     let (job_running, bridge) = spawn_cancel_bridge(token.clone(), SHUTDOWN_POLL, shutdown);
     let portfolio = Portfolio::default();
     let slice = || Budget::rounds(spec.slice_rounds.max(1)).with_cancel(&token);
-    let fresh = || {
-        portfolio.check_bad_with_budget(&prop.aig, prop.bad_index, &spec.check, &mut slice())
-    };
+    let fresh =
+        || portfolio.check_bad_with_budget(&prop.aig, prop.bad_index, &spec.check, &mut slice());
     let resumed =
         resume.map(|ck| portfolio.resume_bad_with_budget(&prop.aig, &spec.check, ck, &mut slice()));
     let mut outcome = match resumed {
         Some(Ok(outcome)) => outcome,
         Some(Err(misfit)) => {
-            write_frame(out, &format!("WARN {id} stale checkpoint ignored: {misfit}"))?;
+            write_frame(
+                out,
+                &format!("WARN {id} stale checkpoint ignored: {misfit}"),
+            )?;
             fresh()
         }
         None => fresh(),
@@ -318,7 +323,10 @@ pub fn run_worker(root: &Path) -> i32 {
         if frame == "QUIT" {
             return 0;
         }
-        let Some(id) = frame.strip_prefix("RUN ").and_then(|s| s.parse::<usize>().ok()) else {
+        let Some(id) = frame
+            .strip_prefix("RUN ")
+            .and_then(|s| s.parse::<usize>().ok())
+        else {
             eprintln!("campaignd worker: unknown frame {frame:?}");
             return 2;
         };
@@ -328,8 +336,16 @@ pub fn run_worker(root: &Path) -> i32 {
         };
         let journal = dir.journal(id);
         let claim = journal.mark_running(pid, started);
-        let outcome = claim
-            .and_then(|()| run_job(&dir, &spec, prop, id, &mut output, signal::shutdown_requested));
+        let outcome = claim.and_then(|()| {
+            run_job(
+                &dir,
+                &spec,
+                prop,
+                id,
+                &mut output,
+                signal::shutdown_requested,
+            )
+        });
         match outcome {
             Ok(JobEnd::Done(record)) => {
                 if let Err(e) = journal.mark_done(&record) {
@@ -383,7 +399,10 @@ mod tests {
         let mut r = io::Cursor::new(buf);
         assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some("RUN 42")); // lint: allow
         assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some("")); // lint: allow
-        assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some("DONE 42 deadbeef")); // lint: allow
+        assert_eq!(
+            read_frame(&mut r).unwrap().as_deref(),
+            Some("DONE 42 deadbeef")
+        ); // lint: allow
         assert_eq!(read_frame(&mut r).unwrap(), None); // lint: allow
     }
 
@@ -528,9 +547,16 @@ mod tests {
     #[test]
     fn a_bmc_state_at_the_induction_slot_is_stale() {
         let (prop, ck) = suspended_property();
-        assert!(matches!(ck.state, EngineCheckpoint::Bmc { .. }), "{:?}", ck.state);
+        assert!(
+            matches!(ck.state, EngineCheckpoint::Bmc { .. }),
+            "{:?}",
+            ck.state
+        );
         let state = RunCheckpoint { slot: 1, ..ck };
-        let misfit = CheckpointMisfit::WrongState { slot: 1, engine: EngineId::Induction };
+        let misfit = CheckpointMisfit::WrongState {
+            slot: 1,
+            engine: EngineId::Induction,
+        };
         assert_misfit_is_stale("bmc-at-induction", &prop, state, misfit);
     }
 
@@ -538,7 +564,10 @@ mod tests {
     fn a_reach_checkpoint_with_the_wrong_window_count_is_stale() {
         let (prop, ck) = suspended_property();
         // A real monolithic reachability state, doubled into two windows.
-        let bdd_only = CheckOptions { bdd_only: true, ..CampaignSpec::default().check };
+        let bdd_only = CheckOptions {
+            bdd_only: true,
+            ..CampaignSpec::default().check
+        };
         let outcome = Portfolio::default().check_bad_with_budget(
             &prop.aig,
             prop.bad_index,
@@ -551,12 +580,23 @@ mod tests {
             ..
         }) = outcome
         else {
-            panic!("one round of BDD reachability cannot conclude {}", prop.label) // lint: allow
+            panic!(
+                "one round of BDD reachability cannot conclude {}",
+                prop.label
+            ) // lint: allow
         };
         reach.reached.push(reach.reached[0].clone());
         reach.frontier.push(reach.frontier[0].clone());
-        let state = RunCheckpoint { slot: 2, state: EngineCheckpoint::Reach(reach), ..ck };
-        let misfit = CheckpointMisfit::WindowCount { expected: 1, reached: 2, frontier: 2 };
+        let state = RunCheckpoint {
+            slot: 2,
+            state: EngineCheckpoint::Reach(reach),
+            ..ck
+        };
+        let misfit = CheckpointMisfit::WindowCount {
+            expected: 1,
+            reached: 2,
+            frontier: 2,
+        };
         assert_misfit_is_stale("window-count", &prop, state, misfit);
     }
 

@@ -55,7 +55,9 @@ fn run_to_completion(dir: &Path) {
 }
 
 fn results_line_count(dir: &Path) -> usize {
-    fs::read_to_string(dir.join("results.ndjson")).map(|t| t.lines().count()).unwrap_or(0)
+    fs::read_to_string(dir.join("results.ndjson"))
+        .map(|t| t.lines().count())
+        .unwrap_or(0)
 }
 
 /// Worker processes of the campaign in `dir`, found by /proc cmdline
@@ -118,7 +120,10 @@ fn kill_dash_nine_mid_campaign_recovers_to_identical_table2() {
     let reference_table2 =
         fs::read_to_string(baseline.join("table2.txt")).expect("baseline table2"); // lint: allow
     let reference_records = canonical_records(&baseline);
-    assert!(!reference_records.is_empty(), "baseline produced no records");
+    assert!(
+        !reference_records.is_empty(),
+        "baseline produced no records"
+    );
 
     // Same campaign, but the daemon dies hard mid-flight.
     submit(&crashed);
@@ -145,7 +150,10 @@ fn kill_dash_nine_mid_campaign_recovers_to_identical_table2() {
             // hold. (With 1-round slices this should not happen.)
             break;
         }
-        assert!(Instant::now() < deadline, "campaign never produced 2 results");
+        assert!(
+            Instant::now() < deadline,
+            "campaign never produced 2 results"
+        );
         std::thread::sleep(Duration::from_millis(5));
     }
     let _ = daemon.wait();
@@ -174,9 +182,16 @@ fn kill_dash_nine_mid_campaign_recovers_to_identical_table2() {
     );
 
     // status on the recovered campaign: everything done, no daemon.
-    let output = campaignd().arg("status").arg(&crashed).output().expect("status"); // lint: allow
+    let output = campaignd()
+        .arg("status")
+        .arg(&crashed)
+        .output()
+        .expect("status"); // lint: allow
     let text = String::from_utf8_lossy(&output.stdout).to_string();
-    assert!(text.contains("0 pending, 0 running"), "unexpected status: {text}");
+    assert!(
+        text.contains("0 pending, 0 running"),
+        "unexpected status: {text}"
+    );
     assert!(text.contains("no daemon"), "pid lock not released: {text}");
 
     fs::remove_dir_all(&baseline).ok();

@@ -35,8 +35,15 @@ pub enum BugId {
 
 impl BugId {
     /// All bugs in Table 3 order.
-    pub const ALL: [BugId; 7] =
-        [BugId::B0, BugId::B1, BugId::B2, BugId::B3, BugId::B4, BugId::B5, BugId::B6];
+    pub const ALL: [BugId; 7] = [
+        BugId::B0,
+        BugId::B1,
+        BugId::B2,
+        BugId::B3,
+        BugId::B4,
+        BugId::B5,
+        BugId::B6,
+    ];
 
     /// The property type that detects this bug formally (paper Table 3).
     pub fn property_type(self) -> PropertyType {
@@ -116,7 +123,11 @@ mod tests {
         assert_eq!(BugId::B0.property_type(), PropertyType::Soundness);
         assert_eq!(BugId::B3.property_type(), PropertyType::ErrorDetection);
         assert_eq!(BugId::B5.property_type(), PropertyType::OutputIntegrity);
-        let easy: Vec<BugId> = BugId::ALL.iter().copied().filter(|b| b.easy_in_simulation()).collect();
+        let easy: Vec<BugId> = BugId::ALL
+            .iter()
+            .copied()
+            .filter(|b| b.easy_in_simulation())
+            .collect();
         assert_eq!(easy, vec![BugId::B0, BugId::B2, BugId::B4]);
     }
 

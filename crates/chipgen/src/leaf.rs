@@ -86,10 +86,14 @@ pub fn build_leaf(plan: &LeafPlan, bug: Option<BugId>) -> Module {
     b.checkers();
     b.outputs();
     b.payload();
-    b.m.attrs.insert("chip.category".into(), plan.category.to_string());
-    b.m.attrs.insert("chip.special".into(), format!("{:?}", plan.special));
-    b.m.attrs.insert("he.width".into(), plan.he_bits.to_string());
-    b.m.validate().unwrap_or_else(|e| panic!("generated module {} invalid: {e}", plan.name));
+    b.m.attrs
+        .insert("chip.category".into(), plan.category.to_string());
+    b.m.attrs
+        .insert("chip.special".into(), format!("{:?}", plan.special));
+    b.m.attrs
+        .insert("he.width".into(), plan.he_bits.to_string());
+    b.m.validate()
+        .unwrap_or_else(|e| panic!("generated module {} invalid: {e}", plan.name));
     b.m
 }
 
@@ -153,17 +157,28 @@ impl<'a> LeafBuilder<'a> {
             }
             self.in_nets.push(net);
         }
-        let cmd = self.m.add_port("CMD", PortDir::Input, self.n_entities.max(1) as u32);
-        self.m.net_mut(cmd).attrs.insert("checkpoint.kind".into(), "control".into());
+        let cmd = self
+            .m
+            .add_port("CMD", PortDir::Input, self.n_entities.max(1) as u32);
+        self.m
+            .net_mut(cmd)
+            .attrs
+            .insert("checkpoint.kind".into(), "control".into());
         self.cmd = Some(cmd);
         if self.plan.special == SpecialKind::AddressDecoder {
             let addr = self.m.add_port("ADDR", PortDir::Input, 8);
-            self.m.net_mut(addr).attrs.insert("checkpoint.kind".into(), "control".into());
+            self.m
+                .net_mut(addr)
+                .attrs
+                .insert("checkpoint.kind".into(), "control".into());
             self.addr = Some(addr);
         }
         if self.plan.special == SpecialKind::MacroInterface {
             let mv = self.m.add_port("MACRO_VALID", PortDir::Input, 1);
-            self.m.net_mut(mv).attrs.insert("checkpoint.kind".into(), "control".into());
+            self.m
+                .net_mut(mv)
+                .attrs
+                .insert("checkpoint.kind".into(), "control".into());
             self.macro_valid = Some(mv);
             // Warm-up chain: warm_done rises at cycle 2 and stays high.
             let c0 = self.m.add_net("warm_c0", 1);
@@ -217,7 +232,11 @@ impl<'a> LeafBuilder<'a> {
     fn entities(&mut self) {
         for e in 0..self.n_entities {
             let kind = self.entity_kind(e);
-            let width = if kind == EntityKind::DecoderOut { DECODER_WIDTH } else { GROUP_WIDTH };
+            let width = if kind == EntityKind::DecoderOut {
+                DECODER_WIDTH
+            } else {
+                GROUP_WIDTH
+            };
             let q = self.m.add_net(format!("ent{e}_{}", kind.as_str()), width);
             let next = self.entity_next(e, kind, q, width);
             // Reset: zero data with correct odd parity => parity bit set.
@@ -266,7 +285,11 @@ impl<'a> LeafBuilder<'a> {
                     self.with_parity(inc)
                 };
                 let c = self.cmd_bit(e);
-                self.m.arena.add(Expr::Mux { cond: c, then_: stepped, else_: sq })
+                self.m.arena.add(Expr::Mux {
+                    cond: c,
+                    then_: stepped,
+                    else_: sq,
+                })
             }
             EntityKind::LegalFsm => {
                 // data' = (data == 4) ? 0 : data + 1 when stepped.
@@ -275,7 +298,11 @@ impl<'a> LeafBuilder<'a> {
                 let four = self.m.lit(width - 1, 4);
                 let at4 = self.m.arena.add(Expr::Eq(data, four));
                 let zero = self.m.lit(width - 1, 0);
-                let wrapped = self.m.arena.add(Expr::Mux { cond: at4, then_: zero, else_: inc });
+                let wrapped = self.m.arena.add(Expr::Mux {
+                    cond: at4,
+                    then_: zero,
+                    else_: inc,
+                });
                 let stepped = if self.bug == Some(BugId::B0) && e == 0 {
                     // B0 can land on a legal-state FSM when it is the
                     // module's first entity: same stale-parity defect.
@@ -285,12 +312,19 @@ impl<'a> LeafBuilder<'a> {
                     self.with_parity(wrapped)
                 };
                 let c = self.cmd_bit(e);
-                self.m.arena.add(Expr::Mux { cond: c, then_: stepped, else_: sq })
+                self.m.arena.add(Expr::Mux {
+                    cond: c,
+                    then_: stepped,
+                    else_: sq,
+                })
             }
             EntityKind::Counter => {
                 let one = self.m.lit(width - 1, 1);
                 let inc = self.m.arena.add(Expr::Add(data, one));
-                if self.bug == Some(BugId::B2) && matches!(self.entity_kind(e), EntityKind::Counter) && self.first_counter() == e {
+                if self.bug == Some(BugId::B2)
+                    && matches!(self.entity_kind(e), EntityKind::Counter)
+                    && self.first_counter() == e
+                {
                     // B2: on wrap (data all-ones), the parity bit keeps its
                     // old value instead of being recomputed.
                     let ones = self.m.lit(width - 1, (1u64 << (width - 1)) - 1);
@@ -298,7 +332,11 @@ impl<'a> LeafBuilder<'a> {
                     let old_p = self.m.arena.add(Expr::Slice(sq, width - 1, width - 1));
                     let wrong = self.m.arena.add(Expr::Concat(vec![old_p, inc]));
                     let right = self.with_parity(inc);
-                    self.m.arena.add(Expr::Mux { cond: at_wrap, then_: wrong, else_: right })
+                    self.m.arena.add(Expr::Mux {
+                        cond: at_wrap,
+                        then_: wrong,
+                        else_: right,
+                    })
                 } else {
                     self.with_parity(inc)
                 }
@@ -332,7 +370,11 @@ impl<'a> LeafBuilder<'a> {
                 };
                 let written = self.m.arena.add(Expr::Concat(vec![parity, stored]));
                 let c = self.cmd_bit(e);
-                self.m.arena.add(Expr::Mux { cond: c, then_: written, else_: sq })
+                self.m.arena.add(Expr::Mux {
+                    cond: c,
+                    then_: written,
+                    else_: sq,
+                })
             }
             EntityKind::DecoderOut => self.decoder_next(sq),
         }
@@ -348,7 +390,11 @@ impl<'a> LeafBuilder<'a> {
     /// A generic (4-bit) input group for datapath sourcing; skips the
     /// decoder's wide group 0.
     fn generic_group(&mut self, i: usize) -> NetId {
-        let start = if self.plan.special == SpecialKind::AddressDecoder { 1 } else { 0 };
+        let start = if self.plan.special == SpecialKind::AddressDecoder {
+            1
+        } else {
+            0
+        };
         let n = self.in_groups - start;
         self.in_nets[start + i % n]
     }
@@ -415,10 +461,18 @@ impl<'a> LeafBuilder<'a> {
             };
             let pp = self.m.arena.add(Expr::RedXor(partial));
             let pnp = self.m.arena.add(Expr::Not(pp));
-            parity = self.m.arena.add(Expr::Mux { cond: is_bad, then_: pnp, else_: parity });
+            parity = self.m.arena.add(Expr::Mux {
+                cond: is_bad,
+                then_: pnp,
+                else_: parity,
+            });
         }
         let result = self.m.arena.add(Expr::Concat(vec![parity, mixed]));
-        self.m.arena.add(Expr::Mux { cond: fire, then_: result, else_: sq })
+        self.m.arena.add(Expr::Mux {
+            cond: fire,
+            then_: result,
+            else_: sq,
+        })
     }
 
     fn checkers(&mut self) {
@@ -458,7 +512,10 @@ impl<'a> LeafBuilder<'a> {
             he_terms[self.checker_he_bit(self.n_entities + g)].push(sq);
         }
         let he = self.m.add_port("HE", PortDir::Output, he_bits as u32);
-        self.m.net_mut(he).attrs.insert("checkpoint.kind".into(), "he".into());
+        self.m
+            .net_mut(he)
+            .attrs
+            .insert("checkpoint.kind".into(), "he".into());
         let mut bits: Vec<ExprId> = Vec::new(); // MSB-first for concat
         for j in (0..he_bits).rev() {
             let terms = he_terms[j].clone();
@@ -484,11 +541,19 @@ impl<'a> LeafBuilder<'a> {
             .filter(|(_, k)| *k != EntityKind::DecoderOut)
             .map(|(q, _)| *q)
             .collect();
-        let start = if self.plan.special == SpecialKind::AddressDecoder { 1 } else { 0 };
+        let start = if self.plan.special == SpecialKind::AddressDecoder {
+            1
+        } else {
+            0
+        };
         let narrow_groups: Vec<NetId> = self.in_nets[start..].to_vec();
         let mut sources: Vec<NetId> = narrow_entities;
         sources.extend(narrow_groups);
-        assert!(!sources.is_empty(), "module {} has no 4-bit sources", self.plan.name);
+        assert!(
+            !sources.is_empty(),
+            "module {} has no 4-bit sources",
+            self.plan.name
+        );
 
         for j in 0..self.plan.out_groups {
             let (name, width) = if self.plan.special == SpecialKind::AddressDecoder && j == 0 {
@@ -524,7 +589,11 @@ impl<'a> LeafBuilder<'a> {
                 // it quickly (Table 3 classifies B4 as easy).
                 let sel = self.cmd_bit(0);
                 let x123 = self.m.arena.add(Expr::Xor(x12, e3));
-                let muxed = self.m.arena.add(Expr::Mux { cond: sel, then_: x12, else_: x123 });
+                let muxed = self.m.arena.add(Expr::Mux {
+                    cond: sel,
+                    then_: x12,
+                    else_: x123,
+                });
                 self.m.assign(port, muxed);
             } else {
                 let x123 = self.m.arena.add(Expr::Xor(x12, e3));
@@ -562,7 +631,10 @@ impl<'a> LeafBuilder<'a> {
             acc = self.m.arena.add(Expr::Add(x, shr));
         }
         let out = self.m.add_port("PAYLOAD", PortDir::Output, 64);
-        self.m.net_mut(out).attrs.insert("checkpoint.kind".into(), "control".into());
+        self.m
+            .net_mut(out)
+            .attrs
+            .insert("checkpoint.kind".into(), "control".into());
         self.m.assign(out, acc);
     }
 }
@@ -633,10 +705,17 @@ mod tests {
         // Drive odd-parity input groups and random CMD.
         let mut rng = UniformRandom::new(11);
         for _ in 0..200 {
-            for port in m.inputs().map(|p| (p.net, p.name.clone())).collect::<Vec<_>>() {
+            for port in m
+                .inputs()
+                .map(|p| (p.net, p.name.clone()))
+                .collect::<Vec<_>>()
+            {
                 let w = m.net_width(port.0);
                 let mut v = rng.random_value(w);
-                if m.net(port.0).attrs.get("checkpoint.kind").map(String::as_str)
+                if m.net(port.0)
+                    .attrs
+                    .get("checkpoint.kind")
+                    .map(String::as_str)
                     == Some("input_group")
                 {
                     // Force odd parity.
@@ -647,7 +726,10 @@ mod tests {
                 sim.poke_net(port.0, v).unwrap();
             }
             sim.settle();
-            assert!(sim.peek("HE").unwrap().is_zero(), "false alarm in clean design");
+            assert!(
+                sim.peek("HE").unwrap().is_zero(),
+                "false alarm in clean design"
+            );
             sim.step();
         }
         let _ = &mut rng as &mut dyn Stimulus;
@@ -663,10 +745,17 @@ mod tests {
         let mut rng = UniformRandom::new(3);
         let mut fired = false;
         for _ in 0..50 {
-            for port in m.inputs().map(|p| (p.net, p.name.clone())).collect::<Vec<_>>() {
+            for port in m
+                .inputs()
+                .map(|p| (p.net, p.name.clone()))
+                .collect::<Vec<_>>()
+            {
                 let w = m.net_width(port.0);
                 let mut v = rng.random_value(w);
-                if m.net(port.0).attrs.get("checkpoint.kind").map(String::as_str)
+                if m.net(port.0)
+                    .attrs
+                    .get("checkpoint.kind")
+                    .map(String::as_str)
                     == Some("input_group")
                     && !v.xor_reduce()
                 {

@@ -51,7 +51,10 @@ pub struct ChipConfig {
 
 impl Default for ChipConfig {
     fn default() -> Self {
-        ChipConfig { scale: Scale::Full, with_bugs: false }
+        ChipConfig {
+            scale: Scale::Full,
+            with_bugs: false,
+        }
     }
 }
 
@@ -99,13 +102,24 @@ impl Chip {
         for p in &plans {
             let i = *cat_index.entry(p.category).or_insert(0);
             *cat_index.get_mut(&p.category).unwrap() += 1;
-            let bug = if config.with_bugs { bug_for_module(p, i) } else { None };
+            let bug = if config.with_bugs {
+                bug_for_module(p, i)
+            } else {
+                None
+            };
             let m = build_leaf(p, bug);
             design.add_module(m);
-            modules.push(ModuleInfo { plan: p.clone(), bug });
+            modules.push(ModuleInfo {
+                plan: p.clone(),
+                bug,
+            });
         }
         design.add_module(Self::build_top(&design, &plans));
-        Chip { design, modules, config: *config }
+        Chip {
+            design,
+            modules,
+            config: *config,
+        }
     }
 
     /// Builds a chip-level wrapper instantiating every leaf: leaf inputs
@@ -202,7 +216,10 @@ mod tests {
 
     #[test]
     fn small_chip_generates_and_validates() {
-        let chip = Chip::generate(&ChipConfig { scale: Scale::Small, with_bugs: true });
+        let chip = Chip::generate(&ChipConfig {
+            scale: Scale::Small,
+            with_bugs: true,
+        });
         for mi in chip.modules() {
             let m = chip.design().module(mi.name()).unwrap();
             assert!(m.validate().is_ok(), "{}", mi.name());
@@ -212,22 +229,38 @@ mod tests {
 
     #[test]
     fn clean_chip_has_no_bugs() {
-        let chip = Chip::generate(&ChipConfig { scale: Scale::Small, with_bugs: false });
+        let chip = Chip::generate(&ChipConfig {
+            scale: Scale::Small,
+            with_bugs: false,
+        });
         assert!(chip.bugs().is_empty());
     }
 
     #[test]
     fn top_wrapper_flattens() {
-        let chip = Chip::generate(&ChipConfig { scale: Scale::Small, with_bugs: false });
+        let chip = Chip::generate(&ChipConfig {
+            scale: Scale::Small,
+            with_bugs: false,
+        });
         let flat = chip.design().flatten().unwrap();
         assert!(flat.validate().is_ok());
-        assert!(flat.regs.len() > 50, "chip has substantial state: {}", flat.regs.len());
+        assert!(
+            flat.regs.len() > 50,
+            "chip has substantial state: {}",
+            flat.regs.len()
+        );
     }
 
     #[test]
     fn generation_is_deterministic() {
-        let a = Chip::generate(&ChipConfig { scale: Scale::Small, with_bugs: true });
-        let b = Chip::generate(&ChipConfig { scale: Scale::Small, with_bugs: true });
+        let a = Chip::generate(&ChipConfig {
+            scale: Scale::Small,
+            with_bugs: true,
+        });
+        let b = Chip::generate(&ChipConfig {
+            scale: Scale::Small,
+            with_bugs: true,
+        });
         for (ma, mb) in a.modules().iter().zip(b.modules()) {
             let da = a.design().module(ma.name()).unwrap();
             let db = b.design().module(mb.name()).unwrap();
@@ -239,7 +272,10 @@ mod tests {
 
     #[test]
     fn full_chip_module_count_matches_table2() {
-        let chip = Chip::generate(&ChipConfig { scale: Scale::Full, with_bugs: false });
+        let chip = Chip::generate(&ChipConfig {
+            scale: Scale::Full,
+            with_bugs: false,
+        });
         assert_eq!(chip.modules().len(), 95);
         let total_p: usize = chip
             .modules()
@@ -253,7 +289,10 @@ mod tests {
     fn exported_verilog_reparses() {
         // The generated chip survives a Verilog emit → parse → elaborate
         // round trip (leaf level).
-        let chip = Chip::generate(&ChipConfig { scale: Scale::Small, with_bugs: false });
+        let chip = Chip::generate(&ChipConfig {
+            scale: Scale::Small,
+            with_bugs: false,
+        });
         let name = chip.modules()[0].name();
         let m = chip.design().module(name).unwrap();
         let src = veridic_verilog::emit_module(m, Some(chip.design()));

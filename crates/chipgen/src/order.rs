@@ -54,7 +54,8 @@ pub fn build_order_stress(pairs: u32) -> Module {
     }
     let e = acc.expect("pairs > 0"); // lint: allow
     m.assign(mismatch, e);
-    m.validate().unwrap_or_else(|err| panic!("order stress module invalid: {err}")); // lint: allow
+    m.validate()
+        .unwrap_or_else(|err| panic!("order stress module invalid: {err}")); // lint: allow
     m
 }
 

@@ -35,7 +35,13 @@ pub enum Category {
 
 impl Category {
     /// All categories in table order.
-    pub const ALL: [Category; 5] = [Category::A, Category::B, Category::C, Category::D, Category::E];
+    pub const ALL: [Category; 5] = [
+        Category::A,
+        Category::B,
+        Category::C,
+        Category::D,
+        Category::E,
+    ];
 }
 
 impl fmt::Display for Category {
@@ -135,21 +141,91 @@ pub struct CategoryTotals {
 
 /// Table 2 targets at full scale.
 pub const FULL_TOTALS: [CategoryTotals; 5] = [
-    CategoryTotals { category: Category::A, submodules: 19, p0: 204, p1: 23, p2: 113, p3: 15 },
-    CategoryTotals { category: Category::B, submodules: 2, p0: 25, p1: 23, p2: 82, p3: 0 },
-    CategoryTotals { category: Category::C, submodules: 13, p0: 43, p1: 20, p2: 38, p3: 0 },
-    CategoryTotals { category: Category::D, submodules: 3, p0: 70, p1: 46, p2: 137, p3: 6 },
-    CategoryTotals { category: Category::E, submodules: 58, p0: 964, p1: 88, p2: 150, p3: 0 },
+    CategoryTotals {
+        category: Category::A,
+        submodules: 19,
+        p0: 204,
+        p1: 23,
+        p2: 113,
+        p3: 15,
+    },
+    CategoryTotals {
+        category: Category::B,
+        submodules: 2,
+        p0: 25,
+        p1: 23,
+        p2: 82,
+        p3: 0,
+    },
+    CategoryTotals {
+        category: Category::C,
+        submodules: 13,
+        p0: 43,
+        p1: 20,
+        p2: 38,
+        p3: 0,
+    },
+    CategoryTotals {
+        category: Category::D,
+        submodules: 3,
+        p0: 70,
+        p1: 46,
+        p2: 137,
+        p3: 6,
+    },
+    CategoryTotals {
+        category: Category::E,
+        submodules: 58,
+        p0: 964,
+        p1: 88,
+        p2: 150,
+        p3: 0,
+    },
 ];
 
 /// Reduced targets for [`Scale::Small`] (structure preserved: every
 /// special module and every property type still appears).
 pub const SMALL_TOTALS: [CategoryTotals; 5] = [
-    CategoryTotals { category: Category::A, submodules: 3, p0: 24, p1: 4, p2: 12, p3: 2 },
-    CategoryTotals { category: Category::B, submodules: 1, p0: 8, p1: 6, p2: 10, p3: 0 },
-    CategoryTotals { category: Category::C, submodules: 2, p0: 6, p1: 3, p2: 6, p3: 0 },
-    CategoryTotals { category: Category::D, submodules: 1, p0: 10, p1: 6, p2: 12, p3: 2 },
-    CategoryTotals { category: Category::E, submodules: 4, p0: 32, p1: 6, p2: 9, p3: 0 },
+    CategoryTotals {
+        category: Category::A,
+        submodules: 3,
+        p0: 24,
+        p1: 4,
+        p2: 12,
+        p3: 2,
+    },
+    CategoryTotals {
+        category: Category::B,
+        submodules: 1,
+        p0: 8,
+        p1: 6,
+        p2: 10,
+        p3: 0,
+    },
+    CategoryTotals {
+        category: Category::C,
+        submodules: 2,
+        p0: 6,
+        p1: 3,
+        p2: 6,
+        p3: 0,
+    },
+    CategoryTotals {
+        category: Category::D,
+        submodules: 1,
+        p0: 10,
+        p1: 6,
+        p2: 12,
+        p3: 2,
+    },
+    CategoryTotals {
+        category: Category::E,
+        submodules: 4,
+        p0: 32,
+        p1: 6,
+        p2: 9,
+        p3: 0,
+    },
 ];
 
 /// Splits `total` into `n` near-equal parts (first `total % n` parts get
@@ -188,7 +264,10 @@ pub fn build_plans(scale: Scale) -> Vec<LeafPlan> {
             // Input groups: roughly a sixth of P0, at least 1 (P0 >= 2
             // everywhere in the calibrated tables).
             let p0 = p0s[i];
-            assert!(p0 >= 2, "P0 share must cover >=1 entity and >=1 input group");
+            assert!(
+                p0 >= 2,
+                "P0 share must cover >=1 entity and >=1 input group"
+            );
             let in_groups = (p0 / 6).clamp(1, p0 - 1);
             let entities = p0 - in_groups;
             let payload_depth = match scale {
@@ -226,7 +305,15 @@ mod tests {
 
     #[test]
     fn distribute_preserves_sum() {
-        for (total, n) in [(204, 19), (25, 2), (43, 13), (70, 3), (964, 58), (0, 5), (7, 7)] {
+        for (total, n) in [
+            (204, 19),
+            (25, 2),
+            (43, 13),
+            (70, 3),
+            (964, 58),
+            (0, 5),
+            (7, 7),
+        ] {
             let parts = distribute(total, n);
             assert_eq!(parts.len(), n);
             assert_eq!(parts.iter().sum::<usize>(), total);
@@ -243,10 +330,30 @@ mod tests {
         for t in &FULL_TOTALS {
             let cat: Vec<&LeafPlan> = plans.iter().filter(|p| p.category == t.category).collect();
             assert_eq!(cat.len(), t.submodules, "{}", t.category);
-            assert_eq!(cat.iter().map(|p| p.p0()).sum::<usize>(), t.p0, "{} P0", t.category);
-            assert_eq!(cat.iter().map(|p| p.p1()).sum::<usize>(), t.p1, "{} P1", t.category);
-            assert_eq!(cat.iter().map(|p| p.p2()).sum::<usize>(), t.p2, "{} P2", t.category);
-            assert_eq!(cat.iter().map(|p| p.p3).sum::<usize>(), t.p3, "{} P3", t.category);
+            assert_eq!(
+                cat.iter().map(|p| p.p0()).sum::<usize>(),
+                t.p0,
+                "{} P0",
+                t.category
+            );
+            assert_eq!(
+                cat.iter().map(|p| p.p1()).sum::<usize>(),
+                t.p1,
+                "{} P1",
+                t.category
+            );
+            assert_eq!(
+                cat.iter().map(|p| p.p2()).sum::<usize>(),
+                t.p2,
+                "{} P2",
+                t.category
+            );
+            assert_eq!(
+                cat.iter().map(|p| p.p3).sum::<usize>(),
+                t.p3,
+                "{} P3",
+                t.category
+            );
         }
         // Grand totals: 2047 properties, of which 1306+200+520+21.
         let p0: usize = plans.iter().map(|p| p.p0()).sum();
@@ -275,8 +382,12 @@ mod tests {
         let plans = build_plans(Scale::Small);
         assert_eq!(plans.len(), 11);
         assert!(plans.iter().any(|p| p.special == SpecialKind::CsrFile));
-        assert!(plans.iter().any(|p| p.special == SpecialKind::MacroInterface));
-        assert!(plans.iter().any(|p| p.special == SpecialKind::AddressDecoder));
+        assert!(plans
+            .iter()
+            .any(|p| p.special == SpecialKind::MacroInterface));
+        assert!(plans
+            .iter()
+            .any(|p| p.special == SpecialKind::AddressDecoder));
         assert!(plans.iter().any(|p| p.p3 > 0));
     }
 

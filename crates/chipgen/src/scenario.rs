@@ -13,7 +13,7 @@
 //! * Plain [`veridic_sim::UniformRandom`] — the "just randomise
 //!   everything" ablation, reported alongside in Table 3's bench.
 
-use crate::leaf::{START_CMD, valid_addresses};
+use crate::leaf::{valid_addresses, START_CMD};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use veridic_netlist::{Module, NetId, Value};
@@ -165,7 +165,11 @@ pub fn observe_symptom(sim: &veridic_sim::Simulator<'_>) -> Option<&'static str>
         return Some("false_alarm");
     }
     for p in m.outputs() {
-        if m.net(p.net).attrs.get("checkpoint.kind").map(String::as_str) == Some("output_group")
+        if m.net(p.net)
+            .attrs
+            .get("checkpoint.kind")
+            .map(String::as_str)
+            == Some("output_group")
             && !sim.peek_net(p.net).xor_reduce()
         {
             return Some("bad_output_parity");
@@ -210,10 +214,16 @@ mod tests {
         let plans = build_plans(Scale::Small);
         let b0 = build_leaf(&plans[0], Some(BugId::B0));
         assert!(detect(&b0, 1, 500).is_some(), "B0 detectable");
-        let c0 = plans.iter().find(|p| p.category == crate::plan::Category::C).unwrap();
+        let c0 = plans
+            .iter()
+            .find(|p| p.category == crate::plan::Category::C)
+            .unwrap();
         let b2 = build_leaf(c0, Some(BugId::B2));
         assert!(detect(&b2, 1, 500).is_some(), "B2 detectable");
-        let d0 = plans.iter().find(|p| p.category == crate::plan::Category::D).unwrap();
+        let d0 = plans
+            .iter()
+            .find(|p| p.category == crate::plan::Category::D)
+            .unwrap();
         let b4 = build_leaf(d0, Some(BugId::B4));
         assert!(detect(&b4, 1, 500).is_some(), "B4 detectable");
     }
@@ -221,7 +231,11 @@ mod tests {
     #[test]
     fn b1_and_b3_invisible_to_spec_compliant_stimulus() {
         let b1 = build_leaf(&plan_for(SpecialKind::CsrFile), Some(BugId::B1));
-        assert_eq!(detect(&b1, 1, 3_000), None, "spec tests write 0 to reserved fields");
+        assert_eq!(
+            detect(&b1, 1, 3_000),
+            None,
+            "spec tests write 0 to reserved fields"
+        );
         let b3 = build_leaf(&plan_for(SpecialKind::MacroInterface), Some(BugId::B3));
         assert_eq!(detect(&b3, 1, 3_000), None, "macro model is wrong in sim");
     }
@@ -254,7 +268,10 @@ mod tests {
                 // fires by design; only output parity is a bug symptom.
                 let m = s.module();
                 for p in m.outputs() {
-                    if m.net(p.net).attrs.get("checkpoint.kind").map(String::as_str)
+                    if m.net(p.net)
+                        .attrs
+                        .get("checkpoint.kind")
+                        .map(String::as_str)
                         == Some("output_group")
                         && m.net_width(p.net) == 8
                         && !s.peek_net(p.net).xor_reduce()
@@ -265,6 +282,9 @@ mod tests {
                 None
             })
             .unwrap();
-        assert!(hit.is_none(), "uniform random should not hit the decoder bug in 2k cycles");
+        assert!(
+            hit.is_none(),
+            "uniform random should not hit the decoder bug in 2k cycles"
+        );
     }
 }

@@ -22,7 +22,11 @@ pub struct ExtractError {
 
 impl fmt::Display for ExtractError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "checkpoint extraction failed in {}: {}", self.module, self.message)
+        write!(
+            f,
+            "checkpoint extraction failed in {}: {}",
+            self.module, self.message
+        )
     }
 }
 
@@ -106,7 +110,10 @@ impl Inventory {
 
     /// Number of P3 (legal-state) properties.
     pub fn p3_count(&self) -> usize {
-        self.entities.iter().filter(|e| e.legal_max.is_some()).count()
+        self.entities
+            .iter()
+            .filter(|e| e.legal_max.is_some())
+            .count()
     }
 
     /// Widest entity (the shared `I_ERR_INJ_D` bus width).
@@ -130,7 +137,10 @@ impl Inventory {
 /// Returns [`ExtractError`] if indices are malformed, the HE port is
 /// missing while checkers exist, or an entity lacks a register.
 pub fn extract(m: &Module) -> Result<Inventory, ExtractError> {
-    let err = |msg: String| ExtractError { module: m.name.clone(), message: msg };
+    let err = |msg: String| ExtractError {
+        module: m.name.clone(),
+        message: msg,
+    };
     let mut entities = Vec::new();
     let mut input_groups = Vec::new();
     let mut output_groups = Vec::new();
@@ -194,12 +204,21 @@ pub fn extract(m: &Module) -> Result<Inventory, ExtractError> {
             "output_group" => {
                 output_groups.push((
                     index.unwrap_or(output_groups.len() as u32),
-                    OutputGroup { net: id, name: net.name.clone(), width: net.width },
+                    OutputGroup {
+                        net: id,
+                        name: net.name.clone(),
+                        width: net.width,
+                    },
                 ));
             }
             "he" => he = Some((id, net.width)),
             "control" => {}
-            other => return Err(err(format!("unknown checkpoint.kind '{other}' on {}", net.name))),
+            other => {
+                return Err(err(format!(
+                    "unknown checkpoint.kind '{other}' on {}",
+                    net.name
+                )))
+            }
         }
     }
     entities.sort_by_key(|(i, _)| *i);
@@ -243,7 +262,11 @@ mod tests {
             .unwrap();
         let m = build_leaf(&plan, None);
         let inv = extract(&m).unwrap();
-        let macro_group = inv.input_groups.iter().find(|g| g.name == "MACRO_SIG").unwrap();
+        let macro_group = inv
+            .input_groups
+            .iter()
+            .find(|g| g.name == "MACRO_SIG")
+            .unwrap();
         assert_eq!(macro_group.guard.as_deref(), Some("warm_done"));
     }
 

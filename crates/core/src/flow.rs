@@ -250,7 +250,10 @@ fn run_module(
     check: &CheckOptions,
 ) -> ModuleOutput {
     let (props, errors) = module_properties(chip, mi);
-    let records = props.iter().map(|p| check_property(p, portfolio, check)).collect();
+    let records = props
+        .iter()
+        .map(|p| check_property(p, portfolio, check))
+        .collect();
     (records, errors)
 }
 
@@ -286,7 +289,10 @@ pub fn run_campaign_with_portfolio(
     let modules = chip.modules();
     let workers = cfg.effective_workers().min(modules.len().max(1));
     let outputs: Vec<ModuleOutput> = if workers <= 1 {
-        modules.iter().map(|mi| run_module(chip, mi, portfolio, &cfg.check)).collect()
+        modules
+            .iter()
+            .map(|mi| run_module(chip, mi, portfolio, &cfg.check))
+            .collect()
     } else {
         let next = std::sync::atomic::AtomicUsize::new(0);
         let mut slots: Vec<Option<ModuleOutput>> = vec![None; modules.len()];
@@ -396,7 +402,10 @@ impl CampaignReport {
 
     /// All falsified properties.
     pub fn failures(&self) -> Vec<&PropertyRecord> {
-        self.records.iter().filter(|r| r.verdict.is_falsified()).collect()
+        self.records
+            .iter()
+            .filter(|r| r.verdict.is_falsified())
+            .collect()
     }
 
     /// All properties that ran out of budget.
@@ -412,13 +421,26 @@ impl CampaignReport {
         let rows = self.table2(chip);
         let mut s = String::new();
         let _ = writeln!(s, "Table 2. Number of verified properties");
-        let _ = writeln!(s, "{:<8} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6} {:>7}",
-            "Module", "#Sub", "#Bug", "P0", "P1", "P2", "P3", "Total");
+        let _ = writeln!(
+            s,
+            "{:<8} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6} {:>7}",
+            "Module", "#Sub", "#Bug", "P0", "P1", "P2", "P3", "Total"
+        );
         let mut tot = (0, 0, 0, 0, 0, 0, 0);
         for r in &rows {
             let total = r.p0 + r.p1 + r.p2 + r.p3;
-            let _ = writeln!(s, "{:<8} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6} {:>7}",
-                r.category.to_string(), r.submodules, r.bugs, r.p0, r.p1, r.p2, r.p3, total);
+            let _ = writeln!(
+                s,
+                "{:<8} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6} {:>7}",
+                r.category.to_string(),
+                r.submodules,
+                r.bugs,
+                r.p0,
+                r.p1,
+                r.p2,
+                r.p3,
+                total
+            );
             tot.0 += r.submodules;
             tot.1 += r.bugs;
             tot.2 += r.p0;
@@ -427,8 +449,11 @@ impl CampaignReport {
             tot.5 += r.p3;
             tot.6 += total;
         }
-        let _ = writeln!(s, "{:<8} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6} {:>7}",
-            "Total", tot.0, tot.1, tot.2, tot.3, tot.4, tot.5, tot.6);
+        let _ = writeln!(
+            s,
+            "{:<8} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6} {:>7}",
+            "Total", tot.0, tot.1, tot.2, tot.3, tot.4, tot.5, tot.6
+        );
         s
     }
 
@@ -436,7 +461,11 @@ impl CampaignReport {
     /// high-water mark of the BDD garbage collector, for the bench
     /// live-peak-nodes column.
     pub fn peak_bdd_nodes(&self) -> usize {
-        self.records.iter().map(|r| r.stats.bdd_nodes).max().unwrap_or(0)
+        self.records
+            .iter()
+            .map(|r| r.stats.bdd_nodes)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Total BDD nodes ever allocated across the campaign
@@ -448,7 +477,10 @@ impl CampaignReport {
 
     /// Properties whose BDD engines hit the node quota at least once.
     pub fn quota_hit_count(&self) -> usize {
-        self.records.iter().filter(|r| r.stats.bdd_quota_hits > 0).count()
+        self.records
+            .iter()
+            .filter(|r| r.stats.bdd_quota_hits > 0)
+            .count()
     }
 
     /// Campaign-wide totals of the static pre-analysis stage
@@ -472,7 +504,10 @@ impl CampaignReport {
     /// Properties the pre-analysis stage concluded on its own — proved
     /// vacuous or trivially falsified with **zero** engine invocations.
     pub fn vacuous_count(&self) -> usize {
-        self.records.iter().filter(|r| r.stats.preanalysis.vacuous > 0).count()
+        self.records
+            .iter()
+            .filter(|r| r.stats.preanalysis.vacuous > 0)
+            .count()
     }
 
     /// Fraction of properties proved.
@@ -480,7 +515,10 @@ impl CampaignReport {
         if self.records.is_empty() {
             return 0.0;
         }
-        self.records.iter().filter(|r| r.verdict.is_proved()).count() as f64
+        self.records
+            .iter()
+            .filter(|r| r.verdict.is_proved())
+            .count() as f64
             / self.records.len() as f64
     }
 
@@ -505,7 +543,10 @@ impl CampaignReport {
              \"total_time_ms\":{}}}",
             self.records.len(),
             self.errors.len(),
-            self.records.iter().filter(|r| r.verdict.is_proved()).count(),
+            self.records
+                .iter()
+                .filter(|r| r.verdict.is_proved())
+                .count(),
             self.failures().len(),
             self.resource_outs().len(),
             self.proved_ratio(),
@@ -563,7 +604,11 @@ impl PropertyRecord {
         );
         match &self.verdict {
             Verdict::Proved { engine } => {
-                let _ = write!(s, "{{\"status\":\"proved\",\"engine\":\"{}\"}}", json_escape(engine));
+                let _ = write!(
+                    s,
+                    "{{\"status\":\"proved\",\"engine\":\"{}\"}}",
+                    json_escape(engine)
+                );
             }
             Verdict::Falsified(trace) => {
                 let _ = write!(
@@ -618,7 +663,10 @@ mod tests {
 
     #[test]
     fn clean_small_chip_proves_everything() {
-        let chip = Chip::generate(&ChipConfig { scale: Scale::Small, with_bugs: false });
+        let chip = Chip::generate(&ChipConfig {
+            scale: Scale::Small,
+            with_bugs: false,
+        });
         let report = run_campaign(&chip, &CampaignConfig::default());
         assert!(report.errors.is_empty(), "{:?}", report.errors);
         let failures = report.failures();
@@ -650,12 +698,19 @@ mod tests {
         // and peak live can never exceed total allocations.
         assert!(report.peak_bdd_nodes() > 0);
         assert!(report.total_bdd_allocated() >= report.peak_bdd_nodes() as u64);
-        assert_eq!(report.quota_hit_count(), 0, "default budgets must not hit the quota");
+        assert_eq!(
+            report.quota_hit_count(),
+            0,
+            "default budgets must not hit the quota"
+        );
     }
 
     #[test]
     fn buggy_small_chip_finds_all_seven_bugs() {
-        let chip = Chip::generate(&ChipConfig { scale: Scale::Small, with_bugs: true });
+        let chip = Chip::generate(&ChipConfig {
+            scale: Scale::Small,
+            with_bugs: true,
+        });
         let report = run_campaign(&chip, &CampaignConfig::default());
         assert!(report.errors.is_empty(), "{:?}", report.errors);
         // Every seeded bug's module has at least one falsified property.
@@ -665,7 +720,10 @@ mod tests {
                 .iter()
                 .filter(|r| r.module == module && r.verdict.is_falsified())
                 .collect();
-            assert!(!hits.is_empty(), "bug {bug} in {module} missed by the campaign");
+            assert!(
+                !hits.is_empty(),
+                "bug {bug} in {module} missed by the campaign"
+            );
             // The failing property type matches Table 3.
             assert!(
                 hits.iter().any(|h| h.ptype == bug.property_type()),
@@ -693,9 +751,18 @@ mod tests {
         // the deliberately small Fig.7 budgets keep this test fast: the
         // verdict mix (proofs, falsifications, resource-outs) still has to
         // be byte-for-byte stable across worker counts.
-        let chip = Chip::generate(&ChipConfig { scale: Scale::Small, with_bugs: true });
+        let chip = Chip::generate(&ChipConfig {
+            scale: Scale::Small,
+            with_bugs: true,
+        });
         let check = CheckOptions::tiny_budget();
-        let serial = run_campaign(&chip, &CampaignConfig { check: check.clone(), workers: 1 });
+        let serial = run_campaign(
+            &chip,
+            &CampaignConfig {
+                check: check.clone(),
+                workers: 1,
+            },
+        );
         let parallel = run_campaign(&chip, &CampaignConfig { check, workers: 4 });
         assert_eq!(serial.errors, parallel.errors);
         assert_eq!(serial.records.len(), parallel.records.len());
@@ -732,7 +799,9 @@ mod tests {
                 vunit: "v".into(),
                 label: "l".into(),
                 ptype: PropertyType::Soundness,
-                verdict: Verdict::Proved { engine: "preanalysis" },
+                verdict: Verdict::Proved {
+                    engine: "preanalysis",
+                },
                 stats,
                 duration: Duration::default(),
             });
@@ -742,20 +811,30 @@ mod tests {
         assert_eq!(totals.stuck_latches, 3);
         assert_eq!(totals.folded_ands, 8);
         assert_eq!(totals.vacuous, 1);
-        assert_eq!(report.vacuous_count(), 1, "only the second record concluded statically");
+        assert_eq!(
+            report.vacuous_count(),
+            1,
+            "only the second record concluded statically"
+        );
     }
 
     #[test]
     fn effective_workers_resolves_auto() {
         let auto = CampaignConfig::default();
         assert!(auto.effective_workers() >= 1);
-        let pinned = CampaignConfig { workers: 3, ..Default::default() };
+        let pinned = CampaignConfig {
+            workers: 3,
+            ..Default::default()
+        };
         assert_eq!(pinned.effective_workers(), 3);
     }
 
     #[test]
     fn table2_shape_on_small_chip() {
-        let chip = Chip::generate(&ChipConfig { scale: Scale::Small, with_bugs: true });
+        let chip = Chip::generate(&ChipConfig {
+            scale: Scale::Small,
+            with_bugs: true,
+        });
         let report = run_campaign(&chip, &CampaignConfig::default());
         let rows = report.table2(&chip);
         assert_eq!(rows.len(), 5);

@@ -36,7 +36,14 @@ pub struct CellCosts {
 impl Default for CellCosts {
     fn default() -> Self {
         // Typical relative cell areas for a 0.11 µm ASIC library.
-        CellCosts { not: 0.5, and_or: 1.5, xor: 3.0, mux2: 3.5, dff: 6.0, fa: 10.5 }
+        CellCosts {
+            not: 0.5,
+            and_or: 1.5,
+            xor: 3.0,
+            mux2: 3.5,
+            dff: 6.0,
+            fa: 10.5,
+        }
     }
 }
 
@@ -180,7 +187,10 @@ pub fn category_increase(rows: &[AreaRow]) -> BTreeMap<Category, f64> {
 pub fn render_table4(rows: &[AreaRow]) -> String {
     let per_cat = category_increase(rows);
     let mut s = String::new();
-    let _ = writeln!(s, "Table 4. Area increase caused by the error injection feature");
+    let _ = writeln!(
+        s,
+        "Table 4. Area increase caused by the error injection feature"
+    );
     let _ = writeln!(s, "{:<12} {:>14}", "Module Name", "Area Increase");
     for (c, pct) in &per_cat {
         let _ = writeln!(s, "{:<12} {:>13.1}%", c.to_string(), pct);
@@ -202,7 +212,10 @@ impl TimingReport {
     /// clock (the paper reports "about 200 ps ... about 4 % of total
     /// delay when frequency is 250 MHz").
     pub fn model() -> TimingReport {
-        TimingReport { selector_ps: 200.0, period_ps: 4000.0 }
+        TimingReport {
+            selector_ps: 200.0,
+            period_ps: 4000.0,
+        }
     }
 
     /// Selector delay as a percentage of the cycle budget.
@@ -281,7 +294,10 @@ mod tests {
 
     #[test]
     fn transform_increases_area_modestly() {
-        let chip = Chip::generate(&ChipConfig { scale: Scale::Small, with_bugs: false });
+        let chip = Chip::generate(&ChipConfig {
+            scale: Scale::Small,
+            with_bugs: false,
+        });
         let rows = area_report(&chip, &CellCosts::default());
         for r in &rows {
             assert!(r.verifiable > r.base, "{}: transform adds gates", r.module);
@@ -299,7 +315,10 @@ mod tests {
         let t = TimingReport::model();
         assert_eq!(t.selector_ps, 200.0);
         let pct = t.percent_of_period();
-        assert!((4.0..=6.0).contains(&pct), "selector ~4-5% of the cycle: {pct}");
+        assert!(
+            (4.0..=6.0).contains(&pct),
+            "selector ~4-5% of the cycle: {pct}"
+        );
     }
 
     /// The full-scale census, promoted into tier-1: generation plus the
@@ -307,7 +326,10 @@ mod tests {
     /// the full table stays behind the `table4` binary.
     #[test]
     fn table4_percentages_match_paper() {
-        let chip = Chip::generate(&ChipConfig { scale: Scale::Full, with_bugs: false });
+        let chip = Chip::generate(&ChipConfig {
+            scale: Scale::Full,
+            with_bugs: false,
+        });
         let rows = area_report(&chip, &CellCosts::default());
         let per_cat = category_increase(&rows);
         let a = per_cat[&Category::A];

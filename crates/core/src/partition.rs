@@ -17,9 +17,9 @@ use crate::checkpoint::Inventory;
 use crate::verifiable::{VerifiableModule, EC_PORT};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
-use veridic_mc::{CheckOptions, CheckResult, Portfolio};
 #[cfg(test)]
 use veridic_mc::{check, Verdict};
+use veridic_mc::{CheckOptions, CheckResult, Portfolio};
 use veridic_netlist::{Expr, ExprId, Module, NetId, PortDir};
 use veridic_psl::{compile_vunit, parse_psl};
 
@@ -166,7 +166,14 @@ pub fn partition_output_integrity(
     // Final step: the output property with all its direct sources cut.
     let parents: Vec<NetId> = final_sources.iter().copied().collect();
     let cut = cut_at(m, &parents);
-    let vunit_src = step_vunit(&cut, inv, &parents, &format!("^{}", group.name), &group.name, m);
+    let vunit_src = step_vunit(
+        &cut,
+        inv,
+        &parents,
+        &format!("^{}", group.name),
+        &group.name,
+        m,
+    );
     steps.push(PartitionStep {
         name: format!("prove ^{}", group.name),
         module: cut,
@@ -196,7 +203,10 @@ fn step_vunit(
     for n in cut_nets {
         let name = orig.net(*n).name.clone();
         let _ = writeln!(s, "    property pCut_{0} = always ( ^{0} );", name);
-        let _ = writeln!(s, "    assume   pCut_{name}; // guaranteed by an earlier corn");
+        let _ = writeln!(
+            s,
+            "    assume   pCut_{name}; // guaranteed by an earlier corn"
+        );
     }
     let _ = writeln!(s, "    property pGoal = always ( {assertion} );");
     let _ = writeln!(s, "    assert   pGoal;");
@@ -249,7 +259,11 @@ pub struct PartitionRun {
 }
 
 /// Compiles and checks one partition step under the shared portfolio.
-fn run_step(step: &PartitionStep, portfolio: &Portfolio, opts: &CheckOptions) -> (String, CheckResult) {
+fn run_step(
+    step: &PartitionStep,
+    portfolio: &Portfolio,
+    opts: &CheckOptions,
+) -> (String, CheckResult) {
     let units = parse_psl(&step.vunit_src).expect("step vunit parses"); // lint: allow
     let compiled = compile_vunit(&units[0], &step.module).expect("step vunit compiles"); // lint: allow
     let lowered = compiled.module.to_aig().expect("cut module lowers"); // lint: allow
@@ -301,7 +315,11 @@ pub fn run_partition_with_portfolio(
 ) -> PartitionRun {
     let workers = resolve_workers(workers, steps.len());
     let per_worker: Vec<Vec<(usize, (String, CheckResult))>> = if workers <= 1 {
-        vec![steps.iter().enumerate().map(|(i, s)| (i, run_step(s, portfolio, opts))).collect()]
+        vec![steps
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (i, run_step(s, portfolio, opts)))
+            .collect()]
     } else {
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..workers)
@@ -323,7 +341,11 @@ pub fn run_partition_with_portfolio(
     let worker_stats = per_worker
         .iter()
         .map(|corns| PartitionWorkerStats {
-            peak_bdd_nodes: corns.iter().map(|(_, (_, r))| r.stats.bdd_nodes).max().unwrap_or(0),
+            peak_bdd_nodes: corns
+                .iter()
+                .map(|(_, (_, r))| r.stats.bdd_nodes)
+                .max()
+                .unwrap_or(0),
             bdd_allocated: corns.iter().map(|(_, (_, r))| r.stats.bdd_allocated).sum(),
         })
         .collect();
@@ -332,10 +354,16 @@ pub fn run_partition_with_portfolio(
     for (i, result) in per_worker.into_iter().flatten() {
         slots[i] = Some(result);
     }
-    let results: Vec<(String, CheckResult)> =
-        slots.into_iter().map(|r| r.expect("every step ran")).collect(); // lint: allow
+    let results: Vec<(String, CheckResult)> = slots
+        .into_iter()
+        .map(|r| r.expect("every step ran"))
+        .collect(); // lint: allow
     let all = results.iter().all(|(_, r)| r.verdict.is_proved());
-    PartitionRun { steps: results, all_proved: all, worker_stats }
+    PartitionRun {
+        steps: results,
+        all_proved: all,
+        worker_stats,
+    }
 }
 
 /// Resolves a requested worker count (`0` = one per available CPU),
@@ -358,11 +386,19 @@ pub fn demo_chain_module(stages: usize) -> Module {
     assert!(stages >= 2, "need at least two stages");
     let mut m = Module::new("chain");
     let i0 = m.add_port("I0", PortDir::Input, 4);
-    m.net_mut(i0).attrs.insert("checkpoint.kind".into(), "input_group".into());
-    m.net_mut(i0).attrs.insert("checkpoint.index".into(), "0".into());
-    m.net_mut(i0).attrs.insert("checkpoint.he_bit".into(), "0".into());
+    m.net_mut(i0)
+        .attrs
+        .insert("checkpoint.kind".into(), "input_group".into());
+    m.net_mut(i0)
+        .attrs
+        .insert("checkpoint.index".into(), "0".into());
+    m.net_mut(i0)
+        .attrs
+        .insert("checkpoint.he_bit".into(), "0".into());
     let en = m.add_port("EN", PortDir::Input, stages as u32);
-    m.net_mut(en).attrs.insert("checkpoint.kind".into(), "control".into());
+    m.net_mut(en)
+        .attrs
+        .insert("checkpoint.kind".into(), "control".into());
     let mut prev = i0;
     let mut checker_bits = Vec::new();
     for k in 0..stages {
@@ -376,7 +412,11 @@ pub fn demo_chain_module(stages: usize) -> Module {
         let mixed = m.arena.add(Expr::Xor(x1, c));
         let sq = m.sig(q);
         let enb = m.sig_bit(en, k as u32);
-        let nxt = m.arena.add(Expr::Mux { cond: enb, then_: mixed, else_: sq });
+        let nxt = m.arena.add(Expr::Mux {
+            cond: enb,
+            then_: mixed,
+            else_: sq,
+        });
         let mut reset = veridic_netlist::Value::zero(4);
         reset.set_bit(3, true);
         m.add_reg(q, nxt, reset);
@@ -392,15 +432,21 @@ pub fn demo_chain_module(stages: usize) -> Module {
         prev = q;
     }
     let he = m.add_port("HE", PortDir::Output, 1);
-    m.net_mut(he).attrs.insert("checkpoint.kind".into(), "he".into());
+    m.net_mut(he)
+        .attrs
+        .insert("checkpoint.kind".into(), "he".into());
     let he_expr = checker_bits
         .into_iter()
         .reduce(|a, b| m.arena.add(Expr::Or(a, b)))
         .expect("stages >= 2"); // lint: allow
     m.assign(he, he_expr);
     let o = m.add_port("O0", PortDir::Output, 4);
-    m.net_mut(o).attrs.insert("checkpoint.kind".into(), "output_group".into());
-    m.net_mut(o).attrs.insert("checkpoint.index".into(), "0".into());
+    m.net_mut(o)
+        .attrs
+        .insert("checkpoint.kind".into(), "output_group".into());
+    m.net_mut(o)
+        .attrs
+        .insert("checkpoint.index".into(), "0".into());
     let sprev = m.sig(prev);
     m.assign(o, sprev);
     m.validate().expect("chain module is well-formed"); // lint: allow
@@ -410,8 +456,8 @@ pub fn demo_chain_module(stages: usize) -> Module {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verifiable::make_verifiable;
     use crate::stereotype;
+    use crate::verifiable::make_verifiable;
     use veridic_chipgen::PropertyType;
 
     fn chain_vm(stages: usize) -> VerifiableModule {
@@ -452,7 +498,10 @@ mod tests {
         assert!(
             run.all_proved,
             "every corn must prove: {:?}",
-            run.steps.iter().map(|(n, r)| (n.clone(), r.verdict.clone())).collect::<Vec<_>>()
+            run.steps
+                .iter()
+                .map(|(n, r)| (n.clone(), r.verdict.clone()))
+                .collect::<Vec<_>>()
         );
     }
 
@@ -482,7 +531,10 @@ mod tests {
             // the same total allocations as the serial run.
             assert!(!par.worker_stats.is_empty());
             assert_eq!(
-                par.worker_stats.iter().map(|w| w.bdd_allocated).sum::<u64>(),
+                par.worker_stats
+                    .iter()
+                    .map(|w| w.bdd_allocated)
+                    .sum::<u64>(),
                 serial.worker_stats[0].bdd_allocated,
                 "workers={workers}"
             );
@@ -512,8 +564,14 @@ mod tests {
         assert!(run.all_proved);
         let last = run.steps.len() - 1;
         for (i, (name, r)) in run.steps.iter().enumerate() {
-            assert!(r.stats.preanalysis.bads_analyzed > 0, "{name}: the stage must run");
-            assert_eq!(r.stats.preanalysis.stuck_latches, 0, "{name}: nothing to fold");
+            assert!(
+                r.stats.preanalysis.bads_analyzed > 0,
+                "{name}: the stage must run"
+            );
+            assert_eq!(
+                r.stats.preanalysis.stuck_latches, 0,
+                "{name}: nothing to fold"
+            );
             let expect_vacuous = usize::from(i == last);
             assert_eq!(
                 r.stats.preanalysis.vacuous, expect_vacuous,
@@ -564,7 +622,10 @@ mod tests {
         assert!(
             run.all_proved,
             "partitioned corns must prove: {:?}",
-            run.steps.iter().map(|(n, r)| (n.clone(), r.verdict.clone())).collect::<Vec<_>>()
+            run.steps
+                .iter()
+                .map(|(n, r)| (n.clone(), r.verdict.clone()))
+                .collect::<Vec<_>>()
         );
     }
 

@@ -84,7 +84,11 @@ pub fn edetect_vunit(vm: &VerifiableModule) -> String {
     let inv = &vm.inventory;
     let n = inv.entities.len();
     let mut s = String::new();
-    let _ = writeln!(s, "vunit {}_edetect ({}) {{ // check error detection ability", inv.module, inv.module);
+    let _ = writeln!(
+        s,
+        "vunit {}_edetect ({}) {{ // check error detection ability",
+        inv.module, inv.module
+    );
     for (i, ent) in inv.entities.iter().enumerate() {
         let _ = writeln!(
             s,
@@ -93,7 +97,11 @@ pub fn edetect_vunit(vm: &VerifiableModule) -> String {
             ed_parity_ref(vm.ed_width, ent.width),
             he_ref(inv, ent.he_bit),
         );
-        let _ = writeln!(s, "    assert   pCheck1_{i}; // {} should be odd parity", ent.name);
+        let _ = writeln!(
+            s,
+            "    assert   pCheck1_{i}; // {} should be odd parity",
+            ent.name
+        );
     }
     for (g, group) in inv.input_groups.iter().enumerate() {
         match &group.guard {
@@ -115,7 +123,11 @@ pub fn edetect_vunit(vm: &VerifiableModule) -> String {
                 );
             }
         }
-        let _ = writeln!(s, "    assert   pCheck2_{g}; // {} should be odd parity", group.name);
+        let _ = writeln!(
+            s,
+            "    assert   pCheck2_{g}; // {} should be odd parity",
+            group.name
+        );
     }
     let _ = writeln!(s, "}}");
     s
@@ -126,10 +138,18 @@ pub fn edetect_vunit(vm: &VerifiableModule) -> String {
 pub fn soundness_vunit(vm: &VerifiableModule) -> String {
     let inv = &vm.inventory;
     let mut s = String::new();
-    let _ = writeln!(s, "vunit {}_soundness ({}) {{ // soundness check", inv.module, inv.module);
+    let _ = writeln!(
+        s,
+        "vunit {}_soundness ({}) {{ // soundness check",
+        inv.module, inv.module
+    );
     write_assumptions(&mut s, vm);
     for j in 0..inv.he_width {
-        let _ = writeln!(s, "    property pNoError_{j} = never ( {} );", he_ref(inv, j));
+        let _ = writeln!(
+            s,
+            "    property pNoError_{j} = never ( {} );",
+            he_ref(inv, j)
+        );
         let _ = writeln!(s, "    assert   pNoError_{j}; // then no error is reported");
     }
     let _ = writeln!(s, "}}");
@@ -141,7 +161,11 @@ pub fn soundness_vunit(vm: &VerifiableModule) -> String {
 pub fn integrity_vunit(vm: &VerifiableModule) -> String {
     let inv = &vm.inventory;
     let mut s = String::new();
-    let _ = writeln!(s, "vunit {}_integrity ({}) {{ // integrity check", inv.module, inv.module);
+    let _ = writeln!(
+        s,
+        "vunit {}_integrity ({}) {{ // integrity check",
+        inv.module, inv.module
+    );
     write_assumptions(&mut s, vm);
     for (j, group) in inv.output_groups.iter().enumerate() {
         let _ = writeln!(
@@ -149,7 +173,11 @@ pub fn integrity_vunit(vm: &VerifiableModule) -> String {
             "    property pIntegrityO_{j} = always ( ^{} );",
             group.name
         );
-        let _ = writeln!(s, "    assert   pIntegrityO_{j}; // then integrity of {} holds", group.name);
+        let _ = writeln!(
+            s,
+            "    assert   pIntegrityO_{j}; // then integrity of {} holds",
+            group.name
+        );
     }
     let _ = writeln!(s, "}}");
     s
@@ -160,13 +188,24 @@ pub fn integrity_vunit(vm: &VerifiableModule) -> String {
 /// no P3 checkpoints.
 pub fn other_vunit(vm: &VerifiableModule) -> Option<String> {
     let inv = &vm.inventory;
-    let legal: Vec<_> = inv.entities.iter().filter(|e| e.legal_max.is_some()).collect();
+    let legal: Vec<_> = inv
+        .entities
+        .iter()
+        .filter(|e| e.legal_max.is_some())
+        .collect();
     if legal.is_empty() {
         return None;
     }
     let mut s = String::new();
-    let _ = writeln!(s, "vunit {}_other ({}) {{ // legal state checks", inv.module, inv.module);
-    let _ = writeln!(s, "    property pNoErrInjection = always ( ~(|{EC_PORT}) );");
+    let _ = writeln!(
+        s,
+        "vunit {}_other ({}) {{ // legal state checks",
+        inv.module, inv.module
+    );
+    let _ = writeln!(
+        s,
+        "    property pNoErrInjection = always ( ~(|{EC_PORT}) );"
+    );
     let _ = writeln!(s, "    assume   pNoErrInjection;");
     for (k, ent) in legal.iter().enumerate() {
         let max = ent.legal_max.expect("filtered on legal_max"); // lint: allow
@@ -186,7 +225,11 @@ pub fn other_vunit(vm: &VerifiableModule) -> Option<String> {
         }
         let body = disjuncts.join(" | ");
         let _ = writeln!(s, "    property pLegal_{k} = never ( {body} );");
-        let _ = writeln!(s, "    assert   pLegal_{k}; // {} stays in 0..={max}", ent.name);
+        let _ = writeln!(
+            s,
+            "    assert   pLegal_{k}; // {} stays in 0..={max}",
+            ent.name
+        );
     }
     let _ = writeln!(s, "}}");
     Some(s)
@@ -200,10 +243,20 @@ fn write_assumptions(s: &mut String, vm: &VerifiableModule) {
             "    property pIntegrityI_{g} = always ( ^{} );",
             group.name
         );
-        let _ = writeln!(s, "    assume   pIntegrityI_{g}; // assumption for {}", group.name);
+        let _ = writeln!(
+            s,
+            "    assume   pIntegrityI_{g}; // assumption for {}",
+            group.name
+        );
     }
-    let _ = writeln!(s, "    property pNoErrInjection = always ( ~(|{EC_PORT}) );");
-    let _ = writeln!(s, "    assume   pNoErrInjection; // error injection is disabled");
+    let _ = writeln!(
+        s,
+        "    property pNoErrInjection = always ( ~(|{EC_PORT}) );"
+    );
+    let _ = writeln!(
+        s,
+        "    assume   pNoErrInjection; // error injection is disabled"
+    );
 }
 
 /// Generates, parses and compiles all stereotype vunits of a transformed
@@ -232,7 +285,14 @@ pub fn generate_all(
         assert_eq!(units.len(), 1, "one vunit per stereotype");
         let unit = units.into_iter().next().expect("one unit"); // lint: allow
         let compiled = compile_vunit(&unit, &vm.module)?;
-        out.push((GeneratedVUnit { ptype, source, unit }, compiled));
+        out.push((
+            GeneratedVUnit {
+                ptype,
+                source,
+                unit,
+            },
+            compiled,
+        ));
     }
     Ok(out)
 }
@@ -255,8 +315,7 @@ mod tests {
     fn all_vunits_parse_and_compile_for_all_modules() {
         for plan in build_plans(Scale::Small) {
             let vm = make_verifiable(&build_leaf(&plan, None)).unwrap();
-            let all = generate_all(&vm)
-                .unwrap_or_else(|e| panic!("{}: {e}", plan.name));
+            let all = generate_all(&vm).unwrap_or_else(|e| panic!("{}: {e}", plan.name));
             // Census: assertion counts match the plan.
             let count = |t: PropertyType| -> usize {
                 all.iter()
@@ -264,9 +323,24 @@ mod tests {
                     .map(|(_, c)| c.asserts.len())
                     .sum()
             };
-            assert_eq!(count(PropertyType::ErrorDetection), plan.p0(), "{} P0", plan.name);
-            assert_eq!(count(PropertyType::Soundness), plan.p1(), "{} P1", plan.name);
-            assert_eq!(count(PropertyType::OutputIntegrity), plan.p2(), "{} P2", plan.name);
+            assert_eq!(
+                count(PropertyType::ErrorDetection),
+                plan.p0(),
+                "{} P0",
+                plan.name
+            );
+            assert_eq!(
+                count(PropertyType::Soundness),
+                plan.p1(),
+                "{} P1",
+                plan.name
+            );
+            assert_eq!(
+                count(PropertyType::OutputIntegrity),
+                plan.p2(),
+                "{} P2",
+                plan.name
+            );
             assert_eq!(count(PropertyType::Other), plan.p3, "{} P3", plan.name);
         }
     }
@@ -277,7 +351,7 @@ mod tests {
         let src = edetect_vunit(&vm);
         assert!(src.contains("_edetect ("), "{src}");
         assert!(src.contains("-> next HE"), "{src}");
-        assert!(src.contains(&format!("~(^{ED_PORT}", )), "{src}");
+        assert!(src.contains(&format!("~(^{ED_PORT}",)), "{src}");
         assert!(src.contains("assert   pCheck1_0;"), "{src}");
     }
 
@@ -287,7 +361,10 @@ mod tests {
         let src = soundness_vunit(&vm);
         assert!(src.contains("_soundness ("), "{src}");
         assert!(src.contains("assume   pIntegrityI_0;"), "{src}");
-        assert!(src.contains("pNoErrInjection = always ( ~(|I_ERR_INJ_C) );"), "{src}");
+        assert!(
+            src.contains("pNoErrInjection = always ( ~(|I_ERR_INJ_C) );"),
+            "{src}"
+        );
         assert!(src.contains("never ( HE"), "{src}");
     }
 

@@ -86,10 +86,18 @@ pub fn make_verifiable(m: &Module) -> Result<VerifiableModule, TransformError> {
     let ed_width = inv.max_entity_width();
     let ec = out.add_port(EC_PORT, PortDir::Input, n as u32);
     let ed = out.add_port(ED_PORT, PortDir::Input, ed_width);
-    out.net_mut(ec).attrs.insert("checkpoint.kind".into(), "control".into());
-    out.net_mut(ec).attrs.insert("inject.role".into(), "ec".into());
-    out.net_mut(ed).attrs.insert("checkpoint.kind".into(), "control".into());
-    out.net_mut(ed).attrs.insert("inject.role".into(), "ed".into());
+    out.net_mut(ec)
+        .attrs
+        .insert("checkpoint.kind".into(), "control".into());
+    out.net_mut(ec)
+        .attrs
+        .insert("inject.role".into(), "ec".into());
+    out.net_mut(ed)
+        .attrs
+        .insert("checkpoint.kind".into(), "control".into());
+    out.net_mut(ed)
+        .attrs
+        .insert("inject.role".into(), "ed".into());
     for (i, ent) in inv.entities.iter().enumerate() {
         let w = ent.width;
         let reg_idx = out
@@ -99,7 +107,11 @@ pub fn make_verifiable(m: &Module) -> Result<VerifiableModule, TransformError> {
             .expect("entity register exists (validated by extract)"); // lint: allow
         let old_next = out.regs[reg_idx].next;
         // A 1-bit control bus is referenced as a scalar (Figure 6 style).
-        let ec_bit = if n == 1 { out.sig(ec) } else { out.sig_bit(ec, i as u32) };
+        let ec_bit = if n == 1 {
+            out.sig(ec)
+        } else {
+            out.sig_bit(ec, i as u32)
+        };
         let ed_sig = out.sig(ed);
         let ed_slice = if w == ed_width {
             ed_sig
@@ -107,7 +119,11 @@ pub fn make_verifiable(m: &Module) -> Result<VerifiableModule, TransformError> {
             out.arena.add(Expr::Slice(ed_sig, w - 1, 0))
         };
         // The one line per entity: `if (EC[i]) q <= ED;`
-        let injected = out.arena.add(Expr::Mux { cond: ec_bit, then_: ed_slice, else_: old_next });
+        let injected = out.arena.add(Expr::Mux {
+            cond: ec_bit,
+            then_: ed_slice,
+            else_: old_next,
+        });
         out.regs[reg_idx].next = injected;
         out.net_mut(ent.net)
             .attrs
@@ -247,7 +263,11 @@ mod tests {
         let vm = make_verifiable(&m).unwrap();
         assert!(vm.module.find_port(EC_PORT).is_some());
         assert!(vm.module.find_port(ED_PORT).is_some());
-        assert_eq!(vm.module.regs.len(), base_regs, "no new state, just selectors");
+        assert_eq!(
+            vm.module.regs.len(),
+            base_regs,
+            "no new state, just selectors"
+        );
         assert_eq!(vm.entity_count, vm.inventory.entities.len());
         assert!(vm.module.validate().is_ok());
         assert!(lint_verifiable(&vm).is_empty());
@@ -265,17 +285,26 @@ mod tests {
 
     #[test]
     fn injection_actually_injects() {
-        use veridic_sim::Simulator;
         use veridic_netlist::Value;
+        use veridic_sim::Simulator;
         let m = build_leaf(&small_plan(), None);
         let vm = make_verifiable(&m).unwrap();
         let tm = &vm.module;
         let mut sim = Simulator::new(tm).unwrap();
         // Drive clean inputs; inject an even-parity (illegal) value into
         // entity 0 and watch HE rise the next cycle.
-        for p in tm.inputs().map(|p| (p.net, p.name.clone())).collect::<Vec<_>>() {
+        for p in tm
+            .inputs()
+            .map(|p| (p.net, p.name.clone()))
+            .collect::<Vec<_>>()
+        {
             let w = tm.net_width(p.0);
-            let kind = tm.net(p.0).attrs.get("checkpoint.kind").cloned().unwrap_or_default();
+            let kind = tm
+                .net(p.0)
+                .attrs
+                .get("checkpoint.kind")
+                .cloned()
+                .unwrap_or_default();
             let v = if kind == "input_group" {
                 let mut v = Value::zero(w);
                 v.set_bit(0, true); // odd parity
@@ -290,7 +319,8 @@ mod tests {
         // Pulse EC[0] with an even-parity ED.
         let ecw = tm.net_width(vm.ec_net);
         sim.poke(EC_PORT, Value::from_u64(ecw, 1)).unwrap();
-        sim.poke(ED_PORT, Value::from_u64(vm.ed_width, 0b0011)).unwrap();
+        sim.poke(ED_PORT, Value::from_u64(vm.ed_width, 0b0011))
+            .unwrap();
         sim.step();
         sim.poke(EC_PORT, Value::zero(ecw)).unwrap();
         sim.settle();
@@ -302,8 +332,15 @@ mod tests {
 
     #[test]
     fn chip_transform_ties_off_parents() {
-        let mut chip = Chip::generate(&ChipConfig { scale: Scale::Small, with_bugs: false });
-        let names: Vec<String> = chip.modules().iter().map(|m| m.name().to_string()).collect();
+        let mut chip = Chip::generate(&ChipConfig {
+            scale: Scale::Small,
+            with_bugs: false,
+        });
+        let names: Vec<String> = chip
+            .modules()
+            .iter()
+            .map(|m| m.name().to_string())
+            .collect();
         let results = transform_design(chip.design_mut(), &names).unwrap();
         assert_eq!(results.len(), names.len());
         let top = chip.design().module("chip_top").unwrap();

@@ -361,7 +361,15 @@ pub fn bdd_umc(
     max_iterations: usize,
     stats: &mut CheckStats,
 ) -> BddEngineOutcome {
-    bdd_umc_session(aig, node_quota, max_iterations, false, stats, &mut Budget::unlimited(), None)
+    bdd_umc_session(
+        aig,
+        node_quota,
+        max_iterations,
+        false,
+        stats,
+        &mut Budget::unlimited(),
+        None,
+    )
 }
 
 /// A FORCE static variable order translated into the BDD variable
@@ -396,7 +404,11 @@ pub(crate) fn static_bdd_order(aig: &Aig) -> StaticOrder {
             order.push((2 * n) as u32 + (slot - n as u32));
         }
     }
-    StaticOrder { order, span_before: fo.span_before, span_after: fo.span_after }
+    StaticOrder {
+        order,
+        span_before: fo.span_before,
+        span_after: fo.span_after,
+    }
 }
 
 /// [`bdd_umc`] under a cooperative round [`Budget`], optionally resumed
@@ -603,7 +615,10 @@ mod tests {
             bdd_umc(&g, 300, 1 << 20, &mut stats),
             BddEngineOutcome::ResourceOut
         );
-        assert!(stats.bdd_nodes > 0, "failure path must record peak live nodes");
+        assert!(
+            stats.bdd_nodes > 0,
+            "failure path must record peak live nodes"
+        );
         assert!(stats.bdd_allocated > 0);
         assert_eq!(stats.bdd_quota_hits, 1);
     }
@@ -632,7 +647,10 @@ mod tests {
         let bad = g.and(qs[0], s);
         g.add_bad("never", bad);
         let mut stats = CheckStats::default();
-        assert_eq!(bdd_umc(&g, 1 << 20, 100, &mut stats), BddEngineOutcome::Proved);
+        assert_eq!(
+            bdd_umc(&g, 1 << 20, 100, &mut stats),
+            BddEngineOutcome::Proved
+        );
         // An 3-bit counter explores 8 states: fixpoint in <= 9 iterations.
         assert!(stats.iterations <= 9);
     }
@@ -647,7 +665,10 @@ mod tests {
         g.add_constraint("a_low", !a);
         g.add_bad("q_high", q);
         let mut stats = CheckStats::default();
-        assert_eq!(bdd_umc(&g, 1 << 20, 100, &mut stats), BddEngineOutcome::Proved);
+        assert_eq!(
+            bdd_umc(&g, 1 << 20, 100, &mut stats),
+            BddEngineOutcome::Proved
+        );
     }
 
     #[test]

@@ -55,7 +55,14 @@ pub fn bmc_check(
     conflict_budget: u64,
     stats: &mut CheckStats,
 ) -> BmcOutcome {
-    bmc_check_budgeted(aig, min_depth, max_depth, conflict_budget, stats, &mut Budget::unlimited())
+    bmc_check_budgeted(
+        aig,
+        min_depth,
+        max_depth,
+        conflict_budget,
+        stats,
+        &mut Budget::unlimited(),
+    )
 }
 
 /// [`bmc_check`] under a cooperative round [`Budget`]: one budget round

@@ -58,7 +58,10 @@ impl ReachCheckpoint {
     ) -> Result<(), CheckpointMisfit> {
         if self.window_vars != window_vars {
             let found = self.window_vars;
-            return Err(CheckpointMisfit::WindowVars { expected: window_vars, found });
+            return Err(CheckpointMisfit::WindowVars {
+                expected: window_vars,
+                found,
+            });
         }
         if (self.reached.len(), self.frontier.len()) != (windows, windows) {
             return Err(CheckpointMisfit::WindowCount {

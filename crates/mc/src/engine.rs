@@ -128,12 +128,20 @@ impl Default for Budget {
 impl Budget {
     /// No round limit, no cancellation.
     pub fn unlimited() -> Self {
-        Budget { rounds_left: None, cancel: None, used: 0 }
+        Budget {
+            rounds_left: None,
+            cancel: None,
+            used: 0,
+        }
     }
 
     /// At most `n` engine rounds across the run.
     pub fn rounds(n: u64) -> Self {
-        Budget { rounds_left: Some(n), cancel: None, used: 0 }
+        Budget {
+            rounds_left: Some(n),
+            cancel: None,
+            used: 0,
+        }
     }
 
     /// Attaches a cancellation token (checked at every tick).
@@ -145,8 +153,7 @@ impl Budget {
 
     /// True if the next [`Budget::tick`] would refuse.
     pub fn is_exhausted(&self) -> bool {
-        self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
-            || self.rounds_left == Some(0)
+        self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) || self.rounds_left == Some(0)
     }
 
     /// Consumes one round. Returns `false` — without consuming — once
@@ -174,7 +181,11 @@ impl Budget {
     /// one, so the run's round count is attributable to it; charge the
     /// child's consumption back with [`Budget::charge`].
     pub fn child(&self) -> Budget {
-        Budget { rounds_left: self.rounds_left, cancel: self.cancel.clone(), used: 0 }
+        Budget {
+            rounds_left: self.rounds_left,
+            cancel: self.cancel.clone(),
+            used: 0,
+        }
     }
 
     /// Deducts `rounds` from this budget (saturating), accounting for
@@ -420,7 +431,10 @@ mod tests {
         let mut child = Budget::unlimited().with_cancel(&token).child();
         assert!(child.tick());
         token.cancel();
-        assert!(!child.tick(), "cancelling the parent's token stops the child");
+        assert!(
+            !child.tick(),
+            "cancelling the parent's token stops the child"
+        );
     }
 
     #[test]
@@ -431,7 +445,10 @@ mod tests {
             outcome,
             resources: EventResources::default(),
         };
-        assert_eq!(ev(EngineId::Bmc, EventOutcome::Falsified).render(), "q_high/bmc: falsified");
+        assert_eq!(
+            ev(EngineId::Bmc, EventOutcome::Falsified).render(),
+            "q_high/bmc: falsified"
+        );
         assert_eq!(
             ev(EngineId::Bmc, EventOutcome::CleanToDepth(30)).render(),
             "q_high/bmc: clean to depth 30"

@@ -345,8 +345,20 @@ mod tests {
     fn engines_agree_on_verdicts() {
         for bad_at in [0u64, 3, 7, 12] {
             let g = counter_aig(4, bad_at);
-            let sat = check(&g, &CheckOptions { sat_only: true, ..Default::default() });
-            let bdd = check(&g, &CheckOptions { bdd_only: true, ..Default::default() });
+            let sat = check(
+                &g,
+                &CheckOptions {
+                    sat_only: true,
+                    ..Default::default()
+                },
+            );
+            let bdd = check(
+                &g,
+                &CheckOptions {
+                    bdd_only: true,
+                    ..Default::default()
+                },
+            );
             match (&sat.verdict, &bdd.verdict) {
                 (Verdict::Falsified(a), Verdict::Falsified(b)) => {
                     assert_eq!(a.len(), b.len(), "cex depth must agree at bad_at={bad_at}");
@@ -378,7 +390,11 @@ mod tests {
         g.set_next(s, qs);
         g.add_bad("stuck_high", qs);
         let r = check(&g, &CheckOptions::default());
-        assert!(matches!(r.verdict, Verdict::Proved { .. }), "{:?}", r.verdict);
+        assert!(
+            matches!(r.verdict, Verdict::Proved { .. }),
+            "{:?}",
+            r.verdict
+        );
         // Per-bad COI breakdown, in check order.
         assert_eq!(r.stats.per_bad_coi.len(), 2);
         assert_eq!(r.stats.per_bad_coi[0].bad, "chain_high");

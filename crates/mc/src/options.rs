@@ -84,7 +84,9 @@ impl CheckOptions {
     /// the knobs that matter and every field added later inherits its
     /// default instead of breaking the call site.
     pub fn builder() -> CheckOptionsBuilder {
-        CheckOptionsBuilder { opts: CheckOptions::default() }
+        CheckOptionsBuilder {
+            opts: CheckOptions::default(),
+        }
     }
 
     /// A deliberately tiny budget, used to demonstrate and test the

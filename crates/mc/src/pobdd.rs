@@ -135,8 +135,7 @@ fn run(
                 // Each import arrives rooted: exactly the registration
                 // the reached/frontier slot owns.
                 reached[w] = transfer::import(&ck.reached[w], &mut ts.mgr)?;
-                frontier[w] =
-                    transfer::import_delta(&ck.frontier[w], &ck.reached[w], &mut ts.mgr)?;
+                frontier[w] = transfer::import_delta(&ck.frontier[w], &ck.reached[w], &mut ts.mgr)?;
             }
             ck.depth
         }
@@ -162,8 +161,10 @@ fn run(
     // `bdd_umc`, so Tables 2/3 agree between engines on every exit path.
     for depth in start_depth + 1..=max_iterations {
         if !budget.tick() {
-            let reached_exports: Vec<ExportedBdd> =
-                reached.iter().map(|&n| transfer::export(&ts.mgr, n)).collect();
+            let reached_exports: Vec<ExportedBdd> = reached
+                .iter()
+                .map(|&n| transfer::export(&ts.mgr, n))
+                .collect();
             let frontier_deltas = frontier
                 .iter()
                 .zip(&reached_exports)
@@ -184,7 +185,7 @@ fn run(
             }
             let img = ts.image(fr)?;
             ts.mgr.protect(img); // held across the whole window loop
-            // Distribute the image across windows.
+                                 // Distribute the image across windows.
             for (l, window) in windows.iter().enumerate() {
                 let part = ts.mgr.and(img, *window)?;
                 if part == NodeId::FALSE {
@@ -275,8 +276,8 @@ fn choose_split_vars(ts: &TransitionSystem, want: u32) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use veridic_aig::{Aig, Lit};
     use crate::bdd_engine::bdd_umc;
+    use veridic_aig::{Aig, Lit};
 
     fn counter_with_bad(bits: u32, bad_at: u64) -> Aig {
         let mut g = Aig::new();
@@ -325,7 +326,10 @@ mod tests {
         g2.set_next(l2, s2);
         g2.add_bad("never", s2);
         let mut stats = CheckStats::default();
-        assert_eq!(pobdd_reach(&g2, 2, 1 << 20, 1000, &mut stats), BddEngineOutcome::Proved);
+        assert_eq!(
+            pobdd_reach(&g2, 2, 1 << 20, 1000, &mut stats),
+            BddEngineOutcome::Proved
+        );
     }
 
     /// Regression: `pobdd_reach` returned early on a quota-exhausted
@@ -336,8 +340,14 @@ mod tests {
     fn quota_exhausted_build_records_stats() {
         let g = counter_with_bad(16, (1 << 16) - 1);
         let mut stats = CheckStats::default();
-        assert_eq!(pobdd_reach(&g, 2, 300, 1 << 20, &mut stats), BddEngineOutcome::ResourceOut);
-        assert!(stats.bdd_nodes > 0, "failure path must record peak live nodes");
+        assert_eq!(
+            pobdd_reach(&g, 2, 300, 1 << 20, &mut stats),
+            BddEngineOutcome::ResourceOut
+        );
+        assert!(
+            stats.bdd_nodes > 0,
+            "failure path must record peak live nodes"
+        );
         assert!(stats.bdd_allocated > 0);
         assert_eq!(stats.bdd_quota_hits, 1);
     }
@@ -443,7 +453,10 @@ mod tests {
             Some(&ck),
         );
         assert_eq!(resumed, uninterrupted);
-        assert_eq!(s2.iterations, full.iterations, "completed-round count must survive the kill");
+        assert_eq!(
+            s2.iterations, full.iterations,
+            "completed-round count must survive the kill"
+        );
     }
 
     /// Regression for the cross-engine iteration-count off-by-one:

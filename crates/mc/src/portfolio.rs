@@ -114,9 +114,9 @@ impl Engine for InductionEngine {
         ) {
             InductionOutcome::Proved(k) => EngineOutcome::Proved { k: Some(k) },
             InductionOutcome::Unknown => EngineOutcome::Inconclusive,
-            InductionOutcome::ResourceOut => {
-                EngineOutcome::ResourceOut { reason: "induction conflict budget".into() }
-            }
+            InductionOutcome::ResourceOut => EngineOutcome::ResourceOut {
+                reason: "induction conflict budget".into(),
+            },
             InductionOutcome::Suspended { next_k } => {
                 EngineOutcome::Suspended(EngineCheckpoint::Induction { next_k })
             }
@@ -156,9 +156,7 @@ impl Engine for BddUmcEngine {
             resume,
         ) {
             bdd_engine::BddEngineOutcome::Proved => EngineOutcome::Proved { k: None },
-            bdd_engine::BddEngineOutcome::FalsifiedAtDepth(k) => {
-                EngineOutcome::FalsifiedAtDepth(k)
-            }
+            bdd_engine::BddEngineOutcome::FalsifiedAtDepth(k) => EngineOutcome::FalsifiedAtDepth(k),
             bdd_engine::BddEngineOutcome::ResourceOut => EngineOutcome::ResourceOut {
                 reason: format!("BDD node quota ({})", ctx.opts.bdd_nodes),
             },
@@ -204,12 +202,10 @@ impl Engine for PobddEngine {
             resume,
         ) {
             bdd_engine::BddEngineOutcome::Proved => EngineOutcome::Proved { k: None },
-            bdd_engine::BddEngineOutcome::FalsifiedAtDepth(k) => {
-                EngineOutcome::FalsifiedAtDepth(k)
-            }
-            bdd_engine::BddEngineOutcome::ResourceOut => {
-                EngineOutcome::ResourceOut { reason: "POBDD node quota".into() }
-            }
+            bdd_engine::BddEngineOutcome::FalsifiedAtDepth(k) => EngineOutcome::FalsifiedAtDepth(k),
+            bdd_engine::BddEngineOutcome::ResourceOut => EngineOutcome::ResourceOut {
+                reason: "POBDD node quota".into(),
+            },
             bdd_engine::BddEngineOutcome::Suspended(ck) => {
                 EngineOutcome::Suspended(EngineCheckpoint::Reach(ck))
             }
@@ -329,7 +325,12 @@ impl Portfolio {
                 return CheckResult { verdict, stats };
             }
         }
-        CheckResult { verdict: Verdict::Proved { engine: "portfolio" }, stats }
+        CheckResult {
+            verdict: Verdict::Proved {
+                engine: "portfolio",
+            },
+            stats,
+        }
     }
 
     /// Checks a single bad (by index into [`Aig::bads`]), unbudgeted,
@@ -422,8 +423,21 @@ impl Portfolio {
         budget: &mut Budget,
     ) -> Result<PortfolioOutcome, CheckpointMisfit> {
         self.validate_checkpoint(aig, opts, &checkpoint)?;
-        let RunCheckpoint { bad_index, slot, state, stats, reasons } = checkpoint;
-        self.slice(aig, bad_index, opts, stats, budget, Some((slot, state, reasons)))
+        let RunCheckpoint {
+            bad_index,
+            slot,
+            state,
+            stats,
+            reasons,
+        } = checkpoint;
+        self.slice(
+            aig,
+            bad_index,
+            opts,
+            stats,
+            budget,
+            Some((slot, state, reasons)),
+        )
     }
 
     /// One budget slice of a single-bad run, fresh or resumed.
@@ -438,9 +452,15 @@ impl Portfolio {
     ) -> Result<PortfolioOutcome, CheckpointMisfit> {
         match self.check_bad_inner(aig, bad_index, opts, &mut stats, budget, resume) {
             Ok(verdict) => Ok(PortfolioOutcome::Done(CheckResult { verdict, stats })),
-            Err(Halt::Suspended(slot, state, reasons)) => Ok(PortfolioOutcome::Suspended(
-                RunCheckpoint { bad_index, slot, state, stats, reasons },
-            )),
+            Err(Halt::Suspended(slot, state, reasons)) => {
+                Ok(PortfolioOutcome::Suspended(RunCheckpoint {
+                    bad_index,
+                    slot,
+                    state,
+                    stats,
+                    reasons,
+                }))
+            }
             Err(Halt::Misfit(misfit)) => Err(misfit),
         }
     }
@@ -459,10 +479,16 @@ impl Portfolio {
     ) -> Result<(), CheckpointMisfit> {
         let (slot, bad_index) = (checkpoint.slot, checkpoint.bad_index);
         let Some(engine) = self.slots.get(slot) else {
-            return Err(CheckpointMisfit::SlotOutOfRange { slot, slots: self.slots.len() });
+            return Err(CheckpointMisfit::SlotOutOfRange {
+                slot,
+                slots: self.slots.len(),
+            });
         };
         if bad_index >= aig.bads().len() {
-            return Err(CheckpointMisfit::BadOutOfRange { bad_index, bads: aig.bads().len() });
+            return Err(CheckpointMisfit::BadOutOfRange {
+                bad_index,
+                bads: aig.bads().len(),
+            });
         }
         let id = engine.id();
         let fits = match (&checkpoint.state, id) {
@@ -544,28 +570,35 @@ impl Portfolio {
                 });
             };
             let bad_value = sweep.lit_value(sub.bads()[0].lit);
-            let constraint_values: Vec<Ternary> =
-                sub.constraints().iter().map(|c| sweep.lit_value(c.lit)).collect();
+            let constraint_values: Vec<Ternary> = sub
+                .constraints()
+                .iter()
+                .map(|c| sweep.lit_value(c.lit))
+                .collect();
             // A constant-false bad can never fire; a constant-false
             // constraint leaves no valid path at all. Either way the
             // property holds on every reachable constrained state.
-            if bad_value == Ternary::False
-                || constraint_values.contains(&Ternary::False)
-            {
+            if bad_value == Ternary::False || constraint_values.contains(&Ternary::False) {
                 stats.preanalysis.vacuous += 1;
                 pre_event(stats, EventOutcome::Proved);
-                return Ok(Verdict::Proved { engine: PREANALYSIS });
+                return Ok(Verdict::Proved {
+                    engine: PREANALYSIS,
+                });
             }
             // A constant-true bad fires in the initial state under any
             // inputs; when every constraint is constant-true as well,
             // any single-cycle trace is a counterexample. (If some
             // constraint is X the engines must pick the inputs.)
-            if bad_value == Ternary::True
-                && constraint_values.iter().all(|v| *v == Ternary::True)
-            {
+            if bad_value == Ternary::True && constraint_values.iter().all(|v| *v == Ternary::True) {
                 stats.preanalysis.vacuous += 1;
-                let full = Trace { inputs: vec![vec![false; aig.num_inputs()]], bad_index };
-                assert!(full.replays_on(aig), "preanalysis counterexample failed replay");
+                let full = Trace {
+                    inputs: vec![vec![false; aig.num_inputs()]],
+                    bad_index,
+                };
+                assert!(
+                    full.replays_on(aig),
+                    "preanalysis counterexample failed replay"
+                );
                 pre_event(stats, EventOutcome::FalsifiedAtDepth(0));
                 return Ok(Verdict::Falsified(full));
             }
@@ -591,7 +624,9 @@ impl Portfolio {
                 if vacuous {
                     stats.preanalysis.vacuous += 1;
                     pre_event(stats, EventOutcome::Proved);
-                    return Ok(Verdict::Proved { engine: PREANALYSIS });
+                    return Ok(Verdict::Proved {
+                        engine: PREANALYSIS,
+                    });
                 }
             }
             match fold_constants(&sub, &sweep) {
@@ -622,7 +657,10 @@ impl Portfolio {
                     dst[old_idx] = src[new_idx];
                 }
             }
-            Trace { inputs: full, bad_index }
+            Trace {
+                inputs: full,
+                bad_index,
+            }
         };
 
         let (first_slot, mut engine_resume, mut reasons) = match resume {
@@ -673,7 +711,9 @@ impl Portfolio {
                         None => EventOutcome::Proved,
                     };
                     push(stats, event);
-                    return Ok(Verdict::Proved { engine: id.proved_name() });
+                    return Ok(Verdict::Proved {
+                        engine: id.proved_name(),
+                    });
                 }
                 EngineOutcome::Falsified(t) => {
                     let full = expand_trace(t);
@@ -720,7 +760,10 @@ impl Portfolio {
                     return Err(Halt::Suspended(slot_index, state, reasons));
                 }
                 EngineOutcome::Misfit(misfit) => {
-                    assert!(resume_state.is_some(), "{id} refused a checkpoint it was not given");
+                    assert!(
+                        resume_state.is_some(),
+                        "{id} refused a checkpoint it was not given"
+                    );
                     return Err(Halt::Misfit(misfit));
                 }
             }
@@ -819,7 +862,12 @@ mod tests {
     }
 
     /// Resumes `ck` unbudgeted, which must conclude.
-    fn resume_to_end(p: &Portfolio, g: &Aig, opts: &CheckOptions, ck: RunCheckpoint) -> CheckResult {
+    fn resume_to_end(
+        p: &Portfolio,
+        g: &Aig,
+        opts: &CheckOptions,
+        ck: RunCheckpoint,
+    ) -> CheckResult {
         match p.resume_bad_with_budget(g, opts, ck, &mut Budget::unlimited()) {
             Ok(PortfolioOutcome::Done(r)) => r,
             Ok(PortfolioOutcome::Suspended(ck)) => panic!("run suspended at slot {}", ck.slot),
@@ -845,11 +893,20 @@ mod tests {
         let first = Portfolio::default().check(aig, opts);
         let again = Portfolio::default().check(aig, opts);
         assert_eq!(first.verdict, again.verdict);
-        assert_eq!(first.stats, again.stats, "repeat runs must be deterministic");
+        assert_eq!(
+            first.stats, again.stats,
+            "repeat runs must be deterministic"
+        );
         if !(opts.bdd_only || opts.sat_only) {
             for restricted in [
-                CheckOptions { bdd_only: true, ..opts.clone() },
-                CheckOptions { sat_only: true, ..opts.clone() },
+                CheckOptions {
+                    bdd_only: true,
+                    ..opts.clone()
+                },
+                CheckOptions {
+                    sat_only: true,
+                    ..opts.clone()
+                },
             ] {
                 let half = Portfolio::default().check(aig, &restricted);
                 match (&first.verdict, &half.verdict) {
@@ -877,7 +934,11 @@ mod tests {
         // Resource-out path (tiny budget on a wide counter).
         let g = counter_aig(24, (1 << 24) - 1);
         let r = Portfolio::default().check(&g, &CheckOptions::tiny_budget());
-        assert!(matches!(r.verdict, Verdict::ResourceOut { .. }), "{:?}", r.verdict);
+        assert!(
+            matches!(r.verdict, Verdict::ResourceOut { .. }),
+            "{:?}",
+            r.verdict
+        );
         assert_self_consistent(&g, &CheckOptions::tiny_budget());
     }
 
@@ -885,7 +946,12 @@ mod tests {
     fn default_policy_schedule_is_the_paper_cascade() {
         assert_eq!(
             Portfolio::default().engine_ids(),
-            vec![EngineId::Bmc, EngineId::Induction, EngineId::BddUmc, EngineId::PobddUmc]
+            vec![
+                EngineId::Bmc,
+                EngineId::Induction,
+                EngineId::BddUmc,
+                EngineId::PobddUmc
+            ]
         );
     }
 
@@ -919,18 +985,27 @@ mod tests {
             }
         }
         let g = counter_aig(3, 7);
-        let portfolio =
-            Portfolio::empty().with(Box::new(NeverApplies)).with(Box::new(InstantProof));
+        let portfolio = Portfolio::empty()
+            .with(Box::new(NeverApplies))
+            .with(Box::new(InstantProof));
         let mut stats = CheckStats::default();
         let verdict = portfolio.check_bad(&g, 0, &CheckOptions::default(), &mut stats);
         assert_eq!(verdict, Verdict::Proved { engine: "oracle" });
         assert_eq!(stats.events.len(), 1, "the skipped engine leaves no event");
         assert_eq!(stats.events[0].engine, EngineId::Custom("oracle"));
-        assert_eq!(stats.engines_tried(), vec!["count_is_7/oracle: proved".to_string()]);
+        assert_eq!(
+            stats.engines_tried(),
+            vec!["count_is_7/oracle: proved".to_string()]
+        );
         // The multi-bad entry point aggregates proofs as "portfolio",
         // exactly like the legacy cascade.
         let r = portfolio.check(&g, &CheckOptions::default());
-        assert_eq!(r.verdict, Verdict::Proved { engine: "portfolio" });
+        assert_eq!(
+            r.verdict,
+            Verdict::Proved {
+                engine: "portfolio"
+            }
+        );
     }
 
     /// Global-budget suspension and resume: verdict, falsification
@@ -938,19 +1013,30 @@ mod tests {
     #[test]
     fn killed_bdd_umc_resumes_identically() {
         let g = counter_aig(6, 50);
-        let opts = CheckOptions::builder().bdd_only(true).pobdd_window_vars(0).build();
+        let opts = CheckOptions::builder()
+            .bdd_only(true)
+            .pobdd_window_vars(0)
+            .build();
         let portfolio = Portfolio::default();
         let uninterrupted = portfolio.check(&g, &opts);
 
         let ck = suspended(portfolio.check_bad_with_budget(&g, 0, &opts, &mut Budget::rounds(20)));
-        assert_eq!(ck.state.reach_depth(), Some(20), "suspended after 20 completed rounds");
+        assert_eq!(
+            ck.state.reach_depth(),
+            Some(20),
+            "suspended after 20 completed rounds"
+        );
         assert_eq!(ck.stats.iterations, 20);
 
         let resumed = resume_to_end(&portfolio, &g, &opts, ck);
         assert_eq!(resumed.verdict, uninterrupted.verdict);
         match (&resumed.verdict, &uninterrupted.verdict) {
             (Verdict::Falsified(a), Verdict::Falsified(b)) => {
-                assert_eq!(a.len(), b.len(), "falsification depth must survive the kill")
+                assert_eq!(
+                    a.len(),
+                    b.len(),
+                    "falsification depth must survive the kill"
+                )
             }
             other => panic!("expected falsifications, got {other:?}"),
         }
@@ -958,7 +1044,10 @@ mod tests {
         // The event log shows the interruption: suspended, then the
         // final conclusion from the same engine.
         let rendered = resumed.stats.engines_tried();
-        assert!(rendered.contains(&"count_is_50/bdd-umc: suspended".to_string()), "{rendered:?}");
+        assert!(
+            rendered.contains(&"count_is_50/bdd-umc: suspended".to_string()),
+            "{rendered:?}"
+        );
         assert!(
             rendered.contains(&"count_is_50/bdd-umc: bad reachable at depth 50".to_string()),
             "{rendered:?}"
@@ -1005,7 +1094,10 @@ mod tests {
                 }
             }
         };
-        assert!(hops >= 2, "the tiny budget must suspend repeatedly (got {hops})");
+        assert!(
+            hops >= 2,
+            "the tiny budget must suspend repeatedly (got {hops})"
+        );
         assert_eq!(resumed.verdict, uninterrupted);
         assert_eq!(resumed.stats.iterations, stats.iterations);
     }
@@ -1015,7 +1107,10 @@ mod tests {
     #[test]
     fn cancel_token_suspends_resumably() {
         let g = counter_aig(5, 21);
-        let opts = CheckOptions::builder().bdd_only(true).pobdd_window_vars(0).build();
+        let opts = CheckOptions::builder()
+            .bdd_only(true)
+            .pobdd_window_vars(0)
+            .build();
         let portfolio = Portfolio::default();
         let token = CancelToken::new();
         token.cancel();
@@ -1051,7 +1146,10 @@ mod tests {
     #[test]
     fn resume_rejects_mismatched_portfolio() {
         let g = counter_aig(6, 50);
-        let opts = CheckOptions::builder().bdd_only(true).pobdd_window_vars(0).build();
+        let opts = CheckOptions::builder()
+            .bdd_only(true)
+            .pobdd_window_vars(0)
+            .build();
         let ck = suspended(Portfolio::default().check_bad_with_budget(
             &g,
             0,
@@ -1065,7 +1163,10 @@ mod tests {
             .with(Box::new(InductionEngine))
             .with(Box::new(PobddEngine));
         let refused = reordered.resume_bad_with_budget(&g, &opts, ck, &mut Budget::unlimited());
-        let misfit = CheckpointMisfit::WrongState { slot: 2, engine: EngineId::Induction };
+        let misfit = CheckpointMisfit::WrongState {
+            slot: 2,
+            engine: EngineId::Induction,
+        };
         assert_eq!(refused.err(), Some(misfit));
     }
 
@@ -1074,12 +1175,21 @@ mod tests {
     #[test]
     fn resume_rejects_mismatched_aig() {
         let g = stuck_and_deep_aig();
-        let opts = CheckOptions::builder().bdd_only(true).pobdd_window_vars(0).build();
+        let opts = CheckOptions::builder()
+            .bdd_only(true)
+            .pobdd_window_vars(0)
+            .build();
         let portfolio = Portfolio::default();
         let ck = suspended(portfolio.check_bad_with_budget(&g, 1, &opts, &mut Budget::rounds(10)));
         let other = counter_aig(4, 9); // one bad only
         let refused = portfolio.resume_bad_with_budget(&other, &opts, ck, &mut Budget::unlimited());
-        assert_eq!(refused.err(), Some(CheckpointMisfit::BadOutOfRange { bad_index: 1, bads: 1 }));
+        assert_eq!(
+            refused.err(),
+            Some(CheckpointMisfit::BadOutOfRange {
+                bad_index: 1,
+                bads: 1
+            })
+        );
     }
 
     /// The vacuity short-circuit: a statically-constant bad concludes
@@ -1098,24 +1208,44 @@ mod tests {
         let bad = g.and(s, full);
         g.add_bad("never", bad);
         let r = Portfolio::default().check(&g, &CheckOptions::default());
-        assert_eq!(r.verdict, Verdict::Proved { engine: "portfolio" });
-        assert_eq!(r.stats.events.len(), 1, "no engine may run: {:?}", r.stats.events);
+        assert_eq!(
+            r.verdict,
+            Verdict::Proved {
+                engine: "portfolio"
+            }
+        );
+        assert_eq!(
+            r.stats.events.len(),
+            1,
+            "no engine may run: {:?}",
+            r.stats.events
+        );
         assert_eq!(r.stats.events[0].engine, EngineId::Custom(PREANALYSIS));
         assert_eq!(r.stats.events[0].resources.rounds, 0);
         assert_eq!(r.stats.events[0].resources.sat_conflicts, 0);
         assert_eq!(r.stats.events[0].resources.bdd_allocated, 0);
-        assert_eq!(r.stats.engines_tried(), vec!["never/preanalysis: proved".to_string()]);
+        assert_eq!(
+            r.stats.engines_tried(),
+            vec!["never/preanalysis: proved".to_string()]
+        );
         assert_eq!(r.stats.preanalysis.vacuous, 1);
         assert_eq!(r.stats.preanalysis.bads_analyzed, 1);
-        assert_eq!(r.stats.preanalysis.stuck_latches, 1, "the stuck latch is counted");
+        assert_eq!(
+            r.stats.preanalysis.stuck_latches, 1,
+            "the stuck latch is counted"
+        );
         assert_eq!(r.stats.sat_conflicts, 0);
         assert_eq!(r.stats.bdd_allocated, 0);
         assert_eq!(r.stats.iterations, 0);
         // The single-bad entry point attributes the proof to the stage.
         let mut stats = CheckStats::default();
-        let verdict =
-            Portfolio::default().check_bad(&g, 0, &CheckOptions::default(), &mut stats);
-        assert_eq!(verdict, Verdict::Proved { engine: PREANALYSIS });
+        let verdict = Portfolio::default().check_bad(&g, 0, &CheckOptions::default(), &mut stats);
+        assert_eq!(
+            verdict,
+            Verdict::Proved {
+                engine: PREANALYSIS
+            }
+        );
     }
 
     /// A constant-**true** bad (under constant-true-or-absent
@@ -1157,7 +1287,12 @@ mod tests {
         g.add_bad("q_high", q);
         g.add_constraint("impossible", s);
         let r = Portfolio::default().check(&g, &CheckOptions::default());
-        assert_eq!(r.verdict, Verdict::Proved { engine: "portfolio" });
+        assert_eq!(
+            r.verdict,
+            Verdict::Proved {
+                engine: "portfolio"
+            }
+        );
         assert_eq!(r.stats.events.len(), 1);
         assert_eq!(r.stats.events[0].engine, EngineId::Custom(PREANALYSIS));
         assert_eq!(r.stats.preanalysis.vacuous, 1);
@@ -1183,7 +1318,10 @@ mod tests {
             other => panic!("expected falsification, got {other:?}"),
         }
         assert!(
-            r.stats.events.iter().all(|e| e.engine != EngineId::Custom(PREANALYSIS)),
+            r.stats
+                .events
+                .iter()
+                .all(|e| e.engine != EngineId::Custom(PREANALYSIS)),
             "no preanalysis conclusion when a constraint is X: {:?}",
             r.stats.events
         );
@@ -1205,8 +1343,8 @@ mod tests {
         let bad = g.or(hit, s);
         g.add_bad("count_or_stuck", bad);
         let on = Portfolio::default().check(&g, &CheckOptions::default());
-        let off = Portfolio::default()
-            .check(&g, &CheckOptions::builder().preanalysis(false).build());
+        let off =
+            Portfolio::default().check(&g, &CheckOptions::builder().preanalysis(false).build());
         match (&on.verdict, &off.verdict) {
             (Verdict::Falsified(a), Verdict::Falsified(b)) => {
                 assert_eq!(a.len(), b.len(), "folding must not move the depth");
@@ -1223,12 +1361,15 @@ mod tests {
         // except the preanalysis counters themselves.
         let clean = counter_aig(4, 9);
         let on = Portfolio::default().check(&clean, &CheckOptions::default());
-        let off = Portfolio::default()
-            .check(&clean, &CheckOptions::builder().preanalysis(false).build());
+        let off =
+            Portfolio::default().check(&clean, &CheckOptions::builder().preanalysis(false).build());
         assert_eq!(on.verdict, off.verdict);
         let mut on_stats = on.stats.clone();
         on_stats.preanalysis = crate::PreanalysisStats::default();
-        assert_eq!(on_stats, off.stats, "identity fast-path must be byte-identical");
+        assert_eq!(
+            on_stats, off.stats,
+            "identity fast-path must be byte-identical"
+        );
     }
 
     /// A run on a later bad of a multi-bad AIG resumes on that bad:
@@ -1237,7 +1378,10 @@ mod tests {
     #[test]
     fn multi_bad_resume_continues_from_suspended_bad() {
         let g = stuck_and_deep_aig();
-        let opts = CheckOptions::builder().bdd_only(true).pobdd_window_vars(0).build();
+        let opts = CheckOptions::builder()
+            .bdd_only(true)
+            .pobdd_window_vars(0)
+            .build();
         let portfolio = Portfolio::default();
         let ck = suspended(portfolio.check_bad_with_budget(&g, 1, &opts, &mut Budget::rounds(10)));
         assert_eq!(ck.bad_index, 1);
@@ -1250,7 +1394,11 @@ mod tests {
             }
             other => panic!("expected falsification, got {other:?}"),
         }
-        assert_eq!(resumed.stats.per_bad_coi.len(), 1, "the resume must not re-record the cone");
+        assert_eq!(
+            resumed.stats.per_bad_coi.len(),
+            1,
+            "the resume must not re-record the cone"
+        );
         assert_eq!(resumed.stats.per_bad_coi[0].bad, "count_is_21");
     }
 }

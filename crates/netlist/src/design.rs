@@ -51,13 +51,24 @@ impl fmt::Display for DesignError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DesignError::UnknownModule(m) => write!(f, "unknown module {m}"),
-            DesignError::UnknownChild { parent, instance, child } => {
-                write!(f, "instance {instance} in {parent} refers to unknown module {child}")
+            DesignError::UnknownChild {
+                parent,
+                instance,
+                child,
+            } => {
+                write!(
+                    f,
+                    "instance {instance} in {parent} refers to unknown module {child}"
+                )
             }
             DesignError::UnknownPort { child, port } => {
                 write!(f, "module {child} has no port {port}")
             }
-            DesignError::BadConnection { child, port, reason } => {
+            DesignError::BadConnection {
+                child,
+                port,
+                reason,
+            } => {
                 write!(f, "bad connection to {child}.{port}: {reason}")
             }
             DesignError::UnconnectedInput { child, port } => {
@@ -93,7 +104,11 @@ pub struct Design {
 impl Design {
     /// Creates an empty design whose top module will be `top`.
     pub fn new(top: impl Into<String>) -> Self {
-        Design { modules: Vec::new(), by_name: BTreeMap::new(), top: top.into() }
+        Design {
+            modules: Vec::new(),
+            by_name: BTreeMap::new(),
+            top: top.into(),
+        }
     }
 
     /// Adds (or replaces) a module.
@@ -196,11 +211,13 @@ impl Design {
             flat.add_reg(net_map[&r.q], e, r.reset_value.clone());
         }
         for inst in &src.instances {
-            let child = self.module(&inst.module).ok_or_else(|| DesignError::UnknownChild {
-                parent: src.name.clone(),
-                instance: inst.name.clone(),
-                child: inst.module.clone(),
-            })?;
+            let child = self
+                .module(&inst.module)
+                .ok_or_else(|| DesignError::UnknownChild {
+                    parent: src.name.clone(),
+                    instance: inst.name.clone(),
+                    child: inst.module.clone(),
+                })?;
             if stack.contains(&inst.module) {
                 return Err(DesignError::RecursiveHierarchy(inst.module.clone()));
             }
@@ -410,7 +427,11 @@ mod tests {
         conns.insert("a".to_string(), Conn::In(ep));
         conns.insert("b".to_string(), Conn::In(eq_));
         conns.insert("y".to_string(), Conn::Out(r));
-        top.add_instance(Instance { module: "child".into(), name: "u0".into(), conns });
+        top.add_instance(Instance {
+            module: "child".into(),
+            name: "u0".into(),
+            conns,
+        });
         let mut d = Design::new("top");
         d.add_module(child());
         d.add_module(top);
@@ -459,7 +480,11 @@ mod tests {
         conns.insert("a".into(), Conn::In(ea));
         conns.insert("b".into(), Conn::In(eb));
         conns.insert("y".into(), Conn::Out(y));
-        mid.add_instance(Instance { module: "child".into(), name: "inner".into(), conns });
+        mid.add_instance(Instance {
+            module: "child".into(),
+            name: "inner".into(),
+            conns,
+        });
 
         let mut top = Module::new("top");
         let p = top.add_port("p", PortDir::Input, 4);
@@ -468,14 +493,21 @@ mod tests {
         let mut conns = BTreeMap::new();
         conns.insert("a".into(), Conn::In(ep));
         conns.insert("y".into(), Conn::Out(r));
-        top.add_instance(Instance { module: "mid".into(), name: "m0".into(), conns });
+        top.add_instance(Instance {
+            module: "mid".into(),
+            name: "m0".into(),
+            conns,
+        });
 
         let mut d = Design::new("top");
         d.add_module(child());
         d.add_module(mid);
         d.add_module(top);
         let flat = d.flatten().unwrap();
-        assert!(flat.find_net("m0.inner.y").is_some(), "nested names prefixed");
+        assert!(
+            flat.find_net("m0.inner.y").is_some(),
+            "nested names prefixed"
+        );
         let r = flat.find_port("r").unwrap().net;
         let v = eval_net(&flat, r, &|n| {
             assert_eq!(flat.net(n).name, "p");
@@ -490,7 +522,11 @@ mod tests {
         let r = top.add_port("r", PortDir::Output, 4);
         let mut conns = BTreeMap::new();
         conns.insert("y".into(), Conn::Out(r));
-        top.add_instance(Instance { module: "child".into(), name: "u0".into(), conns });
+        top.add_instance(Instance {
+            module: "child".into(),
+            name: "u0".into(),
+            conns,
+        });
         let mut d = Design::new("top");
         d.add_module(child());
         d.add_module(top);
@@ -510,7 +546,11 @@ mod tests {
         conns.insert("b".into(), Conn::In(z));
         conns.insert("nonexistent".into(), Conn::In(z));
         conns.insert("y".into(), Conn::Out(r));
-        top.add_instance(Instance { module: "child".into(), name: "u0".into(), conns });
+        top.add_instance(Instance {
+            module: "child".into(),
+            name: "u0".into(),
+            conns,
+        });
         let mut d = Design::new("top");
         d.add_module(child());
         d.add_module(top);
@@ -527,11 +567,18 @@ mod tests {
         conns.insert("a".into(), Conn::In(z));
         conns.insert("b".into(), Conn::In(z4));
         conns.insert("y".into(), Conn::Out(r));
-        top.add_instance(Instance { module: "child".into(), name: "u0".into(), conns });
+        top.add_instance(Instance {
+            module: "child".into(),
+            name: "u0".into(),
+            conns,
+        });
         let mut d = Design::new("top");
         d.add_module(child());
         d.add_module(top);
-        assert!(matches!(d.flatten(), Err(DesignError::BadConnection { .. })));
+        assert!(matches!(
+            d.flatten(),
+            Err(DesignError::BadConnection { .. })
+        ));
     }
 
     #[test]
@@ -556,7 +603,11 @@ mod tests {
         let r = top.add_port("r", PortDir::Output, 4);
         let mut conns = BTreeMap::new();
         conns.insert("y".into(), Conn::Out(r));
-        top.add_instance(Instance { module: "leaf".into(), name: "u".into(), conns });
+        top.add_instance(Instance {
+            module: "leaf".into(),
+            name: "u".into(),
+            conns,
+        });
         let mut d = Design::new("top");
         d.add_module(leaf);
         d.add_module(top);

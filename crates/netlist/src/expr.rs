@@ -6,8 +6,8 @@
 //! expressions share one id.
 
 use crate::value::Value;
-use veridic_aig::hash::{FxHashMap, FxHashSet};
 use std::fmt;
+use veridic_aig::hash::{FxHashMap, FxHashSet};
 
 /// Identifier of a net within one module.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -221,10 +221,7 @@ impl ExprArena {
             }
             Expr::Slice(a, hi, lo) => {
                 let wa = self.w(*a);
-                assert!(
-                    hi >= lo && *hi < wa,
-                    "bad slice [{hi}:{lo}] of width {wa}"
-                );
+                assert!(hi >= lo && *hi < wa, "bad slice [{hi}:{lo}] of width {wa}");
                 hi - lo + 1
             }
         }
@@ -435,7 +432,11 @@ mod tests {
         let mut a = ExprArena::new();
         let c = konst(&mut a, 2, 3);
         let x = konst(&mut a, 8, 3);
-        a.add(Expr::Mux { cond: c, then_: x, else_: x });
+        a.add(Expr::Mux {
+            cond: c,
+            then_: x,
+            else_: x,
+        });
     }
 
     #[test]
@@ -445,7 +446,11 @@ mod tests {
         let five = konst(&mut a, 8, 5);
         let sum = a.add(Expr::Add(n, five));
         let big = a.add(Expr::Ult(five, n));
-        let m = a.add(Expr::Mux { cond: big, then_: sum, else_: five });
+        let m = a.add(Expr::Mux {
+            cond: big,
+            then_: sum,
+            else_: five,
+        });
         let get = |_: NetId| Value::from_u64(8, 10);
         assert_eq!(a.eval(m, &get).to_u64(), 15);
         let get = |_: NetId| Value::from_u64(8, 2);

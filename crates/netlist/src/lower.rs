@@ -119,7 +119,12 @@ impl Module {
             }
         }
         let _ = drivers;
-        Ok(LoweredAig { aig, net_bits, input_vars, latch_ids })
+        Ok(LoweredAig {
+            aig,
+            net_bits,
+            input_vars,
+            latch_ids,
+        })
     }
 
     fn lower_expr(
@@ -219,7 +224,13 @@ impl Module {
                 let a = self.lower_expr(a, aig, net_bits, cache);
                 let w = a.len();
                 (0..w)
-                    .map(|k| if (k as u32) >= n { a[k - n as usize] } else { Lit::FALSE })
+                    .map(|k| {
+                        if (k as u32) >= n {
+                            a[k - n as usize]
+                        } else {
+                            Lit::FALSE
+                        }
+                    })
                     .collect()
             }
             Expr::Shr(a, n) => {
@@ -263,7 +274,11 @@ impl Module {
                 a[lo as usize..=hi as usize].to_vec()
             }
         };
-        debug_assert_eq!(bits.len() as u32, self.arena.width(id), "lowered width mismatch");
+        debug_assert_eq!(
+            bits.len() as u32,
+            self.arena.width(id),
+            "lowered width mismatch"
+        );
         cache.insert(id, bits.clone());
         bits
     }
@@ -414,7 +429,11 @@ mod tests {
     fn mux_selects() {
         let m = comb_module(4, |m, a, b| {
             let c = m.arena.add(Expr::RedOr(a));
-            m.arena.add(Expr::Mux { cond: c, then_: a, else_: b })
+            m.arena.add(Expr::Mux {
+                cond: c,
+                then_: a,
+                else_: b,
+            })
         });
         check_comb(&m, 4, 4, |a, b| if a != 0 { a } else { b });
     }

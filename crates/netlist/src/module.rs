@@ -141,7 +141,11 @@ impl Module {
             self.name
         );
         let id = NetId(self.nets.len() as u32);
-        self.nets.push(Net { name, width, attrs: BTreeMap::new() });
+        self.nets.push(Net {
+            name,
+            width,
+            attrs: BTreeMap::new(),
+        });
         id
     }
 
@@ -217,9 +221,21 @@ impl Module {
     /// Panics if widths of `q`, `next` and `reset_value` differ.
     pub fn add_reg(&mut self, q: NetId, next: ExprId, reset_value: Value) {
         let w = self.net_width(q);
-        assert_eq!(w, self.arena.width(next), "register next-state width mismatch");
-        assert_eq!(w, reset_value.width(), "register reset value width mismatch");
-        self.regs.push(Reg { q, next, reset_value });
+        assert_eq!(
+            w,
+            self.arena.width(next),
+            "register next-state width mismatch"
+        );
+        assert_eq!(
+            w,
+            reset_value.width(),
+            "register reset value width mismatch"
+        );
+        self.regs.push(Reg {
+            q,
+            next,
+            reset_value,
+        });
     }
 
     /// Adds a child instance.
@@ -279,9 +295,16 @@ impl Module {
 
 impl fmt::Display for Module {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "module {} ({} ports, {} nets, {} regs, {} assigns, {} instances)",
-            self.name, self.ports.len(), self.nets.len(), self.regs.len(),
-            self.assigns.len(), self.instances.len())
+        writeln!(
+            f,
+            "module {} ({} ports, {} nets, {} regs, {} assigns, {} instances)",
+            self.name,
+            self.ports.len(),
+            self.nets.len(),
+            self.regs.len(),
+            self.assigns.len(),
+            self.instances.len()
+        )
     }
 }
 

@@ -40,7 +40,9 @@ impl fmt::Display for ValidateError {
         match self {
             ValidateError::MultipleDrivers { net } => write!(f, "net {net} has multiple drivers"),
             ValidateError::Undriven { net } => write!(f, "net {net} is read but never driven"),
-            ValidateError::DrivenInput { net } => write!(f, "input port {net} is driven internally"),
+            ValidateError::DrivenInput { net } => {
+                write!(f, "input port {net} is driven internally")
+            }
             ValidateError::CombinationalCycle { nets } => {
                 write!(f, "combinational cycle through: {}", nets.join(" -> "))
             }
@@ -132,7 +134,9 @@ impl Module {
         let mut map: BTreeMap<NetId, Driver> = BTreeMap::new();
         let set = |net: NetId, d: Driver, m: &mut BTreeMap<NetId, Driver>| {
             if m.insert(net, d).is_some() {
-                return Err(ValidateError::MultipleDrivers { net: self.net(net).name.clone() });
+                return Err(ValidateError::MultipleDrivers {
+                    net: self.net(net).name.clone(),
+                });
             }
             Ok(())
         };
@@ -154,7 +158,9 @@ impl Module {
         }
         for p in self.inputs() {
             if !matches!(map.get(&p.net), Some(Driver::Input)) {
-                return Err(ValidateError::DrivenInput { net: p.name.clone() });
+                return Err(ValidateError::DrivenInput {
+                    net: p.name.clone(),
+                });
             }
         }
         Ok(map)
@@ -189,7 +195,9 @@ impl Module {
         }
         for n in read {
             if !drivers.contains_key(&n) {
-                return Err(ValidateError::Undriven { net: self.net(n).name.clone() });
+                return Err(ValidateError::Undriven {
+                    net: self.net(n).name.clone(),
+                });
             }
         }
         self.comb_schedule().map(|_| ())
@@ -257,18 +265,18 @@ impl Module {
         }
         for n in &read {
             if !map.contains_key(n) {
-                report
-                    .errors
-                    .push(ValidateError::Undriven { net: self.net(*n).name.clone() });
+                report.errors.push(ValidateError::Undriven {
+                    net: self.net(*n).name.clone(),
+                });
             }
         }
         for (n, d) in &map {
             // Input ports are stimulus, not logic — an unused input is
             // an interface question, not dead internal logic.
             if *d != Driver::Input && !read.contains(n) {
-                report
-                    .warnings
-                    .push(ValidateWarning::UnreadNet { net: self.net(*n).name.clone() });
+                report.warnings.push(ValidateWarning::UnreadNet {
+                    net: self.net(*n).name.clone(),
+                });
             }
         }
         if let Err(e) = self.comb_schedule() {
@@ -421,7 +429,10 @@ mod tests {
         let u = m.lit(1, 1);
         m.assign(y, t);
         m.assign(y, u);
-        assert!(matches!(m.validate(), Err(ValidateError::MultipleDrivers { .. })));
+        assert!(matches!(
+            m.validate(),
+            Err(ValidateError::MultipleDrivers { .. })
+        ));
     }
 
     #[test]
@@ -491,7 +502,10 @@ mod tests {
             ]
         );
         // The one-shot schedule still rejects the same module.
-        assert!(matches!(m.comb_schedule(), Err(ValidateError::CombinationalCycle { .. })));
+        assert!(matches!(
+            m.comb_schedule(),
+            Err(ValidateError::CombinationalCycle { .. })
+        ));
 
         // A registered feedback path is sequential, not a comb loop.
         let mut m2 = Module::new("m2");
@@ -523,7 +537,10 @@ mod tests {
         let a = m.add_port("a", PortDir::Input, 1);
         let t = m.lit(1, 0);
         m.assign(a, t);
-        assert!(matches!(m.validate(), Err(ValidateError::MultipleDrivers { .. })));
+        assert!(matches!(
+            m.validate(),
+            Err(ValidateError::MultipleDrivers { .. })
+        ));
     }
 
     #[test]
@@ -550,15 +567,24 @@ mod tests {
         assert!(report
             .errors
             .contains(&ValidateError::MultipleDrivers { net: "y".into() }));
-        assert!(report.errors.contains(&ValidateError::DrivenInput { net: "a".into() }));
-        assert!(report.errors.contains(&ValidateError::Undriven { net: "ghost".into() }));
+        assert!(report
+            .errors
+            .contains(&ValidateError::DrivenInput { net: "a".into() }));
+        assert!(report.errors.contains(&ValidateError::Undriven {
+            net: "ghost".into()
+        }));
         assert_eq!(report.errors.len(), 3, "{:?}", report.errors);
         assert_eq!(
             report.warnings,
-            vec![ValidateWarning::UnreadNet { net: "unread".into() }]
+            vec![ValidateWarning::UnreadNet {
+                net: "unread".into()
+            }]
         );
         // validate() still reports only the first failure.
-        assert!(matches!(m.validate(), Err(ValidateError::MultipleDrivers { .. })));
+        assert!(matches!(
+            m.validate(),
+            Err(ValidateError::MultipleDrivers { .. })
+        ));
         // The rendering carries both severities.
         let text = report.render();
         assert!(text.contains("error: net y has multiple drivers"));
@@ -578,7 +604,10 @@ mod tests {
         m.add_reg(q, ea2, Value::from_u64(1, 0));
         let report = m.validate_all();
         assert!(report.is_clean());
-        assert_eq!(report.warnings, vec![ValidateWarning::UnreadNet { net: "q".into() }]);
+        assert_eq!(
+            report.warnings,
+            vec![ValidateWarning::UnreadNet { net: "q".into() }]
+        );
         assert!(m.validate().is_ok(), "warnings must not fail validate()");
     }
 
@@ -620,7 +649,11 @@ mod tests {
         let y = m.add_port("y", PortDir::Output, 1);
         let mut conns = BTreeMap::new();
         conns.insert("o".to_string(), Conn::Out(y));
-        m.add_instance(Instance { module: "sub".into(), name: "u".into(), conns });
+        m.add_instance(Instance {
+            module: "sub".into(),
+            name: "u".into(),
+            conns,
+        });
         let drivers = m.drivers().unwrap();
         assert_eq!(drivers.get(&y), Some(&Driver::InstanceOut(0)));
     }

@@ -34,12 +34,18 @@ impl Value {
     ///
     /// Zero-width values are permitted and behave as the empty bit string.
     pub fn zero(width: u32) -> Self {
-        Value { width, words: vec![0; words_for(width)] }
+        Value {
+            width,
+            words: vec![0; words_for(width)],
+        }
     }
 
     /// Creates an all-ones value of the given width.
     pub fn ones(width: u32) -> Self {
-        let mut v = Value { width, words: vec![!0u64; words_for(width)] };
+        let mut v = Value {
+            width,
+            words: vec![!0u64; words_for(width)],
+        };
         v.mask_top();
         v
     }
@@ -90,7 +96,11 @@ impl Value {
     ///
     /// Panics if `i >= width`.
     pub fn bit(&self, i: u32) -> bool {
-        assert!(i < self.width, "bit index {i} out of range for width {}", self.width);
+        assert!(
+            i < self.width,
+            "bit index {i} out of range for width {}",
+            self.width
+        );
         (self.words[(i / 64) as usize] >> (i % 64)) & 1 == 1
     }
 
@@ -100,7 +110,11 @@ impl Value {
     ///
     /// Panics if `i >= width`.
     pub fn set_bit(&mut self, i: u32, b: bool) {
-        assert!(i < self.width, "bit index {i} out of range for width {}", self.width);
+        assert!(
+            i < self.width,
+            "bit index {i} out of range for width {}",
+            self.width
+        );
         let w = (i / 64) as usize;
         let m = 1u64 << (i % 64);
         if b {
@@ -165,7 +179,11 @@ impl Value {
     ///
     /// Panics if `hi < lo` or `hi >= width`.
     pub fn slice(&self, hi: u32, lo: u32) -> Value {
-        assert!(hi >= lo && hi < self.width, "bad slice [{hi}:{lo}] of width {}", self.width);
+        assert!(
+            hi >= lo && hi < self.width,
+            "bad slice [{hi}:{lo}] of width {}",
+            self.width
+        );
         let mut out = Value::zero(hi - lo + 1);
         for i in lo..=hi {
             out.set_bit(i - lo, self.bit(i));
@@ -200,7 +218,10 @@ impl Value {
             .zip(&rhs.words)
             .map(|(a, b)| f(*a, *b))
             .collect();
-        let mut out = Value { width: self.width, words };
+        let mut out = Value {
+            width: self.width,
+            words,
+        };
         out.mask_top();
         out
     }

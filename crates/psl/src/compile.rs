@@ -28,7 +28,11 @@ pub struct PslCompileError {
 
 impl fmt::Display for PslCompileError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "PSL compile error in vunit {}: {}", self.vunit, self.message)
+        write!(
+            f,
+            "PSL compile error in vunit {}: {}",
+            self.vunit, self.message
+        )
     }
 }
 
@@ -93,7 +97,10 @@ enum ObKind {
 
 impl<'a> Compiler<'a> {
     fn err<T>(&self, m: impl Into<String>) -> Result<T, PslCompileError> {
-        Err(PslCompileError { vunit: self.unit.name.clone(), message: m.into() })
+        Err(PslCompileError {
+            vunit: self.unit.name.clone(),
+            message: m.into(),
+        })
     }
 
     fn run(mut self) -> Result<CompiledVUnit, PslCompileError> {
@@ -114,7 +121,11 @@ impl<'a> Compiler<'a> {
                 }
             }
         }
-        Ok(CompiledVUnit { module: self.m, asserts, assumes })
+        Ok(CompiledVUnit {
+            module: self.m,
+            asserts,
+            assumes,
+        })
     }
 
     /// Compiles a top-level property to its fail net.
@@ -166,9 +177,7 @@ impl<'a> Compiler<'a> {
             Prop::Next(k, i) => Prop::Next(*k, Box::new(self.resolve(i)?)),
             Prop::Implies(b, i) => Prop::Implies(b.clone(), Box::new(self.resolve(i)?)),
             Prop::Abort(i, b) => Prop::Abort(Box::new(self.resolve(i)?), b.clone()),
-            Prop::And(a, b) => {
-                Prop::And(Box::new(self.resolve(a)?), Box::new(self.resolve(b)?))
-            }
+            Prop::And(a, b) => Prop::And(Box::new(self.resolve(a)?), Box::new(self.resolve(b)?)),
             other => other.clone(),
         })
     }
@@ -185,7 +194,12 @@ impl<'a> Compiler<'a> {
         match p {
             Prop::Bool(b) => {
                 let e = self.bexpr_bool(b)?;
-                out.push(Obligation { guards, delay, kind: ObKind::Bool(e), aborts });
+                out.push(Obligation {
+                    guards,
+                    delay,
+                    kind: ObKind::Bool(e),
+                    aborts,
+                });
                 Ok(())
             }
             Prop::Never(inner) => {
@@ -194,7 +208,12 @@ impl<'a> Compiler<'a> {
                     Prop::Bool(b) => {
                         let e = self.bexpr_bool(b)?;
                         let ne = self.m.arena.add(Expr::Not(e));
-                        out.push(Obligation { guards, delay, kind: ObKind::Bool(ne), aborts });
+                        out.push(Obligation {
+                            guards,
+                            delay,
+                            kind: ObKind::Bool(ne),
+                            aborts,
+                        });
                         Ok(())
                     }
                     _ => self.err("'never' takes a boolean"),
@@ -214,7 +233,12 @@ impl<'a> Compiler<'a> {
             Prop::Until(b1, b2) => {
                 let e1 = self.bexpr_bool(b1)?;
                 let e2 = self.bexpr_bool(b2)?;
-                out.push(Obligation { guards, delay, kind: ObKind::Until(e1, e2), aborts });
+                out.push(Obligation {
+                    guards,
+                    delay,
+                    kind: ObKind::Until(e1, e2),
+                    aborts,
+                });
                 Ok(())
             }
             Prop::Abort(inner, b) => {
@@ -479,7 +503,11 @@ mod tests {
         let sa = m.sig(a);
         // next A: if EC inject ED else rotate-ish update that keeps parity:
         // xor with input parity-neutral function; simplest: A stays.
-        let next_a = m.arena.add(Expr::Mux { cond: sec, then_: sed, else_: sa });
+        let next_a = m.arena.add(Expr::Mux {
+            cond: sec,
+            then_: sed,
+            else_: sa,
+        });
         m.add_reg(a, next_a, Value::from_u64(4, 0b1000));
         // Check1 (combinational on state A): fires the cycle after an
         // injection corrupted A. Check2 (registered input check): fires the
@@ -601,7 +629,10 @@ vunit M_soundness (M) {
         let cv = compile_vunit(&units[0], &m).unwrap();
         let reports = run_monitor(&cv, &[("I", 0b0001), ("EC", 1), ("ED", 0b0011)], 4);
         // EC=1 with even-parity ED from cycle 0: fail at cycle 1.
-        assert!(reports[1]["fail_pCheck1"], "broken design must fail pCheck1");
+        assert!(
+            reports[1]["fail_pCheck1"],
+            "broken design must fail pCheck1"
+        );
     }
 
     #[test]
@@ -646,7 +677,10 @@ vunit M_soundness (M) {
         let units = parse_psl("vunit v (M) { assert always (a -> next y); }").unwrap();
         let cv = compile_vunit(&units[0], &m).unwrap();
         let reports = run_monitor(&cv, &[("a", 1)], 4);
-        assert!(reports[1].values().any(|v| *v), "late y must fail next[1] check");
+        assert!(
+            reports[1].values().any(|v| *v),
+            "late y must fail next[1] check"
+        );
     }
 
     #[test]
@@ -664,11 +698,12 @@ vunit M_soundness (M) {
             parse_psl("vunit v (M) { assert always (req -> next (busy until done)); }").unwrap();
         let cv = compile_vunit(&units[0], &m).unwrap();
         // Good trace: req at 0; busy 1..2; done at 3.
-        let lowered_inputs = |reqv: &[u64], busyv: &[u64], donev: &[u64]| -> Vec<Vec<(&str, u64)>> {
-            (0..reqv.len())
-                .map(|k| vec![("req", reqv[k]), ("busy", busyv[k]), ("done", donev[k])])
-                .collect()
-        };
+        let lowered_inputs =
+            |reqv: &[u64], busyv: &[u64], donev: &[u64]| -> Vec<Vec<(&str, u64)>> {
+                (0..reqv.len())
+                    .map(|k| vec![("req", reqv[k]), ("busy", busyv[k]), ("done", donev[k])])
+                    .collect()
+            };
         let run = |frames: Vec<Vec<(&str, u64)>>| -> Vec<bool> {
             let lowered = cv.module.to_aig().unwrap();
             let mut aig = lowered.aig.clone();
@@ -688,14 +723,20 @@ vunit M_soundness (M) {
                     f
                 })
                 .collect();
-            aig.simulate(&seq).into_iter().map(|r| r.outputs[base]).collect()
+            aig.simulate(&seq)
+                .into_iter()
+                .map(|r| r.outputs[base])
+                .collect()
         };
         let good = run(lowered_inputs(
             &[1, 0, 0, 0, 0],
             &[0, 1, 1, 0, 0],
             &[0, 0, 0, 1, 0],
         ));
-        assert!(good.iter().all(|f| !f), "good trace must not fail: {good:?}");
+        assert!(
+            good.iter().all(|f| !f),
+            "good trace must not fail: {good:?}"
+        );
         // Bad trace: busy drops at cycle 2 without done.
         let bad = run(lowered_inputs(
             &[1, 0, 0, 0, 0],

@@ -28,8 +28,14 @@ impl Error for PslParseError {}
 ///
 /// Returns a [`PslParseError`] with line information on malformed input.
 pub fn parse_psl(src: &str) -> Result<Vec<VUnit>, PslParseError> {
-    let tokens = lex(src).map_err(|e| PslParseError { message: e.message, line: e.line })?;
-    let mut p = P { toks: tokens, pos: 0 };
+    let tokens = lex(src).map_err(|e| PslParseError {
+        message: e.message,
+        line: e.line,
+    })?;
+    let mut p = P {
+        toks: tokens,
+        pos: 0,
+    };
     let mut units = Vec::new();
     while !p.at_eof() {
         units.push(p.vunit()?);
@@ -64,7 +70,10 @@ impl P {
     }
 
     fn err<T>(&self, m: impl Into<String>) -> Result<T, PslParseError> {
-        Err(PslParseError { message: m.into(), line: self.line() })
+        Err(PslParseError {
+            message: m.into(),
+            line: self.line(),
+        })
     }
 
     fn expect_punct(&mut self, p: &str) -> Result<(), PslParseError> {
@@ -124,7 +133,12 @@ impl P {
         let module = self.ident()?;
         self.expect_punct(")")?;
         self.expect_punct("{")?;
-        let mut unit = VUnit { name, module, properties: Vec::new(), directives: Vec::new() };
+        let mut unit = VUnit {
+            name,
+            module,
+            properties: Vec::new(),
+            directives: Vec::new(),
+        };
         let mut anon = 0usize;
         loop {
             if self.eat_punct("}") {
@@ -247,7 +261,8 @@ impl P {
             return Ok(Prop::Next(k, Box::new(p)));
         }
         if self.eat_kw("eventually") {
-            return self.err("liveness operator 'eventually!' is outside the supported safety subset");
+            return self
+                .err("liveness operator 'eventually!' is outside the supported safety subset");
         }
         // `(` could open a property or a boolean expression: try property
         // first (backtracking on pure-boolean results that continue as
@@ -293,7 +308,11 @@ impl P {
     fn is_bool_continuation(&self) -> bool {
         matches!(
             self.peek(),
-            Tok::Punct("&") | Tok::Punct("|") | Tok::Punct("^") | Tok::Punct("==") | Tok::Punct("!=")
+            Tok::Punct("&")
+                | Tok::Punct("|")
+                | Tok::Punct("^")
+                | Tok::Punct("==")
+                | Tok::Punct("!=")
         )
     }
 
@@ -376,7 +395,8 @@ impl P {
                 self.bump();
                 // Unsized numbers in the boolean layer: 0 and 1 are 1-bit.
                 if n > 1 {
-                    return self.err("unsized literals other than 0/1 are not allowed in PSL expressions");
+                    return self
+                        .err("unsized literals other than 0/1 are not allowed in PSL expressions");
                 }
                 Ok(BExpr::Const(1, n))
             }

@@ -76,7 +76,7 @@ impl<'a> CnfBuilder<'a> {
         let mut frame = Frame::default();
         let t = self.true_lit();
         frame.map.insert(AVar(0), !t); // constant false node
-        // Inputs: fresh variables.
+                                       // Inputs: fresh variables.
         for (var, _name) in aig.inputs() {
             let l = Lit::pos(self.solver.new_var());
             frame.map.insert(*var, l);
@@ -184,7 +184,11 @@ mod tests {
             }
             let lroot = frame.lit(root);
             assumptions.push(if want { lroot } else { !lroot });
-            assert_eq!(s.solve(&assumptions), SolveResult::Sat, "assignment {assignment:04b}");
+            assert_eq!(
+                s.solve(&assumptions),
+                SolveResult::Sat,
+                "assignment {assignment:04b}"
+            );
             // And the opposite value must be UNSAT.
             *assumptions.last_mut().unwrap() = if want { !lroot } else { lroot };
             assert_eq!(s.solve(&assumptions), SolveResult::Unsat);

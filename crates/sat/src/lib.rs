@@ -89,7 +89,12 @@ impl std::ops::Not for Lit {
 
 impl fmt::Debug for Lit {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}x{}", if self.is_neg() { "!" } else { "" }, self.var().0)
+        write!(
+            f,
+            "{}x{}",
+            if self.is_neg() { "!" } else { "" },
+            self.var().0
+        )
     }
 }
 

@@ -472,7 +472,10 @@ impl Solver {
                 debug_assert_eq!(self.arena[lits + 1], false_lit.0);
                 let first = Lit(self.arena[lits]);
                 if first != w.blocker && self.values[first.index()] == Assign::True {
-                    ws[i] = Watcher { cref, blocker: first };
+                    ws[i] = Watcher {
+                        cref,
+                        blocker: first,
+                    };
                     i += 1;
                     continue;
                 }
@@ -481,13 +484,19 @@ impl Solver {
                     let lk = Lit(self.arena[k]);
                     if self.values[lk.index()] != Assign::False {
                         self.arena.swap(lits + 1, k);
-                        self.watches[(!lk).index()].push(Watcher { cref, blocker: first });
+                        self.watches[(!lk).index()].push(Watcher {
+                            cref,
+                            blocker: first,
+                        });
                         ws.swap_remove(i);
                         continue 'watchers;
                     }
                 }
                 // No new watch: clause is unit or conflicting.
-                ws[i] = Watcher { cref, blocker: first };
+                ws[i] = Watcher {
+                    cref,
+                    blocker: first,
+                };
                 i += 1;
                 if self.values[first.index()] == Assign::False {
                     // Conflict: keep remaining watchers, stop.
@@ -1027,7 +1036,11 @@ mod tests {
                 s.add_clause(c);
             }
             let got = s.solve(&[]);
-            let want = if bf_sat { SolveResult::Sat } else { SolveResult::Unsat };
+            let want = if bf_sat {
+                SolveResult::Sat
+            } else {
+                SolveResult::Unsat
+            };
             assert_eq!(got, want, "iteration {iter} clauses {clauses:?}");
             if got == SolveResult::Sat {
                 // Verify the model.
@@ -1297,7 +1310,10 @@ mod tests {
             }
         }
         assert!(rescales > 100, "only {rescales} rescales");
-        assert!(unbumped_bumps > 1000, "only {unbumped_bumps} bumps left the zero tier");
+        assert!(
+            unbumped_bumps > 1000,
+            "only {unbumped_bumps} bumps left the zero tier"
+        );
     }
 
     #[test]
@@ -1351,6 +1367,9 @@ mod tests {
     #[test]
     fn luby_sequence_prefix() {
         let seq: Vec<f64> = (0..15).map(luby).collect();
-        assert_eq!(seq, vec![1., 1., 2., 1., 1., 2., 4., 1., 1., 2., 1., 1., 2., 4., 8.]);
+        assert_eq!(
+            seq,
+            vec![1., 1., 2., 1., 1., 2., 4., 1., 1., 2., 1., 1., 2., 4., 8.]
+        );
     }
 }

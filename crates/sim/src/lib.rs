@@ -68,7 +68,10 @@ impl fmt::Display for SimError {
             SimError::UnknownNet(n) => write!(f, "unknown net '{n}'"),
             SimError::NotAnInput(n) => write!(f, "net '{n}' is not a primary input"),
             SimError::WidthMismatch { net, expected, got } => {
-                write!(f, "poke of '{net}': value width {got}, net width {expected}")
+                write!(
+                    f,
+                    "poke of '{net}': value width {got}, net width {expected}"
+                )
             }
         }
     }
@@ -114,7 +117,13 @@ impl<'m> Simulator<'m> {
         m.validate()?;
         let schedule = m.comb_schedule()?;
         let values = m.nets.iter().map(|n| Value::zero(n.width)).collect();
-        let mut sim = Simulator { m, schedule, values, cycle: 0, dirty: true };
+        let mut sim = Simulator {
+            m,
+            schedule,
+            values,
+            cycle: 0,
+            dirty: true,
+        };
         sim.reset();
         Ok(sim)
     }
@@ -221,7 +230,10 @@ impl<'m> Simulator<'m> {
             .iter()
             .map(|r| {
                 let values = &self.values;
-                (r.q, self.m.arena.eval(r.next, &|n| values[n.0 as usize].clone()))
+                (
+                    r.q,
+                    self.m.arena.eval(r.next, &|n| values[n.0 as usize].clone()),
+                )
             })
             .collect();
         for (q, v) in nexts {
@@ -285,7 +297,11 @@ mod tests {
         let one = m.lit(4, 1);
         let inc = m.arena.add(Expr::Add(sq, one));
         let sen = m.sig(en);
-        let nxt = m.arena.add(Expr::Mux { cond: sen, then_: inc, else_: sq });
+        let nxt = m.arena.add(Expr::Mux {
+            cond: sen,
+            then_: inc,
+            else_: sq,
+        });
         m.add_reg(q, nxt, Value::from_u64(4, 0));
         let sq2 = m.sig(q);
         m.assign(y, sq2);
@@ -365,7 +381,11 @@ mod tests {
         let sq = m.sig(q);
         let sum = m.arena.add(Expr::Add(sq, sa));
         let gt = m.arena.add(Expr::Ult(sb, sa));
-        let nxt = m.arena.add(Expr::Mux { cond: gt, then_: sum, else_: sb });
+        let nxt = m.arena.add(Expr::Mux {
+            cond: gt,
+            then_: sum,
+            else_: sb,
+        });
         m.add_reg(q, nxt, Value::from_u64(8, 0));
         let sq2 = m.sig(q);
         m.assign(y, sq2);
@@ -377,7 +397,9 @@ mod tests {
         // Deterministic pseudo-random inputs.
         let mut state = 0xABCDu64;
         let mut rnd = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             state >> 33
         };
         let mut aig_inputs = Vec::new();
@@ -388,16 +410,23 @@ mod tests {
             sim.poke("a", Value::from_u64(8, av)).unwrap();
             sim.poke("b", Value::from_u64(8, bv)).unwrap();
             sim.settle();
-            expected.push((sim.peek("y").unwrap().to_u64(), sim.peek("p").unwrap().to_u64()));
+            expected.push((
+                sim.peek("y").unwrap().to_u64(),
+                sim.peek("p").unwrap().to_u64(),
+            ));
             sim.step();
             let mut frame = vec![false; lowered.aig.num_inputs()];
             let a_net = m.find_net("a").unwrap();
             let b_net = m.find_net("b").unwrap();
             for bit in 0..8 {
-                frame[lowered.aig.input_index(lowered.input_vars[&(a_net, bit)]).unwrap()] =
-                    av >> bit & 1 == 1;
-                frame[lowered.aig.input_index(lowered.input_vars[&(b_net, bit)]).unwrap()] =
-                    bv >> bit & 1 == 1;
+                frame[lowered
+                    .aig
+                    .input_index(lowered.input_vars[&(a_net, bit)])
+                    .unwrap()] = av >> bit & 1 == 1;
+                frame[lowered
+                    .aig
+                    .input_index(lowered.input_vars[&(b_net, bit)])
+                    .unwrap()] = bv >> bit & 1 == 1;
             }
             aig_inputs.push(frame);
         }

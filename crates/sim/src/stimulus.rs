@@ -29,7 +29,10 @@ pub struct UniformRandom {
 impl UniformRandom {
     /// Creates a generator with a deterministic seed.
     pub fn new(seed: u64) -> Self {
-        UniformRandom { rng: StdRng::seed_from_u64(seed), pinned: Vec::new() }
+        UniformRandom {
+            rng: StdRng::seed_from_u64(seed),
+            pinned: Vec::new(),
+        }
     }
 
     /// Pins a named input to a fixed value (checked at drive time).
@@ -84,9 +87,13 @@ pub fn detection_latency<S: Stimulus>(
     mut predicate: impl FnMut(&Simulator<'_>) -> bool,
 ) -> Option<u64> {
     let mut sim = Simulator::new(module).expect("module must be simulatable");
-    sim.run_with(stim, max_cycles, |s| if predicate(s) { Some(()) } else { None })
-        .expect("stimulus drove a non-input net")
-        .map(|(cycle, ())| cycle)
+    sim.run_with(
+        stim,
+        max_cycles,
+        |s| if predicate(s) { Some(()) } else { None },
+    )
+    .expect("stimulus drove a non-input net")
+    .map(|(cycle, ())| cycle)
 }
 
 #[cfg(test)]
@@ -148,9 +155,7 @@ mod tests {
         let m = parity_module();
         let mut stim = UniformRandom::new(42).pin("d", Value::from_u64(8, 0x01));
         // Odd parity pinned: he stays 0.
-        let lat = detection_latency(&m, &mut stim, 200, |s| {
-            s.peek("he").unwrap().to_u64() == 1
-        });
+        let lat = detection_latency(&m, &mut stim, 200, |s| s.peek("he").unwrap().to_u64() == 1);
         assert_eq!(lat, None);
     }
 }

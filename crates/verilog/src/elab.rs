@@ -29,7 +29,11 @@ pub struct ElabError {
 
 impl fmt::Display for ElabError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "elaboration error in module {}: {}", self.module, self.message)
+        write!(
+            f,
+            "elaboration error in module {}: {}",
+            self.module, self.message
+        )
     }
 }
 
@@ -96,7 +100,10 @@ struct Header {
 
 /// Computes the port list and implicit clock/reset of a module declaration.
 fn module_header(md: &ModuleDecl, globals: &Globals) -> Result<Header, ElabError> {
-    let err = |m: &str| ElabError { module: md.name.clone(), message: m.to_string() };
+    let err = |m: &str| ElabError {
+        module: md.name.clone(),
+        message: m.to_string(),
+    };
     let params = fold_params(md)?;
     let mut clock = None;
     let mut reset = None;
@@ -135,12 +142,17 @@ fn module_header(md: &ModuleDecl, globals: &Globals) -> Result<Header, ElabError
                         }
                     }
                 }
-                found.ok_or_else(|| err(&format!("port {} has no direction declaration", p.name)))?
+                found
+                    .ok_or_else(|| err(&format!("port {} has no direction declaration", p.name)))?
             }
         };
         out.push((p.name.clone(), dir, width));
     }
-    Ok(Header { ports: out, clock, reset })
+    Ok(Header {
+        ports: out,
+        clock,
+        reset,
+    })
 }
 
 fn conv_dir(d: Dir) -> PortDir {
@@ -166,11 +178,17 @@ fn range_width(
     msb: &AstExpr,
     lsb: &AstExpr,
 ) -> Result<u32, ElabError> {
-    let err = |m: String| ElabError { module: md.name.clone(), message: m };
+    let err = |m: String| ElabError {
+        module: md.name.clone(),
+        message: m,
+    };
     let msb = const_eval(md, params, msb)?;
     let lsb = const_eval(md, params, lsb)?;
     if lsb != 0 {
-        return Err(err(format!("range [{}:{}]: only [w-1:0] ranges are supported", msb, lsb)));
+        return Err(err(format!(
+            "range [{}:{}]: only [w-1:0] ranges are supported",
+            msb, lsb
+        )));
     }
     Ok((msb + 1) as u32)
 }
@@ -181,7 +199,10 @@ fn const_eval(
     params: &BTreeMap<String, u64>,
     e: &AstExpr,
 ) -> Result<u64, ElabError> {
-    let err = |m: String| ElabError { module: md.name.clone(), message: m };
+    let err = |m: String| ElabError {
+        module: md.name.clone(),
+        message: m,
+    };
     Ok(match e {
         AstExpr::Number(n) => *n,
         AstExpr::Sized(_, v) => *v,
@@ -196,7 +217,9 @@ fn const_eval(
                 "+" => a.wrapping_add(b),
                 "-" => a.wrapping_sub(b),
                 "*" => a.wrapping_mul(b),
-                "/" => a.checked_div(b).ok_or_else(|| err("division by zero".into()))?,
+                "/" => a
+                    .checked_div(b)
+                    .ok_or_else(|| err("division by zero".into()))?,
                 "<<" => a << b,
                 ">>" => a >> b,
                 _ => return Err(err(format!("operator '{op}' not allowed in constants"))),
@@ -240,7 +263,10 @@ impl<'a> ModuleElab<'a> {
     }
 
     fn err<T>(&self, m: impl Into<String>) -> Result<T, ElabError> {
-        Err(ElabError { module: self.md.name.clone(), message: m.into() })
+        Err(ElabError {
+            module: self.md.name.clone(),
+            message: m.into(),
+        })
     }
 
     fn run(mut self) -> Result<Module, ElabError> {
@@ -251,24 +277,32 @@ impl<'a> ModuleElab<'a> {
                     None => self.clock = Some(clock.clone()),
                     Some(c) if c == clock => {}
                     Some(c) => {
-                        return self.err(format!("multiple clocks: {c} and {clock} (single clock domain only)"))
+                        return self.err(format!(
+                            "multiple clocks: {c} and {clock} (single clock domain only)"
+                        ))
                     }
                 }
                 if let Some(r) = reset {
                     match &self.reset {
                         None => self.reset = Some(r.clone()),
                         Some(r0) if r0 == r => {}
-                        Some(r0) => {
-                            return self.err(format!("multiple resets: {r0} and {r}"))
-                        }
+                        Some(r0) => return self.err(format!("multiple resets: {r0} and {r}")),
                     }
                 }
             }
         }
-        if let Some(c) = self.clock.clone().or_else(|| self.globals.clocks.iter().next().cloned()) {
+        if let Some(c) = self
+            .clock
+            .clone()
+            .or_else(|| self.globals.clocks.iter().next().cloned())
+        {
             self.m.attrs.insert("clock".into(), c);
         }
-        if let Some(r) = self.reset.clone().or_else(|| self.globals.resets.iter().next().cloned()) {
+        if let Some(r) = self
+            .reset
+            .clone()
+            .or_else(|| self.globals.resets.iter().next().cloned())
+        {
             self.m.attrs.insert("reset".into(), r);
         }
         // Declare ports (clock/reset are implicit in the IR and were
@@ -333,13 +367,10 @@ impl<'a> ModuleElab<'a> {
     }
 
     fn net_of(&self, name: &str) -> Result<NetId, ElabError> {
-        self.nets
-            .get(name)
-            .copied()
-            .ok_or_else(|| ElabError {
-                module: self.md.name.clone(),
-                message: format!("undeclared identifier '{name}'"),
-            })
+        self.nets.get(name).copied().ok_or_else(|| ElabError {
+            module: self.md.name.clone(),
+            message: format!("undeclared identifier '{name}'"),
+        })
     }
 
     fn whole_target(&mut self, t: &Target) -> Result<(NetId, u32), ElabError> {
@@ -464,7 +495,11 @@ impl<'a> ModuleElab<'a> {
                 };
                 self.merge(cond, env_t, env_e, &env)
             }
-            Stmt::Case { sel, items, default } => {
+            Stmt::Case {
+                sel,
+                items,
+                default,
+            } => {
                 // Lower to an if-else chain, last item innermost.
                 let read = if blocking { env.clone() } else { Env::new() };
                 let base_env = match default {
@@ -613,8 +648,7 @@ impl<'a> ModuleElab<'a> {
         base: &Env,
     ) -> Result<Env, ElabError> {
         let mut out = Env::new();
-        let keys: std::collections::BTreeSet<&String> =
-            env_t.keys().chain(env_e.keys()).collect();
+        let keys: std::collections::BTreeSet<&String> = env_t.keys().chain(env_e.keys()).collect();
         for k in keys {
             let t = env_t.get(k).or_else(|| base.get(k));
             let e = env_e.get(k).or_else(|| base.get(k));
@@ -623,7 +657,11 @@ impl<'a> ModuleElab<'a> {
                     if t == e {
                         t
                     } else {
-                        self.m.arena.add(Expr::Mux { cond, then_: t, else_: e })
+                        self.m.arena.add(Expr::Mux {
+                            cond,
+                            then_: t,
+                            else_: e,
+                        })
                     }
                 }
                 _ => {
@@ -676,9 +714,8 @@ impl<'a> ModuleElab<'a> {
                         conns.insert(port.clone(), Conn::Out(net));
                     }
                     _ => {
-                        return self.err(format!(
-                            "output port '{port}' must connect to a plain net"
-                        ))
+                        return self
+                            .err(format!("output port '{port}' must connect to a plain net"))
                     }
                 },
             }
@@ -727,43 +764,45 @@ impl<'a> ModuleElab<'a> {
                 self.m.arena.add(Expr::Const(Value::from_u64(w, *n)))
             }
             AstExpr::Sized(w, v) => self.m.arena.add(Expr::Const(Value::from_u64(*w, *v))),
-            AstExpr::Unary(op, a) => {
-                match *op {
-                    "~" => {
-                        let x = self.expr(a, ctx, env)?;
-                        self.m.arena.add(Expr::Not(x))
-                    }
-                    "!" => {
-                        let x = self.expr(a, None, env)?;
-                        let r = self.m.arena.add(Expr::RedOr(x));
-                        self.m.arena.add(Expr::Not(r))
-                    }
-                    "&" => {
-                        let x = self.expr(a, None, env)?;
-                        self.m.arena.add(Expr::RedAnd(x))
-                    }
-                    "|" => {
-                        let x = self.expr(a, None, env)?;
-                        self.m.arena.add(Expr::RedOr(x))
-                    }
-                    "^" => {
-                        let x = self.expr(a, None, env)?;
-                        self.m.arena.add(Expr::RedXor(x))
-                    }
-                    "-" => {
-                        let x = self.expr(a, ctx, env)?;
-                        let w = self.m.arena.width(x);
-                        let z = self.m.arena.add(Expr::Const(Value::zero(w)));
-                        self.m.arena.add(Expr::Sub(z, x))
-                    }
-                    other => return self.err(format!("unsupported unary operator '{other}'")),
+            AstExpr::Unary(op, a) => match *op {
+                "~" => {
+                    let x = self.expr(a, ctx, env)?;
+                    self.m.arena.add(Expr::Not(x))
                 }
-            }
+                "!" => {
+                    let x = self.expr(a, None, env)?;
+                    let r = self.m.arena.add(Expr::RedOr(x));
+                    self.m.arena.add(Expr::Not(r))
+                }
+                "&" => {
+                    let x = self.expr(a, None, env)?;
+                    self.m.arena.add(Expr::RedAnd(x))
+                }
+                "|" => {
+                    let x = self.expr(a, None, env)?;
+                    self.m.arena.add(Expr::RedOr(x))
+                }
+                "^" => {
+                    let x = self.expr(a, None, env)?;
+                    self.m.arena.add(Expr::RedXor(x))
+                }
+                "-" => {
+                    let x = self.expr(a, ctx, env)?;
+                    let w = self.m.arena.width(x);
+                    let z = self.m.arena.add(Expr::Const(Value::zero(w)));
+                    self.m.arena.add(Expr::Sub(z, x))
+                }
+                other => return self.err(format!("unsupported unary operator '{other}'")),
+            },
             AstExpr::Binary(op, a, b) => self.binary(op, a, b, ctx, env)?,
             AstExpr::Ternary(c, t, f) => {
                 let cond = self.expr_bool(c, env)?;
                 let (t, f) = self.same_width_pair(t, f, ctx, env)?;
-                self.m.arena.add(Expr::Mux { cond, then_: t, else_: f })
+                self.m.arena.add(Expr::Mux {
+                    cond,
+                    then_: t,
+                    else_: f,
+                })
             }
             AstExpr::Concat(parts) => {
                 let ps: Vec<ExprId> = parts
@@ -792,7 +831,9 @@ impl<'a> ModuleElab<'a> {
                 let lsb = const_eval(self.md, &self.params, lsb)? as u32;
                 let w = self.m.arena.width(x);
                 if msb >= w || lsb > msb {
-                    return self.err(format!("part select [{msb}:{lsb}] out of range (width {w})"));
+                    return self.err(format!(
+                        "part select [{msb}:{lsb}] out of range (width {w})"
+                    ));
                 }
                 self.m.arena.add(Expr::Slice(x, msb, lsb))
             }

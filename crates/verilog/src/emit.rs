@@ -22,10 +22,9 @@ pub fn emit_design(design: &Design) -> String {
                 continue;
             }
             let m = design.module(n).expect("listed module exists");
-            let ready = m
-                .instances
-                .iter()
-                .all(|i| emitted.contains(&i.module.as_str()) || design.module(&i.module).is_none());
+            let ready = m.instances.iter().all(|i| {
+                emitted.contains(&i.module.as_str()) || design.module(&i.module).is_none()
+            });
             if ready {
                 emitted.push(n);
                 progressed = true;
@@ -57,15 +56,29 @@ struct Emitter<'a> {
 
 impl<'a> Emitter<'a> {
     fn new(m: &'a Module, design: Option<&'a Design>) -> Self {
-        Emitter { m, design, aux: Vec::new(), aux_count: 0, rendered: BTreeMap::new() }
+        Emitter {
+            m,
+            design,
+            aux: Vec::new(),
+            aux_count: 0,
+            rendered: BTreeMap::new(),
+        }
     }
 
     fn clock_name(&self) -> String {
-        self.m.attrs.get("clock").cloned().unwrap_or_else(|| "CK".to_string())
+        self.m
+            .attrs
+            .get("clock")
+            .cloned()
+            .unwrap_or_else(|| "CK".to_string())
     }
 
     fn reset_name(&self) -> String {
-        self.m.attrs.get("reset").cloned().unwrap_or_else(|| "RESET".to_string())
+        self.m
+            .attrs
+            .get("reset")
+            .cloned()
+            .unwrap_or_else(|| "RESET".to_string())
     }
 
     fn needs_clock(&self) -> bool {
@@ -93,7 +106,11 @@ impl<'a> Emitter<'a> {
             if port_nets.contains(&id) {
                 continue;
             }
-            let kw = if reg_nets.contains(&id) { "reg " } else { "wire" };
+            let kw = if reg_nets.contains(&id) {
+                "reg "
+            } else {
+                "wire"
+            };
             let range = range_str(net.width);
             let _ = writeln!(body, "  {kw} {range}{};", net.name);
         }
@@ -126,9 +143,16 @@ impl<'a> Emitter<'a> {
             if let Some(d) = self.design {
                 if let Some(child) = d.module(&inst.module) {
                     if !child.regs.is_empty() || module_needs_clock_rec(child, d) {
-                        let cck = child.attrs.get("clock").cloned().unwrap_or_else(|| "CK".into());
-                        let crst =
-                            child.attrs.get("reset").cloned().unwrap_or_else(|| "RESET".into());
+                        let cck = child
+                            .attrs
+                            .get("clock")
+                            .cloned()
+                            .unwrap_or_else(|| "CK".into());
+                        let crst = child
+                            .attrs
+                            .get("reset")
+                            .cloned()
+                            .unwrap_or_else(|| "RESET".into());
                         lines.push(format!("    .{cck}({ck})"));
                         lines.push(format!("    .{crst}({rst})"));
                     }

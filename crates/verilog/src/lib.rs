@@ -109,12 +109,10 @@ endmodule
         // Error injection tie-off: EC tied to zero constant.
         let inst = &a.instances[0];
         match inst.conns.get("I_ERR_INJ_C") {
-            Some(veridic_netlist::Conn::In(e)) => {
-                match a.arena.node(*e) {
-                    veridic_netlist::Expr::Const(v) => assert!(v.is_zero()),
-                    other => panic!("expected constant tie-off, got {other:?}"),
-                }
-            }
+            Some(veridic_netlist::Conn::In(e)) => match a.arena.node(*e) {
+                veridic_netlist::Expr::Const(v) => assert!(v.is_zero()),
+                other => panic!("expected constant tie-off, got {other:?}"),
+            },
             other => panic!("missing tie-off: {other:?}"),
         }
     }
@@ -129,7 +127,10 @@ endmodule
         assert_eq!(lowered.aig.num_latches(), 8);
         // Reset values: both regs init to 0b1000.
         let inits: Vec<bool> = lowered.aig.latches().iter().map(|l| l.init).collect();
-        assert_eq!(inits, vec![false, false, false, true, false, false, false, true]);
+        assert_eq!(
+            inits,
+            vec![false, false, false, true, false, false, false, true]
+        );
     }
 
     /// Emitting and re-parsing preserves module structure and semantics.
@@ -177,9 +178,9 @@ endmodule
         let lowered = m.to_aig().unwrap();
         // Exhaustive check of the decoder truth table.
         for s in 0..4u64 {
-            let rep = lowered.aig.simulate(&[
-                (0..2).map(|i| s >> i & 1 == 1).collect::<Vec<bool>>()
-            ]);
+            let rep = lowered
+                .aig
+                .simulate(&[(0..2).map(|i| s >> i & 1 == 1).collect::<Vec<bool>>()]);
             let y: u64 = rep[0]
                 .outputs
                 .iter()
@@ -250,8 +251,15 @@ endmodule
         let m = d.module("p").unwrap();
         m.validate().unwrap();
         let lowered = m.to_aig().unwrap();
-        let rep = lowered.aig.simulate(&[(0..8).map(|i| i == 0).collect::<Vec<bool>>()]);
-        let y: u64 = rep[0].outputs.iter().enumerate().map(|(i, b)| (*b as u64) << i).sum();
+        let rep = lowered
+            .aig
+            .simulate(&[(0..8).map(|i| i == 0).collect::<Vec<bool>>()]);
+        let y: u64 = rep[0]
+            .outputs
+            .iter()
+            .enumerate()
+            .map(|(i, b)| (*b as u64) << i)
+            .sum();
         assert_eq!(y, 1 << 4);
     }
 
@@ -279,7 +287,12 @@ endmodule
             vec![true, false, true, false],
             vec![false, false, false, false],
         ]);
-        let q1: u64 = rep[1].outputs.iter().enumerate().map(|(i, b)| (*b as u64) << i).sum();
+        let q1: u64 = rep[1]
+            .outputs
+            .iter()
+            .enumerate()
+            .map(|(i, b)| (*b as u64) << i)
+            .sum();
         assert_eq!(q1, 0b1000_0101);
     }
 }

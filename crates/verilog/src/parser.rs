@@ -24,7 +24,10 @@ impl Error for ParseError {}
 
 impl From<LexError> for ParseError {
     fn from(e: LexError) -> Self {
-        ParseError { message: e.message, line: e.line }
+        ParseError {
+            message: e.message,
+            line: e.line,
+        }
     }
 }
 
@@ -71,7 +74,10 @@ impl Parser {
     }
 
     fn err<T>(&self, msg: impl Into<String>) -> Result<T, ParseError> {
-        Err(ParseError { message: msg.into(), line: self.line() })
+        Err(ParseError {
+            message: msg.into(),
+            line: self.line(),
+        })
     }
 
     fn expect_punct(&mut self, p: &str) -> Result<(), ParseError> {
@@ -158,7 +164,11 @@ impl Parser {
                 m.ports.push(PortDecl {
                     name: pname,
                     dir: last_dir,
-                    range: if last_dir.is_some() { last_range.clone() } else { None },
+                    range: if last_dir.is_some() {
+                        last_range.clone()
+                    } else {
+                        None
+                    },
                 });
                 if !self.eat_punct(",") {
                     break;
@@ -270,7 +280,11 @@ impl Parser {
                 self.expect_punct(")")?;
             }
             self.expect_punct(";")?;
-            m.instances.push(InstanceDecl { module, name, conns });
+            m.instances.push(InstanceDecl {
+                module,
+                name,
+                conns,
+            });
             Ok(())
         }
     }
@@ -371,7 +385,11 @@ impl Parser {
                 let body = self.stmt()?;
                 items.push((labels, body));
             }
-            return Ok(Stmt::Case { sel, items, default });
+            return Ok(Stmt::Case {
+                sel,
+                items,
+                default,
+            });
         }
         // Assignment.
         let t = self.target()?;
@@ -441,15 +459,18 @@ impl Parser {
             if matches!(self.peek(), Tok::Punct(p) if *p == op) {
                 self.bump();
                 let e = self.unary()?;
-                return Ok(AstExpr::Unary(match op {
-                    "~" => "~",
-                    "!" => "!",
-                    "&" => "&",
-                    "|" => "|",
-                    "^" => "^",
-                    "-" => "-",
-                    _ => unreachable!(),
-                }, Box::new(e)));
+                return Ok(AstExpr::Unary(
+                    match op {
+                        "~" => "~",
+                        "!" => "!",
+                        "&" => "&",
+                        "|" => "|",
+                        "^" => "^",
+                        "-" => "-",
+                        _ => unreachable!(),
+                    },
+                    Box::new(e),
+                ));
             }
         }
         self.postfix()
@@ -639,7 +660,8 @@ endmodule
 
     #[test]
     fn ternary_parses() {
-        let src = "module m (input c, input [3:0] a, b, output [3:0] y); assign y = c ? a : b; endmodule";
+        let src =
+            "module m (input c, input [3:0] a, b, output [3:0] y); assign y = c ? a : b; endmodule";
         let m = &parse(src).unwrap().modules[0];
         assert!(matches!(m.assigns[0].1, AstExpr::Ternary(_, _, _)));
     }

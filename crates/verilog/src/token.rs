@@ -58,9 +58,9 @@ impl Error for LexError {}
 
 /// Multi-character operators, longest first.
 const PUNCTS: &[&str] = &[
-    "<<<", ">>>", "===", "!==", "<=", ">=", "==", "!=", "&&", "||", "<<", ">>", "->",
-    "(", ")", "[", "]", "{", "}", ",", ";", ":", ".", "#", "@", "=", "<", ">", "+",
-    "-", "*", "/", "%", "&", "|", "^", "~", "!", "?",
+    "<<<", ">>>", "===", "!==", "<=", ">=", "==", "!=", "&&", "||", "<<", ">>", "->", "(", ")",
+    "[", "]", "{", "}", ",", ";", ":", ".", "#", "@", "=", "<", ">", "+", "-", "*", "/", "%", "&",
+    "|", "^", "~", "!", "?",
 ];
 
 /// Tokenises Verilog source.
@@ -105,7 +105,10 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                         }
                         i += 1;
                     }
-                    return Err(LexError { message: "unterminated block comment".into(), line });
+                    return Err(LexError {
+                        message: "unterminated block comment".into(),
+                        line,
+                    });
                 }
                 _ => {}
             }
@@ -122,13 +125,18 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                     break;
                 }
             }
-            out.push(Token { kind: Tok::Ident(src[start..i].to_string()), line });
+            out.push(Token {
+                kind: Tok::Ident(src[start..i].to_string()),
+                line,
+            });
             continue;
         }
         // Numbers: `123`, `4'b1010`, `8'hff`, `'b0` (32-bit default).
         if c.is_ascii_digit() || c == '\'' {
             let start = i;
-            while i < bytes.len() && ((bytes[i] as char).is_ascii_digit() || bytes[i] as char == '_') {
+            while i < bytes.len()
+                && ((bytes[i] as char).is_ascii_digit() || bytes[i] as char == '_')
+            {
                 i += 1;
             }
             let head: String = src[start..i].chars().filter(|c| *c != '_').collect();
@@ -144,7 +152,10 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                 };
                 i += 1;
                 if i >= bytes.len() {
-                    return Err(LexError { message: "truncated sized literal".into(), line });
+                    return Err(LexError {
+                        message: "truncated sized literal".into(),
+                        line,
+                    });
                 }
                 let base = (bytes[i] as char).to_ascii_lowercase();
                 i += 1;
@@ -171,7 +182,10 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                 }
                 let digits: String = src[dstart..i].chars().filter(|c| *c != '_').collect();
                 if digits.is_empty() {
-                    return Err(LexError { message: "sized literal missing digits".into(), line });
+                    return Err(LexError {
+                        message: "sized literal missing digits".into(),
+                        line,
+                    });
                 }
                 let value = u64::from_str_radix(&digits, radix).map_err(|_| LexError {
                     message: format!("bad digits '{digits}' for base {radix}"),
@@ -183,27 +197,42 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                         line,
                     });
                 }
-                out.push(Token { kind: Tok::Sized(width, value), line });
+                out.push(Token {
+                    kind: Tok::Sized(width, value),
+                    line,
+                });
             } else {
                 let value: u64 = head.parse().map_err(|_| LexError {
                     message: format!("bad number {head}"),
                     line,
                 })?;
-                out.push(Token { kind: Tok::Number(value), line });
+                out.push(Token {
+                    kind: Tok::Number(value),
+                    line,
+                });
             }
             continue;
         }
         // Punctuation.
         for p in PUNCTS {
             if src[i..].starts_with(p) {
-                out.push(Token { kind: Tok::Punct(p), line });
+                out.push(Token {
+                    kind: Tok::Punct(p),
+                    line,
+                });
                 i += p.len();
                 continue 'outer;
             }
         }
-        return Err(LexError { message: format!("unexpected character '{c}'"), line });
+        return Err(LexError {
+            message: format!("unexpected character '{c}'"),
+            line,
+        });
     }
-    out.push(Token { kind: Tok::Eof, line });
+    out.push(Token {
+        kind: Tok::Eof,
+        line,
+    });
     Ok(out)
 }
 

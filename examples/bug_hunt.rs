@@ -12,9 +12,15 @@ use std::time::Instant;
 use veridic::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let chip = Chip::generate(&ChipConfig { scale: Scale::Small, with_bugs: true });
+    let chip = Chip::generate(&ChipConfig {
+        scale: Scale::Small,
+        with_bugs: true,
+    });
     let portfolio = Portfolio::default();
-    println!("{:<5} {:<28} {:<10} {:>14} {:>16}", "Bug", "Property type", "Formal", "Formal time", "Sim latency");
+    println!(
+        "{:<5} {:<28} {:<10} {:>14} {:>16}",
+        "Bug", "Property type", "Formal", "Formal time", "Sim latency"
+    );
     for (module_name, bug) in chip.bugs() {
         let module = chip.design().module(&module_name).expect("module exists");
 

@@ -15,7 +15,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let stages = 16;
     let module = demo_chain_module(stages);
     let vm = make_verifiable(&module)?;
-    println!("chain module: {stages} parity-propagating stages, {} latches", vm.module.state_bits());
+    println!(
+        "chain module: {stages} parity-propagating stages, {} latches",
+        vm.module.state_bits()
+    );
 
     let tight = CheckOptions::builder()
         .bdd_nodes(9_000)
@@ -55,7 +58,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n--- partitioned check (same budget) ---");
     let steps = partition_output_integrity(&vm, 0).map_err(std::io::Error::other)?;
     decomposition_is_acyclic(&steps, &vm.module).map_err(std::io::Error::other)?;
-    println!("  {} corns, assume-guarantee chain verified acyclic", steps.len());
+    println!(
+        "  {} corns, assume-guarantee chain verified acyclic",
+        steps.len()
+    );
     let run = run_partition(&steps, &tight);
     for (name, result) in &run.steps {
         let tag = match &result.verdict {

@@ -16,10 +16,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("=== leaf module: {} ===", module.name);
     println!(
         "  {} entities, {} input groups, {} output groups, HE[{}]",
-        plan.entities,
-        plan.in_groups,
-        plan.out_groups,
-        plan.he_bits
+        plan.entities, plan.in_groups, plan.out_groups, plan.he_bits
     );
 
     // The Verifiable-RTL transform: one injection selector per entity.

@@ -12,7 +12,11 @@ use veridic::prelude::*;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let scale = if args.iter().any(|a| a == "--full") { Scale::Full } else { Scale::Small };
+    let scale = if args.iter().any(|a| a == "--full") {
+        Scale::Full
+    } else {
+        Scale::Small
+    };
     let with_bugs = args.iter().any(|a| a == "--bugs");
 
     println!("generating chip (scale={scale:?}, bugs={with_bugs}) ...");
@@ -21,7 +25,11 @@ fn main() {
 
     println!("running formal campaign ...");
     let report = run_campaign(&chip, &CampaignConfig::default());
-    println!("  {} properties checked in {:?}", report.records.len(), report.total_time);
+    println!(
+        "  {} properties checked in {:?}",
+        report.records.len(),
+        report.total_time
+    );
     for (module, err) in &report.errors {
         println!("  ERROR {module}: {err}");
     }

@@ -40,16 +40,37 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // by the generator; here added by hand, playing the designer's role
     // of "releasing the specification of data integrity").
     let cs = module.find_net("cs").expect("cs");
-    module.net_mut(cs).attrs.insert("checkpoint.kind".into(), "entity".into());
-    module.net_mut(cs).attrs.insert("checkpoint.entity_kind".into(), "fsm".into());
-    module.net_mut(cs).attrs.insert("checkpoint.he_bit".into(), "0".into());
+    module
+        .net_mut(cs)
+        .attrs
+        .insert("checkpoint.kind".into(), "entity".into());
+    module
+        .net_mut(cs)
+        .attrs
+        .insert("checkpoint.entity_kind".into(), "fsm".into());
+    module
+        .net_mut(cs)
+        .attrs
+        .insert("checkpoint.he_bit".into(), "0".into());
     let i = module.find_net("I").expect("I");
-    module.net_mut(i).attrs.insert("checkpoint.kind".into(), "input_group".into());
-    module.net_mut(i).attrs.insert("checkpoint.he_bit".into(), "0".into());
+    module
+        .net_mut(i)
+        .attrs
+        .insert("checkpoint.kind".into(), "input_group".into());
+    module
+        .net_mut(i)
+        .attrs
+        .insert("checkpoint.he_bit".into(), "0".into());
     let o = module.find_net("O").expect("O");
-    module.net_mut(o).attrs.insert("checkpoint.kind".into(), "output_group".into());
+    module
+        .net_mut(o)
+        .attrs
+        .insert("checkpoint.kind".into(), "output_group".into());
     let he = module.find_net("HE").expect("HE");
-    module.net_mut(he).attrs.insert("checkpoint.kind".into(), "he".into());
+    module
+        .net_mut(he)
+        .attrs
+        .insert("checkpoint.kind".into(), "he".into());
 
     let vm = make_verifiable(&module)?;
     println!("=== Verifiable RTL (transform output) ===");
@@ -77,7 +98,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for idx in 0..compiled.asserts.len() {
             let mut stats = CheckStats::default();
             total += 1;
-            if portfolio.check_bad(&aig, idx, &CheckOptions::default(), &mut stats).is_proved() {
+            if portfolio
+                .check_bad(&aig, idx, &CheckOptions::default(), &mut stats)
+                .is_proved()
+            {
                 proved += 1;
             }
         }

@@ -66,7 +66,13 @@ fn arb_delta() -> BoxedStrategy<DeltaBdd> {
         let nodes: RawNodes = raw
             .iter()
             .enumerate()
-            .map(|(k, (var, lo, hi))| (*var, fold_ref(*lo, baseline + k), fold_ref(*hi, baseline + k)))
+            .map(|(k, (var, lo, hi))| {
+                (
+                    *var,
+                    fold_ref(*lo, baseline + k),
+                    fold_ref(*hi, baseline + k),
+                )
+            })
             .collect();
         let root = fold_ref(root, baseline + nodes.len());
         DeltaBdd::from_raw_parts(baseline, nodes, root, order)
@@ -84,8 +90,8 @@ fn arb_run_checkpoint() -> BoxedStrategy<RunCheckpoint> {
             collection::vec(collection::vec(97u8..123, 0..8), 0..3),
         ),
     )
-        .prop_map(|((bad_index, slot, reached), (frontier, depth, window_vars, reasons))| {
-            RunCheckpoint {
+        .prop_map(
+            |((bad_index, slot, reached), (frontier, depth, window_vars, reasons))| RunCheckpoint {
                 bad_index,
                 slot,
                 state: EngineCheckpoint::Reach(ReachCheckpoint {
@@ -99,13 +105,17 @@ fn arb_run_checkpoint() -> BoxedStrategy<RunCheckpoint> {
                     .into_iter()
                     .map(|b| String::from_utf8(b).expect("ascii bytes"))
                     .collect(),
-            }
-        })
+            },
+        )
         .boxed()
 }
 
 fn file_of(state: RunCheckpoint) -> CheckpointFile {
-    CheckpointFile { aig_fingerprint: 0x1234, options_fingerprint: 0x5678, state }
+    CheckpointFile {
+        aig_fingerprint: 0x1234,
+        options_fingerprint: 0x5678,
+        state,
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -204,12 +214,18 @@ fn wrong_fingerprints_are_typed_refusals() {
     let bytes = file_of(ck).encode();
     // Same bytes, resumed against a different chip: refused by name.
     match CheckpointFile::decode(&bytes, Some((0xdead, 0x5678))) {
-        Err(CodecError::AigFingerprint { expected: 0xdead, found: 0x1234 }) => {}
+        Err(CodecError::AigFingerprint {
+            expected: 0xdead,
+            found: 0x1234,
+        }) => {}
         other => panic!("expected AigFingerprint error, got {other:?}"),
     }
     // Same chip, different options: the *other* typed error.
     match CheckpointFile::decode(&bytes, Some((0x1234, 0xbeef))) {
-        Err(CodecError::OptionsFingerprint { expected: 0xbeef, found: 0x5678 }) => {}
+        Err(CodecError::OptionsFingerprint {
+            expected: 0xbeef,
+            found: 0x5678,
+        }) => {}
         other => panic!("expected OptionsFingerprint error, got {other:?}"),
     }
     // Unbound inspection still works on the same bytes.
@@ -218,14 +234,21 @@ fn wrong_fingerprints_are_typed_refusals() {
 
 #[test]
 fn journal_records_round_trip_and_reject_damage() {
-    let chip = Chip::generate(&ChipConfig { scale: Scale::Small, with_bugs: false });
+    let chip = Chip::generate(&ChipConfig {
+        scale: Scale::Small,
+        with_bugs: false,
+    });
     let mi = &chip.modules()[0];
     let (props, errors) = veridic::core::flow::module_properties(&chip, mi);
     assert!(errors.is_empty(), "module preparation failed: {errors:?}");
     let prop = &props[0];
     let mut stats = CheckStats::default();
-    let verdict =
-        Portfolio::default().check_bad(&prop.aig, prop.bad_index, &CheckOptions::default(), &mut stats);
+    let verdict = Portfolio::default().check_bad(
+        &prop.aig,
+        prop.bad_index,
+        &CheckOptions::default(),
+        &mut stats,
+    );
     let record = veridic::core::flow::record_from_result(
         prop,
         veridic::mc::CheckResult { verdict, stats },
@@ -233,11 +256,21 @@ fn journal_records_round_trip_and_reject_damage() {
     );
     let bytes = encode_record(&record);
     let decoded = decode_record(&bytes).expect("healthy record must decode");
-    assert_eq!(bytes, encode_record(&decoded), "re-encode must be byte-identical");
+    assert_eq!(
+        bytes,
+        encode_record(&decoded),
+        "re-encode must be byte-identical"
+    );
     let mut damaged = bytes.clone();
     damaged[bytes.len() / 2] ^= 0x40;
-    assert!(decode_record(&damaged).is_err(), "flipped byte must be caught");
-    assert!(decode_record(&bytes[..bytes.len() - 3]).is_err(), "truncation must be caught");
+    assert!(
+        decode_record(&damaged).is_err(),
+        "flipped byte must be caught"
+    );
+    assert!(
+        decode_record(&bytes[..bytes.len() - 3]).is_err(),
+        "truncation must be caught"
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -271,7 +304,10 @@ fn run_sliced(prop: &veridic::core::flow::PreparedProperty, opts: &CheckOptions)
 /// `Suspended` progress events; it must never reorder the cascade.
 #[test]
 fn slicing_preserves_the_default_cascade() {
-    let chip = Chip::generate(&ChipConfig { scale: Scale::Small, with_bugs: true });
+    let chip = Chip::generate(&ChipConfig {
+        scale: Scale::Small,
+        with_bugs: true,
+    });
     let opts = CheckOptions::default();
     let mut compared = 0;
     for mi in chip.modules().iter().take(3) {
@@ -281,7 +317,11 @@ fn slicing_preserves_the_default_cascade() {
             let ref_verdict =
                 Portfolio::default().check_bad(&prop.aig, prop.bad_index, &opts, &mut ref_stats);
             let sliced = run_sliced(prop, &opts);
-            assert_eq!(sliced.verdict, ref_verdict, "{}/{}", prop.module, prop.label);
+            assert_eq!(
+                sliced.verdict, ref_verdict,
+                "{}/{}",
+                prop.module, prop.label
+            );
             let cascade = |stats: &CheckStats| {
                 let mut engines: Vec<&str> =
                     stats.events.iter().map(|e| e.engine.as_str()).collect();

@@ -8,17 +8,31 @@ use veridic::prelude::*;
 
 #[test]
 fn clean_chip_fully_verifies() {
-    let chip = Chip::generate(&ChipConfig { scale: Scale::Small, with_bugs: false });
+    let chip = Chip::generate(&ChipConfig {
+        scale: Scale::Small,
+        with_bugs: false,
+    });
     let report = run_campaign(&chip, &CampaignConfig::default());
     assert!(report.errors.is_empty(), "{:?}", report.errors);
-    assert_eq!(report.failures().len(), 0, "clean chip must verify completely");
-    assert_eq!(report.resource_outs().len(), 0, "default budgets must suffice");
+    assert_eq!(
+        report.failures().len(),
+        0,
+        "clean chip must verify completely"
+    );
+    assert_eq!(
+        report.resource_outs().len(),
+        0,
+        "default budgets must suffice"
+    );
     assert!((report.proved_ratio() - 1.0).abs() < 1e-9);
 }
 
 #[test]
 fn buggy_chip_finds_exactly_the_seeded_bugs() {
-    let chip = Chip::generate(&ChipConfig { scale: Scale::Small, with_bugs: true });
+    let chip = Chip::generate(&ChipConfig {
+        scale: Scale::Small,
+        with_bugs: true,
+    });
     let report = run_campaign(&chip, &CampaignConfig::default());
     assert!(report.errors.is_empty(), "{:?}", report.errors);
 
@@ -53,7 +67,10 @@ fn buggy_chip_finds_exactly_the_seeded_bugs() {
 fn counterexamples_replay_on_the_simulator() {
     // Formal counterexamples from the campaign must reproduce the symptom
     // on the word-level simulator — engine-independent evidence.
-    let chip = Chip::generate(&ChipConfig { scale: Scale::Small, with_bugs: true });
+    let chip = Chip::generate(&ChipConfig {
+        scale: Scale::Small,
+        with_bugs: true,
+    });
     let report = run_campaign(&chip, &CampaignConfig::default());
     let mut replayed = 0;
     for rec in report.failures() {

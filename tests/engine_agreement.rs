@@ -70,7 +70,10 @@ fn pobdd_agrees_with_monolithic_bdd_on_clean_module() {
             let generous = CheckOptions::builder().bdd_only(true).build();
             let v1 = portfolio.check_bad(&aig, idx, &generous, &mut s1);
             let mut s2 = CheckStats::default();
-            let pobdd = CheckOptions::builder().bdd_only(true).pobdd_window_vars(3).build();
+            let pobdd = CheckOptions::builder()
+                .bdd_only(true)
+                .pobdd_window_vars(3)
+                .build();
             let v2 = portfolio.check_bad(&aig, idx, &pobdd, &mut s2);
             assert_eq!(
                 v1.is_proved(),
@@ -123,9 +126,15 @@ fn build(design: &Design) -> Aig {
             let bad = state_match(&mut g, &qs, bad_at & ((1 << bits) - 1));
             g.add_bad("count_hit", bad);
         }
-        Design::ShiftXor { bits, taps, bad_mask } => {
+        Design::ShiftXor {
+            bits,
+            taps,
+            bad_mask,
+        } => {
             let bits = *bits as usize;
-            let qs: Vec<_> = (0..bits).map(|i| g.latch(format!("s{i}"), i == 0)).collect();
+            let qs: Vec<_> = (0..bits)
+                .map(|i| g.latch(format!("s{i}"), i == 0))
+                .collect();
             // Feedback: xor of the tapped stages (always include the
             // last stage so every latch matters).
             let mut fb = qs[bits - 1].1;
@@ -155,8 +164,11 @@ fn build(design: &Design) -> Aig {
 fn design_strategy() -> impl Strategy<Value = Design> {
     prop_oneof![
         (2u32..5, 0u64..32).prop_map(|(bits, bad_at)| Design::Counter { bits, bad_at }),
-        (3u32..6, 0u64..32, 0u64..64)
-            .prop_map(|(bits, taps, bad_mask)| Design::ShiftXor { bits, taps, bad_mask }),
+        (3u32..6, 0u64..32, 0u64..64).prop_map(|(bits, taps, bad_mask)| Design::ShiftXor {
+            bits,
+            taps,
+            bad_mask
+        }),
         (2u32..5, 0u64..1).prop_map(|(bits, _)| Design::Stuck { bits }),
     ]
 }

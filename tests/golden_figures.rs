@@ -9,8 +9,12 @@ use veridic::prelude::*;
 fn figure1_module() -> Module {
     let mut m = Module::new("M");
     let i = m.add_port("I", PortDir::Input, 4);
-    m.net_mut(i).attrs.insert("checkpoint.kind".into(), "input_group".into());
-    m.net_mut(i).attrs.insert("checkpoint.he_bit".into(), "0".into());
+    m.net_mut(i)
+        .attrs
+        .insert("checkpoint.kind".into(), "input_group".into());
+    m.net_mut(i)
+        .attrs
+        .insert("checkpoint.he_bit".into(), "0".into());
     let a = m.add_net("A", 4);
     let si = m.sig(i);
     let sa = m.sig(a);
@@ -21,9 +25,15 @@ fn figure1_module() -> Module {
     let np = m.arena.add(Expr::Not(p));
     let nxt = m.arena.add(Expr::Concat(vec![np, mixed]));
     m.add_reg(a, nxt, Value::from_u64(4, 0b1000));
-    m.net_mut(a).attrs.insert("checkpoint.kind".into(), "entity".into());
-    m.net_mut(a).attrs.insert("checkpoint.entity_kind".into(), "fsm".into());
-    m.net_mut(a).attrs.insert("checkpoint.he_bit".into(), "0".into());
+    m.net_mut(a)
+        .attrs
+        .insert("checkpoint.kind".into(), "entity".into());
+    m.net_mut(a)
+        .attrs
+        .insert("checkpoint.entity_kind".into(), "fsm".into());
+    m.net_mut(a)
+        .attrs
+        .insert("checkpoint.he_bit".into(), "0".into());
     // Checkers: Check1 comb on A; Check2 registered on I.
     let sa2 = m.sig(a);
     let pa = m.arena.add(Expr::RedXor(sa2));
@@ -34,11 +44,15 @@ fn figure1_module() -> Module {
     m.add_reg(chk, bad_i, Value::zero(1));
     let schk = m.sig(chk);
     let he = m.add_port("HE", PortDir::Output, 1);
-    m.net_mut(he).attrs.insert("checkpoint.kind".into(), "he".into());
+    m.net_mut(he)
+        .attrs
+        .insert("checkpoint.kind".into(), "he".into());
     let he_e = m.arena.add(Expr::Or(bad_a, schk));
     m.assign(he, he_e);
     let o = m.add_port("O", PortDir::Output, 4);
-    m.net_mut(o).attrs.insert("checkpoint.kind".into(), "output_group".into());
+    m.net_mut(o)
+        .attrs
+        .insert("checkpoint.kind".into(), "output_group".into());
     let sa3 = m.sig(a);
     m.assign(o, sa3);
     m.validate().unwrap();

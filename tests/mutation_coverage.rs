@@ -44,7 +44,10 @@ fn base_module() -> Module {
 #[test]
 fn mutation_stuck_parity_bit_caught_by_soundness() {
     let mut m = base_module();
-    let ent = m.find_net("ent0_legal_fsm").or_else(|| m.find_net("ent0_fsm")).unwrap();
+    let ent = m
+        .find_net("ent0_legal_fsm")
+        .or_else(|| m.find_net("ent0_fsm"))
+        .unwrap();
     let w = m.net_width(ent);
     let idx = m.regs.iter().position(|r| r.q == ent).unwrap();
     let old_next = m.regs[idx].next;
@@ -69,7 +72,10 @@ fn mutation_disconnected_checker_caught_by_edetect() {
     // 0's contribution by rewriting the HE assign: replace the parity
     // check of ent0 with constant 0. Easiest faithful emulation: drive
     // the entity's checker input from a constant-odd value.
-    let ent = m.find_net("ent0_legal_fsm").or_else(|| m.find_net("ent0_fsm")).unwrap();
+    let ent = m
+        .find_net("ent0_legal_fsm")
+        .or_else(|| m.find_net("ent0_fsm"))
+        .unwrap();
     let w = m.net_width(ent);
     // Find the HE assign and substitute: create a shadow net that the
     // checker reads; here we simply re-point the HE expression by adding

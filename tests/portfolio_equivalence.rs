@@ -27,8 +27,14 @@ use veridic::prelude::*;
 fn assert_self_consistent(aig: &Aig, opts: &CheckOptions, what: &str) {
     let first = Portfolio::default().check(aig, opts);
     let again = Portfolio::default().check(aig, opts);
-    assert_eq!(first.verdict, again.verdict, "verdict drifted between runs on {what}");
-    assert_eq!(first.stats, again.stats, "stats drifted between runs on {what}");
+    assert_eq!(
+        first.verdict, again.verdict,
+        "verdict drifted between runs on {what}"
+    );
+    assert_eq!(
+        first.stats, again.stats,
+        "stats drifted between runs on {what}"
+    );
     assert_eq!(
         first.stats.engines_tried(),
         again.stats.engines_tried(),
@@ -37,8 +43,14 @@ fn assert_self_consistent(aig: &Aig, opts: &CheckOptions, what: &str) {
 
     if !(opts.bdd_only || opts.sat_only) {
         for restricted in [
-            CheckOptions { bdd_only: true, ..opts.clone() },
-            CheckOptions { sat_only: true, ..opts.clone() },
+            CheckOptions {
+                bdd_only: true,
+                ..opts.clone()
+            },
+            CheckOptions {
+                sat_only: true,
+                ..opts.clone()
+            },
         ] {
             let half = Portfolio::default().check(aig, &restricted);
             match (&first.verdict, &half.verdict) {
@@ -91,9 +103,15 @@ fn build(design: &Design) -> Aig {
             let bad = state_match(&mut g, &qs, bad_at & ((1 << bits) - 1));
             g.add_bad("count_hit", bad);
         }
-        Design::ShiftXor { bits, taps, bad_mask } => {
+        Design::ShiftXor {
+            bits,
+            taps,
+            bad_mask,
+        } => {
             let bits = *bits as usize;
-            let qs: Vec<_> = (0..bits).map(|i| g.latch(format!("s{i}"), i == 0)).collect();
+            let qs: Vec<_> = (0..bits)
+                .map(|i| g.latch(format!("s{i}"), i == 0))
+                .collect();
             let mut fb = qs[bits - 1].1;
             for (i, (_, q)) in qs.iter().enumerate().take(bits - 1) {
                 if taps >> i & 1 == 1 {
@@ -124,8 +142,11 @@ fn build(design: &Design) -> Aig {
 fn design_strategy() -> impl Strategy<Value = Design> {
     prop_oneof![
         (2u32..5, 0u64..32).prop_map(|(bits, bad_at)| Design::Counter { bits, bad_at }),
-        (3u32..6, 0u64..32, 0u64..64)
-            .prop_map(|(bits, taps, bad_mask)| Design::ShiftXor { bits, taps, bad_mask }),
+        (3u32..6, 0u64..32, 0u64..64).prop_map(|(bits, taps, bad_mask)| Design::ShiftXor {
+            bits,
+            taps,
+            bad_mask
+        }),
         (2u32..5, 0u64..1).prop_map(|(bits, _)| Design::Stuck { bits }),
     ]
 }
@@ -168,11 +189,14 @@ proptest! {
 fn portfolio_is_self_consistent_on_chipgen_properties() {
     const NAME: &str = "portfolio_is_self_consistent_on_chipgen_properties";
     let strategy = (0usize..32, 0u32..2, 0usize..4);
-    let mut cases: Vec<_> =
-        (0..32).map(|case| strategy.new_value(&mut TestRng::for_case(NAME, case))).collect();
+    let mut cases: Vec<_> = (0..32)
+        .map(|case| strategy.new_value(&mut TestRng::for_case(NAME, case)))
+        .collect();
     cases.reverse();
     let next = AtomicUsize::new(0);
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get()).min(2);
+    let threads = std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .min(2);
     std::thread::scope(|s| {
         for _ in 0..threads {
             s.spawn(|| {
@@ -187,7 +211,10 @@ fn portfolio_is_self_consistent_on_chipgen_properties() {
 }
 
 fn assert_chipgen_case_self_consistent(module_idx: usize, with_bugs: bool, vunit_idx: usize) {
-    let chip = Chip::generate(&ChipConfig { scale: Scale::Small, with_bugs });
+    let chip = Chip::generate(&ChipConfig {
+        scale: Scale::Small,
+        with_bugs,
+    });
     let modules = chip.modules();
     let mi = &modules[module_idx % modules.len()];
     let module = chip.design().module(mi.name()).unwrap();
@@ -215,7 +242,9 @@ fn assert_chipgen_case_self_consistent(module_idx: usize, with_bugs: bool, vunit
 
 /// FNV-1a (64-bit) over `bytes`, continuing from `hash`.
 fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
-    bytes.iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -231,10 +260,25 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// changes the search fails here and not only in the benchmark.
 #[test]
 fn full_campaign_is_deterministic() {
-    let chip = Chip::generate(&ChipConfig { scale: Scale::Small, with_bugs: true });
+    let chip = Chip::generate(&ChipConfig {
+        scale: Scale::Small,
+        with_bugs: true,
+    });
     let opts = CheckOptions::default();
-    let report = run_campaign(&chip, &CampaignConfig { check: opts.clone(), workers: 0 });
-    let replay = run_campaign(&chip, &CampaignConfig { check: opts, workers: 0 });
+    let report = run_campaign(
+        &chip,
+        &CampaignConfig {
+            check: opts.clone(),
+            workers: 0,
+        },
+    );
+    let replay = run_campaign(
+        &chip,
+        &CampaignConfig {
+            check: opts,
+            workers: 0,
+        },
+    );
 
     assert_eq!(report.records.len(), replay.records.len());
     for (rec, rep) in report.records.iter().zip(&replay.records) {
@@ -277,7 +321,10 @@ fn full_campaign_is_deterministic() {
 /// that module's share of perfbench's `service_records.ndjson`.
 #[test]
 fn sliced_module_conflicts_are_pinned() {
-    let chip = Chip::generate(&ChipConfig { scale: Scale::Small, with_bugs: true });
+    let chip = Chip::generate(&ChipConfig {
+        scale: Scale::Small,
+        with_bugs: true,
+    });
     let opts = CheckOptions::default();
     let module = chip
         .modules()
@@ -303,7 +350,11 @@ fn sliced_module_conflicts_are_pinned() {
         };
         conflicts += result.stats.sat_conflicts;
     }
-    assert_eq!((props.len(), conflicts), (15, 7_319), "(properties, Σ sat_conflicts)");
+    assert_eq!(
+        (props.len(), conflicts),
+        (15, 7_319),
+        "(properties, Σ sat_conflicts)"
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -322,7 +373,9 @@ fn counter6_bad_at_44() -> Aig {
         carry = g.and(*q, carry);
         g.set_next(*id, next);
     }
-    let hit: Vec<_> = (0..6).map(|i| if 44 >> i & 1 == 1 { qs[i].1 } else { !qs[i].1 }).collect();
+    let hit: Vec<_> = (0..6)
+        .map(|i| if 44 >> i & 1 == 1 { qs[i].1 } else { !qs[i].1 })
+        .collect();
     let bad = g.and_many(hit);
     g.add_bad("count_is_44", bad);
     g
@@ -334,7 +387,10 @@ fn counter6_bad_at_44() -> Aig {
 #[test]
 fn killed_reachability_resumes_identically_via_facade() {
     let g = counter6_bad_at_44();
-    let opts = CheckOptions::builder().bdd_only(true).pobdd_window_vars(0).build();
+    let opts = CheckOptions::builder()
+        .bdd_only(true)
+        .pobdd_window_vars(0)
+        .build();
     let portfolio = Portfolio::default();
     let uninterrupted = portfolio.check(&g, &opts);
 

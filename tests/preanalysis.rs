@@ -25,8 +25,20 @@ use veridic::prelude::*;
 /// every reachable behaviour, so depths and reachability iteration
 /// counts still must not move.
 fn assert_preanalysis_neutral(aig: &Aig, base: &CheckOptions, what: &str) {
-    let on = Portfolio::default().check(aig, &CheckOptions { preanalysis: true, ..base.clone() });
-    let off = Portfolio::default().check(aig, &CheckOptions { preanalysis: false, ..base.clone() });
+    let on = Portfolio::default().check(
+        aig,
+        &CheckOptions {
+            preanalysis: true,
+            ..base.clone()
+        },
+    );
+    let off = Portfolio::default().check(
+        aig,
+        &CheckOptions {
+            preanalysis: false,
+            ..base.clone()
+        },
+    );
     match (&on.verdict, &off.verdict) {
         (Verdict::Falsified(a), Verdict::Falsified(b)) => {
             assert_eq!(a.len(), b.len(), "cex depth diverged on {what}");
@@ -56,8 +68,14 @@ fn assert_preanalysis_neutral(aig: &Aig, base: &CheckOptions, what: &str) {
         // Nothing folded, nothing concluded statically: identity pass.
         let mut scrubbed = on.stats.clone();
         scrubbed.preanalysis = PreanalysisStats::default();
-        assert_eq!(on.verdict, off.verdict, "identity pass changed the verdict on {what}");
-        assert_eq!(scrubbed, off.stats, "identity pass changed the stats on {what}");
+        assert_eq!(
+            on.verdict, off.verdict,
+            "identity pass changed the verdict on {what}"
+        );
+        assert_eq!(
+            scrubbed, off.stats,
+            "identity pass changed the stats on {what}"
+        );
         assert_eq!(
             scrubbed.engines_tried(),
             off.stats.engines_tried(),
@@ -67,7 +85,10 @@ fn assert_preanalysis_neutral(aig: &Aig, base: &CheckOptions, what: &str) {
 }
 
 fn chipgen_property(module_idx: usize, with_bugs: bool, vunit_idx: usize) -> (Aig, String) {
-    let chip = Chip::generate(&ChipConfig { scale: Scale::Small, with_bugs });
+    let chip = Chip::generate(&ChipConfig {
+        scale: Scale::Small,
+        with_bugs,
+    });
     let modules = chip.modules();
     let mi = &modules[module_idx % modules.len()];
     let module = chip.design().module(mi.name()).unwrap();
@@ -82,7 +103,10 @@ fn chipgen_property(module_idx: usize, with_bugs: bool, vunit_idx: usize) -> (Ai
     for (label, net) in &compiled.assumes {
         aig.add_constraint(label.clone(), !lowered.bit(*net, 0));
     }
-    (aig, format!("{}:{} with_bugs={}", mi.name(), vunit_idx, with_bugs))
+    (
+        aig,
+        format!("{}:{} with_bugs={}", mi.name(), vunit_idx, with_bugs),
+    )
 }
 
 /// A small counter whose bad state may be entangled with a stuck
@@ -100,7 +124,11 @@ fn counter_design(bits: u32, bad_at: u64, with_stuck: bool) -> Aig {
     let hit: Vec<_> = (0..bits)
         .map(|i| {
             let q = qs[i as usize].1;
-            if bad_at >> i & 1 == 1 { q } else { !q }
+            if bad_at >> i & 1 == 1 {
+                q
+            } else {
+                !q
+            }
         })
         .collect();
     let mut bad = g.and_many(hit);
@@ -190,13 +218,21 @@ fn constrained_counter(bits: u32, bad_at: u64, gate_blocked: bool) -> Aig {
     let hit: Vec<_> = (0..bits)
         .map(|i| {
             let q = qs[i as usize].1;
-            if bad_at >> i & 1 == 1 { q } else { !q }
+            if bad_at >> i & 1 == 1 {
+                q
+            } else {
+                !q
+            }
         })
         .collect();
     let hit = g.and_many(hit);
     let en = g.input("en");
     g.add_constraint("en_high", en);
-    let bad = if gate_blocked { g.and(hit, !en) } else { g.and(hit, en) };
+    let bad = if gate_blocked {
+        g.and(hit, !en)
+    } else {
+        g.and(hit, en)
+    };
     g.add_bad("gated_hit", bad);
     g
 }
@@ -293,7 +329,10 @@ fn vacuous_bad_concludes_with_zero_engine_invocations() {
     assert_eq!(event.resources.rounds, 0, "zero engine rounds");
     assert_eq!(event.resources.sat_conflicts, 0);
     assert_eq!(event.resources.bdd_allocated, 0);
-    assert_eq!(result.stats.engines_tried(), vec!["never/preanalysis: proved"]);
+    assert_eq!(
+        result.stats.engines_tried(),
+        vec!["never/preanalysis: proved"]
+    );
     assert_eq!(result.stats.preanalysis.vacuous, 1);
     assert_eq!(result.stats.preanalysis.stuck_latches, 1);
     assert_eq!(result.stats.preanalysis.bads_analyzed, 1);
@@ -319,9 +358,15 @@ fn trivially_true_bad_falsifies_at_depth_zero_without_engines() {
         other => panic!("expected a static falsification, got {other:?}"),
     };
     assert_eq!(trace.len(), 1, "depth-0 counterexample");
-    assert!(trace.replays_on(&g), "the static counterexample must replay");
+    assert!(
+        trace.replays_on(&g),
+        "the static counterexample must replay"
+    );
     assert_eq!(result.stats.events.len(), 1);
-    assert_eq!(result.stats.engines_tried(), vec!["always/preanalysis: bad at depth 0"]);
+    assert_eq!(
+        result.stats.engines_tried(),
+        vec!["always/preanalysis: bad at depth 0"]
+    );
     assert_eq!(result.stats.preanalysis.vacuous, 1);
 }
 
@@ -332,11 +377,32 @@ fn trivially_true_bad_falsifies_at_depth_zero_without_engines() {
 /// them).
 #[test]
 fn campaign_is_byte_identical_with_preanalysis_on_or_off() {
-    let chip = Chip::generate(&ChipConfig { scale: Scale::Small, with_bugs: true });
-    let on_opts = CheckOptions { preanalysis: true, ..CheckOptions::tiny_budget() };
-    let off_opts = CheckOptions { preanalysis: false, ..CheckOptions::tiny_budget() };
-    let on = run_campaign(&chip, &CampaignConfig { check: on_opts, workers: 0 });
-    let off = run_campaign(&chip, &CampaignConfig { check: off_opts, workers: 0 });
+    let chip = Chip::generate(&ChipConfig {
+        scale: Scale::Small,
+        with_bugs: true,
+    });
+    let on_opts = CheckOptions {
+        preanalysis: true,
+        ..CheckOptions::tiny_budget()
+    };
+    let off_opts = CheckOptions {
+        preanalysis: false,
+        ..CheckOptions::tiny_budget()
+    };
+    let on = run_campaign(
+        &chip,
+        &CampaignConfig {
+            check: on_opts,
+            workers: 0,
+        },
+    );
+    let off = run_campaign(
+        &chip,
+        &CampaignConfig {
+            check: off_opts,
+            workers: 0,
+        },
+    );
 
     assert_eq!(on.errors, off.errors);
     assert_eq!(on.records.len(), off.records.len());
@@ -350,7 +416,10 @@ fn campaign_is_byte_identical_with_preanalysis_on_or_off() {
             // static proof — but engine attribution and work stats are
             // incomparable by construction.
             statically_settled += 1;
-            assert!(a.verdict.is_proved(), "static conclusion not a proof at {what}");
+            assert!(
+                a.verdict.is_proved(),
+                "static conclusion not a proof at {what}"
+            );
             assert!(
                 !b.verdict.is_falsified(),
                 "engines falsified a statically-vacuous property at {what}"
@@ -366,7 +435,10 @@ fn campaign_is_byte_identical_with_preanalysis_on_or_off() {
     // (the constraint cone forces the asserted literal), so the
     // constraint-aware sweep must settle at least one property — and
     // the report-level aggregate must agree with the per-record count.
-    assert!(statically_settled > 0, "constraint-aware vacuity never fired on the chip");
+    assert!(
+        statically_settled > 0,
+        "constraint-aware vacuity never fired on the chip"
+    );
     assert_eq!(on.vacuous_count(), statically_settled);
     let totals = on.preanalysis_totals();
     assert_eq!(totals.bads_analyzed, on.records.len(), "every cone swept");

@@ -38,7 +38,10 @@ fn sim_finds(module: &Module, cycles: u64) -> Option<u64> {
 
 #[test]
 fn table3_detectability_shape() {
-    let chip = Chip::generate(&ChipConfig { scale: Scale::Small, with_bugs: true });
+    let chip = Chip::generate(&ChipConfig {
+        scale: Scale::Small,
+        with_bugs: true,
+    });
     let mut easy_latencies = Vec::new();
     let mut hard_outcomes = Vec::new();
     for (module_name, bug) in chip.bugs() {
@@ -63,7 +66,10 @@ fn table3_detectability_shape() {
     for (bug, latency) in &hard_outcomes {
         match bug {
             BugId::B1 | BugId::B3 => {
-                assert_eq!(*latency, None, "{bug} must be invisible to spec-compliant sim");
+                assert_eq!(
+                    *latency, None,
+                    "{bug} must be invisible to spec-compliant sim"
+                );
             }
             BugId::B5 | BugId::B6 => {
                 if let Some(l) = latency {
@@ -82,7 +88,10 @@ fn table3_detectability_shape() {
 fn clean_modules_agree_between_sim_and_formal() {
     // On clean modules, neither simulation (spec stimulus) nor formal
     // verification reports anything.
-    let chip = Chip::generate(&ChipConfig { scale: Scale::Small, with_bugs: false });
+    let chip = Chip::generate(&ChipConfig {
+        scale: Scale::Small,
+        with_bugs: false,
+    });
     for mi in chip.modules().iter().take(4) {
         let module = chip.design().module(mi.name()).unwrap();
         assert_eq!(formal_finds(module), None, "{}", mi.name());
@@ -137,11 +146,7 @@ fn formal_counterexample_reproduces_symptom_in_simulator() {
             for b in 0..*width {
                 // AIG input naming: "<net>[<bit>]".
                 let key = format!("{name}[{b}]");
-                if let Some(pos) = aig
-                    .inputs()
-                    .iter()
-                    .position(|(_, n)| *n == key)
-                {
+                if let Some(pos) = aig.inputs().iter().position(|(_, n)| *n == key) {
                     if frame[pos] {
                         v.set_bit(b, true);
                     }

@@ -65,7 +65,10 @@ fn reachable(deps: &[Vec<usize>]) -> Vec<Vec<bool>> {
 }
 
 fn chipgen_property(module_idx: usize, with_bugs: bool, vunit_idx: usize) -> (Aig, String) {
-    let chip = Chip::generate(&ChipConfig { scale: Scale::Small, with_bugs });
+    let chip = Chip::generate(&ChipConfig {
+        scale: Scale::Small,
+        with_bugs,
+    });
     let modules = chip.modules();
     let mi = &modules[module_idx % modules.len()];
     let module = chip.design().module(mi.name()).unwrap();
@@ -80,7 +83,10 @@ fn chipgen_property(module_idx: usize, with_bugs: bool, vunit_idx: usize) -> (Ai
     for (label, net) in &compiled.assumes {
         aig.add_constraint(label.clone(), !lowered.bit(*net, 0));
     }
-    (aig, format!("{}:{} with_bugs={}", mi.name(), vunit_idx, with_bugs))
+    (
+        aig,
+        format!("{}:{} with_bugs={}", mi.name(), vunit_idx, with_bugs),
+    )
 }
 
 /// Static-order on-vs-off comparison on one AIG under one engine
@@ -88,10 +94,20 @@ fn chipgen_property(module_idx: usize, with_bugs: bool, vunit_idx: usize) -> (Ai
 /// verdict kind, counterexample shape, and fixpoint round count must
 /// all survive the seeding.
 fn assert_static_order_neutral(aig: &Aig, base: &CheckOptions, what: &str) {
-    let on =
-        Portfolio::default().check(aig, &CheckOptions { static_order: true, ..base.clone() });
-    let off =
-        Portfolio::default().check(aig, &CheckOptions { static_order: false, ..base.clone() });
+    let on = Portfolio::default().check(
+        aig,
+        &CheckOptions {
+            static_order: true,
+            ..base.clone()
+        },
+    );
+    let off = Portfolio::default().check(
+        aig,
+        &CheckOptions {
+            static_order: false,
+            ..base.clone()
+        },
+    );
     match (&on.verdict, &off.verdict) {
         (Verdict::Falsified(a), Verdict::Falsified(b)) => {
             assert_eq!(a.len(), b.len(), "cex depth diverged on {what}");
@@ -218,13 +234,24 @@ fn static_order_off_is_byte_identical_to_the_default() {
     let (aig, _) = chipgen_property(0, false, 0);
     for base in [
         CheckOptions::default(),
-        CheckOptions::builder().bdd_only(true).pobdd_window_vars(0).build(),
+        CheckOptions::builder()
+            .bdd_only(true)
+            .pobdd_window_vars(0)
+            .build(),
     ] {
         let default_run = Portfolio::default().check(&aig, &base);
-        let off = Portfolio::default()
-            .check(&aig, &CheckOptions { static_order: false, ..base.clone() });
+        let off = Portfolio::default().check(
+            &aig,
+            &CheckOptions {
+                static_order: false,
+                ..base.clone()
+            },
+        );
         assert_eq!(default_run.verdict, off.verdict);
-        assert_eq!(default_run.stats, off.stats, "explicit off diverged from default");
+        assert_eq!(
+            default_run.stats, off.stats,
+            "explicit off diverged from default"
+        );
         assert_eq!(off.stats.static_order_span_before, 0);
         assert_eq!(off.stats.static_order_span_after, 0);
     }
@@ -238,7 +265,12 @@ fn static_order_records_the_span_improvement() {
     let module = build_order_stress(6);
     let lowered = module.to_aig().unwrap();
     let mut aig = lowered.aig.clone();
-    let mismatch = module.ports.iter().find(|p| p.name == "MISMATCH").unwrap().net;
+    let mismatch = module
+        .ports
+        .iter()
+        .find(|p| p.name == "MISMATCH")
+        .unwrap()
+        .net;
     aig.add_bad("mismatch".to_string(), lowered.bit(mismatch, 0));
     let opts = CheckOptions::builder()
         .bdd_only(true)
@@ -247,7 +279,10 @@ fn static_order_records_the_span_improvement() {
         .build();
     let r = check(&aig, &opts);
     assert!(r.verdict.is_proved());
-    assert!(r.stats.static_order_span_before > 0, "span audit trail missing");
+    assert!(
+        r.stats.static_order_span_before > 0,
+        "span audit trail missing"
+    );
     assert!(r.stats.static_order_span_after <= r.stats.static_order_span_before);
     // The blocked twin-register file is the canonical win: the FORCE
     // order must strictly improve on the natural span.
@@ -282,5 +317,8 @@ fn seeded_comb_loop_is_detected_at_the_boundary() {
     // boundary lint is the only source of comb_loops entries.
     let (aig, _) = chipgen_property(0, false, 0);
     let report = analyze(&aig);
-    assert!(report.comb_loops.is_empty(), "AIGs are acyclic by construction");
+    assert!(
+        report.comb_loops.is_empty(),
+        "AIGs are acyclic by construction"
+    );
 }
