@@ -39,8 +39,8 @@ impl Hasher for FxHasher {
     fn write(&mut self, bytes: &[u8]) {
         let mut chunks = bytes.chunks_exact(8);
         for c in chunks.by_ref() {
-            self.add_to_hash(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
-            // lint: allow
+            let word: [u8; 8] = c.try_into().expect("8-byte chunk"); // lint: allow
+            self.add_to_hash(u64::from_le_bytes(word));
         }
         let rest = chunks.remainder();
         if !rest.is_empty() {

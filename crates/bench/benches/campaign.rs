@@ -3,7 +3,10 @@
 //! typical Linux workstation" (§6.1), scaled to the synthetic chip —
 //! plus `campaign/table2_small`, the whole Small Table 2 campaign with
 //! the seeded bugs on one worker thread. That run is SAT-bound (BMC and
-//! k-induction conclude nearly every property), and CI gates it.
+//! k-induction conclude nearly every property), and CI gates it. It
+//! goes through `run_campaign`, which checks each of the Small chip's
+//! 118 distinct cones once and replays the other 40 properties; the
+//! `module_*` benches call `Portfolio::check_bad` on every property.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use veridic::prelude::*;

@@ -29,6 +29,11 @@
 //! [`CancelToken`], the engine suspends at its
 //! next cooperative tick, the (mid-slice) checkpoint is flushed, and
 //! the worker exits cleanly.
+//!
+//! A worker runs each distinct cone of influence once: it keeps a
+//! [`ConeCache`] for as long as it runs, and a job with no checkpoint
+//! to resume whose cone an earlier job of this worker ran fresh to the
+//! end replays that record, with no slice and no `CKPT` frame.
 
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -38,7 +43,7 @@ use std::time::{Duration, Instant};
 
 use veridic_chipgen::Chip;
 use veridic_core::flow::{module_properties, record_from_result, PreparedProperty, PropertyRecord};
-use veridic_mc::{Budget, CancelToken, Portfolio, PortfolioOutcome};
+use veridic_mc::{Budget, CancelToken, ConeCache, Portfolio, PortfolioOutcome};
 
 use crate::codec::{encode_record, CheckpointFile};
 use crate::journal::{to_hex, Journal};
@@ -188,7 +193,8 @@ enum JobEnd {
 }
 
 /// Runs one property to conclusion (or shutdown) in budget slices,
-/// persisting a fingerprint-bound checkpoint at every boundary.
+/// persisting a fingerprint-bound checkpoint at every boundary, or
+/// replays the record of its cone from `cones`, the worker's cache.
 /// `shutdown` is the flag that interrupts the job
 /// ([`signal::shutdown_requested`] in the worker).
 fn run_job(
@@ -198,6 +204,7 @@ fn run_job(
     id: usize,
     out: &mut impl Write,
     shutdown: fn() -> bool,
+    cones: &ConeCache,
 ) -> io::Result<JobEnd> {
     let t0 = Instant::now();
     let aig_fp = prop.aig.fingerprint();
@@ -226,6 +233,21 @@ fn run_job(
             write_frame(out, &format!("WARN {id} stale checkpoint ignored: {e}"))?;
             None
         }
+    };
+    // Only a job with no checkpoint to resume reads the cone cache: a
+    // hit replays the record of a fresh run of the same cone in this
+    // worker, with no engine, slice or checkpoint write. A miss fills
+    // the cache once its fresh run is done. A resumed run can end on
+    // another slice grid, so it neither reads nor fills the cache.
+    let miss = match resume {
+        Some(_) => None,
+        None => match cones.lookup(&prop.aig, prop.bad_index) {
+            Ok(hit) => {
+                let record = record_from_result(prop, hit, t0.elapsed());
+                return Ok(JobEnd::Done(Box::new(record)));
+            }
+            Err(miss) => Some(miss),
+        },
     };
 
     let token = CancelToken::new();
@@ -269,6 +291,9 @@ fn run_job(
     };
     drop(job_running);
     let _ = bridge.join();
+    if let (Some(miss), Some(result)) = (miss, &result) {
+        cones.fill(miss, result);
+    }
 
     Ok(match result {
         Some(result) => JobEnd::Done(Box::new(record_from_result(prop, result, t0.elapsed()))),
@@ -307,6 +332,9 @@ pub fn run_worker(root: &Path) -> i32 {
     // `/proc` the start time is 0 and the claim never reads as live,
     // exactly like a gone worker's.
     let (pid, started) = (std::process::id(), signal::own_start_time().unwrap_or(0));
+    // One cone cache for the process: the spec, and so the portfolio
+    // and the options, are fixed for its lifetime.
+    let cones = ConeCache::new();
     if write_frame(&mut output, "READY").is_err() {
         return 2;
     }
@@ -344,6 +372,7 @@ pub fn run_worker(root: &Path) -> i32 {
                 id,
                 &mut output,
                 signal::shutdown_requested,
+                &cones,
             )
         });
         match outcome {
@@ -388,7 +417,10 @@ pub fn maybe_run_worker() -> Option<i32> {
 mod tests {
     use super::*;
     use veridic_core::flow::check_property;
-    use veridic_mc::{CheckOptions, CheckpointMisfit, EngineCheckpoint, EngineId, RunCheckpoint};
+    use veridic_mc::{
+        CheckOptions, CheckResult, CheckStats, CheckpointMisfit, EngineCheckpoint, EngineId,
+        RunCheckpoint, Verdict,
+    };
 
     #[test]
     fn frames_round_trip() {
@@ -431,32 +463,54 @@ mod tests {
         );
     }
 
-    /// Runs job 7 of `prop` under the default spec over a checkpoint
-    /// file that holds `state` and the job's own fingerprints, in a
-    /// campaign directory named after `test`; returns the job's first
-    /// frame, after checking that its record is the job's own fresh
-    /// verdict on its own bad.
-    fn run_over_checkpoint(test: &str, prop: &PreparedProperty, state: RunCheckpoint) -> String {
+    /// Runs job 7 of `prop` under the default spec with the cone cache
+    /// `cones`, in a campaign directory named after `test`, over a
+    /// checkpoint file that holds `state` (if any) and the job's own
+    /// fingerprints; returns the job's frames and its record.
+    fn run_job_in_dir(
+        test: &str,
+        prop: &PreparedProperty,
+        state: Option<RunCheckpoint>,
+        cones: &ConeCache,
+    ) -> (Vec<String>, Box<PropertyRecord>) {
         let spec = CampaignSpec::default();
         let root = std::env::temp_dir().join(format!("veridic-{test}-{}", std::process::id()));
         std::fs::remove_dir_all(&root).ok();
         let dir = CampaignDir::new(&root);
         std::fs::create_dir_all(dir.ckpt_dir()).unwrap(); // lint: allow
-        let file = CheckpointFile {
-            aig_fingerprint: prop.aig.fingerprint(),
-            options_fingerprint: spec.check.fingerprint(),
-            state,
-        };
-        store::save_checkpoint(&dir.ckpt_path(7), &file).unwrap(); // lint: allow
+        if let Some(state) = state {
+            let file = CheckpointFile {
+                aig_fingerprint: prop.aig.fingerprint(),
+                options_fingerprint: spec.check.fingerprint(),
+                state,
+            };
+            store::save_checkpoint(&dir.ckpt_path(7), &file).unwrap(); // lint: allow
+        }
 
         let mut out = Vec::new();
-        let end = run_job(&dir, &spec, prop, 7, &mut out, || false).unwrap(); // lint: allow
+        let end = run_job(&dir, &spec, prop, 7, &mut out, || false, cones).unwrap(); // lint: allow
         std::fs::remove_dir_all(&root).ok();
 
-        let first = read_frame(&mut io::Cursor::new(out)).unwrap(); // lint: allow
+        let mut out = io::Cursor::new(out);
+        let frames = std::iter::from_fn(|| read_frame(&mut out).unwrap()).collect(); // lint: allow
         let JobEnd::Done(record) = end else {
             panic!("the job must conclude, not be interrupted") // lint: allow
         };
+        (frames, record)
+    }
+
+    /// Runs job 7 of `prop` over a checkpoint that holds `state`, with
+    /// the cone cache `cones`; returns the job's first frame, after
+    /// checking that its record is the job's own fresh verdict on its
+    /// own bad.
+    fn run_over_checkpoint(
+        test: &str,
+        prop: &PreparedProperty,
+        state: RunCheckpoint,
+        cones: &ConeCache,
+    ) -> String {
+        let (frames, record) = run_job_in_dir(test, prop, Some(state), cones);
+        let spec = CampaignSpec::default();
         let own = check_property(prop, &Portfolio::default(), &spec.check);
         assert_eq!(record.verdict, own.verdict);
         let own_bad = &prop.aig.bads()[prop.bad_index].name;
@@ -465,7 +519,7 @@ mod tests {
             "every event must name {own_bad}: {:?}",
             record.stats.engines_tried()
         );
-        first.unwrap_or_default()
+        frames.into_iter().next().unwrap_or_default()
     }
 
     /// The first property of the Small chip and a real checkpoint of
@@ -517,7 +571,7 @@ mod tests {
             })
             .expect("the Small chip has a vunit with two asserts"); // lint: allow
         let sibling_bad = sibling_ck.bad_index;
-        let first = run_over_checkpoint("sibling", &prop, sibling_ck);
+        let first = run_over_checkpoint("sibling", &prop, sibling_ck, &ConeCache::new());
         let warning = format!("WARN 7 stale checkpoint ignored: it is for bad {sibling_bad},");
         assert!(first.starts_with(&warning), "first frame: {first:?}");
     }
@@ -532,7 +586,7 @@ mod tests {
         state: RunCheckpoint,
         misfit: CheckpointMisfit,
     ) {
-        let first = run_over_checkpoint(test, prop, state);
+        let first = run_over_checkpoint(test, prop, state, &ConeCache::new());
         assert_eq!(first, format!("WARN 7 stale checkpoint ignored: {misfit}"));
     }
 
@@ -598,6 +652,90 @@ mod tests {
             frontier: 2,
         };
         assert_misfit_is_stale("window-count", &prop, state, misfit);
+    }
+
+    /// A stand-in result that names a property by its index.
+    fn planted(reason: String) -> CheckResult {
+        CheckResult {
+            verdict: Verdict::ResourceOut { reason },
+            stats: CheckStats::default(),
+        }
+    }
+
+    /// Two properties of the Small chip with one cone, the first of
+    /// which runs BMC, so its fresh run takes more than one slice.
+    fn two_properties_with_one_cone() -> (PreparedProperty, PreparedProperty) {
+        let spec = CampaignSpec::default();
+        let chip = Chip::generate(&spec.chip_config());
+        let props: Vec<PreparedProperty> = chip
+            .modules()
+            .iter()
+            .flat_map(|mi| module_properties(&chip, mi).0)
+            .collect();
+        // Keys only: each cone stores the index of its first property.
+        let cones = ConeCache::new();
+        for (i, prop) in props.iter().enumerate() {
+            let hit = match cones.lookup(&prop.aig, prop.bad_index) {
+                Ok(hit) => hit,
+                Err(miss) => {
+                    cones.fill(miss, &planted(i.to_string()));
+                    continue;
+                }
+            };
+            let Verdict::ResourceOut { reason } = hit.verdict else {
+                panic!("only indices are stored") // lint: allow
+            };
+            let first = &props[reason.parse::<usize>().unwrap()]; // lint: allow
+            let own = check_property(first, &Portfolio::default(), &spec.check);
+            if own.stats.events.iter().any(|e| e.engine == EngineId::Bmc) {
+                return (first.clone(), prop.clone());
+            }
+        }
+        panic!("the Small chip repeats no cone that BMC checks") // lint: allow
+    }
+
+    /// A job whose cone this worker has already run fresh to the end
+    /// replays that run's record: no slice runs and no checkpoint is
+    /// written, and the record is what its own fresh run gives.
+    #[test]
+    fn a_repeated_cone_replays_without_a_checkpoint() {
+        let (first, second) = two_properties_with_one_cone();
+        let cones = ConeCache::new();
+        let (frames, _) = run_job_in_dir("cone-first", &first, None, &cones);
+        assert!(frames.iter().any(|f| f == "CKPT 7"), "{frames:?}");
+        assert_eq!(cones.len(), 1);
+
+        let (frames, replayed) = run_job_in_dir("cone-second", &second, None, &cones);
+        assert!(frames.is_empty(), "a hit writes no checkpoint: {frames:?}");
+        let (_, fresh) = run_job_in_dir("cone-fresh", &second, None, &ConeCache::new());
+        assert_eq!(replayed.label, fresh.label);
+        assert_eq!(replayed.verdict, fresh.verdict);
+        assert_eq!(replayed.stats, fresh.stats);
+        let own = check_property(
+            &second,
+            &Portfolio::default(),
+            &CampaignSpec::default().check,
+        );
+        assert_eq!(replayed.verdict, own.verdict);
+    }
+
+    /// A job resumed from a checkpoint neither reads nor fills the cone
+    /// cache: a resumed run can end on another slice grid than a fresh
+    /// one.
+    #[test]
+    fn a_resumed_job_bypasses_the_cone_cache() {
+        let (prop, ck) = suspended_property();
+        let cones = ConeCache::new();
+        run_over_checkpoint("resume-fill", &prop, ck.clone(), &cones);
+        assert!(cones.is_empty(), "a resumed run filled the cache");
+
+        // `run_over_checkpoint` requires the job's own verdict, not the
+        // planted one.
+        let Err(miss) = cones.lookup(&prop.aig, prop.bad_index) else {
+            panic!("the cache is empty") // lint: allow
+        };
+        cones.fill(miss, &planted("planted".into()));
+        run_over_checkpoint("resume-read", &prop, ck, &cones);
     }
 
     #[test]

@@ -10,7 +10,9 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 use veridic_chipgen::{Category, Chip, PropertyType};
-use veridic_mc::{CheckOptions, CheckResult, CheckStats, Portfolio, PreanalysisStats, Verdict};
+use veridic_mc::{
+    CheckOptions, CheckResult, CheckStats, ConeCache, Portfolio, PreanalysisStats, Verdict,
+};
 use veridic_psl::CompiledVUnit;
 
 /// Campaign configuration.
@@ -197,7 +199,8 @@ pub fn module_properties(
 
 /// Checks one prepared property with an explicit portfolio, producing
 /// the same [`PropertyRecord`] the in-process campaign would emit for
-/// it (wall-clock aside).
+/// it (wall-clock aside). Uncached: the campaign replays a property
+/// whose cone it has already checked, this always runs the engines.
 pub fn check_property(
     prop: &PreparedProperty,
     portfolio: &Portfolio,
@@ -206,23 +209,14 @@ pub fn check_property(
     let t0 = Instant::now();
     let mut stats = CheckStats::default();
     let verdict = portfolio.check_bad(&prop.aig, prop.bad_index, check, &mut stats);
-    PropertyRecord {
-        module: prop.module.clone(),
-        category: prop.category,
-        vunit: prop.vunit.clone(),
-        label: prop.label.clone(),
-        ptype: prop.ptype,
-        verdict,
-        stats,
-        duration: t0.elapsed(),
-    }
+    record_from_result(prop, CheckResult { verdict, stats }, t0.elapsed())
 }
 
-/// Assembles the [`PropertyRecord`] for a check that was driven
-/// externally — the out-of-process campaign workers run properties in
-/// budget slices (with checkpoints persisted between them) and hand the
-/// final [`CheckResult`] here, so the record shape stays defined in one
-/// place regardless of who scheduled the engines.
+/// Assembles the [`PropertyRecord`] for a finished check, however it
+/// was scheduled: [`check_property`], the campaign's cone cache, or the
+/// out-of-process campaign workers, which run properties in budget
+/// slices (with checkpoints persisted between them) and hand the final
+/// [`CheckResult`] here. The record shape stays defined in one place.
 pub fn record_from_result(
     prop: &PreparedProperty,
     result: CheckResult,
@@ -241,18 +235,24 @@ pub fn record_from_result(
 }
 
 /// Prepares and checks every stereotype property of one leaf module.
-/// The portfolio is shared by reference across campaign workers — it
-/// owns no per-run state, only the engine policy.
+/// The portfolio and the cone cache are shared by reference across
+/// campaign workers; the portfolio owns no per-run state, only the
+/// engine policy. A replayed record's duration is its lookup time.
 fn run_module(
     chip: &Chip,
     mi: &veridic_chipgen::ModuleInfo,
     portfolio: &Portfolio,
     check: &CheckOptions,
+    cones: &ConeCache,
 ) -> ModuleOutput {
     let (props, errors) = module_properties(chip, mi);
     let records = props
         .iter()
-        .map(|p| check_property(p, portfolio, check))
+        .map(|p| {
+            let t0 = Instant::now();
+            let result = cones.check_bad(portfolio, &p.aig, p.bad_index, check);
+            record_from_result(p, result, t0.elapsed())
+        })
         .collect();
     (records, errors)
 }
@@ -269,6 +269,13 @@ fn run_module(
 /// engines, and per-module outputs are merged back in module-index
 /// order, so the report is identical to a serial run regardless of
 /// worker count or completion order.
+///
+/// Each distinct cone of influence is checked once: the workers share
+/// one [`ConeCache`] for the call, and a property whose cone was
+/// already checked gets that result replayed under its own name and
+/// input map (the Small chip's 158 properties are 118 cones, the Full
+/// census's 2047 are 357). A replayed record equals what
+/// [`check_property`] gives, wall-clock aside.
 pub fn run_campaign(chip: &Chip, cfg: &CampaignConfig) -> CampaignReport {
     run_campaign_with_portfolio(chip, cfg, &Portfolio::default())
 }
@@ -277,11 +284,23 @@ pub fn run_campaign(chip: &Chip, cfg: &CampaignConfig) -> CampaignReport {
 /// property check is scheduled by `portfolio` instead of the default
 /// cascade, so a campaign can run a custom engine mix (BDD-only
 /// portfolios, reordered engines, user-implemented engines). The
-/// portfolio is shared by reference across the campaign workers.
+/// portfolio is shared by reference across the campaign workers, and so
+/// is the call's cone cache.
 pub fn run_campaign_with_portfolio(
     chip: &Chip,
     cfg: &CampaignConfig,
     portfolio: &Portfolio,
+) -> CampaignReport {
+    run_campaign_cached(chip, cfg, portfolio, &ConeCache::new())
+}
+
+/// [`run_campaign_with_portfolio`] over a given cone cache, which must
+/// be empty or filled under the same portfolio and options.
+fn run_campaign_cached(
+    chip: &Chip,
+    cfg: &CampaignConfig,
+    portfolio: &Portfolio,
+    cones: &ConeCache,
 ) -> CampaignReport {
     let start = Instant::now();
     let mut report = CampaignReport::default();
@@ -291,7 +310,7 @@ pub fn run_campaign_with_portfolio(
     let outputs: Vec<ModuleOutput> = if workers <= 1 {
         modules
             .iter()
-            .map(|mi| run_module(chip, mi, portfolio, &cfg.check))
+            .map(|mi| run_module(chip, mi, portfolio, &cfg.check, cones))
             .collect()
     } else {
         let next = std::sync::atomic::AtomicUsize::new(0);
@@ -304,7 +323,7 @@ pub fn run_campaign_with_portfolio(
                         loop {
                             let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                             let Some(mi) = modules.get(i) else { break };
-                            out.push((i, run_module(chip, mi, portfolio, &cfg.check)));
+                            out.push((i, run_module(chip, mi, portfolio, &cfg.check, cones)));
                         }
                         out
                     })
@@ -844,5 +863,75 @@ mod tests {
         // Bug census at small scale: same placement as full scale.
         let bugs: usize = rows.iter().map(|r| r.bugs).sum();
         assert_eq!(bugs, 7);
+    }
+
+    /// Every property of `chip`, in campaign order.
+    fn chip_properties(chip: &Chip) -> Vec<PreparedProperty> {
+        chip.modules()
+            .iter()
+            .flat_map(|mi| module_properties(chip, mi).0)
+            .collect()
+    }
+
+    /// The cone cache is exact: every record of the Small campaign, hit
+    /// or miss, equals an uncached check of its own property, trace
+    /// inputs included. The 158 properties are 118 distinct cones, so
+    /// 40 records are replayed.
+    #[test]
+    fn cached_campaign_equals_uncached_checks() {
+        let chip = Chip::generate(&ChipConfig {
+            scale: Scale::Small,
+            with_bugs: true,
+        });
+        let cfg = CampaignConfig {
+            workers: 1,
+            ..Default::default()
+        };
+        let portfolio = Portfolio::default();
+        let cones = ConeCache::new();
+        let report = run_campaign_cached(&chip, &cfg, &portfolio, &cones);
+        let props = chip_properties(&chip);
+        assert_eq!(report.records.len(), 158);
+        assert_eq!(props.len(), 158);
+        assert_eq!(cones.len(), 118, "distinct cones of the Small chip");
+        for (record, prop) in report.records.iter().zip(&props) {
+            let own = check_property(prop, &portfolio, &cfg.check);
+            let at = format!("{}/{}", prop.module, prop.label);
+            assert_eq!(record.label, own.label, "{at}");
+            assert_eq!(record.verdict, own.verdict, "{at}");
+            if let Verdict::Falsified(t) = &record.verdict {
+                assert_eq!(t.bad_index, prop.bad_index, "{at}");
+            }
+            assert_eq!(record.stats, own.stats, "{at}");
+            assert_eq!(
+                record.stats.engines_tried(),
+                own.stats.engines_tried(),
+                "{at}"
+            );
+        }
+    }
+
+    /// The sharing the cone cache lives on, keys only (no check runs):
+    /// the Full census's 2047 properties are 357 distinct cones. A COI
+    /// or lowering change that breaks the sharing fails here.
+    #[test]
+    fn full_census_is_357_distinct_cones() {
+        let chip = Chip::generate(&ChipConfig {
+            scale: Scale::Full,
+            with_bugs: true,
+        });
+        let cones = ConeCache::new();
+        let placeholder = CheckResult {
+            verdict: Verdict::Proved { engine: "key-only" },
+            stats: CheckStats::default(),
+        };
+        let props = chip_properties(&chip);
+        for p in &props {
+            if let Err(miss) = cones.lookup(&p.aig, p.bad_index) {
+                cones.fill(miss, &placeholder);
+            }
+        }
+        assert_eq!(props.len(), 2047);
+        assert_eq!(cones.len(), 357, "distinct cones of the Full census");
     }
 }

@@ -356,8 +356,8 @@ pub fn run_partition_with_portfolio(
     }
     let results: Vec<(String, CheckResult)> = slots
         .into_iter()
-        .map(|r| r.expect("every step ran"))
-        .collect(); // lint: allow
+        .map(|r| r.expect("every step ran")) // lint: allow
+        .collect();
     let all = results.iter().all(|(_, r)| r.verdict.is_proved());
     PartitionRun {
         steps: results,

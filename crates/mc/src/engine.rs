@@ -206,7 +206,9 @@ pub struct EngineCtx<'a> {
     /// The COI-reduced AIG: exactly one bad (index 0) plus the original
     /// constraints.
     pub aig: &'a Aig,
-    /// Name of the bad output under check (for attribution).
+    /// Name of the bad output under check, for attribution only: a run
+    /// must not depend on it (see the [`Engine`] determinism contract).
+    /// No built-in engine reads it.
     pub bad_name: &'a str,
     /// The configured budgets and knobs.
     pub opts: &'a CheckOptions,
@@ -268,6 +270,14 @@ pub enum EngineOutcome {
 /// push events — attribution (bad name, resource deltas) is the
 /// scheduler's job, which is what keeps the event log uniform across
 /// engine implementations.
+///
+/// **Determinism contract.** [`Engine::run`] must be a deterministic
+/// function of the cone it is given ([`EngineCtx::aig`] without its
+/// names), the options and the resume state: the same inputs give the
+/// same outcome and the same statistics, in any thread and any process.
+/// [`EngineCtx::bad_name`] is for attribution only. The campaign's
+/// [`crate::ConeCache`] relies on this: it checks each distinct cone
+/// once and replays that result for every property with the same cone.
 pub trait Engine: Send + Sync {
     /// Stable identity for events and verdict attribution.
     fn id(&self) -> EngineId;
@@ -288,7 +298,8 @@ pub trait Engine: Send + Sync {
     }
 
     /// Runs the engine until it concludes, exhausts a per-engine
-    /// resource, or the ctx budget trips.
+    /// resource, or the ctx budget trips. A deterministic function of
+    /// the cone, the options and the resume state (see the trait docs).
     fn run(&self, ctx: &mut EngineCtx<'_>) -> EngineOutcome;
 }
 

@@ -52,6 +52,7 @@
 mod bdd_engine;
 mod bmc;
 mod checkpoint;
+mod cone;
 mod engine;
 mod options;
 mod pobdd;
@@ -63,6 +64,7 @@ pub use bmc::{
     InductionOutcome,
 };
 pub use checkpoint::{CheckpointMisfit, EngineCheckpoint, ReachCheckpoint};
+pub use cone::{ConeCache, ConeMiss};
 pub use engine::{
     Budget, CancelToken, Engine, EngineCtx, EngineEvent, EngineId, EngineOutcome, EventOutcome,
     EventResources,

@@ -20,6 +20,7 @@
 
 use crate::bmc::{self, BmcOutcome, InductionOutcome};
 use crate::checkpoint::{CheckpointMisfit, EngineCheckpoint};
+use crate::cone::Cone;
 use crate::engine::{
     Budget, Engine, EngineCtx, EngineEvent, EngineId, EngineOutcome, EventOutcome, EventResources,
 };
@@ -346,7 +347,18 @@ impl Portfolio {
         opts: &CheckOptions,
         stats: &mut CheckStats,
     ) -> Verdict {
-        match self.check_bad_inner(aig, bad_index, opts, stats, &mut Budget::unlimited(), None) {
+        self.check_cone(aig, &Cone::of(aig, bad_index), opts, stats)
+    }
+
+    /// [`Portfolio::check_bad`] over the bad's cone, already extracted.
+    pub(crate) fn check_cone(
+        &self,
+        aig: &Aig,
+        cone: &Cone,
+        opts: &CheckOptions,
+        stats: &mut CheckStats,
+    ) -> Verdict {
+        match self.check_bad_inner(aig, cone, opts, stats, &mut Budget::unlimited(), None) {
             Ok(verdict) => verdict,
             Err(Halt::Suspended(..)) => unreachable!("an unlimited budget cannot suspend"),
             Err(Halt::Misfit(_)) => unreachable!("a fresh run has no checkpoint to refuse"),
@@ -450,7 +462,8 @@ impl Portfolio {
         budget: &mut Budget,
         resume: Option<(usize, EngineCheckpoint, Vec<String>)>,
     ) -> Result<PortfolioOutcome, CheckpointMisfit> {
-        match self.check_bad_inner(aig, bad_index, opts, &mut stats, budget, resume) {
+        let cone = Cone::of(aig, bad_index);
+        match self.check_bad_inner(aig, &cone, opts, &mut stats, budget, resume) {
             Ok(verdict) => Ok(PortfolioOutcome::Done(CheckResult { verdict, stats })),
             Err(Halt::Suspended(slot, state, reasons)) => {
                 Ok(PortfolioOutcome::Suspended(RunCheckpoint {
@@ -509,28 +522,19 @@ impl Portfolio {
         Ok(())
     }
 
-    /// Schedules the slots over one bad. `Ok` is a verdict.
+    /// Schedules the slots over one bad of `aig`, given its cone. `Ok`
+    /// is a verdict.
     fn check_bad_inner(
         &self,
         aig: &Aig,
-        bad_index: usize,
+        cone: &Cone,
         opts: &CheckOptions,
         stats: &mut CheckStats,
         budget: &mut Budget,
         resume: Option<(usize, EngineCheckpoint, Vec<String>)>,
     ) -> Result<Verdict, Halt> {
-        // Cone of influence: bad + all constraints (constraints must
-        // keep their meaning on every path).
-        let bad = aig.bads()[bad_index].lit;
-        let mut roots = vec![bad];
-        roots.extend(aig.constraints().iter().map(|c| c.lit));
-        let coi = aig.extract_coi(&roots);
-        let mut sub = coi.aig;
-        let bad_name = aig.bads()[bad_index].name.clone();
-        sub.add_bad(bad_name.clone(), coi.roots[0]);
-        for (i, c) in aig.constraints().iter().enumerate() {
-            sub.add_constraint(c.name.clone(), coi.roots[1 + i]);
-        }
+        let sub = &cone.aig;
+        let bad_name = &sub.bads()[0].name;
         // Per-bad COI sizes: the summary fields aggregate by max so a
         // multi-bad check reports its hardest cone instead of whichever
         // bad happened to be checked last. A resumed run recorded its
@@ -556,7 +560,7 @@ impl Portfolio {
         // checkpoints were taken against the folded AIG) but do not
         // re-count the stats, mirroring the COI accounting above.
         let folded = if opts.preanalysis {
-            let sweep = ternary_sweep(&sub);
+            let sweep = ternary_sweep(sub);
             if resume.is_none() {
                 stats.preanalysis.bads_analyzed += 1;
                 stats.preanalysis.stuck_latches += sweep.stuck_count();
@@ -591,14 +595,11 @@ impl Portfolio {
             // constraint is X the engines must pick the inputs.)
             if bad_value == Ternary::True && constraint_values.iter().all(|v| *v == Ternary::True) {
                 stats.preanalysis.vacuous += 1;
-                let full = Trace {
-                    inputs: vec![vec![false; aig.num_inputs()]],
-                    bad_index,
+                let step = Trace {
+                    inputs: vec![vec![false; sub.num_inputs()]],
+                    bad_index: 0,
                 };
-                assert!(
-                    full.replays_on(aig),
-                    "preanalysis counterexample failed replay"
-                );
+                let full = cone.replayed(aig, &step, PREANALYSIS);
                 pre_event(stats, EventOutcome::FalsifiedAtDepth(0));
                 return Ok(Verdict::Falsified(full));
             }
@@ -614,7 +615,7 @@ impl Portfolio {
             // *unconstrained* sweep to pin everything, so traces stay
             // engine-built whenever a constraint is X.
             if !sub.constraints().is_empty() {
-                let cs = ternary_sweep_constrained(&sub);
+                let cs = ternary_sweep_constrained(sub);
                 let vacuous = cs.contradiction
                     || cs.sweep.lit_value(sub.bads()[0].lit) == Ternary::False
                     || sub
@@ -629,7 +630,7 @@ impl Portfolio {
                     });
                 }
             }
-            match fold_constants(&sub, &sweep) {
+            match fold_constants(sub, &sweep) {
                 Some(fold) => {
                     if resume.is_none() {
                         stats.preanalysis.folded_ands += fold.folded_ands;
@@ -643,25 +644,9 @@ impl Portfolio {
         };
         // The AIG the engines run on: folded when the sweep found
         // stuck latches, the COI cone otherwise. The fold preserves
-        // all inputs in creation order, so `expand_trace` below works
-        // unchanged on traces from either.
-        let engine_aig: &Aig = folded.as_ref().unwrap_or(&sub);
-
-        // Map a trace on the reduced AIG back to the full input space.
-        let expand_trace = |t: Trace| -> Trace {
-            let mut full = vec![vec![false; aig.num_inputs()]; t.inputs.len()];
-            for (old_var, new_var) in &coi.input_map {
-                let old_idx = aig.input_index(*old_var).expect("input var"); // lint: allow
-                let new_idx = sub.input_index(*new_var).expect("mapped input var"); // lint: allow
-                for (dst, src) in full.iter_mut().zip(&t.inputs) {
-                    dst[old_idx] = src[new_idx];
-                }
-            }
-            Trace {
-                inputs: full,
-                bad_index,
-            }
-        };
+        // all inputs in creation order, so `Cone::replayed` maps traces
+        // from either back to the full input space.
+        let engine_aig: &Aig = folded.as_ref().unwrap_or(sub);
 
         let (first_slot, mut engine_resume, mut reasons) = match resume {
             Some((slot, state, reasons)) => (slot, Some(state), reasons),
@@ -680,7 +665,7 @@ impl Portfolio {
             let outcome = {
                 let mut ctx = EngineCtx {
                     aig: engine_aig,
-                    bad_name: &bad_name,
+                    bad_name,
                     opts,
                     budget: &mut eng_budget,
                     stats,
@@ -716,12 +701,7 @@ impl Portfolio {
                     });
                 }
                 EngineOutcome::Falsified(t) => {
-                    let full = expand_trace(t);
-                    assert!(
-                        full.replays_on(aig),
-                        "{} counterexample failed replay",
-                        replay_blame(id)
-                    );
+                    let full = cone.replayed(aig, &t, replay_blame(id));
                     push(stats, EventOutcome::Falsified);
                     return Ok(Verdict::Falsified(full));
                 }
@@ -730,12 +710,7 @@ impl Portfolio {
                     // Extract the trace with a depth-pinned BMC run.
                     match bmc::bmc_check(engine_aig, k, k, u64::MAX, stats) {
                         BmcOutcome::Falsified(t) => {
-                            let full = expand_trace(t);
-                            assert!(
-                                full.replays_on(aig),
-                                "{} counterexample failed replay",
-                                replay_blame(id)
-                            );
+                            let full = cone.replayed(aig, &t, replay_blame(id));
                             return Ok(Verdict::Falsified(full));
                         }
                         other => panic!(
@@ -790,7 +765,7 @@ enum Halt {
 
 /// The historical replay-assertion attribution for the built-in
 /// engines.
-fn replay_blame(id: EngineId) -> &'static str {
+pub(crate) fn replay_blame(id: EngineId) -> &'static str {
     match id {
         EngineId::Bmc => "BMC",
         EngineId::Induction => "induction",
