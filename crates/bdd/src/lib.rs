@@ -42,12 +42,12 @@
 //! * **Relational product** (`and_exists`) as a first-class fused
 //!   operation, plus order-preserving variable renaming for the
 //!   current/next-state interleaving used by image computation.
-//! * **Cross-manager transfer** ([`transfer`]): one function's cone
-//!   serialized as a compact level-ordered node list (`Send`, no
-//!   manager references) and rebuilt — sharing, complement edges and
-//!   all — inside any manager with the same variable numbering, the
-//!   result arriving rooted. This is the reachability engines'
-//!   checkpoint format.
+//! * **Cross-manager transfer** ([`transfer`]): a list of functions
+//!   serialized as one compact level-ordered node list that stores each
+//!   shared node once (`Send`, no manager references) and rebuilt —
+//!   sharing, complement edges and all — inside any manager with the
+//!   same variable numbering, each result arriving rooted. This is the
+//!   reachability engines' checkpoint format.
 //!
 //! ```
 //! use veridic_bdd::BddManager;
@@ -70,6 +70,6 @@ mod ops;
 pub mod transfer;
 
 pub use manager::{BddManager, NodeId, OutOfNodes};
-pub use transfer::{DeltaBdd, ExportedBdd, TransferFormatError};
+pub use transfer::{ExportedBdd, TransferFormatError};
 pub use veridic_aig::hash;
 pub use veridic_aig::hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};

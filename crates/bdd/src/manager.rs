@@ -356,16 +356,6 @@ impl BddManager {
         self.nodes[index as usize]
     }
 
-    /// Pure-read unique-table probe: the regular edge of the node
-    /// `(var, lo, hi)` if the manager currently holds it, else `None`.
-    /// `hi` must be regular (the canonical stored form). The delta
-    /// exporter uses this to recognize baseline nodes in the source
-    /// manager without allocating.
-    pub(crate) fn lookup(&self, var: u32, lo: NodeId, hi: NodeId) -> Option<NodeId> {
-        self.find(self.bucket(var, lo, hi), var, lo, hi)
-            .map(NodeId::from_index)
-    }
-
     /// The unique-table bucket of `(var, lo, hi)`: the high bits of its
     /// multiplicative hash.
     #[inline]
@@ -1146,7 +1136,8 @@ mod tests {
                     continue;
                 }
                 let own = NodeId::from_index(i as u32);
-                assert_eq!(m.lookup(n.var, n.lo, n.hi), Some(own));
+                let b = m.bucket(n.var, n.lo, n.hi);
+                assert_eq!(m.find(b, n.var, n.lo, n.hi), Some(i as u32));
                 assert_eq!(m.mk(n.var, n.lo, n.hi).unwrap(), own);
             }
             assert_eq!(m.total_allocated(), allocated, "no duplicate was built");

@@ -84,6 +84,7 @@ mod tests {
                 state: EngineCheckpoint::Induction { next_k: 3 },
                 stats: CheckStats::default(),
                 reasons: Vec::new(),
+                cleared_depth: Some(30),
             },
         }
     }

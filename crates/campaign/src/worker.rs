@@ -416,10 +416,12 @@ pub fn maybe_run_worker() -> Option<i32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::CodecError;
+    use veridic_bdd::ExportedBdd;
     use veridic_core::flow::check_property;
     use veridic_mc::{
         CheckOptions, CheckResult, CheckStats, CheckpointMisfit, EngineCheckpoint, EngineId,
-        RunCheckpoint, Verdict,
+        ReachCheckpoint, RunCheckpoint, Verdict,
     };
 
     #[test]
@@ -465,12 +467,12 @@ mod tests {
 
     /// Runs job 7 of `prop` under the default spec with the cone cache
     /// `cones`, in a campaign directory named after `test`, over a
-    /// checkpoint file that holds `state` (if any) and the job's own
-    /// fingerprints; returns the job's frames and its record.
+    /// checkpoint file that holds `ckpt` (if any); returns the job's
+    /// frames and its record.
     fn run_job_in_dir(
         test: &str,
         prop: &PreparedProperty,
-        state: Option<RunCheckpoint>,
+        ckpt: Option<&[u8]>,
         cones: &ConeCache,
     ) -> (Vec<String>, Box<PropertyRecord>) {
         let spec = CampaignSpec::default();
@@ -478,13 +480,8 @@ mod tests {
         std::fs::remove_dir_all(&root).ok();
         let dir = CampaignDir::new(&root);
         std::fs::create_dir_all(dir.ckpt_dir()).unwrap(); // lint: allow
-        if let Some(state) = state {
-            let file = CheckpointFile {
-                aig_fingerprint: prop.aig.fingerprint(),
-                options_fingerprint: spec.check.fingerprint(),
-                state,
-            };
-            store::save_checkpoint(&dir.ckpt_path(7), &file).unwrap(); // lint: allow
+        if let Some(bytes) = ckpt {
+            std::fs::write(dir.ckpt_path(7), bytes).unwrap(); // lint: allow
         }
 
         let mut out = Vec::new();
@@ -499,17 +496,27 @@ mod tests {
         (frames, record)
     }
 
-    /// Runs job 7 of `prop` over a checkpoint that holds `state`, with
-    /// the cone cache `cones`; returns the job's first frame, after
-    /// checking that its record is the job's own fresh verdict on its
-    /// own bad.
+    /// The bytes of a checkpoint file that holds `state` under the
+    /// default spec and `prop`'s own fingerprints.
+    fn checkpoint_bytes(prop: &PreparedProperty, state: RunCheckpoint) -> Vec<u8> {
+        CheckpointFile {
+            aig_fingerprint: prop.aig.fingerprint(),
+            options_fingerprint: CampaignSpec::default().check.fingerprint(),
+            state,
+        }
+        .encode()
+    }
+
+    /// Runs job 7 of `prop` over a checkpoint file of `bytes`, with the
+    /// cone cache `cones`; returns the job's first frame, after checking
+    /// that its record is the job's own fresh verdict on its own bad.
     fn run_over_checkpoint(
         test: &str,
         prop: &PreparedProperty,
-        state: RunCheckpoint,
+        bytes: &[u8],
         cones: &ConeCache,
     ) -> String {
-        let (frames, record) = run_job_in_dir(test, prop, Some(state), cones);
+        let (frames, record) = run_job_in_dir(test, prop, Some(bytes), cones);
         let spec = CampaignSpec::default();
         let own = check_property(prop, &Portfolio::default(), &spec.check);
         assert_eq!(record.verdict, own.verdict);
@@ -571,7 +578,8 @@ mod tests {
             })
             .expect("the Small chip has a vunit with two asserts"); // lint: allow
         let sibling_bad = sibling_ck.bad_index;
-        let first = run_over_checkpoint("sibling", &prop, sibling_ck, &ConeCache::new());
+        let bytes = checkpoint_bytes(&prop, sibling_ck);
+        let first = run_over_checkpoint("sibling", &prop, &bytes, &ConeCache::new());
         let warning = format!("WARN 7 stale checkpoint ignored: it is for bad {sibling_bad},");
         assert!(first.starts_with(&warning), "first frame: {first:?}");
     }
@@ -586,7 +594,8 @@ mod tests {
         state: RunCheckpoint,
         misfit: CheckpointMisfit,
     ) {
-        let first = run_over_checkpoint(test, prop, state, &ConeCache::new());
+        let bytes = checkpoint_bytes(prop, state);
+        let first = run_over_checkpoint(test, prop, &bytes, &ConeCache::new());
         assert_eq!(first, format!("WARN 7 stale checkpoint ignored: {misfit}"));
     }
 
@@ -614,44 +623,100 @@ mod tests {
         assert_misfit_is_stale("bmc-at-induction", &prop, state, misfit);
     }
 
-    #[test]
-    fn a_reach_checkpoint_with_the_wrong_window_count_is_stale() {
-        let (prop, ck) = suspended_property();
-        // A real monolithic reachability state, doubled into two windows.
+    /// The first property of the Small chip and a real checkpoint of
+    /// its BDD-UMC run, suspended after one round, with the
+    /// reachability state in it.
+    fn suspended_reachability() -> (PreparedProperty, RunCheckpoint, ReachCheckpoint) {
+        let (prop, _) = suspended_property();
         let bdd_only = CheckOptions {
             bdd_only: true,
             ..CampaignSpec::default().check
         };
-        let outcome = Portfolio::default().check_bad_with_budget(
-            &prop.aig,
-            prop.bad_index,
-            &bdd_only,
-            &mut Budget::rounds(1),
-        );
-        let PortfolioOutcome::Suspended(RunCheckpoint {
-            slot: 2,
-            state: EngineCheckpoint::Reach(mut reach),
-            ..
-        }) = outcome
-        else {
+        let slice = &mut Budget::rounds(1);
+        let outcome =
+            Portfolio::default().check_bad_with_budget(&prop.aig, prop.bad_index, &bdd_only, slice);
+        let PortfolioOutcome::Suspended(ck) = outcome else {
             panic!(
                 "one round of BDD reachability cannot conclude {}",
                 prop.label
             ) // lint: allow
         };
-        reach.reached.push(reach.reached[0].clone());
-        reach.frontier.push(reach.frontier[0].clone());
+        let (2, EngineCheckpoint::Reach(reach)) = (ck.slot, ck.state.clone()) else {
+            panic!("BDD-UMC (slot 2) suspends, not {:?}", ck.state) // lint: allow
+        };
+        (prop, ck, reach)
+    }
+
+    /// `sets` rebuilt from its raw parts by `edit`.
+    fn edited(
+        sets: &ExportedBdd,
+        edit: impl FnOnce(&mut Vec<(u32, u32, u32)>, &mut Vec<u32>),
+    ) -> ExportedBdd {
+        let mut nodes: Vec<_> = sets.raw_nodes().collect();
+        let mut roots: Vec<_> = sets.raw_roots().collect();
+        edit(&mut nodes, &mut roots);
+        let order = sets.source_order().to_vec();
+        ExportedBdd::from_raw_parts(nodes, roots, order).unwrap() // lint: allow
+    }
+
+    #[test]
+    fn a_reach_checkpoint_with_the_wrong_window_count_is_stale() {
+        let (prop, ck, reach) = suspended_reachability();
+        // The one window's reached and frontier roots, doubled into two
+        // windows.
+        let sets = edited(&reach.sets, |_, roots| roots.extend(roots.clone()));
         let state = RunCheckpoint {
-            slot: 2,
-            state: EngineCheckpoint::Reach(reach),
+            state: EngineCheckpoint::Reach(ReachCheckpoint { sets, ..reach }),
             ..ck
         };
         let misfit = CheckpointMisfit::WindowCount {
             expected: 1,
-            reached: 2,
-            frontier: 2,
+            roots: 4,
         };
         assert_misfit_is_stale("window-count", &prop, state, misfit);
+    }
+
+    /// A node variable outside the transition system's variable space
+    /// names no latch or input, and one near `u32::MAX` would make the
+    /// importing manager grow its order maps to about 2^32 entries.
+    #[test]
+    fn a_reach_checkpoint_off_the_variable_space_is_stale() {
+        let (prop, ck, reach) = suspended_reachability();
+        // The session's manager tracks every variable of its system, so
+        // the exported order covers exactly the variable space.
+        let vars = reach.sets.source_order().len();
+        for var in [1000, u32::MAX - 1] {
+            let sets = edited(&reach.sets, |nodes, _| {
+                let top = nodes.last_mut().expect("one round reaches a state set"); // lint: allow
+                top.0 = var;
+            });
+            let state = RunCheckpoint {
+                state: EngineCheckpoint::Reach(ReachCheckpoint {
+                    sets,
+                    ..reach.clone()
+                }),
+                ..ck.clone()
+            };
+            let misfit = CheckpointMisfit::VarOutOfRange { var, vars };
+            assert_misfit_is_stale("var-space", &prop, state, misfit);
+        }
+    }
+
+    /// A checkpoint file of the previous format version, written by the
+    /// previous release for this job (its BMC run suspended after one
+    /// round), is reported and the job runs afresh.
+    #[test]
+    fn a_version_two_checkpoint_file_is_stale() {
+        const V2_CHECKPOINT: [u8; 83] = [
+            86, 67, 75, 80, 2, 228, 216, 73, 58, 54, 98, 173, 6, 246, 114, 32, 236, 142, 214, 230,
+            177, 0, 0, 0, 0, 1, 1, 9, 112, 67, 104, 101, 99, 107, 49, 95, 48, 3, 98, 109, 99, 7, 0,
+            0, 0, 1, 17, 150, 1, 1, 9, 112, 67, 104, 101, 99, 107, 49, 95, 48, 17, 150, 1, 1, 0, 0,
+            0, 0, 0, 0, 0, 0, 0, 0, 0, 155, 150, 18, 120, 249, 242, 118, 22,
+        ];
+        let (prop, _) = suspended_property();
+        let first = run_over_checkpoint("v2", &prop, &V2_CHECKPOINT, &ConeCache::new());
+        let refusal = CodecError::UnsupportedVersion(2);
+        assert_eq!(first, format!("WARN 7 stale checkpoint ignored: {refusal}"));
     }
 
     /// A stand-in result that names a property by its index.
@@ -726,7 +791,8 @@ mod tests {
     fn a_resumed_job_bypasses_the_cone_cache() {
         let (prop, ck) = suspended_property();
         let cones = ConeCache::new();
-        run_over_checkpoint("resume-fill", &prop, ck.clone(), &cones);
+        let bytes = checkpoint_bytes(&prop, ck);
+        run_over_checkpoint("resume-fill", &prop, &bytes, &cones);
         assert!(cones.is_empty(), "a resumed run filled the cache");
 
         // `run_over_checkpoint` requires the job's own verdict, not the
@@ -735,7 +801,7 @@ mod tests {
             panic!("the cache is empty") // lint: allow
         };
         cones.fill(miss, &planted("planted".into()));
-        run_over_checkpoint("resume-read", &prop, ck, &cones);
+        run_over_checkpoint("resume-read", &prop, &bytes, &cones);
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! BDD-based unbounded model checking: clustered transition relations,
-//! early quantification, forward reachability.
+//! The symbolic transition system the BDD reachability fixpoint
+//! ([`crate::reach_session`]) runs on: clustered transition relations
+//! with early quantification, built from an AIG.
 //!
 //! Variable order interleaves current and next state: latch `i` gets
 //! current variable `2i` and next variable `2i+1`; primary inputs follow
@@ -7,13 +8,10 @@
 //! order-preserving, so renaming is a linear rebuild.
 
 use crate::checkpoint::{CheckpointMisfit, ReachCheckpoint};
-use crate::engine::Budget;
-use crate::CheckStats;
 use veridic_aig::{Aig, Lit, Var};
-use veridic_bdd::transfer;
 use veridic_bdd::{BddManager, FxHashMap, NodeId, OutOfNodes};
 
-/// Outcome of a BDD reachability engine.
+/// Outcome of a BDD reachability run ([`crate::reach_session`]).
 #[derive(Clone, Debug, PartialEq)]
 pub enum BddEngineOutcome {
     /// Bad is unreachable: property proved.
@@ -22,15 +20,15 @@ pub enum BddEngineOutcome {
     FalsifiedAtDepth(usize),
     /// Node quota or iteration limit exhausted.
     ResourceOut,
-    /// The cooperative round [`Budget`] stopped the run between rounds;
-    /// the checkpoint carries the reached/frontier sets serialized
-    /// through [`veridic_bdd::transfer`] so the fixpoint resumes in a
-    /// fresh manager. Never returned by the unbudgeted entry points
-    /// ([`bdd_umc`], [`crate::pobdd_reach`]).
+    /// The cooperative round [`crate::Budget`] stopped the run between
+    /// rounds; the checkpoint carries the reached/frontier sets
+    /// serialized through [`veridic_bdd::transfer`] so the fixpoint
+    /// resumes in a fresh manager. Never returned under an unlimited
+    /// budget.
     Suspended(ReachCheckpoint),
-    /// The resume checkpoint was taken on another window split than the
-    /// one this run derives, so the run did not start. Never returned
-    /// without a checkpoint.
+    /// The resume checkpoint does not fit this run (another window
+    /// split, or a node outside the system's variable space), so the
+    /// run did not start. Never returned without a checkpoint.
     Misfit(CheckpointMisfit),
 }
 
@@ -92,30 +90,16 @@ impl TransitionSystem {
     /// so construction itself can garbage-collect its dead intermediates
     /// under quota pressure.
     ///
-    /// # Errors
-    ///
-    /// Returns [`BuildError`] — the quota error plus the manager's node
-    /// accounting — if construction exceeds the quota even after GC.
-    pub fn build(aig: &Aig, node_quota: usize) -> Result<Self, BuildError> {
-        Self::build_with_order(aig, node_quota, None)
-    }
-
-    /// [`TransitionSystem::build`] with the manager's variable order
-    /// seeded before any node exists. `order` is a permutation of the
-    /// full BDD variable space (see `static_bdd_order`); `None` keeps
-    /// the natural interleaved order and is byte-identical to
-    /// [`TransitionSystem::build`] — the seeding is an extra call on an
-    /// empty manager, never a changed one.
+    /// `order`, when given, seeds the manager's variable order before
+    /// any node exists: a permutation of the full BDD variable space
+    /// (see `static_bdd_order`). `None` keeps the natural interleaved
+    /// order and makes no extra call.
     ///
     /// # Errors
     ///
     /// Returns [`BuildError`] — the quota error plus the manager's node
     /// accounting — if construction exceeds the quota even after GC.
-    pub fn build_with_order(
-        aig: &Aig,
-        node_quota: usize,
-        order: Option<&[u32]>,
-    ) -> Result<Self, BuildError> {
+    pub fn build(aig: &Aig, node_quota: usize, order: Option<&[u32]>) -> Result<Self, BuildError> {
         let mut mgr = BddManager::new(node_quota);
         if let Some(order) = order {
             mgr.adopt_order(order);
@@ -347,35 +331,10 @@ fn lit_bdd(node_bdd: &FxHashMap<Var, NodeId>, l: Lit) -> NodeId {
     }
 }
 
-/// Forward-reachability UMC: returns Proved if the bad never intersects
-/// the reachable set, the violation depth otherwise.
-///
-/// `reached` and `frontier` are registered as garbage-collection roots,
-/// so quota pressure reclaims dead image intermediates and superseded
-/// frontiers instead of counting them against the budget. Statistics
-/// (peak live nodes, total allocations, quota hits) are recorded on
-/// every exit path, including build failure.
-pub fn bdd_umc(
-    aig: &Aig,
-    node_quota: usize,
-    max_iterations: usize,
-    stats: &mut CheckStats,
-) -> BddEngineOutcome {
-    bdd_umc_session(
-        aig,
-        node_quota,
-        max_iterations,
-        false,
-        stats,
-        &mut Budget::unlimited(),
-        None,
-    )
-}
-
 /// A FORCE static variable order translated into the BDD variable
 /// space, plus the span accounting recorded into
-/// [`CheckStats::static_order_span_before`] /
-/// [`CheckStats::static_order_span_after`].
+/// [`crate::CheckStats::static_order_span_before`] /
+/// [`crate::CheckStats::static_order_span_after`].
 pub(crate) struct StaticOrder {
     /// Permutation of the full BDD variable space `0..2n+i`: each
     /// latch's `(2i, 2i+1)` twin stays adjacent (so the interleaved
@@ -411,160 +370,11 @@ pub(crate) fn static_bdd_order(aig: &Aig) -> StaticOrder {
     }
 }
 
-/// [`bdd_umc`] under a cooperative round [`Budget`], optionally resumed
-/// from a [`ReachCheckpoint`] of an earlier suspended run on the same
-/// AIG.
-///
-/// One budget round is consumed per reachability image. When the budget
-/// trips *between* rounds, the engine exports its reached and frontier
-/// sets through [`veridic_bdd::transfer`] (the frontier delta-encoded
-/// against the reached export — it is a subset, so the delta is small)
-/// and returns [`BddEngineOutcome::Suspended`]; resuming imports them
-/// into a fresh manager and continues at round `depth + 1`, so verdict,
-/// falsification depth and the completed-round count in
-/// [`CheckStats::iterations`] are identical to an uninterrupted run
-/// (manager accounting — allocations, peaks — naturally differs: the
-/// fresh manager never built the dead intermediates of the first
-/// session). A partitioned engine's checkpoint gives
-/// [`BddEngineOutcome::Misfit`].
-///
-/// `static_order` seeds the session's manager with the FORCE static
-/// variable order (see `static_bdd_order`) before any node is built.
-/// Verdict, depth and iteration count are unaffected; with it off no
-/// extra call of any kind is made, so the run is byte-identical to
-/// previous releases.
-pub fn bdd_umc_session(
-    aig: &Aig,
-    node_quota: usize,
-    max_iterations: usize,
-    static_order: bool,
-    stats: &mut CheckStats,
-    budget: &mut Budget,
-    resume: Option<&ReachCheckpoint>,
-) -> BddEngineOutcome {
-    if let Some(Err(misfit)) = resume.map(|ck| ck.check_windows(0, 1)) {
-        return BddEngineOutcome::Misfit(misfit);
-    }
-    let seeded = if static_order {
-        let so = static_bdd_order(aig);
-        stats.static_order_span_before = so.span_before;
-        stats.static_order_span_after = so.span_after;
-        Some(so.order)
-    } else {
-        None
-    };
-    let order = seeded.as_deref();
-    let mut ts = match TransitionSystem::build_with_order(aig, node_quota, order) {
-        Ok(ts) => ts,
-        Err(e) => {
-            stats.bdd_nodes = stats.bdd_nodes.max(e.peak_live_nodes);
-            stats.bdd_allocated += e.total_allocated;
-            stats.bdd_quota_hits += 1;
-            return BddEngineOutcome::ResourceOut;
-        }
-    };
-    let outcome = (|| -> Result<BddEngineOutcome, OutOfNodes> {
-        let (mut reached, mut frontier, start_depth) = match session_start(&mut ts, resume)? {
-            Some(start) => start,
-            None => return Ok(BddEngineOutcome::FalsifiedAtDepth(0)),
-        };
-        // `stats.iterations` counts *completed* rounds: a round that
-        // concludes the check (fixpoint or falsification) counts, a
-        // round aborted by the quota does not — the same convention as
-        // `pobdd_reach`, so a quota failure during the depth-d image
-        // reports d-1 from both engines (it used to report d-1 here and
-        // d there, skewing Tables 2/3 between engines).
-        for depth in start_depth + 1..=max_iterations {
-            if !budget.tick() {
-                return Ok(BddEngineOutcome::Suspended(monolithic_checkpoint(
-                    &ts.mgr,
-                    depth - 1,
-                    reached,
-                    frontier,
-                )));
-            }
-            let img = ts.image(frontier)?;
-            let new = ts.mgr.and_not(img, reached)?;
-            if new == NodeId::FALSE {
-                stats.iterations = depth;
-                return Ok(BddEngineOutcome::Proved);
-            }
-            if ts.intersects_bad(new) {
-                stats.iterations = depth;
-                return Ok(BddEngineOutcome::FalsifiedAtDepth(depth));
-            }
-            ts.mgr.protect(new); // becomes the next frontier
-            let r = ts.mgr.or(reached, new)?;
-            ts.mgr.reroot(reached, r);
-            reached = r;
-            ts.mgr.unprotect(frontier);
-            frontier = new;
-            stats.iterations = depth;
-        }
-        Ok(BddEngineOutcome::ResourceOut)
-    })();
-    stats.bdd_nodes = stats.bdd_nodes.max(ts.mgr.peak_live_nodes());
-    stats.bdd_allocated += ts.mgr.total_allocated();
-    match outcome {
-        Ok(o) => o,
-        Err(_) => {
-            stats.bdd_quota_hits += 1;
-            BddEngineOutcome::ResourceOut
-        }
-    }
-}
-
-/// Prologue of a monolithic session: import the checkpoint (the
-/// frontier through the delta path, against its paired reached export)
-/// or root the initial state and run the depth-0 bad check. `Ok(None)`
-/// means bad intersects the initial states.
-fn session_start(
-    ts: &mut TransitionSystem,
-    resume: Option<&ReachCheckpoint>,
-) -> Result<Option<(NodeId, NodeId, usize)>, OutOfNodes> {
-    match resume {
-        Some(ck) => {
-            // Imports arrive rooted — exactly the registration the
-            // reached/frontier slots own.
-            let r = transfer::import(&ck.reached[0], &mut ts.mgr)?;
-            let f = transfer::import_delta(&ck.frontier[0], &ck.reached[0], &mut ts.mgr)?;
-            Ok(Some((r, f, ck.depth)))
-        }
-        None => {
-            let init = ts.init;
-            ts.mgr.protect(init); // reached slot
-            ts.mgr.protect(init); // frontier slot
-            if ts.intersects_bad(init) {
-                return Ok(None);
-            }
-            Ok(Some((init, init, 0)))
-        }
-    }
-}
-
-/// Builds the monolithic [`ReachCheckpoint`]: the reached set as a full
-/// export, the frontier delta-encoded against it — the frontier is a
-/// subset of the reached set, so the delta ships only the nodes the
-/// frontier's cone adds over the reached cone.
-fn monolithic_checkpoint(
-    mgr: &BddManager,
-    depth: usize,
-    reached: NodeId,
-    frontier: NodeId,
-) -> ReachCheckpoint {
-    let reached_export = transfer::export(mgr, reached);
-    let frontier_delta = transfer::export_delta(mgr, frontier, &reached_export);
-    ReachCheckpoint {
-        depth,
-        reached: vec![reached_export],
-        frontier: vec![frontier_delta],
-        window_vars: 0,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pobdd::reach;
+    use crate::CheckStats;
     use veridic_aig::Aig;
 
     fn counter(bits: u32) -> (Aig, Vec<Lit>) {
@@ -593,7 +403,7 @@ mod tests {
         let quota = 400;
         let mut stats = CheckStats::default();
         assert_eq!(
-            bdd_umc(&g, quota, 1 << 20, &mut stats),
+            reach(&g, 0, quota, 1 << 20, &mut stats),
             BddEngineOutcome::FalsifiedAtDepth(1023)
         );
         assert!(stats.bdd_nodes <= quota, "peak live stays within the quota");
@@ -612,7 +422,7 @@ mod tests {
         g.add_bad("all_ones", bad);
         let mut stats = CheckStats::default();
         assert_eq!(
-            bdd_umc(&g, 300, 1 << 20, &mut stats),
+            reach(&g, 0, 300, 1 << 20, &mut stats),
             BddEngineOutcome::ResourceOut
         );
         assert!(
@@ -632,7 +442,7 @@ mod tests {
         g.add_bad("five", bad);
         let mut stats = CheckStats::default();
         assert_eq!(
-            bdd_umc(&g, 1 << 20, 100, &mut stats),
+            reach(&g, 0, 1 << 20, 100, &mut stats),
             BddEngineOutcome::FalsifiedAtDepth(5)
         );
     }
@@ -648,7 +458,7 @@ mod tests {
         g.add_bad("never", bad);
         let mut stats = CheckStats::default();
         assert_eq!(
-            bdd_umc(&g, 1 << 20, 100, &mut stats),
+            reach(&g, 0, 1 << 20, 100, &mut stats),
             BddEngineOutcome::Proved
         );
         // An 3-bit counter explores 8 states: fixpoint in <= 9 iterations.
@@ -666,7 +476,7 @@ mod tests {
         g.add_bad("q_high", q);
         let mut stats = CheckStats::default();
         assert_eq!(
-            bdd_umc(&g, 1 << 20, 100, &mut stats),
+            reach(&g, 0, 1 << 20, 100, &mut stats),
             BddEngineOutcome::Proved
         );
     }
@@ -678,7 +488,7 @@ mod tests {
         g.add_bad("all_ones", bad);
         let mut stats = CheckStats::default();
         assert_eq!(
-            bdd_umc(&g, 300, 1 << 20, &mut stats),
+            reach(&g, 0, 300, 1 << 20, &mut stats),
             BddEngineOutcome::ResourceOut
         );
     }
@@ -695,7 +505,7 @@ mod tests {
         g.add_bad("a_and_q", bad);
         let mut stats = CheckStats::default();
         assert_eq!(
-            bdd_umc(&g, 1 << 20, 100, &mut stats),
+            reach(&g, 0, 1 << 20, 100, &mut stats),
             BddEngineOutcome::FalsifiedAtDepth(1)
         );
     }

@@ -12,8 +12,11 @@ pub enum BmcOutcome {
     Falsified(Trace),
     /// No counterexample up to the depth bound.
     NoCounterexample,
-    /// The conflict budget ran out.
-    ResourceOut,
+    /// The conflict budget ran out on the query of this depth.
+    ResourceOut {
+        /// The depth whose query ran out.
+        depth: usize,
+    },
     /// The cooperative round [`Budget`] stopped the run before this
     /// depth was queried; resume with `min_depth = next_depth` (the
     /// solver re-encodes the earlier frames deterministically but does
@@ -23,6 +26,23 @@ pub enum BmcOutcome {
         /// First depth the resumed run should query.
         next_depth: usize,
     },
+}
+
+impl BmcOutcome {
+    /// The deepest depth `d` the run showed bad-free from the initial
+    /// states — no bad at any depth `0..=d` — or `None` if it showed
+    /// none: `max_depth` (the run's bound) when it is clean, `d - 1`
+    /// when it falsifies, runs out or suspends at depth `d`. Depths
+    /// below the run's `min_depth` count as shown by the earlier run
+    /// that queried them.
+    pub fn cleared_depth(&self, max_depth: usize) -> Option<usize> {
+        match self {
+            BmcOutcome::NoCounterexample => Some(max_depth),
+            BmcOutcome::Falsified(t) => t.len().checked_sub(2),
+            BmcOutcome::ResourceOut { depth } => depth.checked_sub(1),
+            BmcOutcome::Suspended { next_depth } => next_depth.checked_sub(1),
+        }
+    }
 }
 
 /// Outcome of a k-induction run.
@@ -140,7 +160,7 @@ pub fn bmc_check_budgeted(
             }
             SolveResult::Unknown => {
                 stats.sat_conflicts += solver.num_conflicts();
-                return BmcOutcome::ResourceOut;
+                return BmcOutcome::ResourceOut { depth: k };
             }
         }
     }
@@ -150,8 +170,9 @@ pub fn bmc_check_budgeted(
 
 /// k-induction: proves `never bad` if, assuming no bad in `k` consecutive
 /// constraint-satisfying cycles from an arbitrary state, no bad can occur
-/// in the next cycle — together with a BMC base case the caller is
-/// expected to have run to at least the same depth.
+/// in the next cycle — together with a BMC base case the caller must
+/// have established: no bad at depths `0..k` from the initial states
+/// (so `max_k` must not exceed the depth BMC cleared plus one).
 ///
 /// `simple_path` adds loop-free (all-states-distinct) constraints, which
 /// makes the method complete for large enough `k` at quadratic clause
@@ -481,14 +502,14 @@ mod tests {
             (bmc_check(&g, 0, 3, 0, &mut stats), stats.sat_conflicts),
             (BmcOutcome::Falsified(trace), 0)
         );
-        // A query that needs search stops at the budget.
+        // A query that needs search stops at the budget, having cleared
+        // the depths before it.
         let mut stats = CheckStats::default();
+        let outcome = bmc_check(&split_counters(5, 13, 12), 0, 24, 1000, &mut stats);
         assert_eq!(
-            (
-                bmc_check(&split_counters(5, 13, 12), 0, 24, 1000, &mut stats),
-                stats.sat_conflicts
-            ),
-            (BmcOutcome::ResourceOut, 1000)
+            (outcome.clone(), stats.sat_conflicts),
+            (BmcOutcome::ResourceOut { depth: 20 }, 1000)
         );
+        assert_eq!(outcome.cleared_depth(24), Some(19));
     }
 }

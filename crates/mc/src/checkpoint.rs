@@ -3,58 +3,58 @@
 //! the run.
 //!
 //! The SAT engines checkpoint a cursor (their solver state is rebuilt
-//! deterministically on resume); the BDD engines serialize their
-//! reached/frontier sets through [`veridic_bdd::transfer`]'s
-//! level-ordered export — the checkpoint owns no manager references, is
-//! `Send`, and imports into a *fresh* manager, so a killed reachability
-//! run resumes mid-fixpoint with an identical verdict, falsification
-//! depth and completed-round count.
+//! deterministically on resume); the BDD reachability fixpoint
+//! serializes its reached/frontier sets through
+//! [`veridic_bdd::transfer`]'s level-ordered export — the checkpoint
+//! owns no manager references, is `Send`, and imports into a *fresh*
+//! manager, so a killed reachability run resumes mid-fixpoint with an
+//! identical verdict, falsification depth and completed-round count.
 
 use std::fmt;
 
-use veridic_bdd::transfer::{DeltaBdd, ExportedBdd};
+use veridic_bdd::transfer::ExportedBdd;
 
 use crate::engine::EngineId;
 
-/// Mid-fixpoint state of a BDD reachability engine (monolithic or
-/// partitioned): per-window reached and frontier sets at the end of a
-/// completed round, in the transfer layer's manager-independent format.
+/// Mid-fixpoint state of the BDD reachability fixpoint: every window's
+/// reached and frontier set at the end of a completed round, in the
+/// transfer layer's manager-independent format.
 ///
-/// The monolithic engine has exactly one window; the POBDD engine one
-/// entry per window cube, indexed like its window list (which is
-/// deterministically re-derived from the AIG on resume).
-///
-/// The frontier is a subset of the reached set by construction (it is
-/// the states first reached in the last completed round), so its cone
-/// heavily overlaps the reached cone — each window's frontier is
-/// therefore stored as a [`DeltaBdd`] against the *same window's*
-/// `reached` export, shipping only the handful of nodes the frontier
-/// adds. Resume rebuilds it with
-/// [`veridic_bdd::transfer::import_delta`] over the paired baseline.
+/// BDD-UMC has exactly one window; POBDD-UMC one per window cube,
+/// indexed like its window list (which is deterministically re-derived
+/// from the AIG on resume). All the sets are the roots of one export,
+/// `[reached_0, frontier_0, reached_1, frontier_1, …]`: the frontier is
+/// a subset of its window's reached set by construction (the states
+/// first reached in the last completed round), so their cones overlap
+/// heavily, and the shared node list stores each common node once.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ReachCheckpoint {
     /// Completed reachability rounds at suspension (the next round to
     /// run is `depth + 1`).
     pub depth: usize,
-    /// Per-window reached sets.
-    pub reached: Vec<ExportedBdd>,
-    /// Per-window frontiers, delta-encoded against the same window's
-    /// `reached` export.
-    pub frontier: Vec<DeltaBdd>,
+    /// The reached and frontier set of every window, as the roots
+    /// `[reached_0, frontier_0, reached_1, frontier_1, …]` of one
+    /// export.
+    pub sets: ExportedBdd,
     /// The window-variable count the partition was built with (0 for
-    /// the monolithic engine); resume re-derives the same windows and
-    /// verifies the count matches.
+    /// BDD-UMC); resume re-derives the same windows and verifies the
+    /// count matches.
     pub window_vars: u32,
 }
 
 impl ReachCheckpoint {
-    /// Checks that this checkpoint was taken on the window split the
-    /// resuming engine derives: `window_vars` split variables and one
-    /// reached and one frontier set for each of its `windows` windows.
-    pub(crate) fn check_windows(
+    /// Checks that this checkpoint fits the run about to import it: it
+    /// was taken on the window split the resuming engine derives
+    /// (`window_vars` split variables, a reached and a frontier root for
+    /// each of its `windows` windows), and every node lies in the
+    /// transition system's variable space `0..vars` — a variable
+    /// outside it would name no latch or input, and a huge one would
+    /// make the importing manager grow its order maps to match.
+    pub(crate) fn check_fit(
         &self,
         window_vars: u32,
         windows: usize,
+        vars: usize,
     ) -> Result<(), CheckpointMisfit> {
         if self.window_vars != window_vars {
             let found = self.window_vars;
@@ -63,14 +63,21 @@ impl ReachCheckpoint {
                 found,
             });
         }
-        if (self.reached.len(), self.frontier.len()) != (windows, windows) {
+        let roots = self.sets.raw_roots().len();
+        if roots != 2 * windows {
             return Err(CheckpointMisfit::WindowCount {
                 expected: windows,
-                reached: self.reached.len(),
-                frontier: self.frontier.len(),
+                roots,
             });
         }
-        Ok(())
+        match self
+            .sets
+            .raw_nodes()
+            .find(|(var, _, _)| *var as usize >= vars)
+        {
+            Some((var, _, _)) => Err(CheckpointMisfit::VarOutOfRange { var, vars }),
+            None => Ok(()),
+        }
     }
 }
 
@@ -112,20 +119,28 @@ pub enum CheckpointMisfit {
     /// A reachability checkpoint split on another number of window
     /// variables than the resuming engine.
     WindowVars {
-        /// The engine's count (0 for the monolithic engine).
+        /// The engine's count (0 for BDD-UMC).
         expected: u32,
         /// The checkpoint's count.
         found: u32,
     },
-    /// A reachability checkpoint with another number of windows than
-    /// the split the resuming engine derives.
+    /// A reachability checkpoint whose root count is not two (a reached
+    /// and a frontier set) for each window of the split the resuming
+    /// engine derives.
     WindowCount {
-        /// The engine's window count (1 for the monolithic engine).
+        /// The engine's window count (1 for BDD-UMC).
         expected: usize,
-        /// The checkpoint's reached sets.
-        reached: usize,
-        /// The checkpoint's frontier sets.
-        frontier: usize,
+        /// The checkpoint's roots.
+        roots: usize,
+    },
+    /// A reachability checkpoint with a node on a variable outside the
+    /// transition system's variable space (two per latch, one per
+    /// input).
+    VarOutOfRange {
+        /// The offending variable.
+        var: u32,
+        /// The size of the variable space.
+        vars: usize,
     },
 }
 
@@ -133,7 +148,10 @@ impl fmt::Display for CheckpointMisfit {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CheckpointMisfit::SlotOutOfRange { slot, slots } => {
-                write!(f, "it names engine slot {slot}, the portfolio has {slots} slots")
+                write!(
+                    f,
+                    "it names engine slot {slot}, the portfolio has {slots} slots"
+                )
             }
             CheckpointMisfit::BadOutOfRange { bad_index, bads } => {
                 write!(f, "it is for bad {bad_index}, the AIG has {bads} bads")
@@ -145,12 +163,22 @@ impl fmt::Display for CheckpointMisfit {
                 write!(f, "slot {slot} ({engine}) is disabled under these options")
             }
             CheckpointMisfit::WindowVars { expected, found } => {
-                write!(f, "it splits on {found} window variables, the engine on {expected}")
+                write!(
+                    f,
+                    "it splits on {found} window variables, the engine on {expected}"
+                )
             }
-            CheckpointMisfit::WindowCount { expected, reached, frontier } => write!(
+            CheckpointMisfit::WindowCount { expected, roots } => write!(
                 f,
-                "it has {reached} reached and {frontier} frontier sets, the engine {expected} windows"
+                "it has {roots} reached and frontier sets, the engine's {expected} windows take {}",
+                2 * expected
             ),
+            CheckpointMisfit::VarOutOfRange { var, vars } => {
+                write!(
+                    f,
+                    "it has a node on variable {var}, the system has {vars} variables"
+                )
+            }
         }
     }
 }
@@ -171,7 +199,7 @@ pub enum EngineCheckpoint {
         /// First induction depth the resumed run will attempt.
         next_k: usize,
     },
-    /// A BDD reachability fixpoint (monolithic or partitioned).
+    /// The BDD reachability fixpoint (BDD-UMC or POBDD-UMC).
     Reach(ReachCheckpoint),
 }
 

@@ -221,6 +221,13 @@ pub struct EngineCtx<'a> {
     /// A checkpoint from a previous [`EngineOutcome::Suspended`] of the
     /// *same* engine on the *same* AIG, if this run is a resume.
     pub resume: Option<&'a EngineCheckpoint>,
+    /// The deepest depth `d` the run has shown bad-free from the
+    /// initial states so far — no bad at any depth `0..=d` — or `None`
+    /// if no engine has shown any. The scheduler carries it from
+    /// engine to engine and across budget slices: an engine that
+    /// clears depths raises it (BMC), an engine whose proof needs a
+    /// base case reads it (k-induction tries only `k ≤ d + 1`).
+    pub cleared_depth: Option<usize>,
 }
 
 /// What one engine run concluded.
@@ -273,8 +280,10 @@ pub enum EngineOutcome {
 ///
 /// **Determinism contract.** [`Engine::run`] must be a deterministic
 /// function of the cone it is given ([`EngineCtx::aig`] without its
-/// names), the options and the resume state: the same inputs give the
-/// same outcome and the same statistics, in any thread and any process.
+/// names), the options, the resume state and the depth cleared before
+/// it ([`EngineCtx::cleared_depth`]): the same inputs give the same
+/// outcome, the same statistics and the same cleared depth, in any
+/// thread and any process.
 /// [`EngineCtx::bad_name`] is for attribution only. The campaign's
 /// [`crate::ConeCache`] relies on this: it checks each distinct cone
 /// once and replays that result for every property with the same cone.
@@ -299,7 +308,8 @@ pub trait Engine: Send + Sync {
 
     /// Runs the engine until it concludes, exhausts a per-engine
     /// resource, or the ctx budget trips. A deterministic function of
-    /// the cone, the options and the resume state (see the trait docs).
+    /// the cone, the options, the resume state and the cleared depth
+    /// (see the trait docs).
     fn run(&self, ctx: &mut EngineCtx<'_>) -> EngineOutcome;
 }
 

@@ -7,20 +7,25 @@
 //!   counterexample extraction (the "commercial tool" role).
 //! * **k-induction** — SAT-based unbounded proof with simple-path
 //!   strengthening.
-//! * **BDD UMC** — forward symbolic reachability with clustered
-//!   transition relations and early quantification (unbounded proof).
 //! * **POBDD UMC** — partitioned-OBDD reachability, the reproduction of
-//!   the paper's in-house engine \[Jain, IWLS 2004\].
+//!   the paper's in-house engine \[Jain, IWLS 2004\]: forward symbolic
+//!   reachability with clustered transition relations and early
+//!   quantification, per window of the state space (unbounded proof).
+//! * **BDD UMC** — monolithic forward reachability: the same fixpoint
+//!   with zero split variables, one window.
 //!
 //! Each engine implements the [`Engine`] trait; a [`Portfolio`] owns an
 //! ordered policy over them. The default policy is the paper's cascade
 //! (BMC → induction → BDD UMC → POBDD), and the flat [`check`] entry
 //! point is a thin shim over it. Every engine loop cooperates with a
-//! [`Budget`]/[`CancelToken`], and the BDD engines checkpoint their
-//! fixpoint state through `veridic_bdd::transfer`, so a run checked in
-//! budget slices ([`Portfolio::check_bad_with_budget`], then
+//! [`Budget`]/[`CancelToken`], and both BDD engines run one fixpoint,
+//! [`reach_session`], which checkpoints its state through
+//! `veridic_bdd::transfer`, so a run checked in budget slices
+//! ([`Portfolio::check_bad_with_budget`], then
 //! [`Portfolio::resume_bad_with_budget`]) reaches the same verdict as
-//! an uninterrupted one.
+//! an uninterrupted one. An induction proof stands on the depth BMC
+//! cleared before it: induction tries only the k whose base case BMC
+//! has shown.
 //!
 //! All engines run under **deterministic resource budgets** (BDD node
 //! quotas, SAT conflict quotas, depth limits). Exhausting a budget yields
@@ -58,7 +63,7 @@ mod options;
 mod pobdd;
 mod portfolio;
 
-pub use bdd_engine::{bdd_umc, bdd_umc_session, BddEngineOutcome, BuildError, TransitionSystem};
+pub use bdd_engine::{BddEngineOutcome, BuildError, TransitionSystem};
 pub use bmc::{
     bmc_check, bmc_check_budgeted, induction_check, induction_check_budgeted, BmcOutcome,
     InductionOutcome,
@@ -70,7 +75,7 @@ pub use engine::{
     EventResources,
 };
 pub use options::{CheckOptions, CheckOptionsBuilder};
-pub use pobdd::{pobdd_reach, pobdd_reach_session};
+pub use pobdd::reach_session;
 pub use portfolio::{
     BddUmcEngine, BmcEngine, InductionEngine, PobddEngine, Portfolio, PortfolioOutcome,
     RunCheckpoint, PREANALYSIS,

@@ -18,15 +18,14 @@
 //!   and [`Portfolio::resume_bad_with_budget`] continues it for the
 //!   next slice with identical verdicts.
 
+use crate::bdd_engine::BddEngineOutcome;
 use crate::bmc::{self, BmcOutcome, InductionOutcome};
 use crate::checkpoint::{CheckpointMisfit, EngineCheckpoint};
 use crate::cone::Cone;
 use crate::engine::{
     Budget, Engine, EngineCtx, EngineEvent, EngineId, EngineOutcome, EventOutcome, EventResources,
 };
-use crate::{
-    bdd_engine, pobdd, BadCoiStats, CheckOptions, CheckResult, CheckStats, Trace, Verdict,
-};
+use crate::{pobdd, BadCoiStats, CheckOptions, CheckResult, CheckStats, Trace, Verdict};
 use veridic_aig::analyze::{fold_constants, ternary_sweep, ternary_sweep_constrained, Ternary};
 use veridic_aig::Aig;
 
@@ -61,17 +60,21 @@ impl Engine for BmcEngine {
             Some(EngineCheckpoint::Bmc { next_depth }) => *next_depth,
             _ => 0,
         };
-        match bmc::bmc_check_budgeted(
+        let outcome = bmc::bmc_check_budgeted(
             ctx.aig,
             min_depth,
             ctx.opts.bmc_depth,
             ctx.opts.sat_conflicts,
             ctx.stats,
             ctx.budget,
-        ) {
+        );
+        ctx.cleared_depth = ctx
+            .cleared_depth
+            .max(outcome.cleared_depth(ctx.opts.bmc_depth));
+        match outcome {
             BmcOutcome::Falsified(t) => EngineOutcome::Falsified(t),
             BmcOutcome::NoCounterexample => EngineOutcome::Inconclusive,
-            BmcOutcome::ResourceOut => EngineOutcome::ResourceOut {
+            BmcOutcome::ResourceOut { .. } => EngineOutcome::ResourceOut {
                 reason: format!("BMC conflict budget ({})", ctx.opts.sat_conflicts),
             },
             BmcOutcome::Suspended { next_depth } => {
@@ -82,7 +85,11 @@ impl Engine for BmcEngine {
 }
 
 /// SAT k-induction: unbounded proof up to
-/// [`CheckOptions::induction_depth`].
+/// [`CheckOptions::induction_depth`], and no deeper than the base case
+/// an earlier engine established: only `k ≤ d + 1` for the run's
+/// [`EngineCtx::cleared_depth`] `d`. With no depth cleared (no BMC ahead
+/// of it, or BMC cleared nothing) it proves nothing and reports
+/// inconclusive.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct InductionEngine;
 
@@ -104,10 +111,14 @@ impl Engine for InductionEngine {
             Some(EngineCheckpoint::Induction { next_k }) => *next_k,
             _ => 1,
         };
+        // A step case at k needs the base case: no bad at depths 0..k.
+        let max_k = ctx
+            .cleared_depth
+            .map_or(0, |d| ctx.opts.induction_depth.min(d.saturating_add(1)));
         match bmc::induction_check_budgeted(
             ctx.aig,
             min_k,
-            ctx.opts.induction_depth,
+            max_k,
             ctx.opts.simple_path,
             ctx.opts.sat_conflicts,
             ctx.stats,
@@ -125,7 +136,8 @@ impl Engine for InductionEngine {
     }
 }
 
-/// Monolithic BDD forward reachability under the live-node quota.
+/// Monolithic BDD forward reachability under the live-node quota: the
+/// reachability fixpoint with one window.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BddUmcEngine;
 
@@ -143,29 +155,8 @@ impl Engine for BddUmcEngine {
     }
 
     fn run(&self, ctx: &mut EngineCtx<'_>) -> EngineOutcome {
-        let resume = match ctx.resume {
-            Some(EngineCheckpoint::Reach(r)) => Some(r),
-            _ => None,
-        };
-        match bdd_engine::bdd_umc_session(
-            ctx.aig,
-            ctx.opts.bdd_nodes,
-            ctx.opts.max_iterations,
-            ctx.opts.static_order,
-            ctx.stats,
-            ctx.budget,
-            resume,
-        ) {
-            bdd_engine::BddEngineOutcome::Proved => EngineOutcome::Proved { k: None },
-            bdd_engine::BddEngineOutcome::FalsifiedAtDepth(k) => EngineOutcome::FalsifiedAtDepth(k),
-            bdd_engine::BddEngineOutcome::ResourceOut => EngineOutcome::ResourceOut {
-                reason: format!("BDD node quota ({})", ctx.opts.bdd_nodes),
-            },
-            bdd_engine::BddEngineOutcome::Suspended(ck) => {
-                EngineOutcome::Suspended(EngineCheckpoint::Reach(ck))
-            }
-            bdd_engine::BddEngineOutcome::Misfit(misfit) => EngineOutcome::Misfit(misfit),
-        }
+        let reason = format!("BDD node quota ({})", ctx.opts.bdd_nodes);
+        run_reach(ctx, 0, reason)
     }
 }
 
@@ -188,30 +179,32 @@ impl Engine for PobddEngine {
     }
 
     fn run(&self, ctx: &mut EngineCtx<'_>) -> EngineOutcome {
-        let resume = match ctx.resume {
-            Some(EngineCheckpoint::Reach(r)) => Some(r),
-            _ => None,
-        };
-        match pobdd::pobdd_reach_session(
-            ctx.aig,
-            ctx.opts.pobdd_window_vars,
-            ctx.opts.bdd_nodes,
-            ctx.opts.max_iterations,
-            ctx.opts.static_order,
-            ctx.stats,
-            ctx.budget,
-            resume,
-        ) {
-            bdd_engine::BddEngineOutcome::Proved => EngineOutcome::Proved { k: None },
-            bdd_engine::BddEngineOutcome::FalsifiedAtDepth(k) => EngineOutcome::FalsifiedAtDepth(k),
-            bdd_engine::BddEngineOutcome::ResourceOut => EngineOutcome::ResourceOut {
-                reason: "POBDD node quota".into(),
-            },
-            bdd_engine::BddEngineOutcome::Suspended(ck) => {
-                EngineOutcome::Suspended(EngineCheckpoint::Reach(ck))
-            }
-            bdd_engine::BddEngineOutcome::Misfit(misfit) => EngineOutcome::Misfit(misfit),
-        }
+        let window_vars = ctx.opts.pobdd_window_vars;
+        run_reach(ctx, window_vars, "POBDD node quota".into())
+    }
+}
+
+/// Runs the reachability fixpoint on `window_vars` split variables for
+/// a BDD engine, resuming its checkpoint if the ctx has one; `reason`
+/// is the engine's resource-out account.
+fn run_reach(ctx: &mut EngineCtx<'_>, window_vars: u32, reason: String) -> EngineOutcome {
+    let resume = match ctx.resume {
+        Some(EngineCheckpoint::Reach(r)) => Some(r),
+        _ => None,
+    };
+    match pobdd::reach_session(
+        ctx.aig,
+        window_vars,
+        ctx.opts,
+        ctx.stats,
+        ctx.budget,
+        resume,
+    ) {
+        BddEngineOutcome::Proved => EngineOutcome::Proved { k: None },
+        BddEngineOutcome::FalsifiedAtDepth(k) => EngineOutcome::FalsifiedAtDepth(k),
+        BddEngineOutcome::ResourceOut => EngineOutcome::ResourceOut { reason },
+        BddEngineOutcome::Suspended(ck) => EngineOutcome::Suspended(EngineCheckpoint::Reach(ck)),
+        BddEngineOutcome::Misfit(misfit) => EngineOutcome::Misfit(misfit),
     }
 }
 
@@ -223,7 +216,8 @@ impl Engine for PobddEngine {
 /// [`Portfolio::resume_bad_with_budget`] needs to continue where the
 /// budget tripped — which bad, which engine slot, the engine's
 /// serialized state, the statistics (event log included) accumulated so
-/// far, and the resource-out reasons already collected for the bad.
+/// far, the resource-out reasons already collected for the bad, and the
+/// depth BMC has cleared.
 ///
 /// Owns plain data only (the BDD state travels as
 /// [`veridic_bdd::transfer::ExportedBdd`]), so it is `Send` and can
@@ -241,6 +235,19 @@ pub struct RunCheckpoint {
     /// Resource-out reasons collected for the suspended bad's earlier
     /// engines (they feed the final verdict if nothing concludes).
     pub reasons: Vec<String>,
+    /// The depth the run has shown bad-free from the initial states
+    /// ([`EngineCtx::cleared_depth`]), so an induction engine resumed in
+    /// a later slice keeps to the base case BMC established.
+    pub cleared_depth: Option<usize>,
+}
+
+/// Where a single-bad run stands between budget slices: the part of a
+/// [`RunCheckpoint`] the scheduler continues from.
+struct Cursor {
+    slot: usize,
+    state: EngineCheckpoint,
+    reasons: Vec<String>,
+    cleared_depth: Option<usize>,
 }
 
 /// What a budgeted portfolio run produced: a finished [`CheckResult`]
@@ -418,8 +425,9 @@ impl Portfolio {
     /// A [`CheckpointMisfit`] if the checkpoint does not fit this
     /// portfolio, AIG and options: a slot index out of range, a bad
     /// index the AIG does not have, an engine state the named slot's
-    /// engine cannot take, a slot the options disable, or a BDD window
-    /// split the engine does not derive. These are the signs of a
+    /// engine cannot take, a slot the options disable, or a BDD
+    /// checkpoint on a window split the engine does not derive or with
+    /// a node outside the system's variable space. These are the signs of a
     /// checkpoint resumed against another run, where continuing would
     /// give wrong verdicts. Nothing of the run has been resumed then,
     /// so the caller can start it afresh.
@@ -441,15 +449,15 @@ impl Portfolio {
             state,
             stats,
             reasons,
+            cleared_depth,
         } = checkpoint;
-        self.slice(
-            aig,
-            bad_index,
-            opts,
-            stats,
-            budget,
-            Some((slot, state, reasons)),
-        )
+        let cursor = Cursor {
+            slot,
+            state,
+            reasons,
+            cleared_depth,
+        };
+        self.slice(aig, bad_index, opts, stats, budget, Some(cursor))
     }
 
     /// One budget slice of a single-bad run, fresh or resumed.
@@ -460,20 +468,19 @@ impl Portfolio {
         opts: &CheckOptions,
         mut stats: CheckStats,
         budget: &mut Budget,
-        resume: Option<(usize, EngineCheckpoint, Vec<String>)>,
+        resume: Option<Cursor>,
     ) -> Result<PortfolioOutcome, CheckpointMisfit> {
         let cone = Cone::of(aig, bad_index);
         match self.check_bad_inner(aig, &cone, opts, &mut stats, budget, resume) {
             Ok(verdict) => Ok(PortfolioOutcome::Done(CheckResult { verdict, stats })),
-            Err(Halt::Suspended(slot, state, reasons)) => {
-                Ok(PortfolioOutcome::Suspended(RunCheckpoint {
-                    bad_index,
-                    slot,
-                    state,
-                    stats,
-                    reasons,
-                }))
-            }
+            Err(Halt::Suspended(cursor)) => Ok(PortfolioOutcome::Suspended(RunCheckpoint {
+                bad_index,
+                slot: cursor.slot,
+                state: cursor.state,
+                stats,
+                reasons: cursor.reasons,
+                cleared_depth: cursor.cleared_depth,
+            })),
             Err(Halt::Misfit(misfit)) => Err(misfit),
         }
     }
@@ -483,7 +490,7 @@ impl Portfolio {
     /// slot this portfolio has, a bad the AIG has, an engine state the
     /// named slot can take, and a slot still enabled under the options.
     /// The engine itself checks what only it can derive (a BDD window
-    /// split).
+    /// split and variable space).
     fn validate_checkpoint(
         &self,
         aig: &Aig,
@@ -531,7 +538,7 @@ impl Portfolio {
         opts: &CheckOptions,
         stats: &mut CheckStats,
         budget: &mut Budget,
-        resume: Option<(usize, EngineCheckpoint, Vec<String>)>,
+        resume: Option<Cursor>,
     ) -> Result<Verdict, Halt> {
         let sub = &cone.aig;
         let bad_name = &sub.bads()[0].name;
@@ -648,9 +655,9 @@ impl Portfolio {
         // from either back to the full input space.
         let engine_aig: &Aig = folded.as_ref().unwrap_or(sub);
 
-        let (first_slot, mut engine_resume, mut reasons) = match resume {
-            Some((slot, state, reasons)) => (slot, Some(state), reasons),
-            None => (0, None, Vec::new()),
+        let (first_slot, mut engine_resume, mut reasons, mut cleared_depth) = match resume {
+            Some(c) => (c.slot, Some(c.state), c.reasons, c.cleared_depth),
+            None => (0, None, Vec::new(), None),
         };
 
         for (slot_index, engine) in self.slots.iter().enumerate().skip(first_slot) {
@@ -670,8 +677,11 @@ impl Portfolio {
                     budget: &mut eng_budget,
                     stats,
                     resume: resume_state.as_ref(),
+                    cleared_depth,
                 };
-                engine.run(&mut ctx)
+                let outcome = engine.run(&mut ctx);
+                cleared_depth = ctx.cleared_depth;
+                outcome
             };
             let rounds = eng_budget.used();
             budget.charge(rounds);
@@ -732,7 +742,12 @@ impl Portfolio {
                 }
                 EngineOutcome::Suspended(state) => {
                     push(stats, EventOutcome::Suspended);
-                    return Err(Halt::Suspended(slot_index, state, reasons));
+                    return Err(Halt::Suspended(Box::new(Cursor {
+                        slot: slot_index,
+                        state,
+                        reasons,
+                        cleared_depth,
+                    })));
                 }
                 EngineOutcome::Misfit(misfit) => {
                     assert!(
@@ -756,9 +771,8 @@ impl Portfolio {
 
 /// Why [`Portfolio::check_bad_inner`] stopped without a verdict.
 enum Halt {
-    /// The budget tripped: the slot, its engine's checkpoint and the
-    /// resource-out reasons so far.
-    Suspended(usize, EngineCheckpoint, Vec<String>),
+    /// The budget tripped: where the run stands.
+    Suspended(Box<Cursor>),
     /// The resumed engine refused its checkpoint.
     Misfit(CheckpointMisfit),
 }

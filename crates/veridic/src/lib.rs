@@ -95,10 +95,10 @@ pub mod prelude {
         make_verifiable, transform_design, VerifiableModule, EC_PORT, ED_PORT,
     };
     pub use veridic_mc::{
-        check, pobdd_reach, BadCoiStats, Budget, CancelToken, CheckOptions, CheckOptionsBuilder,
-        CheckResult, CheckStats, CheckpointMisfit, Engine, EngineCheckpoint, EngineCtx,
-        EngineEvent, EngineId, EngineOutcome, EventOutcome, EventResources, Portfolio,
-        PortfolioOutcome, PreanalysisStats, ReachCheckpoint, RunCheckpoint, Verdict, PREANALYSIS,
+        check, BadCoiStats, Budget, CancelToken, CheckOptions, CheckOptionsBuilder, CheckResult,
+        CheckStats, CheckpointMisfit, Engine, EngineCheckpoint, EngineCtx, EngineEvent, EngineId,
+        EngineOutcome, EventOutcome, EventResources, Portfolio, PortfolioOutcome, PreanalysisStats,
+        ReachCheckpoint, RunCheckpoint, Verdict, PREANALYSIS,
     };
     pub use veridic_netlist::{Design, Expr, Module, NetId, PortDir, Value};
     pub use veridic_psl::{compile_vunit, parse_psl};

@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 
-use veridic::bdd::{DeltaBdd, ExportedBdd};
+use veridic::bdd::ExportedBdd;
 use veridic::campaign::codec::{decode_record, encode_record};
 use veridic::campaign::{CheckpointFile, CodecError};
 use veridic::mc::{EngineCheckpoint, ReachCheckpoint, RunCheckpoint};
@@ -33,71 +33,50 @@ fn fold_ref(raw: u32, limit: usize) -> u32 {
 
 type RawNodes = Vec<(u32, u32, u32)>;
 
-/// Raw material for one export: unconstrained node triples, an
-/// unconstrained root, and an arbitrary **diverged** level order (not
+/// Raw material for one export: unconstrained node triples,
+/// unconstrained roots, and an arbitrary **diverged** level order (not
 /// required to be an identity permutation — matching a checkpoint
 /// taken from a manager with an adopted variable order).
-fn arb_export_parts() -> BoxedStrategy<(RawNodes, u32, Vec<u32>)> {
+fn arb_export_parts() -> BoxedStrategy<(RawNodes, Vec<u32>, Vec<u32>)> {
     (
         collection::vec((0u32..64, 0u32..1_000_000, 0u32..1_000_000), 0..10),
-        0u32..1_000_000,
+        collection::vec(0u32..1_000_000, 0..5),
         collection::vec(0u32..64, 0..12),
     )
         .boxed()
 }
 
-fn build_exported(parts: (RawNodes, u32, Vec<u32>)) -> ExportedBdd {
-    let (raw, root, order) = parts;
+fn build_exported(parts: (RawNodes, Vec<u32>, Vec<u32>)) -> ExportedBdd {
+    let (raw, roots, order) = parts;
     let nodes: RawNodes = raw
         .iter()
         .enumerate()
         .map(|(k, (var, lo, hi))| (*var, fold_ref(*lo, k), fold_ref(*hi, k)))
         .collect();
-    let root = fold_ref(root, nodes.len());
-    ExportedBdd::from_raw_parts(nodes, root, order).expect("folded refs are always valid")
+    let roots = roots.iter().map(|r| fold_ref(*r, nodes.len())).collect();
+    ExportedBdd::from_raw_parts(nodes, roots, order).expect("folded refs are always valid")
 }
 
 fn arb_exported() -> BoxedStrategy<ExportedBdd> {
     arb_export_parts().prop_map(build_exported)
 }
 
-fn arb_delta() -> BoxedStrategy<DeltaBdd> {
-    (0usize..6, arb_export_parts()).prop_map(|(baseline, (raw, root, order))| {
-        let nodes: RawNodes = raw
-            .iter()
-            .enumerate()
-            .map(|(k, (var, lo, hi))| {
-                (
-                    *var,
-                    fold_ref(*lo, baseline + k),
-                    fold_ref(*hi, baseline + k),
-                )
-            })
-            .collect();
-        let root = fold_ref(root, baseline + nodes.len());
-        DeltaBdd::from_raw_parts(baseline, nodes, root, order)
-            .expect("folded refs are always valid")
-    })
-}
-
 fn arb_run_checkpoint() -> BoxedStrategy<RunCheckpoint> {
     (
-        (0usize..8, 0usize..4, collection::vec(arb_exported(), 0..3)),
+        (0usize..8, 0usize..4, arb_exported(), 0usize..40),
         (
-            collection::vec(arb_delta(), 0..3),
             0usize..50,
             0u32..8,
             collection::vec(collection::vec(97u8..123, 0..8), 0..3),
         ),
     )
         .prop_map(
-            |((bad_index, slot, reached), (frontier, depth, window_vars, reasons))| RunCheckpoint {
+            |((bad_index, slot, sets, cleared), (depth, window_vars, reasons))| RunCheckpoint {
                 bad_index,
                 slot,
                 state: EngineCheckpoint::Reach(ReachCheckpoint {
                     depth,
-                    reached,
-                    frontier,
+                    sets,
                     window_vars,
                 }),
                 stats: CheckStats::default(),
@@ -105,6 +84,7 @@ fn arb_run_checkpoint() -> BoxedStrategy<RunCheckpoint> {
                     .into_iter()
                     .map(|b| String::from_utf8(b).expect("ascii bytes"))
                     .collect(),
+                cleared_depth: cleared.checked_sub(1),
             },
         )
         .boxed()
@@ -148,12 +128,12 @@ proptest! {
             slot: 2,
             state: EngineCheckpoint::Reach(ReachCheckpoint {
                 depth: 1,
-                reached: vec![bdd.clone()],
-                frontier: vec![],
+                sets: bdd.clone(),
                 window_vars: 0,
             }),
             stats: CheckStats::default(),
             reasons: vec![],
+            cleared_depth: Some(30),
         };
         let bytes = file_of(ck).encode();
         let decoded = match CheckpointFile::decode(&bytes, None) {
@@ -163,9 +143,12 @@ proptest! {
         let EngineCheckpoint::Reach(reach) = decoded.state.state else {
             return Err("wrong engine checkpoint".to_string());
         };
-        let out = &reach.reached[0];
+        let out = &reach.sets;
         prop_assert_eq!(out.source_order(), bdd.source_order());
-        prop_assert_eq!(out.raw_root(), bdd.raw_root());
+        prop_assert_eq!(
+            out.raw_roots().collect::<Vec<_>>(),
+            bdd.raw_roots().collect::<Vec<_>>()
+        );
         prop_assert_eq!(
             out.raw_nodes().collect::<Vec<_>>(),
             bdd.raw_nodes().collect::<Vec<_>>()
@@ -210,6 +193,7 @@ fn wrong_fingerprints_are_typed_refusals() {
         state: EngineCheckpoint::Bmc { next_depth: 3 },
         stats: CheckStats::default(),
         reasons: vec![],
+        cleared_depth: Some(2),
     };
     let bytes = file_of(ck).encode();
     // Same bytes, resumed against a different chip: refused by name.
@@ -346,4 +330,69 @@ fn slicing_preserves_the_default_cascade() {
         }
     }
     assert!(compared >= 4, "too few properties compared: {compared}");
+}
+
+/// The one property of the service workload whose BDD-UMC run
+/// suspends and resumes (`mod_d00` `pIntegrityO_3` of the buggy Small
+/// chip), driven through the service's 16-round slices with every
+/// checkpoint passed through the on-disk codec before it resumes. The
+/// record equals its line in perfbench's `service_records.ndjson`.
+#[test]
+fn service_bdd_suspension_resumes_through_the_codec() {
+    let spec = CampaignSpec {
+        with_bugs: true,
+        ..Default::default()
+    };
+    let chip = Chip::generate(&spec.chip_config());
+    let module = chip
+        .modules()
+        .iter()
+        .find(|mi| mi.name() == "mod_d00")
+        .expect("the Small chip has mod_d00");
+    let (props, _) = veridic::core::flow::module_properties(&chip, module);
+    let prop = props
+        .iter()
+        .find(|p| p.label == "pIntegrityO_3")
+        .expect("mod_d00 has pIntegrityO_3");
+    let portfolio = Portfolio::default();
+    let slice = || Budget::rounds(spec.slice_rounds);
+    let mut outcome =
+        portfolio.check_bad_with_budget(&prop.aig, prop.bad_index, &spec.check, &mut slice());
+    let mut bdd_checkpoints = 0;
+    let result = loop {
+        match outcome {
+            PortfolioOutcome::Done(result) => break result,
+            PortfolioOutcome::Suspended(state) => {
+                if matches!(state.state, EngineCheckpoint::Reach(_)) {
+                    bdd_checkpoints += 1;
+                }
+                let bytes = file_of(state).encode();
+                let file = CheckpointFile::decode(&bytes, Some((0x1234, 0x5678)))
+                    .expect("a written checkpoint decodes");
+                outcome = portfolio
+                    .resume_bad_with_budget(&prop.aig, &spec.check, file.state, &mut slice())
+                    .expect("the run's own checkpoint fits");
+            }
+        }
+    };
+    assert_eq!(bdd_checkpoints, 1, "one BDD-UMC suspension");
+    assert_eq!(result.verdict, Verdict::Proved { engine: "bdd-umc" });
+    assert_eq!(
+        result.stats.engines_tried(),
+        [
+            "bmc: suspended",
+            "bmc: clean to depth 30",
+            "induction: suspended",
+            "induction: inconclusive",
+            "bdd-umc: suspended",
+            "bdd-umc: proved",
+        ]
+        .map(|e| format!("pIntegrityO_3/{e}"))
+    );
+    let s = &result.stats;
+    assert_eq!(
+        (s.bdd_allocated, s.bdd_nodes, s.iterations, s.sat_conflicts),
+        (14_322, 7_776, 15, 9_759),
+        "(bdd_allocated, bdd_nodes, iterations, sat_conflicts)"
+    );
 }

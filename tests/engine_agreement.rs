@@ -1,11 +1,11 @@
 //! Cross-engine consistency: SAT-only and BDD-only portfolios must agree
 //! on every property of a generated module — the reproduction analogue
 //! of running both the "commercial tool" and the "in-house engine" —
-//! and the partitioned-OBDD engine must agree with monolithic BDD
-//! reachability round for round.
+//! and the reachability fixpoint must reach the same outcome round for
+//! round on any window split, zero split variables (BDD-UMC) included.
 
 use proptest::prelude::*;
-use veridic::mc::{bdd_umc, BddEngineOutcome};
+use veridic::mc::{reach_session, BddEngineOutcome};
 use veridic::prelude::*;
 
 fn aig_for(compiled: &veridic::psl::CompiledVUnit) -> Aig {
@@ -187,14 +187,21 @@ proptest! {
         window_vars in 1u32..4,
     ) {
         let aig = build(&design);
+        let opts = CheckOptions::builder()
+            .bdd_nodes(1 << 20)
+            .max_iterations(200)
+            .build();
+        let reach = |window_vars, stats: &mut CheckStats| {
+            reach_session(&aig, window_vars, &opts, stats, &mut Budget::unlimited(), None)
+        };
         let mut mono = CheckStats::default();
-        let want = bdd_umc(&aig, 1 << 20, 200, &mut mono);
+        let want = reach(0, &mut mono);
         prop_assert!(
             !matches!(want, BddEngineOutcome::ResourceOut),
             "generated designs must conclude under the generous budget: {design:?}"
         );
         let mut part = CheckStats::default();
-        let got = pobdd_reach(&aig, window_vars, 1 << 20, 200, &mut part);
+        let got = reach(window_vars, &mut part);
         prop_assert_eq!(&want, &got, "outcome diverged for {:?}", &design);
         prop_assert_eq!(
             mono.iterations, part.iterations,

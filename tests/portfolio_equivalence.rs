@@ -16,7 +16,6 @@
 use proptest::prelude::*;
 use proptest::TestRng;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use veridic::mc::BddEngineOutcome;
 use veridic::prelude::*;
 
 /// Self-consistency on one AIG:
@@ -412,49 +411,82 @@ fn killed_reachability_resumes_identically_via_facade() {
     assert_eq!(resumed.stats.iterations, uninterrupted.stats.iterations);
 }
 
-/// What the checkpoint actually ships: a suspended monolithic run's
-/// frontier is a [`veridic::bdd::DeltaBdd`] paired with the same
-/// window's reached export, and a session resumed from it rebuilds the
-/// frontier via the delta path and concludes with the full run's
-/// verdict.
-#[test]
-fn monolithic_checkpoint_frontier_is_delta_encoded() {
-    let g = counter6_bad_at_44();
+// ---------------------------------------------------------------------
+// An induction proof stands on the base case BMC cleared.
+// ---------------------------------------------------------------------
+
+/// `mod_a00` `pIntegrityO_2` of the buggy Small chip, which the default
+/// cascade falsifies with a 2-cycle trace.
+fn mod_a00_integrity_o2() -> veridic::core::flow::PreparedProperty {
+    let chip = Chip::generate(&ChipConfig {
+        scale: Scale::Small,
+        with_bugs: true,
+    });
+    let module = chip
+        .modules()
+        .iter()
+        .find(|mi| mi.name() == "mod_a00")
+        .expect("the Small chip has mod_a00");
+    let (props, _) = veridic::core::flow::module_properties(&chip, module);
+    props
+        .into_iter()
+        .find(|p| p.label == "pIntegrityO_2")
+        .expect("mod_a00 has pIntegrityO_2")
+}
+
+/// Checks `prop` with `portfolio` under `opts`; returns the verdict and
+/// the rendered event log.
+fn check_logged(
+    portfolio: &Portfolio,
+    prop: &veridic::core::flow::PreparedProperty,
+    opts: &CheckOptions,
+) -> (Verdict, Vec<String>) {
     let mut stats = CheckStats::default();
-    let outcome = veridic::mc::bdd_umc_session(
-        &g,
-        1 << 20,
-        10_000,
-        false,
-        &mut stats,
-        &mut Budget::rounds(15),
-        None,
-    );
-    let ck = match outcome {
-        BddEngineOutcome::Suspended(ck) => ck,
-        other => panic!("expected a suspension, got {other:?}"),
-    };
-    assert_eq!(ck.depth, 15);
-    assert_eq!(ck.window_vars, 0);
-    assert_eq!((ck.reached.len(), ck.frontier.len()), (1, 1));
+    let verdict = portfolio.check_bad(&prop.aig, prop.bad_index, opts, &mut stats);
+    (verdict, stats.engines_tried())
+}
+
+/// With BMC cleared only to depth 0, induction may try k = 1 alone: a
+/// step case at k needs no bad at depths 0..k from the initial states.
+/// It stays inconclusive, and BDD-UMC finds the 2-cycle trace — what
+/// the cascade gives with `induction_depth` 1, where no deeper k was
+/// ever tried.
+#[test]
+fn induction_keeps_to_the_depth_bmc_cleared() {
+    let prop = mod_a00_integrity_o2();
+    let portfolio = Portfolio::default();
+    let shallow = CheckOptions::builder().bmc_depth(0).build();
+    let (verdict, log) = check_logged(&portfolio, &prop, &shallow);
+    match &verdict {
+        Verdict::Falsified(t) => assert_eq!(t.len(), 2, "the 2-cycle trace"),
+        other => panic!("expected a falsification, got {other:?}"),
+    }
     assert_eq!(
-        ck.frontier[0].baseline_len(),
-        ck.reached[0].node_count() - 1,
-        "the frontier delta must be encoded against this window's reached export"
+        log,
+        [
+            "bmc: clean to depth 0",
+            "induction: inconclusive",
+            "bdd-umc: bad reachable at depth 1",
+        ]
+        .map(|e| format!("pIntegrityO_2/{e}"))
     );
-    // Resume through the delta path.
-    let mut s = CheckStats::default();
-    let resumed = veridic::mc::bdd_umc_session(
-        &g,
-        1 << 20,
-        10_000,
-        false,
-        &mut s,
-        &mut Budget::unlimited(),
-        Some(&ck),
-    );
+    let one_k = CheckOptions::builder()
+        .bmc_depth(0)
+        .induction_depth(1)
+        .build();
+    assert_eq!(check_logged(&portfolio, &prop, &one_k), (verdict, log));
+}
+
+/// With no BMC ahead of it, induction has no base case and proves
+/// nothing.
+#[test]
+fn induction_alone_proves_nothing() {
+    let prop = mod_a00_integrity_o2();
+    let alone = Portfolio::empty().with(Box::new(veridic::mc::InductionEngine));
+    let (verdict, log) = check_logged(&alone, &prop, &CheckOptions::default());
     assert!(
-        matches!(resumed, BddEngineOutcome::FalsifiedAtDepth(44)),
-        "resume must conclude at depth 44, got {resumed:?}"
+        matches!(verdict, Verdict::ResourceOut { .. }),
+        "expected resource-out, got {verdict:?}"
     );
+    assert_eq!(log, ["pIntegrityO_2/induction: inconclusive"]);
 }

@@ -228,13 +228,13 @@ proptest! {
         let mut src = BddManager::new(1 << 18);
         src.adopt_order(&order);
         let f = tree_to_bdd(&mut src, &tf);
-        let exported = export(&src, f);
+        let exported = export(&src, &[f]);
         prop_assert_eq!(exported.source_order(), &order[..]);
 
         // Identity-order receiver: level checks fail wherever the
         // orders disagree, so the ITE fallback must reconstruct.
         let mut dst = BddManager::new(1 << 18);
-        let got = import(&exported, &mut dst).unwrap();
+        let got = import(&exported, &mut dst).unwrap()[0];
         for asg in 0..(1u32 << NVARS) {
             prop_assert_eq!(
                 dst.eval(got, &|v| asg >> v & 1 == 1),
@@ -247,7 +247,7 @@ proptest! {
         // mk path throughout and rebuilds node-exactly.
         let mut twin = BddManager::new(1 << 18);
         twin.adopt_order(exported.source_order());
-        let got_twin = import(&exported, &mut twin).unwrap();
+        let got_twin = import(&exported, &mut twin).unwrap()[0];
         prop_assert_eq!(
             twin.size(got_twin),
             src.size(f),
@@ -263,11 +263,11 @@ proptest! {
 
         // Second hop: re-export from the adopted-order twin into a
         // receiver with yet another order (the reversal).
-        let back = export(&twin, got_twin);
+        let back = export(&twin, &[got_twin]);
         let reversed: Vec<u32> = (0..NVARS).rev().collect();
         let mut third = BddManager::new(1 << 18);
         third.adopt_order(&reversed);
-        let got_third = import(&back, &mut third).unwrap();
+        let got_third = import(&back, &mut third).unwrap()[0];
         for asg in 0..(1u32 << NVARS) {
             prop_assert_eq!(
                 third.eval(got_third, &|v| asg >> v & 1 == 1),
@@ -277,92 +277,55 @@ proptest! {
         }
     }
 
-    /// Baseline + delta must reconstruct exactly what a full export
-    /// reconstructs, for random function pairs: overlapping, identical
-    /// (empty delta), disjoint and constant cones all arise.
-    #[test]
-    fn delta_export_matches_full_export(
-        tb in bool_tree(NVARS),
-        tf in bool_tree(NVARS),
-    ) {
-        use veridic::bdd::transfer::{export, export_delta, import, import_delta};
-        use veridic::bdd::NodeId;
-        let mut src = BddManager::new(1 << 18);
-        let b = tree_to_bdd(&mut src, &tb);
-        src.protect(b);
-        let f = tree_to_bdd(&mut src, &tf);
-        src.protect(f);
-        let overlap = src.or(b, f).unwrap();
-        src.protect(overlap);
-        let baseline = export(&src, b);
-        // Identical-cone edge first: a delta of the baseline function
-        // against its own export ships zero nodes.
-        let own = export_delta(&src, b, &baseline);
-        prop_assert_eq!(own.delta_node_count(), 0, "identical cone must ship nothing");
-        for target in [f, overlap, b, NodeId::TRUE, NodeId::FALSE] {
-            let full = export(&src, target);
-            let delta = export_delta(&src, target, &baseline);
-            // Whatever sharing the delta found, it never ships more
-            // than the full cone.
-            prop_assert!(delta.delta_node_count() < full.node_count());
-            // Both routes into one destination manager must hash-cons
-            // to the same node (node-identical reconstruction).
-            let mut dst = BddManager::new(1 << 18);
-            let via_full = import(&full, &mut dst).unwrap();
-            let via_delta = import_delta(&delta, &baseline, &mut dst).unwrap();
-            prop_assert_eq!(via_delta, via_full, "delta route must rebuild the same node");
-            for asg in 0..(1u32 << NVARS) {
-                prop_assert_eq!(
-                    dst.eval(via_delta, &|v| asg >> v & 1 == 1),
-                    src.eval(target, &|v| asg >> v & 1 == 1),
-                    "assignment {:05b}", asg
-                );
-            }
-            dst.unprotect(via_full);
-            dst.unprotect(via_delta);
-        }
-    }
-
     /// Transfer-layer roundtrip: export/import preserves the node count
     /// and the full truth table for arbitrary functions (built from a
     /// random truth table, so every shape of sharing and complement
     /// placement shows up), both into a fresh manager and into one that
-    /// already holds unrelated nodes.
+    /// already holds unrelated nodes; and two functions exported as the
+    /// roots of one export share one node list that holds the union of
+    /// their cones, each shared node once.
     #[test]
     fn transfer_roundtrip_preserves_count_and_truth_table(
         nvars in 2u32..6,
         table in 0u64..u64::MAX,
+        other in 0u64..u64::MAX,
         complement_root in 0u32..2,
     ) {
         use veridic::bdd::transfer::{export, import};
         use veridic::bdd::NodeId;
         let rows = 1u64 << nvars;
-        let table = table & ((1u128 << rows) as u64).wrapping_sub(1);
+        let mask = ((1u128 << rows) as u64).wrapping_sub(1);
         let mut src = BddManager::new(1 << 16);
-        // Build the function as an OR of minterms.
-        let mut f = NodeId::FALSE;
-        for row in 0..rows {
-            if table >> row & 1 == 1 {
-                let mut term = NodeId::TRUE;
-                for v in 0..nvars {
-                    let lit = if row >> v & 1 == 1 {
-                        src.var(v).unwrap()
-                    } else {
-                        src.nvar(v).unwrap()
-                    };
-                    term = src.and(term, lit).unwrap();
+        // Builds a function as an OR of minterms.
+        let mut of_table = |table: u64| {
+            let table = table & mask;
+            let mut f = NodeId::FALSE;
+            for row in 0..rows {
+                if table >> row & 1 == 1 {
+                    let mut term = NodeId::TRUE;
+                    for v in 0..nvars {
+                        let lit = if row >> v & 1 == 1 {
+                            src.var(v).unwrap()
+                        } else {
+                            src.nvar(v).unwrap()
+                        };
+                        term = src.and(term, lit).unwrap();
+                    }
+                    f = src.or(f, term).unwrap();
                 }
-                f = src.or(f, term).unwrap();
             }
-        }
+            f
+        };
+        let f = of_table(table);
+        let g = of_table(other);
         let f = if complement_root == 1 { !f } else { f };
-        let exported = export(&src, f);
+        let exported = export(&src, &[f]);
         prop_assert_eq!(exported.node_count(), src.size(f), "export must cover exactly the cone");
 
         // Fresh destination manager.
         let mut fresh = BddManager::new(1 << 16);
-        let g = import(&exported, &mut fresh).unwrap();
-        prop_assert_eq!(fresh.size(g), src.size(f), "node count must survive the roundtrip");
+        let fg = import(&exported, &mut fresh).unwrap()[0];
+        prop_assert_eq!(fresh.size(fg), src.size(f), "node count must survive the roundtrip");
 
         // Populated destination manager (unrelated junk + armed GC).
         let mut busy = BddManager::new(1 << 16);
@@ -370,13 +333,28 @@ proptest! {
         let b = busy.var(nvars - 1).unwrap();
         let junk = busy.xor(a, b).unwrap();
         busy.protect(junk);
-        let h = import(&exported, &mut busy).unwrap();
+        let h = import(&exported, &mut busy).unwrap()[0];
         prop_assert_eq!(busy.size(h), src.size(f));
 
+        // Both functions as the roots of one export, into a fresh
+        // manager: it builds every listed node once (no node twice, or
+        // hash-consing would merge them) and nothing but the roots'
+        // cones (a collection frees nothing).
+        let both = export(&src, &[f, g]);
+        let mut pair = BddManager::new(1 << 16);
+        let got = import(&both, &mut pair).unwrap();
+        prop_assert_eq!(pair.num_nodes(), both.node_count(), "each shared node once");
+        prop_assert_eq!(pair.gc(), 0, "the node list is the union of the cones");
+        prop_assert_eq!(pair.size(got[0]), src.size(f));
+        prop_assert_eq!(pair.size(got[1]), src.size(g));
+
         for asg in 0..rows {
-            let want = src.eval(f, &|v| asg >> v & 1 == 1);
-            prop_assert_eq!(fresh.eval(g, &|v| asg >> v & 1 == 1), want, "fresh, row {}", asg);
-            prop_assert_eq!(busy.eval(h, &|v| asg >> v & 1 == 1), want, "busy, row {}", asg);
+            let assign = |v: u32| asg >> v & 1 == 1;
+            let want = src.eval(f, &assign);
+            prop_assert_eq!(fresh.eval(fg, &assign), want, "fresh, row {}", asg);
+            prop_assert_eq!(busy.eval(h, &assign), want, "busy, row {}", asg);
+            prop_assert_eq!(pair.eval(got[0], &assign), want, "pair f, row {}", asg);
+            prop_assert_eq!(pair.eval(got[1], &assign), src.eval(g, &assign), "pair g, row {}", asg);
         }
     }
 
